@@ -27,7 +27,8 @@ from .sam import (
 )
 from .sparse import (
     TripletBuffer, as_csc, extract_dense_submatrix, frobenius_norm_diff,
-    from_triplets, identity, matvec, shifted_combine, spmm, to_triplets,
+    from_triplets, identity, matvec, shifted_combine, shifted_family, spmm,
+    to_triplets,
 )
 
 __version__ = "0.1.0"

@@ -162,9 +162,13 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
             if rel <= cfg.rel_tol:
                 stop_inner = True
 
-        if j > 0:
-            y = np.linalg.solve(H[:j, :j], g[:j]) if j > 1 else g[:1] / H[0, 0]
-            x = x + apply_M(V[:, :j] @ y)
+        # an exactly zero pivot (breakdown on a singular operator) leaves only
+        # the leading block solvable; the update stops there and x stays finite
+        zero_pivots = np.flatnonzero(np.diagonal(H[:j, :j]) == 0)
+        p = int(zero_pivots[0]) if zero_pivots.size else j
+        if p > 0:
+            y = np.linalg.solve(H[:p, :p], g[:p]) if p > 1 else g[:1] / H[0, 0]
+            x = x + apply_M(V[:, :p] @ y)
         true_rel = float(np.linalg.norm(b - apply_A(x))) / bnorm
         restart_checks.append((float(abs(g[j])) / bnorm, true_rel))
         if true_rel <= cfg.rel_tol:

@@ -369,7 +369,12 @@ def parse_config(path):
         spec = SequenceSpec.shifted_pair(K, M, shifts, rhs=_parse_rhs(seq, K.shape[0]))
     elif kind == "matrix_files":
         files = _require("sequence", "files", seq).split()
-        spec = SequenceSpec.matrix_files(files)
+        shifts = None
+        if "shifts" in seq or "shift_file" in seq:
+            shifts = _parse_shifts(seq)
+            if len(shifts) != len(files):
+                raise ConfigError(f"sequence: {len(shifts)} shifts for {len(files)} files")
+        spec = SequenceSpec.matrix_files(files, shifts=shifts)
         if "rhs" in seq:
             spec = SequenceSpec(spec.kind, spec.matrices, spec.shifts, _parse_rhs(seq, spec.n))
     else:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .sparse import as_csc, identity, shifted_combine
+from .sparse import as_csc, identity, shifted_family
 
 # Modified Talbot contour constants (sigma, mu, alpha, nu).  These defaults
 # come from the published optimized-contour literature, not from any property
@@ -42,7 +42,8 @@ def helmholtz_sequence(K0, delta_s: float, count: int):
     """Matrices K0 - (i * delta_s) * I for i = 1..count.
 
     The base matrix itself is system 0 of the sweep; the returned list holds
-    only the shifted systems.  Patterns always include the diagonal.
+    only the shifted systems.  They are built by :func:`shifted_family`, so
+    all of them share one pattern, the union of K0's and the diagonal.
     """
     K0 = as_csc(K0)
     if K0.shape[0] != K0.shape[1]:
@@ -50,7 +51,7 @@ def helmholtz_sequence(K0, delta_s: float, count: int):
     if delta_s <= 0:
         raise ValueError("delta_s must be positive")
     eye = identity(K0.shape[0], dtype=K0.dtype)
-    return [shifted_combine(-(i * delta_s), eye, K0) for i in range(1, count + 1)]
+    return shifted_family(-delta_s * np.arange(1, count + 1), eye, K0)
 
 
 def fem_pair_2d(nx: int, ny: int, kappa=None):
@@ -71,49 +72,27 @@ def fem_pair_2d(nx: int, ny: int, kappa=None):
     hy = 1.0 / (ny + 1)
     xs = (np.arange(nx) + 1) * hx
     ys = (np.arange(ny) + 1) * hy
-    kap = np.empty((ny, nx))
-    for j in range(ny):
-        for i in range(nx):
-            kap[j, i] = kappa(xs[i], ys[j])
+    kap = np.array([[kappa(x, y) for x in xs] for y in ys], dtype=float)
     if np.any(kap <= 0) or not np.all(np.isfinite(kap)):
         raise ValueError("kappa must be positive and finite at every node")
 
     def hmean(a, b):
         return 2.0 * a * b / (a + b)
 
+    cx = hmean(kap[:, :-1], kap[:, 1:])     # edge between nodes (j, i) and (j, i + 1)
+    cy = hmean(kap[:-1], kap[1:])           # edge between nodes (j, i) and (j + 1, i)
+    west = np.hstack([kap[:, :1], cx])
+    east = np.hstack([cx, kap[:, -1:]])
+    south = np.vstack([kap[:1], cy])
+    north = np.vstack([cy, kap[-1:]])
     n = nx * ny
-    rows, cols, vals = [], [], []
-    diag = np.zeros(n)
-    for j in range(ny):
-        for i in range(nx):
-            k = j * nx + i
-            # east/west edges
-            for di in (-1, 1):
-                ii = i + di
-                if 0 <= ii < nx:
-                    c = hmean(kap[j, i], kap[j, ii])
-                    rows.append(k)
-                    cols.append(j * nx + ii)
-                    vals.append(-c)
-                else:
-                    c = kap[j, i]
-                diag[k] += c
-            # north/south edges
-            for dj in (-1, 1):
-                jj = j + dj
-                if 0 <= jj < ny:
-                    c = hmean(kap[j, i], kap[jj, i])
-                    rows.append(k)
-                    cols.append(jj * nx + i)
-                    vals.append(-c)
-                else:
-                    c = kap[j, i]
-                diag[k] += c
-    rows.extend(range(n))
-    cols.extend(range(n))
-    vals.extend(diag)
+    node = np.arange(n).reshape(ny, nx)
+    left, right, below, above = node[:, :-1], node[:, 1:], node[:-1], node[1:]
+    rows = np.concatenate([left, right, below, above, node], axis=None)
+    cols = np.concatenate([right, left, above, below, node], axis=None)
+    diag = ((west + east) + south) + north  # one fixed summation order, reproducible bit for bit
+    vals = np.concatenate([-cx, -cx, -cy, -cy, diag], axis=None)
     K = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
-    K.sort_indices()
     M = sp.diags(np.full(n, hx * hy), format="csc")
     return as_csc(K), as_csc(M)
 
@@ -273,7 +252,7 @@ class SequenceSpec:
         shifts = np.asarray(shifts, dtype=complex)
         if shifts.size == 0:
             raise ValueError("shift list must be nonempty")
-        mats = [shifted_combine(z, M, K) for z in shifts]
+        mats = shifted_family(shifts, M, K)
         if rhs is None:
             rhs = point_source_rhs(K.shape[0])
         return cls("shifted_pair", mats, shifts, np.asarray(rhs))

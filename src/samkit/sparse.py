@@ -124,22 +124,46 @@ def extract_dense_submatrix(A, rows, cols) -> np.ndarray:
     return np.asarray(A[np.ix_(rows, cols)].todense())
 
 
+def shifted_family(alphas, E, A) -> list:
+    """[alpha * E + A for alpha in alphas], every member on one shared pattern.
+
+    The pattern is the union of the patterns of ``E`` and ``A``; it is built
+    once, and each member gets its own copies of it.  A position where the sum
+    cancels (including alpha = 0) stays as a stored zero.  Every position sums
+    at most two terms, so each value is exactly ``alpha * e + a``, and all
+    members share one dtype, the scalar field of ``alphas``, ``E`` and ``A``.
+    """
+    _check_same_shape(E, A, "shifted_family")
+    E = as_csc(E)
+    A = as_csc(A)
+    alphas = np.asarray(alphas)
+    dt = scalar_dtype(alphas, E, A)
+    # tag E's entries 1 and A's entries 2; their sum stores the union pattern
+    # in canonical order, and the bits of each tag say who covers the position
+    tags = (sp.csc_matrix((np.ones(E.nnz, np.int8), E.indices, E.indptr), shape=E.shape)
+            + sp.csc_matrix((np.full(A.nnz, 2, np.int8), A.indices, A.indptr), shape=A.shape))
+    e_pos = np.flatnonzero(tags.data & 1)
+    # -0.0 is the additive identity: positions only E covers get alpha * e
+    # exactly, sign of zero included
+    base = -np.zeros(tags.nnz, dtype=dt)
+    base[np.flatnonzero(tags.data & 2)] = A.data
+    e_vals = E.data.astype(dt)
+    family = []
+    for alpha in alphas:
+        data = base.copy()
+        data[e_pos] += dt.type(alpha) * e_vals
+        family.append(sp.csc_matrix((data, tags.indices.copy(), tags.indptr.copy()),
+                                    shape=A.shape))
+    return family
+
+
 def shifted_combine(alpha, E, A) -> sp.csc_matrix:
     """alpha * E + A with the union of both sparsity patterns stored.
 
-    Goes through triplets rather than scipy's ``+`` so that positions whose
-    sum cancels (including alpha = 0) stay in the pattern as stored zeros.
+    The one-member case of :func:`shifted_family`: positions whose sum
+    cancels (including alpha = 0) stay in the pattern as stored zeros.
     """
-    _check_same_shape(E, A, "shifted_combine")
-    E = as_csc(E)
-    A = as_csc(A)
-    dt = scalar_dtype(np.asarray(alpha), E, A)
-    ec = E.tocoo()
-    ac = A.tocoo()
-    rows = np.concatenate([ec.row, ac.row])
-    cols = np.concatenate([ec.col, ac.col])
-    vals = np.concatenate([dt.type(alpha) * ec.data.astype(dt), ac.data.astype(dt)])
-    return from_triplets(TripletBuffer(A.shape[0], A.shape[1], rows, cols, vals))
+    return shifted_family([alpha], E, A)[0]
 
 
 def frobenius_norm_diff(A, B=None) -> float:

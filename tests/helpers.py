@@ -1,3 +1,5 @@
+"""Random sparse matrices and patterns shared by the test modules."""
+
 import scipy.sparse as sp
 
 from samkit import as_csc

@@ -14,7 +14,7 @@ from samkit import (
     identity, laplace2d_dirichlet, offset_pattern, pattern_of, plan,
     run_sequence, symbolic_power, talbot_shifts,
 )
-from conftest import random_pattern, random_sparse
+from helpers import random_pattern, random_sparse
 
 
 def report(num, ok, detail):

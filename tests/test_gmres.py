@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from samkit import GmresConfig, as_csc, compose, gmres, identity
-from conftest import random_sparse
+from helpers import random_sparse
 
 
 def test_config_validation():
@@ -103,6 +103,20 @@ def test_max_iterations_exhausted_reports_failure():
     assert rep.iterations == 4
     assert not rep.converged
     assert rep.final_rel_residual > 1e-14
+
+
+@pytest.mark.parametrize("rows, b", [
+    ([[0.0, 1.0], [0.0, 0.0]], [1.0, 0.0]),
+    ([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]], [1.0, 1.0, 0.0]),
+])
+def test_breakdown_with_singular_hessenberg_stays_finite(rows, b):
+    A = as_csc(np.array(rows))
+    b = np.array(b)
+    x, rep = gmres(A, b)
+    assert np.all(np.isfinite(x))
+    assert not rep.converged
+    assert rep.final_rel_residual == pytest.approx(np.linalg.norm(b - A @ x) / np.linalg.norm(b))
+    assert rep.final_rel_residual <= 1.0
 
 
 def test_complex_system():

@@ -6,12 +6,13 @@ import pytest
 
 from samkit import (
     FactorizationError, GmresConfig, IlutpParams, SequenceReport, SequenceSpec,
-    Strategy, SystemRecord, fem_pair_2d, offset_pattern, parse_config,
-    pattern_of, render_report, resolve_pattern, run_sequence, write_pattern,
+    Strategy, SystemRecord, fem_pair_2d, matrix_market_write, offset_pattern,
+    parse_config, pattern_of, render_report, resolve_pattern, run_sequence,
+    write_pattern,
 )
 from samkit.harness import ConfigError
 from samkit.cli import main as cli_main
-from conftest import random_sparse
+from helpers import random_sparse
 
 FAST_GMRES = GmresConfig(restart=50, rel_tol=1e-10, max_total_iters=100)
 MILD_ILUTP = IlutpParams(lfil=10, droptol=1e-3, pivtol=1.0)
@@ -278,6 +279,26 @@ def test_parse_config_shift_file(tmp_path):
         f"[sequence]\nkind = shifted_pair\nnx = 3\nny = 3\nshift_file = {shifts}\n")
     spec, *_ = parse_config(cfg)
     assert np.array_equal(spec.shifts, [1.0 + 0.5j, 2.0 - 0.5j])
+
+
+def test_parse_config_matrix_files_keeps_shifts(tmp_path):
+    K, M = fem_pair_2d(3, 3)
+    files = []
+    for name, A in (("a.mtx", K), ("b.mtx", K + M)):
+        matrix_market_write(A, tmp_path / name)
+        files.append(str(tmp_path / name))
+    shift_file = tmp_path / "shifts.txt"
+    shift_file.write_text("3 0\n4 -1\n")
+    cases = {"shifts = 1 0 2 0.5": [1.0, 2.0 + 0.5j], f"shift_file = {shift_file}": [3.0, 4.0 - 1j],
+             "": [0.0, 0.0]}
+    cfg = tmp_path / "run.cfg"
+    for line, want in cases.items():
+        cfg.write_text(f"[sequence]\nkind = matrix_files\nfiles = {' '.join(files)}\n{line}\n")
+        spec, *_ = parse_config(cfg)
+        assert np.array_equal(spec.shifts, want)
+    cfg.write_text(f"[sequence]\nkind = matrix_files\nfiles = {' '.join(files)}\nshifts = 1 0\n")
+    with pytest.raises(ConfigError, match="1 shifts for 2 files"):
+        parse_config(cfg)
 
 
 def test_cli_run_outputs_csv(tmp_path, capsys):

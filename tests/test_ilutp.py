@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from samkit import FactorizationError, IlutpParams, as_csc, factor, identity
-from conftest import random_sparse
+from helpers import random_sparse
 
 
 def dense_lu_column_pivot(Ad, pivtol=1.0):

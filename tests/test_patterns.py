@@ -7,7 +7,7 @@ from samkit import (
     offset_pattern, pattern_intersection, pattern_of, pattern_union,
     read_pattern, sparsified_power, symbolic_power, write_pattern,
 )
-from conftest import grid_laplacian_triplets, random_pattern, random_sparse
+from helpers import grid_laplacian_triplets, random_pattern, random_sparse
 
 
 def boolean_power_oracle(P, p):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from samkit import (
     SequenceSpec, as_csc, fem_pair_2d, frobenius_norm_diff, helmholtz_sequence,
     laplace2d_dirichlet, matrix_market_read, matrix_market_write,
     point_source_rhs, talbot_shifts,
 )
-from conftest import random_sparse
+from helpers import random_sparse
 
 
 def test_laplace2d_size_and_stencil():
@@ -78,6 +79,64 @@ def test_fem_pair_symmetric_variable_kappa():
     K, M = fem_pair_2d(6, 6, kappa)
     assert frobenius_norm_diff(K, as_csc(K.T)) <= 1e-14
     assert np.all(M.diagonal() > 0)
+
+
+def fem_stiffness_by_node_loop(nx, ny, kappa):
+    """Stiffness of fem_pair_2d assembled node by node, edge by edge: the reference."""
+    hx, hy = 1.0 / (nx + 1), 1.0 / (ny + 1)
+    xs = (np.arange(nx) + 1) * hx
+    ys = (np.arange(ny) + 1) * hy
+    kap = np.empty((ny, nx))
+    for j in range(ny):
+        for i in range(nx):
+            kap[j, i] = kappa(xs[i], ys[j])
+
+    def hmean(a, b):
+        return 2.0 * a * b / (a + b)
+
+    n = nx * ny
+    rows, cols, vals = [], [], []
+    diag = np.zeros(n)
+    for j in range(ny):
+        for i in range(nx):
+            k = j * nx + i
+            for di in (-1, 1):
+                ii = i + di
+                if 0 <= ii < nx:
+                    c = hmean(kap[j, i], kap[j, ii])
+                    rows.append(k)
+                    cols.append(j * nx + ii)
+                    vals.append(-c)
+                else:
+                    c = kap[j, i]
+                diag[k] += c
+            for dj in (-1, 1):
+                jj = j + dj
+                if 0 <= jj < ny:
+                    c = hmean(kap[j, i], kap[jj, i])
+                    rows.append(k)
+                    cols.append(jj * nx + i)
+                    vals.append(-c)
+                else:
+                    c = kap[j, i]
+                diag[k] += c
+    rows.extend(range(n))
+    cols.extend(range(n))
+    vals.extend(diag)
+    K = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
+    K.sort_indices()
+    return as_csc(K)
+
+
+@pytest.mark.parametrize("nx, ny", [(5, 3), (2, 7)])
+@pytest.mark.parametrize("kappa", [None, lambda x, y: 2.5, lambda x, y: np.exp(np.sin(7 * x) + 3 * x * y)])
+def test_fem_pair_matches_node_loop_bit_for_bit(nx, ny, kappa):
+    K, _ = fem_pair_2d(nx, ny, kappa)
+    ref = fem_stiffness_by_node_loop(nx, ny, kappa or (lambda x, y: 1.0))
+    assert K.dtype == ref.dtype
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(K, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_fem_pair_constant_vector_boundary_only():

@@ -9,7 +9,7 @@ from samkit import (
 )
 from samkit.sam import _solve_columns
 from samkit.sparse import scalar_dtype
-from conftest import grid_laplacian_triplets, random_pattern, random_sparse
+from helpers import grid_laplacian_triplets, random_pattern, random_sparse
 
 
 def dense_minnorm_oracle(A_dense, ref_dense, S):

@@ -4,9 +4,10 @@ import scipy.sparse as sp
 
 from samkit import (
     TripletBuffer, as_csc, extract_dense_submatrix, frobenius_norm_diff,
-    from_triplets, identity, matvec, shifted_combine, spmm, to_triplets,
+    from_triplets, identity, matvec, shifted_combine, shifted_family, spmm,
+    to_triplets,
 )
-from conftest import grid_laplacian_triplets, random_sparse
+from helpers import grid_laplacian_triplets, random_sparse
 
 
 def test_from_triplets_direct_placement():
@@ -173,6 +174,51 @@ def test_shifted_combine_complex_shift_exact():
 def test_shifted_combine_dimension_mismatch():
     with pytest.raises(ValueError):
         shifted_combine(1.0, identity(2), identity(3))
+
+
+def _positions(M):
+    coo = M.tocoo()
+    return set(zip(coo.row.tolist(), coo.col.tolist()))
+
+
+def test_shifted_family_members_exact_on_union_pattern():
+    rng = np.random.default_rng(10)
+    E = random_sparse(7, rng)
+    A = random_sparse(7, rng)
+    for alphas in ([0.5, -3.0, 1e-3], [2 + 3j, -1j, 0.25]):
+        family = shifted_family(alphas, E, A)
+        assert len(family) == 3
+        for alpha, C in zip(alphas, family):
+            assert C.dtype == np.result_type(np.float64, np.asarray(alphas).dtype)
+            assert np.array_equal(C.toarray(), alpha * E.toarray() + A.toarray())
+            assert _positions(C) == _positions(E) | _positions(A)
+
+
+def test_shifted_family_union_pattern_keeps_cancelled_sums():
+    E = as_csc(np.array([[1.0, 0.0], [-2.0, 0.0]]))
+    A = as_csc(np.array([[1.0, 0.0], [0.0, 5.0]]))
+    C, C0 = shifted_family([-1.0, 0.0], E, A)
+    # (0,0) cancels to a stored zero; (1,0) is E's alone, (1,1) A's alone
+    for X in (C, C0):
+        assert np.array_equal(X.indptr, [0, 2, 3])
+        assert np.array_equal(X.indices, [0, 1, 1])
+        assert X.has_canonical_format
+    assert np.array_equal(C.data, [0.0, 2.0, 5.0])
+    # 0 * -2 is -0.0, and a value E alone contributes is stored as computed
+    assert np.array_equal(C0.data, [1.0, 0.0, 5.0]) and np.signbit(C0.data[1])
+
+
+def test_shifted_family_members_share_no_memory():
+    rng = np.random.default_rng(11)
+    family = shifted_family([1.0, 2.0, 3.0], identity(6), random_sparse(6, rng))
+    for i, X in enumerate(family):
+        for Y in family[i + 1:]:
+            for name in ("data", "indices", "indptr"):
+                assert not np.shares_memory(getattr(X, name), getattr(Y, name))
+
+
+def test_shifted_family_empty():
+    assert shifted_family([], identity(3), identity(3)) == []
 
 
 def test_frobenius_norm_cases():
