@@ -11,6 +11,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 HAPPY_BREAKDOWN = 1e-14
@@ -105,9 +106,10 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
     cycles = 0
     converged = False
     breakdown = False
+    nonfinite = False
     true_rel = np.inf
 
-    while total_iters < cfg.max_total_iters and not converged and not breakdown:
+    while total_iters < cfg.max_total_iters and not (converged or breakdown or nonfinite):
         r = b - apply_A(x)
         beta = float(np.linalg.norm(r))
         if beta / bnorm <= cfg.rel_tol:
@@ -139,6 +141,11 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
                     H[i, j] += h
                     w -= h * V[:, i]
             hnext = float(np.linalg.norm(w))
+            if not np.isfinite(hnext):
+                # NaN or Inf from an operator: the cycle ends with the columns
+                # built so far, and no further cycle repeats the failure
+                nonfinite = True
+                break
             H[j + 1, j] = hnext
             if hnext <= HAPPY_BREAKDOWN * beta:
                 breakdown = True
@@ -167,10 +174,19 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
         zero_pivots = np.flatnonzero(np.diagonal(H[:j, :j]) == 0)
         p = int(zero_pivots[0]) if zero_pivots.size else j
         if p > 0:
-            y = np.linalg.solve(H[:p, :p], g[:p]) if p > 1 else g[:1] / H[0, 0]
-            x = x + apply_M(V[:, :p] @ y)
+            # the Givens rotations left H[:p, :p] upper triangular
+            dx = apply_M(V[:, :p] @ sla.solve_triangular(H[:p, :p], g[:p]))
+            if np.all(np.isfinite(dx)):
+                x = x + dx
+            else:
+                nonfinite = True
         true_rel = float(np.linalg.norm(b - apply_A(x))) / bnorm
-        restart_checks.append((float(abs(g[j])) / bnorm, true_rel))
+        recurrence = float(abs(g[j])) / bnorm
+        if p < j or nonfinite:
+            # after a truncated update or a non-finite operator value the
+            # recurrence no longer tracks x; record the explicit residual
+            recurrence = history[-1] = true_rel
+        restart_checks.append((recurrence, true_rel))
         if true_rel <= cfg.rel_tol:
             converged = True
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve_triangular
+from scipy.sparse.linalg import splu
 
 from .sparse import as_csc
 
@@ -52,6 +52,12 @@ class IlutpParams:
             raise ValueError("pivtol must lie in [0, 1]")
 
 
+# splu settings under which a triangular matrix is its own factorization: no
+# column ordering, no row pivoting, so no fill and identity permutations
+_TRIANGULAR_SPLU = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                        options=dict(SymmetricMode=True))
+
+
 class IlutpFactors:
     """Factors L, U and the column permutation such that A[:, colperm] ~ L U."""
 
@@ -61,8 +67,9 @@ class IlutpFactors:
         self.colperm = np.asarray(colperm, dtype=np.int64)
         self.params = params
         self.shape = L.shape
-        self._L_csr = L.tocsr()
-        self._U_csr = U.tocsr()
+        # checked and pre-factored once, so each apply is two C triangular solves
+        self._L_lu = splu(L, **_TRIANGULAR_SPLU)
+        self._U_lu = splu(U, **_TRIANGULAR_SPLU)
 
     @property
     def n(self):
@@ -73,10 +80,12 @@ class IlutpFactors:
         v = np.asarray(v).ravel()
         if v.shape[0] != self.n:
             raise ValueError(f"apply_solve: expected length {self.n}, got {v.shape[0]}")
-        if np.iscomplexobj(v) and not np.iscomplexobj(self._L_csr.data):
-            v = v.astype(np.complex128)
-        y = spsolve_triangular(self._L_csr, v, lower=True, unit_diagonal=True)
-        z = spsolve_triangular(self._U_csr, y, lower=False)
+        if np.iscomplexobj(v) and not np.iscomplexobj(self.L.data):
+            # real factors: solve the real and imaginary parts as two right-hand sides
+            z = self._U_lu.solve(self._L_lu.solve(np.column_stack([v.real, v.imag])))
+            z = z[:, 0] + 1j * z[:, 1]
+        else:
+            z = self._U_lu.solve(self._L_lu.solve(v))
         x = np.empty_like(z)
         x[self.colperm] = z
         return x

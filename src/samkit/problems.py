@@ -29,13 +29,10 @@ def laplace2d_dirichlet(nx: int, ny: int):
     """
     if nx < 2 or ny < 2:
         raise ValueError("grid must be at least 2x2")
-    tx = sp.diags([-np.ones(nx - 1), 2 * np.ones(nx), -np.ones(nx - 1)], [-1, 0, 1])
-    ty = sp.diags([-np.ones(ny - 1), 2 * np.ones(ny), -np.ones(ny - 1)], [-1, 0, 1])
-    K = sp.kron(sp.identity(ny), tx) + sp.kron(ty, sp.identity(nx))
     b = np.zeros(nx * ny)
     b[:nx] += 1.0       # south edge, u = 1
     b[0::nx] += 1.0     # west edge, u = 1
-    return as_csc(K), b
+    return _stiffness(np.ones((ny, nx))), b
 
 
 def helmholtz_sequence(K0, delta_s: float, count: int):
@@ -75,6 +72,13 @@ def fem_pair_2d(nx: int, ny: int, kappa=None):
     kap = np.array([[kappa(x, y) for x in xs] for y in ys], dtype=float)
     if np.any(kap <= 0) or not np.all(np.isfinite(kap)):
         raise ValueError("kappa must be positive and finite at every node")
+    M = sp.diags(np.full(nx * ny, hx * hy), format="csc")
+    return _stiffness(kap), as_csc(M)
+
+
+def _stiffness(kap):
+    """Stiffness of :func:`fem_pair_2d` for the ny-by-nx node conductivities ``kap``."""
+    ny, nx = kap.shape
 
     def hmean(a, b):
         return 2.0 * a * b / (a + b)
@@ -92,9 +96,7 @@ def fem_pair_2d(nx: int, ny: int, kappa=None):
     cols = np.concatenate([right, left, above, below, node], axis=None)
     diag = ((west + east) + south) + north  # one fixed summation order, reproducible bit for bit
     vals = np.concatenate([-cx, -cx, -cy, -cy, diag], axis=None)
-    K = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
-    M = sp.diags(np.full(n, hx * hy), format="csc")
-    return as_csc(K), as_csc(M)
+    return as_csc(sp.csc_matrix((vals, (rows, cols)), shape=(n, n)))
 
 
 def talbot_shifts(n_z: int, t: float, constants=TALBOT_CONSTANTS) -> np.ndarray:

@@ -18,6 +18,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from .gmres import as_operator
 from .patterns import SparsityPattern
 from .sparse import TripletBuffer, as_csc, from_triplets, frobenius_norm_diff, matvec, scalar_dtype, spmm
 
@@ -266,9 +267,10 @@ def map_residual_norm(A, N, A_ref) -> float:
 class PreconditionerChain:
     """Composition of operator stages applied right-to-left.
 
-    Each stage is a sparse matrix (applied as a matvec), an object exposing
-    ``apply_solve`` or ``apply``, a callable, or None for identity.  A chain
-    is itself a valid stage, so compositions nest.
+    Each stage is any operand :func:`samkit.gmres.as_operator` accepts: a
+    sparse matrix (applied through :func:`samkit.sparse.matvec`), a dense
+    matrix, an object exposing ``apply_solve`` or ``apply``, a callable, or
+    None for identity.  A chain is itself a valid stage, so compositions nest.
     """
 
     def __init__(self, stages):
@@ -278,25 +280,10 @@ class PreconditionerChain:
             if left is not None and right is not None and left[1] != right[0]:
                 raise ValueError(f"chain stages have incompatible shapes {left} and {right}")
 
-    @staticmethod
-    def _apply_stage(stage, v):
-        if stage is None:
-            return v
-        if sp.issparse(stage):
-            return matvec(stage, v)
-        if isinstance(stage, np.ndarray):
-            return stage @ v
-        if hasattr(stage, "apply_solve"):
-            return stage.apply_solve(v)
-        if hasattr(stage, "apply"):
-            return stage.apply(v)
-        if callable(stage):
-            return stage(v)
-        raise TypeError(f"cannot apply stage of type {type(stage).__name__}")
-
     def apply(self, v):
         for stage in reversed(self.stages):
-            v = self._apply_stage(stage, v)
+            # a sparse map is applied through the sparse layer's entry point
+            v = matvec(stage, v) if sp.issparse(stage) else as_operator(stage)(v)
         return v
 
     __call__ = apply

@@ -6,6 +6,7 @@ indices within each column and summed duplicates; explicitly stored zeros are
 legal and are never pruned by the kernels here.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,10 +129,12 @@ def shifted_family(alphas, E, A) -> list:
     """[alpha * E + A for alpha in alphas], every member on one shared pattern.
 
     The pattern is the union of the patterns of ``E`` and ``A``; it is built
-    once, and each member gets its own copies of it.  A position where the sum
-    cancels (including alpha = 0) stays as a stored zero.  Every position sums
-    at most two terms, so each value is exactly ``alpha * e + a``, and all
-    members share one dtype, the scalar field of ``alphas``, ``E`` and ``A``.
+    and validated once, as a template matrix, and each member is a shallow
+    copy of the template given its own ``data``, ``indices`` and ``indptr``.
+    A position where the sum cancels (including alpha = 0) stays as a stored
+    zero.  Every position sums at most two terms, so each value is exactly
+    ``alpha * e + a``, and all members share one dtype, the scalar field of
+    ``alphas``, ``E`` and ``A``.
     """
     _check_same_shape(E, A, "shifted_family")
     E = as_csc(E)
@@ -148,12 +151,19 @@ def shifted_family(alphas, E, A) -> list:
     base = -np.zeros(tags.nnz, dtype=dt)
     base[np.flatnonzero(tags.data & 2)] = A.data
     e_vals = E.data.astype(dt)
+    # the index checks run once, on the template; sum_duplicates finds it
+    # canonical and caches the flags that every member inherits
+    template = sp.csc_matrix((base, tags.indices, tags.indptr), shape=A.shape)
+    template.check_format(full_check=True)
+    template.sum_duplicates()
     family = []
     for alpha in alphas:
-        data = base.copy()
-        data[e_pos] += dt.type(alpha) * e_vals
-        family.append(sp.csc_matrix((data, tags.indices.copy(), tags.indptr.copy()),
-                                    shape=A.shape))
+        member = copy.copy(template)
+        member.data = base.copy()
+        member.data[e_pos] += dt.type(alpha) * e_vals
+        member.indices = template.indices.copy()
+        member.indptr = template.indptr.copy()
+        family.append(member)
     return family
 
 

@@ -117,6 +117,46 @@ def test_breakdown_with_singular_hessenberg_stays_finite(rows, b):
     assert not rep.converged
     assert rep.final_rel_residual == pytest.approx(np.linalg.norm(b - A @ x) / np.linalg.norm(b))
     assert rep.final_rel_residual <= 1.0
+    # a truncated update records its explicit residual, not the recurrence's 0
+    assert rep.residual_history[-1] == rep.final_rel_residual
+    assert rep.restart_checks[-1] == (rep.final_rel_residual, rep.final_rel_residual)
+
+
+def test_breakdown_on_nilpotent_records_explicit_residual():
+    A = as_csc(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    x, rep = gmres(A, np.array([1.0, 0.0]))
+    assert np.array_equal(x, [0.0, 0.0])
+    assert rep.final_rel_residual == 1.0
+    assert np.array_equal(rep.residual_history, [1.0, 1.0])
+    assert rep.restart_checks == [(1.0, 1.0)]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_preconditioner_stops_at_once(bad):
+    x, rep = gmres(np.eye(3), np.ones(3), M=lambda v: v * bad)
+    assert np.all(np.isfinite(x))
+    assert not rep.converged
+    assert rep.iterations == 0 and rep.restarts == 0
+    assert rep.final_rel_residual == 1.0
+
+
+def test_preconditioner_turning_nonfinite_keeps_last_finite_x():
+    rng = np.random.default_rng(12)
+    A = random_sparse(10, rng, diag_boost=1.0)
+    b = rng.standard_normal(10)
+    calls = []
+
+    def M(v):
+        calls.append(1)
+        return v if len(calls) <= 2 else v * np.nan
+
+    x, rep = gmres(A, b, M=M, config=GmresConfig(restart=5, rel_tol=1e-12, max_total_iters=50))
+    # two Arnoldi columns, then NaN; the update through M is NaN too and is refused
+    assert rep.iterations == 2 and not rep.converged
+    assert np.array_equal(x, np.zeros(10))
+    assert rep.final_rel_residual == pytest.approx(1.0)
+    assert rep.residual_history[-1] == rep.final_rel_residual
 
 
 def test_complex_system():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from samkit import FactorizationError, IlutpParams, as_csc, factor, identity
 from helpers import random_sparse
@@ -126,6 +127,40 @@ def test_apply_solve_linearity():
     lhs = F.apply_solve(alpha * v + w)
     rhs = alpha * F.apply_solve(v) + F.apply_solve(w)
     assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(rhs))
+
+
+def dense_apply_solve(F, v):
+    """A^{-1} v through the dense factors; the test oracle for apply_solve."""
+    L, U = F.L.toarray(), F.U.toarray()
+    v = v.astype(np.result_type(L, v))
+    z = sla.solve_triangular(U, sla.solve_triangular(L, v, lower=True, unit_diagonal=True))
+    x = np.empty_like(z)
+    x[F.colperm] = z
+    return x
+
+
+@pytest.mark.parametrize("complex_factors", [False, True])
+def test_apply_solve_matches_dense_oracle(complex_factors):
+    rng = np.random.default_rng(5)
+    A = random_sparse(40, rng, diag_boost=0.5, complex_values=complex_factors)
+    F = factor(A, IlutpParams(lfil=5, droptol=1e-2, pivtol=1.0))
+    assert np.any(F.colperm != np.arange(40))  # the pivoted path is exercised
+    vectors = [rng.standard_normal(40), rng.standard_normal(40) + 1j * rng.standard_normal(40)]
+    for v in vectors:
+        got, want = F.apply_solve(v), dense_apply_solve(F, v)
+        assert got.dtype == want.dtype
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_triangular_factorizations_keep_order_and_fill():
+    rng = np.random.default_rng(6)
+    F = factor(random_sparse(30, rng, diag_boost=0.5), IlutpParams(lfil=6, droptol=1e-3, pivtol=1.0))
+    identity_perm = np.arange(30)
+    for lu, T in ((F._L_lu, F.L), (F._U_lu, F.U)):
+        assert np.array_equal(lu.perm_r, identity_perm)
+        assert np.array_equal(lu.perm_c, identity_perm)
+        # one factor is T itself, the other the stored unit diagonal: no fill
+        assert lu.L.nnz + lu.U.nnz - 30 == T.nnz
 
 
 def test_apply_solve_length_check():

@@ -38,6 +38,32 @@ def test_laplace2d_symmetric_positive_definite():
     assert evals[0] > 0.0
 
 
+def kron_laplacian(nx, ny):
+    """The former Kronecker-sum construction of the 5-point Laplacian; the test oracle."""
+    tx = sp.diags([-np.ones(nx - 1), 2 * np.ones(nx), -np.ones(nx - 1)], [-1, 0, 1])
+    ty = sp.diags([-np.ones(ny - 1), 2 * np.ones(ny), -np.ones(ny - 1)], [-1, 0, 1])
+    return as_csc(sp.kron(sp.identity(ny), tx) + sp.kron(ty, sp.identity(nx)))
+
+
+def _same_bytes(X, Y):
+    return all(getattr(X, a).dtype == getattr(Y, a).dtype
+               and np.array_equal(getattr(X, a), getattr(Y, a)) for a in ("data", "indices", "indptr"))
+
+
+@pytest.mark.parametrize("nx, ny, kron_stores_zeros", [
+    (2, 2, True), (10, 10, False), (3, 7, True), (7, 3, False), (32, 32, False),
+])
+def test_laplace2d_matches_kron_construction(nx, ny, kron_stores_zeros):
+    K, _ = laplace2d_dirichlet(nx, ny)
+    old = kron_laplacian(nx, ny)
+    # on small grids scipy's kron builds dense blocks and stores their zeros;
+    # the stencil stores exactly the 5-point pattern with the same values
+    assert (np.count_nonzero(old.data) < old.nnz) == kron_stores_zeros
+    old.eliminate_zeros()
+    assert _same_bytes(K, old)
+    assert np.count_nonzero(K.data) == K.nnz == 5 * nx * ny - 2 * (nx + ny)
+
+
 def test_laplace2d_rejects_small_grid():
     with pytest.raises(ValueError):
         laplace2d_dirichlet(1, 5)

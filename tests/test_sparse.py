@@ -217,6 +217,27 @@ def test_shifted_family_members_share_no_memory():
                 assert not np.shares_memory(getattr(X, name), getattr(Y, name))
 
 
+def test_shifted_family_members_are_valid_independent_matrices():
+    rng = np.random.default_rng(12)
+    E = random_sparse(8, rng)
+    A = random_sparse(8, rng, complex_values=True)
+    family = shifted_family([0.5, -2.0, 1j], E, A)
+    for X in family:
+        X.check_format(full_check=True)
+        assert X.has_canonical_format and X.has_sorted_indices
+        for name in ("data", "indices", "indptr"):
+            for operand in (E, A):
+                assert not np.shares_memory(getattr(X, name), getattr(operand, name))
+    before = [(X.data.copy(), X.indices.copy(), X.indptr.copy()) for X in family]
+    family[0].data[:] = 7.0
+    family[0].indices[:] = 0
+    family[0].indptr[1:] = 0
+    for X, (data, indices, indptr) in zip(family[1:], before[1:]):
+        assert np.array_equal(X.data, data)
+        assert np.array_equal(X.indices, indices)
+        assert np.array_equal(X.indptr, indptr)
+
+
 def test_shifted_family_empty():
     assert shifted_family([], identity(3), identity(3)) == []
 
