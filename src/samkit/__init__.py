@@ -26,9 +26,8 @@ from .sam import (
     map_residual_norm, plan,
 )
 from .sparse import (
-    TripletBuffer, as_csc, extract_dense_submatrix, frobenius_norm_diff,
-    from_triplets, identity, matvec, shifted_combine, shifted_family, spmm,
-    to_triplets,
+    as_csc, extract_dense_submatrix, frobenius_norm_diff, identity, matvec,
+    shifted_combine, shifted_family,
 )
 
 __version__ = "0.1.0"

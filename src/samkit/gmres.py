@@ -45,7 +45,7 @@ class SolveReport:
     restart_checks: list = field(default_factory=list, repr=False)
 
 
-def as_operator(op, n=None):
+def as_operator(op):
     """Normalize a matrix / factors / chain / callable / None into a callable."""
     if op is None:
         return lambda v: v
@@ -88,8 +88,8 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
 
     b = np.asarray(b).ravel()
     n = b.shape[0]
-    apply_A = as_operator(A, n)
-    apply_M = as_operator(M, n)
+    apply_A = as_operator(A)
+    apply_M = as_operator(M)
     dtype = np.result_type(np.float64, b.dtype, getattr(A, "dtype", b.dtype))
 
     x = np.zeros(n, dtype=dtype) if x0 is None else np.asarray(x0, dtype=dtype).copy()

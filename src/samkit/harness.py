@@ -187,7 +187,7 @@ def run_sequence(spec: SequenceSpec, strategy: Strategy, ilutp_params: ilutp.Ilu
         elif act == COMPUTE_SAM:
             if current_plan is None:
                 S = resolve_pattern(pattern_choice, A_ref)
-                current_plan = sam.plan(S, A_k, include_rhs_rows=True, A_ref=A_ref)
+                current_plan = sam.plan(S, A_k, A_ref=A_ref)
             mapped = sam.compute_map(A_k, A_ref, current_plan, workers=sam_workers)
             current = sam.compose(mapped.N, P_ref)
             sam_rel = mapped.rel_residual
@@ -286,16 +286,10 @@ def _parse_shifts(seq):
         vals = [float(tok) for tok in pairs]
         return np.array([complex(vals[i], vals[i + 1]) for i in range(0, len(vals), 2)])
     if "shift_file" in seq:
-        out = []
-        with open(seq["shift_file"]) as fh:
-            for line in fh:
-                toks = line.split()
-                if not toks:
-                    continue
-                if len(toks) != 2:
-                    raise ConfigError(f"shift file line {line.strip()!r}: expected 're im'")
-                out.append(complex(float(toks[0]), float(toks[1])))
-        return np.array(out)
+        pairs = np.loadtxt(seq["shift_file"], ndmin=2)
+        if pairs.shape[0] == 0 or pairs.shape[1] != 2:
+            raise ConfigError("sequence.shift_file: expected one 're im' pair per line")
+        return pairs.view(np.complex128)[:, 0]  # each (re, im) row, bit for bit
     n_z = int(seq.get("n_z", "40"))
     t = float(seq.get("t", "60"))
     if "talbot_constants" in seq:
@@ -314,9 +308,13 @@ def _parse_rhs(seq, n):
     if src == "ones":
         return np.ones(n) / np.sqrt(n)
     if src.startswith("file:"):
-        vec = np.loadtxt(src[len("file:"):], ndmin=1)
-        if vec.shape[0] != n:
-            raise ConfigError(f"rhs file has length {vec.shape[0]}, systems have size {n}")
+        path = src[len("file:"):]
+        # a Matrix Market vector, as `samkit gen` writes, or one value per line
+        with open(path) as fh:
+            banner = fh.readline().startswith("%%MatrixMarket")
+        vec = matrix_market_read(path).toarray().ravel() if banner else np.loadtxt(path, ndmin=1)
+        if vec.shape != (n,):
+            raise ConfigError(f"sequence.rhs: file holds shape {vec.shape}, systems have size {n}")
         return vec
     raise ConfigError(f"sequence.rhs: unknown source {src!r}")
 
@@ -338,6 +336,34 @@ def _parse_events(text):
     return events
 
 
+def _parse_sequence(seq):
+    """The SequenceSpec a [sequence] section describes."""
+    kind = _require("sequence", "kind", seq)
+    if kind == "helmholtz_sweep":
+        return SequenceSpec.helmholtz(
+            nx=int(seq.get("nx", "10")), ny=int(seq.get("ny", "10")),
+            delta_s=float(seq.get("delta_s", "0.01")), count=int(seq.get("count", "200")))
+    if kind == "shifted_pair":
+        if "k_file" in seq or "m_file" in seq:
+            K = matrix_market_read(_require("sequence", "k_file", seq))
+            M = matrix_market_read(_require("sequence", "m_file", seq))
+        else:
+            K, M = fem_pair_2d(int(seq.get("nx", "32")), int(seq.get("ny", "32")))
+        return SequenceSpec.shifted_pair(K, M, _parse_shifts(seq), rhs=_parse_rhs(seq, K.shape[0]))
+    if kind == "matrix_files":
+        files = _require("sequence", "files", seq).split()
+        shifts = None
+        if "shifts" in seq or "shift_file" in seq:
+            shifts = _parse_shifts(seq)
+            if len(shifts) != len(files):
+                raise ConfigError(f"sequence: {len(shifts)} shifts for {len(files)} files")
+        spec = SequenceSpec.matrix_files(files, shifts=shifts)
+        if "rhs" in seq:
+            spec = SequenceSpec(spec.kind, spec.matrices, spec.shifts, _parse_rhs(seq, spec.n))
+        return spec
+    raise ConfigError(f"sequence.kind: unknown kind {kind!r}")
+
+
 def parse_config(path):
     """Read a run description: (spec, strategy, ilutp params, pattern, gmres config)."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
@@ -353,32 +379,12 @@ def parse_config(path):
     if "sequence" not in cp:
         raise ConfigError("missing required section [sequence]")
 
-    seq = cp["sequence"]
-    kind = _require("sequence", "kind", seq)
-    if kind == "helmholtz_sweep":
-        spec = SequenceSpec.helmholtz(
-            nx=int(seq.get("nx", "10")), ny=int(seq.get("ny", "10")),
-            delta_s=float(seq.get("delta_s", "0.01")), count=int(seq.get("count", "200")))
-    elif kind == "shifted_pair":
-        if "k_file" in seq or "m_file" in seq:
-            K = matrix_market_read(_require("sequence", "k_file", seq))
-            M = matrix_market_read(_require("sequence", "m_file", seq))
-        else:
-            K, M = fem_pair_2d(int(seq.get("nx", "32")), int(seq.get("ny", "32")))
-        shifts = _parse_shifts(seq)
-        spec = SequenceSpec.shifted_pair(K, M, shifts, rhs=_parse_rhs(seq, K.shape[0]))
-    elif kind == "matrix_files":
-        files = _require("sequence", "files", seq).split()
-        shifts = None
-        if "shifts" in seq or "shift_file" in seq:
-            shifts = _parse_shifts(seq)
-            if len(shifts) != len(files):
-                raise ConfigError(f"sequence: {len(shifts)} shifts for {len(files)} files")
-        spec = SequenceSpec.matrix_files(files, shifts=shifts)
-        if "rhs" in seq:
-            spec = SequenceSpec(spec.kind, spec.matrices, spec.shifts, _parse_rhs(seq, spec.n))
-    else:
-        raise ConfigError(f"sequence.kind: unknown kind {kind!r}")
+    try:
+        spec = _parse_sequence(cp["sequence"])
+    except ConfigError:
+        raise
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"sequence: {exc}") from None
 
     st = cp["strategy"] if "strategy" in cp else {}
     st_kind = st.get("kind", "sam_every")

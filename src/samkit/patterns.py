@@ -23,10 +23,10 @@ class SparsityPattern:
         if self.indices.size:
             if self.indices.min() < 0 or self.indices.max() >= self.nrows:
                 raise ValueError("row index out of range")
-            for j in range(self.ncols):
-                col = self.indices[self.indptr[j]:self.indptr[j + 1]]
-                if col.size > 1 and np.any(np.diff(col) <= 0):
-                    raise ValueError(f"column {j} not strictly increasing")
+            col = np.repeat(np.arange(self.ncols), np.diff(self.indptr))
+            bad = np.flatnonzero((np.diff(self.indices) <= 0) & (np.diff(col) == 0))
+            if bad.size:
+                raise ValueError(f"column {col[bad[0]]} not strictly increasing")
 
     @classmethod
     def from_positions(cls, nrows, ncols, rows, cols) -> "SparsityPattern":
@@ -36,12 +36,7 @@ class SparsityPattern:
         if rows.size:
             if rows.min() < 0 or rows.max() >= nrows or cols.min() < 0 or cols.max() >= ncols:
                 raise ValueError("position out of range")
-        ind = sp.csc_matrix(
-            (np.ones(rows.size), (rows, cols)), shape=(nrows, ncols)
-        )
-        ind.sum_duplicates()
-        ind.sort_indices()
-        return cls(nrows, ncols, ind.indptr.astype(np.int64), ind.indices.astype(np.int64))
+        return pattern_of(sp.csc_matrix((np.ones(rows.size), (rows, cols)), shape=(nrows, ncols)))
 
     @property
     def nnz(self) -> int:
@@ -116,12 +111,9 @@ def symbolic_power(P: SparsityPattern, p: int) -> SparsityPattern:
     base = P.indicator()
     acc = base.copy()
     for _ in range(p - 1):
-        acc = (acc @ base).tocsc()
-        acc.sum_duplicates()
-        acc.sort_indices()
+        acc = acc @ base
         acc.data[:] = 1.0  # keep counts from growing across repeated products
-    return SparsityPattern(P.nrows, P.ncols,
-                           acc.indptr.astype(np.int64), acc.indices.astype(np.int64))
+    return pattern_of(acc)
 
 
 def sparsified_power(A, p: int, tau: float, absolute: bool = False) -> SparsityPattern:
@@ -161,20 +153,12 @@ def _check_dims(P: SparsityPattern, Q: SparsityPattern):
 
 def pattern_union(P: SparsityPattern, Q: SparsityPattern) -> SparsityPattern:
     _check_dims(P, Q)
-    u = (P.indicator() + Q.indicator()).tocsc()
-    u.sum_duplicates()
-    u.sort_indices()
-    return SparsityPattern(P.nrows, P.ncols,
-                           u.indptr.astype(np.int64), u.indices.astype(np.int64))
+    return pattern_of(P.indicator() + Q.indicator())
 
 
 def pattern_intersection(P: SparsityPattern, Q: SparsityPattern) -> SparsityPattern:
     _check_dims(P, Q)
-    m = P.indicator().multiply(Q.indicator()).tocsc()
-    m.sum_duplicates()
-    m.sort_indices()
-    return SparsityPattern(P.nrows, P.ncols,
-                           m.indptr.astype(np.int64), m.indices.astype(np.int64))
+    return pattern_of(P.indicator().multiply(Q.indicator()))
 
 
 def is_subset(P: SparsityPattern, Q: SparsityPattern) -> bool:
@@ -185,11 +169,8 @@ def is_subset(P: SparsityPattern, Q: SparsityPattern) -> bool:
 
 def write_pattern(P: SparsityPattern, path):
     """Write as text: a "nrows ncols nnz" header then one "row col" line per entry."""
-    rows, cols = P.positions()
-    with open(path, "w") as fh:
-        fh.write(f"{P.nrows} {P.ncols} {P.nnz}\n")
-        for r, c in zip(rows, cols):
-            fh.write(f"{r} {c}\n")
+    np.savetxt(path, np.column_stack(P.positions()), fmt="%d",
+               header=f"{P.nrows} {P.ncols} {P.nnz}", comments="")
 
 
 def read_pattern(path) -> SparsityPattern:
@@ -205,17 +186,10 @@ def read_pattern(path) -> SparsityPattern:
             nrows, ncols, nnz = (int(tok) for tok in header)
         except ValueError:
             raise ValueError(f"{path}: malformed pattern header, expected three integers") from None
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        for k in range(nnz):
-            line = fh.readline()
-            if not line:
-                raise ValueError(f"{path}: header promises {nnz} entries, file ends after {k}")
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}: malformed entry line {k + 2}: {line.strip()!r}")
-            rows[k] = int(parts[0])
-            cols[k] = int(parts[1])
-        if rows.size and (rows.min() < 0 or rows.max() >= nrows or cols.min() < 0 or cols.max() >= ncols):
-            raise ValueError(f"{path}: entry outside the {nrows}x{ncols} header dimensions")
-    return SparsityPattern.from_positions(nrows, ncols, rows, cols)
+        # loadtxt warns on an empty input, which a pattern with no entries is
+        entries = (np.loadtxt(fh, dtype=np.int64, ndmin=2, max_rows=nnz) if nnz > 0
+                   else np.empty((0, 2), dtype=np.int64))
+    if entries.shape != (nnz, 2):
+        raise ValueError(f"{path}: header promises {nnz} 'row col' entries, "
+                         f"file holds {entries.shape[0]} of {entries.shape[1]} values")
+    return SparsityPattern.from_positions(nrows, ncols, entries[:, 0], entries[:, 1])

@@ -8,6 +8,7 @@ complex quadrature contour, and externally supplied Matrix Market sequences.
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.io
 import scipy.sparse as sp
 
 from .sparse import as_csc, identity, shifted_family
@@ -118,89 +119,46 @@ def talbot_shifts(n_z: int, t: float, constants=TALBOT_CONSTANTS) -> np.ndarray:
 
 # --- Matrix Market coordinate files ---------------------------------------
 
-_MM_HEADER = "%%MatrixMarket"
-
 
 def matrix_market_read(path):
-    """Read a coordinate-format Matrix Market file into a CSC matrix.
+    """Read a coordinate-format Matrix Market file into a canonical CSC matrix.
 
     Supports real/complex general/symmetric files (symmetric storage is
-    expanded).  Indices are converted from the 1-based file convention.
+    expanded); array format, pattern/integer fields and
+    skew-symmetric/hermitian storage raise ``ValueError``, as do malformed,
+    truncated and out-of-range files.
     """
-    with open(path) as fh:
-        header = fh.readline().strip()
-        parts = header.split()
-        if len(parts) != 5 or parts[0] != _MM_HEADER or parts[1].lower() != "matrix":
-            raise ValueError(f"{path}: malformed Matrix Market header: {header!r}")
-        fmt, fieldkind, symmetry = (p.lower() for p in parts[2:5])
+    try:
+        _, _, _, fmt, fieldkind, symmetry = scipy.io.mminfo(path)
         if fmt != "coordinate":
-            raise ValueError(f"{path}: unsupported format {fmt!r}, only 'coordinate' is handled")
+            raise ValueError(f"unsupported format {fmt!r}, only 'coordinate' is handled")
         if fieldkind not in ("real", "complex"):
-            raise ValueError(f"{path}: unsupported field {fieldkind!r}, only real/complex are handled")
+            raise ValueError(f"unsupported field {fieldkind!r}, only real/complex are handled")
         if symmetry not in ("general", "symmetric"):
-            raise ValueError(f"{path}: unsupported symmetry {symmetry!r}, only general/symmetric are handled")
-
-        line = fh.readline()
-        while line and line.lstrip().startswith("%"):
-            line = fh.readline()
-        dims = line.split()
-        if len(dims) != 3:
-            raise ValueError(f"{path}: malformed dimension line: {line.strip()!r}")
-        nrows, ncols, nnz = (int(tok) for tok in dims)
-
-        want = 4 if fieldkind == "complex" else 3
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz, dtype=np.complex128 if fieldkind == "complex" else np.float64)
-        for k in range(nnz):
-            line = fh.readline()
-            if not line:
-                raise ValueError(f"{path}: header promises {nnz} entries, file ends after {k}")
-            toks = line.split()
-            if len(toks) != want:
-                raise ValueError(f"{path}: bad entry line: {line.strip()!r}")
-            r = int(toks[0]) - 1
-            c = int(toks[1]) - 1
-            if not (0 <= r < nrows and 0 <= c < ncols):
-                raise ValueError(
-                    f"{path}: entry ({toks[0]}, {toks[1]}) outside declared size {nrows}x{ncols}")
-            rows[k] = r
-            cols[k] = c
-            if fieldkind == "complex":
-                vals[k] = complex(float(toks[2]), float(toks[3]))
-            else:
-                vals[k] = float(toks[2])
-
-    if symmetry == "symmetric":
-        off = rows != cols
-        rows, cols, vals = (np.concatenate([rows, cols[off]]),
-                            np.concatenate([cols, rows[off]]),
-                            np.concatenate([vals, vals[off]]))
-    M = sp.csc_matrix((vals, (rows, cols)), shape=(nrows, ncols))
-    M.sum_duplicates()
-    M.sort_indices()
-    return M
+            raise ValueError(f"unsupported symmetry {symmetry!r}, only general/symmetric are handled")
+        return as_csc(scipy.io.mmread(path))
+    except ValueError as exc:
+        # scipy's messages name the line but not the file
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def matrix_market_write(A, path):
-    """Write a CSC matrix as a general coordinate Matrix Market file.
+    """Write a matrix as a general coordinate Matrix Market file.
 
-    Values are printed with 17 significant digits so that a read round trip
-    reproduces them exactly.
+    Values are written in their shortest round-trip form, so reading the
+    file back reproduces every stored value exactly, stored zeros included.
     """
     A = as_csc(A)
-    coo = A.tocoo()
-    complex_kind = np.iscomplexobj(A.data)
-    kind = "complex" if complex_kind else "real"
-    with open(path, "w") as fh:
-        fh.write(f"%%MatrixMarket matrix coordinate {kind} general\n")
-        fh.write(f"{A.shape[0]} {A.shape[1]} {A.nnz}\n")
-        if complex_kind:
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{r + 1} {c + 1} {v.real:.16e} {v.imag:.16e}\n")
+    # a file object, because given a name without extension mmwrite appends
+    # ".mtx"; symmetry is explicit, because by default mmwrite detects it and
+    # stores a symmetric matrix as its lower triangle only
+    with open(path, "wb") as fh:
+        if A.nnz == 0 and np.iscomplexobj(A.data):
+            # mmwrite labels a complex matrix without entries "real"
+            nrows, ncols = A.shape
+            fh.write(f"%%MatrixMarket matrix coordinate complex general\n{nrows} {ncols} 0\n".encode())
         else:
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{r + 1} {c + 1} {v:.16e}\n")
+            scipy.io.mmwrite(fh, A, symmetry="general")
 
 
 # --- sequence descriptions --------------------------------------------------

@@ -19,8 +19,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .gmres import as_operator
-from .patterns import SparsityPattern
-from .sparse import TripletBuffer, as_csc, from_triplets, frobenius_norm_diff, matvec, scalar_dtype, spmm
+from .patterns import SparsityPattern, pattern_of
+from .sparse import as_csc, frobenius_norm_diff, matvec, scalar_dtype
 
 # Rank cutoff handed to the column-pivoted orthogonal LS solver; blocks whose
 # triangular factor falls below this relative size get a minimum-norm solution.
@@ -45,7 +45,6 @@ class SamPlan:
     row_idx: np.ndarray
     max_block_cols: int
     max_block_rows: int
-    include_rhs_rows: bool
     degenerate_columns: np.ndarray
     struct_indptr: np.ndarray = field(repr=False)
     struct_indices: np.ndarray = field(repr=False)
@@ -61,20 +60,20 @@ class SamMap:
     """A computed map plus its residual bookkeeping."""
 
     N: sp.csc_matrix
-    rel_residual: float | None = None
-    column_residuals: np.ndarray | None = None
-    degenerate_columns: np.ndarray | None = None
+    rel_residual: float
+    column_residuals: np.ndarray
+    degenerate_columns: np.ndarray
 
 
-def plan(S: SparsityPattern, A, include_rhs_rows: bool = True, A_ref=None) -> SamPlan:
+def plan(S: SparsityPattern, A, A_ref=None) -> SamPlan:
     """Preprocess pattern S against the structure of A.
 
     ``A`` is the structural prototype of the matrices the map will be
-    computed for.  With ``include_rhs_rows`` set (the default), each column's
-    row set also unions the stored-entry rows of the reference matrix's
-    column, which makes the residual norms reported by :func:`compute_map`
-    exact; ``A_ref`` defaults to ``A`` itself.  Columns with an empty pattern
-    get an empty row set and are flagged degenerate.
+    computed for.  Each column's row set is the union of the stored-entry
+    rows of the A-columns its pattern selects and of the reference matrix's
+    own column, so every least-squares block sees the whole reference
+    column; ``A_ref`` defaults to ``A`` itself.  Columns with an empty
+    pattern get an empty row set and are flagged degenerate.
     """
     A = as_csc(A)
     n = A.shape[0]
@@ -94,35 +93,22 @@ def plan(S: SparsityPattern, A, include_rhs_rows: bool = True, A_ref=None) -> Sa
 
     # Row sets for all columns at once: the structural product A * S gives,
     # per column l, the union of stored rows of the A-columns selected by S.
-    a_ind = sp.csc_matrix(
-        (np.ones(A.nnz), A.indices, A.indptr), shape=A.shape
-    )
-    r_struct = (a_ind @ S.indicator()).tocsc()
-    if include_rhs_rows:
-        ref_ind = sp.csc_matrix(
-            (np.ones(ref.nnz), ref.indices, ref.indptr), shape=ref.shape
-        )
-        if degenerate.size:
-            # degenerate columns keep an empty row set
-            mask = np.ones(n)
-            mask[degenerate] = 0.0
-            ref_ind = ref_ind @ sp.diags(mask, format="csc")
-        r_struct = r_struct + ref_ind
-    r_struct = r_struct.tocsc()
-    r_struct.sum_duplicates()
-    r_struct.sort_indices()
+    ref_ind = pattern_of(ref).indicator()
+    if degenerate.size:
+        # degenerate columns keep an empty row set
+        mask = np.ones(n)
+        mask[degenerate] = 0.0
+        ref_ind = ref_ind @ sp.diags(mask, format="csc")
+    rows = pattern_of(pattern_of(A).indicator() @ S.indicator() + ref_ind)
 
-    row_ptr = r_struct.indptr.astype(np.int64)
-    row_counts = np.diff(row_ptr)
     return SamPlan(
         n=n,
         col_ptr=S.indptr.copy(),
         col_idx=S.indices.copy(),
-        row_ptr=row_ptr,
-        row_idx=r_struct.indices.astype(np.int64),
+        row_ptr=rows.indptr,
+        row_idx=rows.indices,
         max_block_cols=int(counts.max()) if n else 0,
-        max_block_rows=int(row_counts.max()) if n else 0,
-        include_rhs_rows=include_rhs_rows,
+        max_block_rows=int(rows.column_counts().max()) if n else 0,
         degenerate_columns=degenerate,
         struct_indptr=A.indptr.copy(),
         struct_indices=A.indices.copy(),
@@ -143,7 +129,7 @@ def _check_structure(A, pl: SamPlan):
 def _solve_columns(lo, hi, A, A_ref, pl, valN, col_res, dtype):
     """Solve the least-squares problems for columns lo..hi-1.
 
-    Results land in preassigned slices of ``valN`` (and ``col_res``), so the
+    Results land in preassigned slices of ``valN`` and ``col_res``, so the
     output is identical no matter how columns are split across workers.
     """
     block = np.zeros((pl.max_block_rows, max(pl.max_block_cols, 1)), dtype=dtype)
@@ -169,8 +155,7 @@ def _solve_columns(lo, hi, A, A_ref, pl, valN, col_res, dtype):
         out_sq = float(np.sum(np.abs(ref_vals[~inside]) ** 2))
 
         if ncol == 0:
-            if col_res is not None:
-                col_res[l] = math.sqrt(out_sq)
+            col_res[l] = math.sqrt(out_sq)
             continue
 
         f = np.zeros(nrow, dtype=dtype)
@@ -178,8 +163,7 @@ def _solve_columns(lo, hi, A, A_ref, pl, valN, col_res, dtype):
 
         if nrow == 0:
             valN[k0:k1] = 0
-            if col_res is not None:
-                col_res[l] = math.sqrt(out_sq)
+            col_res[l] = math.sqrt(out_sq)
             continue
 
         B = block[:nrow, :ncol]
@@ -192,18 +176,17 @@ def _solve_columns(lo, hi, A, A_ref, pl, valN, col_res, dtype):
 
         z = sla.lstsq(B, f, cond=RANK_TOL, lapack_driver="gelsy", check_finite=False)[0]
         valN[k0:k1] = z
-        if col_res is not None:
-            col_res[l] = math.sqrt(float(np.sum(np.abs(B @ z - f) ** 2)) + out_sq)
+        col_res[l] = math.sqrt(float(np.sum(np.abs(B @ z - f) ** 2)) + out_sq)
 
 
-def compute_map(A, A_ref, pl: SamPlan, workers: int = 1, want_residual: bool = True) -> SamMap:
+def compute_map(A, A_ref, pl: SamPlan, workers: int = 1) -> SamMap:
     """Minimize ||A N - A_ref||_F over the plan's pattern, column by column.
 
     Each column is an independent dense least-squares problem on the plan's
     index sets, solved by a column-pivoted orthogonal factorization with a
-    minimum-norm solution on rank-deficient blocks.  The map is assembled
-    from per-column triplets whose slices are preassigned by the plan, so the
-    result is bit-identical for any ``workers`` count.
+    minimum-norm solution on rank-deficient blocks.  The map's values fill
+    slices of the plan's own (canonical) CSC structure, preassigned per
+    column, so the result is bit-identical for any ``workers`` count.
     """
     A = as_csc(A)
     A_ref = as_csc(A_ref)
@@ -219,7 +202,7 @@ def compute_map(A, A_ref, pl: SamPlan, workers: int = 1, want_residual: bool = T
 
     nnz = int(pl.col_ptr[-1])
     valN = np.zeros(nnz, dtype=dtype)
-    col_res = np.zeros(pl.n) if want_residual else None
+    col_res = np.zeros(pl.n)
 
     workers = max(1, int(workers))
     if workers == 1 or pl.n < 2:
@@ -235,17 +218,14 @@ def compute_map(A, A_ref, pl: SamPlan, workers: int = 1, want_residual: bool = T
             for fut in futs:
                 fut.result()
 
-    cols = np.repeat(np.arange(pl.n, dtype=np.int64), np.diff(pl.col_ptr))
-    N = from_triplets(TripletBuffer(pl.n, pl.n, pl.col_idx.copy(), cols, valN))
+    N = sp.csc_matrix((valN, pl.col_idx.copy(), pl.col_ptr.copy()), shape=(pl.n, pl.n))
 
-    rel = None
-    if want_residual:
-        ref_norm = float(np.linalg.norm(A_ref.data))
-        total = float(np.linalg.norm(col_res))
-        if ref_norm > 0:
-            rel = total / ref_norm
-        else:
-            rel = 0.0 if total == 0 else math.inf
+    ref_norm = float(np.linalg.norm(A_ref.data))
+    total = float(np.linalg.norm(col_res))
+    if ref_norm > 0:
+        rel = total / ref_norm
+    else:
+        rel = 0.0 if total == 0 else math.inf
     return SamMap(N=N, rel_residual=rel, column_residuals=col_res,
                   degenerate_columns=pl.degenerate_columns.copy())
 
@@ -261,7 +241,7 @@ def map_residual_norm(A, N, A_ref) -> float:
     ref_norm = frobenius_norm_diff(A_ref)
     if ref_norm == 0:
         raise ValueError("reference matrix has zero norm, relative residual undefined")
-    return frobenius_norm_diff(spmm(as_csc(A), as_csc(N)), as_csc(A_ref)) / ref_norm
+    return frobenius_norm_diff(as_csc(A) @ as_csc(N), A_ref) / ref_norm
 
 
 class PreconditionerChain:

@@ -7,7 +7,6 @@ legal and are never pruned by the kernels here.
 """
 
 import copy
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,70 +46,17 @@ def _check_same_shape(A, B, op: str):
         raise ValueError(f"{op}: shape mismatch {A.shape} vs {B.shape}")
 
 
-@dataclass
-class TripletBuffer:
-    """Coordinate-format staging area for assembling a sparse matrix.
-
-    All three index/value arrays have equal length; duplicates are allowed
-    and are summed on conversion.
-    """
-
-    nrows: int
-    ncols: int
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.int64)
-        self.cols = np.asarray(self.cols, dtype=np.int64)
-        self.values = np.asarray(self.values)
-        if not (self.rows.shape == self.cols.shape == self.values.shape):
-            raise ValueError("triplet arrays must have equal length")
-
-
-def from_triplets(t: TripletBuffer) -> sp.csc_matrix:
-    """Assemble a canonical CSC matrix from coordinate triplets.
-
-    Duplicate positions are summed; a duplicate pair summing to zero is kept
-    as an explicitly stored zero.
-    """
-    if t.rows.size:
-        if t.rows.min() < 0 or t.rows.max() >= t.nrows:
-            raise ValueError(f"row index out of range for {t.nrows}x{t.ncols} matrix")
-        if t.cols.min() < 0 or t.cols.max() >= t.ncols:
-            raise ValueError(f"column index out of range for {t.nrows}x{t.ncols} matrix")
-    dt = scalar_dtype(t.values)
-    coo = sp.coo_matrix(
-        (t.values.astype(dt), (t.rows, t.cols)), shape=(t.nrows, t.ncols)
-    )
-    M = coo.tocsc()
-    M.sort_indices()
-    return M
-
-
-def to_triplets(A) -> TripletBuffer:
-    coo = as_csc(A).tocoo()
-    return TripletBuffer(A.shape[0], A.shape[1], coo.row.astype(np.int64),
-                         coo.col.astype(np.int64), coo.data.copy())
-
-
 def matvec(A, x: np.ndarray) -> np.ndarray:
-    """y = A x with a fixed column-sweep accumulation order."""
+    """y = A x, computed by scipy's ``A.dot`` after a length check.
+
+    The wrapper stays so that the map apply in
+    :class:`samkit.sam.PreconditionerChain` has one named entry point, which
+    a tracer can patch to time it apart from the other operator stages.
+    """
     x = np.asarray(x).ravel()
     if A.shape[1] != x.shape[0]:
         raise ValueError(f"matvec: matrix has {A.shape[1]} columns, vector has length {x.shape[0]}")
     return A.dot(x)
-
-
-def spmm(A, B) -> sp.csc_matrix:
-    """Exact sparse matrix product A B in canonical CSC form."""
-    if A.shape[1] != B.shape[0]:
-        raise ValueError(f"spmm: inner dimensions differ, {A.shape} x {B.shape}")
-    C = (A @ B).tocsc()
-    C.sum_duplicates()
-    C.sort_indices()
-    return C
 
 
 def extract_dense_submatrix(A, rows, cols) -> np.ndarray:

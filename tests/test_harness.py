@@ -8,7 +8,7 @@ from samkit import (
     FactorizationError, GmresConfig, IlutpParams, SequenceReport, SequenceSpec,
     Strategy, SystemRecord, fem_pair_2d, matrix_market_write, offset_pattern,
     parse_config, pattern_of, render_report, resolve_pattern, run_sequence,
-    write_pattern,
+    talbot_shifts, write_pattern,
 )
 from samkit.harness import ConfigError
 from samkit.cli import main as cli_main
@@ -252,6 +252,11 @@ def test_parse_config_rejections(tmp_path):
         "conflicting_strategy": ("[sequence]\nkind = helmholtz_sweep\n"
                                  "[strategy]\nkind = sam_every\nevents = [0:prec]\n"),
         "bad_pattern": "[sequence]\nkind = helmholtz_sweep\n[pattern]\nkind = fancy\n",
+        "small_grid": "[sequence]\nkind = helmholtz_sweep\nnx = 1\n",
+        "missing_k_file": ("[sequence]\nkind = shifted_pair\nk_file = nowhere/k.mtx\n"
+                           "m_file = nowhere/m.mtx\nshifts = 1 0\n"),
+        "missing_files": "[sequence]\nkind = matrix_files\nfiles = nowhere/a.mtx\n",
+        "bad_shift": "[sequence]\nkind = shifted_pair\nnx = 2\nny = 2\nshifts = 1 x\n",
     }
     for name, content in bad.items():
         path = tmp_path / f"{name}.cfg"
@@ -347,3 +352,58 @@ def test_cli_gen_fem_pair(tmp_path):
     assert matrix_market_read(outdir / "m.mtx").shape == (9, 9)
     lines = (outdir / "shifts.txt").read_text().strip().split("\n")
     assert len(lines) == 4
+
+
+def test_cli_gen_output_runs(tmp_path):
+    outdir = tmp_path / "gen"
+    assert cli_main(["gen", "--problem", "fem-pair", "--out", str(outdir),
+                     "--nx", "4", "--ny", "4", "--n-z", "8", "--t", "1.0"]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"[sequence]\nkind = shifted_pair\nk_file = {outdir / 'k.mtx'}\n"
+        f"m_file = {outdir / 'm.mtx'}\nshift_file = {outdir / 'shifts.txt'}\n"
+        f"rhs = file:{outdir / 'rhs.mtx'}\n")
+    spec, strategy, params, pattern, gc = parse_config(cfg)
+    direct = SequenceSpec.shifted_pair(*fem_pair_2d(4, 4), talbot_shifts(8, 1.0))
+    assert np.array_equal(spec.rhs, direct.rhs)
+    assert np.array_equal(spec.shifts, direct.shifts)
+    for A, B in zip(spec.matrices, direct.matrices):
+        assert np.array_equal(A.toarray(), B.toarray())
+    report = run_sequence(spec, strategy, params, pattern, gc)
+    assert len(report.rows) == 4 and all(r.converged for r in report.rows)
+
+
+def test_parse_config_rhs_file(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    base = "[sequence]\nkind = shifted_pair\nnx = 2\nny = 2\nshifts = 1 0\n"
+    plain = tmp_path / "rhs.txt"
+    plain.write_text("1\n-2.5\n0\n3e-1\n")
+    cfg.write_text(base + f"rhs = file:{plain}\n")
+    spec, *_ = parse_config(cfg)
+    assert np.array_equal(spec.rhs, [1.0, -2.5, 0.0, 0.3])
+    short = tmp_path / "short.mtx"
+    matrix_market_write(np.ones((3, 1)), short)
+    garbled = tmp_path / "garbled.txt"
+    garbled.write_text("1\nwhat\n")
+    bad_mm = tmp_path / "bad.mtx"
+    bad_mm.write_text("%%MatrixMarket matrix array real general\n4 1\n1\n2\n3\n4\n")
+    for path in (tmp_path / "missing.txt", short, garbled, bad_mm):
+        cfg.write_text(base + f"rhs = file:{path}\n")
+        with pytest.raises(ConfigError):
+            parse_config(cfg)
+
+
+@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+def test_parse_config_shift_file_faults(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    for name, content in (("three.txt", "1 2 3\n"), ("one.txt", "1\n2\n"), ("empty.txt", ""),
+                          ("ragged.txt", "1 2\n3\n"), ("word.txt", "1 x\n")):
+        path = tmp_path / name
+        path.write_text(content)
+        cfg.write_text(f"[sequence]\nkind = shifted_pair\nnx = 2\nny = 2\nshift_file = {path}\n")
+        with pytest.raises(ConfigError):
+            parse_config(cfg)
+    cfg.write_text(f"[sequence]\nkind = shifted_pair\nnx = 2\nny = 2\n"
+                   f"shift_file = {tmp_path / 'missing.txt'}\n")
+    with pytest.raises(ConfigError):
+        parse_config(cfg)

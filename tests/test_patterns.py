@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from samkit import (
-    SparsityPattern, TripletBuffer, as_csc, from_triplets, is_subset,
+    SparsityPattern, as_csc, is_subset,
     offset_pattern, pattern_intersection, pattern_of, pattern_union,
     read_pattern, sparsified_power, symbolic_power, write_pattern,
 )
@@ -28,6 +28,28 @@ def pattern_to_bool(P):
     return D
 
 
+@pytest.mark.parametrize("indptr, indices, message", [
+    ([0, 1, 2], [0, 1], "bad column pointer array"),                     # length is not ncols + 1
+    ([1, 1, 1, 1], [], "bad column pointer array"),                      # does not start at 0
+    ([0, 2, 1, 3], [0, 1, 2], "column pointers inconsistent"),           # decreasing
+    ([0, 1, 2, 2], [0, 1, 2], "column pointers inconsistent"),           # last is not nnz
+    ([0, 1, 2, 3], [0, 3, 1], "row index out of range"),
+    ([0, 1, 2, 3], [0, -1, 1], "row index out of range"),
+    ([0, 1, 3, 4], [0, 2, 1, 0], "column 1 not strictly increasing"),    # unsorted
+    ([0, 0, 2, 3], [1, 1, 0], "column 1 not strictly increasing"),       # duplicated row
+    ([0, 1, 3, 5], [0, 2, 1, 1, 1], "column 1 not strictly increasing"),  # the first bad column
+    ([0, 1, 1, 3], [2, 2, 2], "column 2 not strictly increasing"),
+])
+def test_pattern_constructor_rejections(indptr, indices, message):
+    with pytest.raises(ValueError, match=message):
+        SparsityPattern(3, 3, indptr, indices)
+
+
+def test_pattern_constructor_allows_decrease_across_columns():
+    P = SparsityPattern(3, 3, [0, 2, 2, 3], [1, 2, 0])
+    assert np.array_equal(P.column(0), [1, 2]) and np.array_equal(P.column(2), [0])
+
+
 def test_pattern_of_diagonal():
     P = pattern_of(as_csc(np.diag([1.0, 2.0])))
     assert P.nnz == 2
@@ -41,12 +63,12 @@ def test_pattern_of_empty():
 
 def test_pattern_of_grid_laplacian():
     rows, cols, vals = grid_laplacian_triplets(3, 3)
-    A = from_triplets(TripletBuffer(9, 9, rows, cols, vals))
+    A = as_csc(sp.csc_matrix((vals, (rows, cols)), shape=(9, 9)))
     assert pattern_of(A).nnz == 33
 
 
 def test_pattern_of_keeps_stored_zeros():
-    A = from_triplets(TripletBuffer(2, 2, [0, 1], [0, 1], [0.0, 2.0]))
+    A = as_csc(sp.csc_matrix(([0.0, 2.0], ([0, 1], [0, 1])), shape=(2, 2)))
     assert pattern_of(A).nnz == 2
 
 
@@ -133,7 +155,7 @@ def test_sparsified_power_above_one_empties():
 
 def test_sparsified_power_against_dense_oracle():
     rows, cols, vals = grid_laplacian_triplets(3, 3)
-    A = from_triplets(TripletBuffer(9, 9, rows, cols, vals))
+    A = as_csc(sp.csc_matrix((vals, (rows, cols)), shape=(9, 9)))
     p, tau = 2, 1e-4
     P = sparsified_power(A, p, tau)
     assert is_subset(P, symbolic_power(pattern_of(A), p))

@@ -3,9 +3,9 @@ import pytest
 import scipy.sparse as sp
 
 from samkit import (
-    PreconditionerChain, SparsityPattern, TripletBuffer, as_csc, compose,
-    compute_map, frobenius_norm_diff, from_triplets, identity,
-    map_residual_norm, matvec, offset_pattern, pattern_of, plan,
+    PreconditionerChain, SparsityPattern, as_csc, compose, compute_map,
+    frobenius_norm_diff, identity, map_residual_norm, matvec, offset_pattern,
+    pattern_of, plan,
 )
 from samkit.sam import _solve_columns
 from samkit.sparse import scalar_dtype
@@ -36,7 +36,7 @@ def test_plan_diagonal_case():
 
 def test_plan_grid_corner_column_row_union():
     rows, cols, vals = grid_laplacian_triplets(3, 3)
-    A = from_triplets(TripletBuffer(9, 9, rows, cols, vals))
+    A = as_csc(sp.csc_matrix((vals, (rows, cols)), shape=(9, 9)))
     S = pattern_of(A)
     pl = plan(S, A)
     # brute-force union of the stencil columns selected by the corner column
@@ -66,17 +66,15 @@ def test_plan_rhs_rows_augmentation():
     # reference column reaches row 2, the map columns do not
     A = as_csc(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
     ref = as_csc(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [2.0, 0.0, 1.0]]))
-    S = offset_pattern(3, [0])
-    pl_on = plan(S, A, include_rhs_rows=True, A_ref=ref)
-    pl_off = plan(S, A, include_rhs_rows=False, A_ref=ref)
-    assert np.array_equal(pl_on.row_idx[pl_on.row_ptr[0]:pl_on.row_ptr[1]], [0, 2])
-    assert np.array_equal(pl_off.row_idx[pl_off.row_ptr[0]:pl_off.row_ptr[1]], [0])
-    # residuals stay exact either way: rows outside the set are accounted for
-    m_on = compute_map(A, ref, pl_on)
-    m_off = compute_map(A, ref, pl_off)
-    exact = map_residual_norm(A, m_on.N, ref)
-    assert abs(m_on.rel_residual - exact) <= 1e-14
-    assert abs(m_off.rel_residual - exact) <= 1e-14
+    pl = plan(offset_pattern(3, [0]), A, A_ref=ref)
+    # the row set gains the reference column's row 2
+    assert np.array_equal(pl.row_idx[pl.row_ptr[0]:pl.row_ptr[1]], [0, 2])
+    m = compute_map(A, ref, pl)
+    exact = map_residual_norm(A, m.N, ref)
+    assert abs(m.rel_residual - exact) <= 1e-14
+    # a plan made for A alone leaves row 2 out; the residual still counts it
+    m_out = compute_map(A, ref, plan(offset_pattern(3, [0]), A))
+    assert abs(m_out.rel_residual - exact) <= 1e-14
 
 
 def test_compute_map_identity_case():

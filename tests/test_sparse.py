@@ -1,51 +1,11 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from samkit import (
-    TripletBuffer, as_csc, extract_dense_submatrix, frobenius_norm_diff,
-    from_triplets, identity, matvec, shifted_combine, shifted_family, spmm,
-    to_triplets,
+    as_csc, extract_dense_submatrix, frobenius_norm_diff, identity, matvec,
+    shifted_combine, shifted_family,
 )
-from helpers import grid_laplacian_triplets, random_sparse
-
-
-def test_from_triplets_direct_placement():
-    A = from_triplets(TripletBuffer(2, 2, [0, 1], [0, 1], [1.0, 2.0]))
-    assert np.array_equal(A.toarray(), np.diag([1.0, 2.0]))
-
-
-def test_from_triplets_sums_duplicates():
-    A = from_triplets(TripletBuffer(1, 1, [0, 0], [0, 0], [1.0, 2.0]))
-    assert A.toarray() == np.array([[3.0]])
-
-
-def test_from_triplets_grid_laplacian_count():
-    rows, cols, vals = grid_laplacian_triplets(3, 3)
-    A = from_triplets(TripletBuffer(9, 9, rows, cols, vals))
-    # enumeration: 9 diagonal entries + 2 * (2*3 + 2*3) directed neighbor pairs
-    assert A.nnz == 33
-
-
-def test_from_triplets_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        from_triplets(TripletBuffer(2, 2, [2], [0], [1.0]))
-    with pytest.raises(ValueError):
-        from_triplets(TripletBuffer(2, 2, [0], [-1], [1.0]))
-
-
-def test_from_triplets_keeps_cancelled_duplicate_as_stored_zero():
-    A = from_triplets(TripletBuffer(1, 1, [0, 0], [0, 0], [1.0, -1.0]))
-    assert A.nnz == 1
-    assert A.data[0] == 0.0
-
-
-def test_to_from_triplets_round_trip():
-    rng = np.random.default_rng(0)
-    A = random_sparse(12, rng)
-    B = from_triplets(to_triplets(A))
-    assert (A != B).nnz == 0
-    assert np.array_equal(A.indices, B.indices)
+from helpers import random_sparse
 
 
 def test_matvec_identity_and_diagonal():
@@ -79,43 +39,12 @@ def test_matvec_distributes():
     assert np.linalg.norm(lhs - rhs) <= 1e-13 * max(np.linalg.norm(lhs), 1.0)
 
 
-def test_spmm_identity():
-    rng = np.random.default_rng(3)
-    A = random_sparse(8, rng)
-    C = spmm(A, identity(8))
-    assert frobenius_norm_diff(C, A) == 0.0
-
-
-def test_spmm_tridiagonal_square_is_pentadiagonal():
-    n = 6
-    T = as_csc(sp.diags([np.ones(n - 1), 2 * np.ones(n), np.ones(n - 1)], [-1, 0, 1]))
-    C = spmm(T, T)
-    coo = C.tocoo()
-    assert np.all(np.abs(coo.row - coo.col) <= 2)
-    # interior columns carry all five bands
-    assert C.indptr[3 + 1] - C.indptr[3] == 5
-
-
-def test_spmm_against_dense():
-    rng = np.random.default_rng(4)
-    A = random_sparse(8, rng)
-    B = random_sparse(8, rng)
-    C = spmm(A, B)
-    Cd = A.toarray() @ B.toarray()
-    assert np.linalg.norm(C.toarray() - Cd) <= 1e-13 * max(np.linalg.norm(Cd), 1.0)
-
-
-def test_spmm_dimension_mismatch():
-    with pytest.raises(ValueError):
-        spmm(identity(3), identity(4))
-
-
-def test_spmm_matvec_associativity():
+def test_matvec_associativity():
     rng = np.random.default_rng(5)
     A = random_sparse(20, rng)
     B = random_sparse(20, rng)
     x = rng.standard_normal(20)
-    lhs = matvec(spmm(A, B), x)
+    lhs = matvec(A @ B, x)
     rhs = matvec(A, matvec(B, x))
     assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(np.linalg.norm(rhs), 1.0)
 
