@@ -26,7 +26,7 @@ from .sam import (
     map_residual_norm, plan,
 )
 from .sparse import (
-    as_csc, extract_dense_submatrix, frobenius_norm_diff, identity, matvec,
+    as_csc, frobenius_norm_diff, identity, matvec,
     shifted_combine, shifted_family,
 )
 

@@ -1,9 +1,10 @@
 """Restarted GMRES with right preconditioning.
 
-Modified Gram-Schmidt Arnoldi, Givens rotations on the Hessenberg
-least-squares problem, and an explicit true-residual check at every restart
-boundary.  With right preconditioning the recurrence residual equals the
-true residual, so reported iteration counts are comparable across
+Classical Gram-Schmidt Arnoldi with one conditional reorthogonalization
+pass (CGS2, "twice is enough"), LAPACK Givens rotations (``?lartg``) on the
+Hessenberg least-squares problem, and an explicit true-residual check at
+every restart boundary.  With right preconditioning the recurrence residual
+equals the true residual, so reported iteration counts are comparable across
 preconditioners.
 """
 
@@ -15,6 +16,10 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 HAPPY_BREAKDOWN = 1e-14
+# a second Gram-Schmidt pass runs when a pass leaves less than this share of
+# the vector's norm (Kahan-Parlett); two passes keep the basis orthogonal to
+# working precision (Giraud, Langou, Rozloznik & van den Eshof 2005)
+REORTH_RATIO = 0.7
 
 
 @dataclass
@@ -22,7 +27,6 @@ class GmresConfig:
     restart: int = 50
     rel_tol: float = 1e-8
     max_total_iters: int = 500
-    reorthogonalize: bool = False
 
     def __post_init__(self):
         if self.restart < 1:
@@ -62,19 +66,6 @@ def as_operator(op):
     raise TypeError(f"cannot treat {type(op).__name__} as a linear operator")
 
 
-def _givens(a, b):
-    """Rotation (c real, s) zeroing b against a; returns (c, s, r)."""
-    if b == 0:
-        return 1.0, 0.0 * b, a
-    if a == 0:
-        return 0.0, 1.0 + 0.0 * b, b
-    absa = abs(a)
-    t = np.hypot(absa, abs(b))
-    c = absa / t
-    ph = a / absa
-    return c, ph * np.conj(b) / t, ph * t
-
-
 def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
     """Solve A x = b with right preconditioner M.
 
@@ -100,16 +91,18 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
             0, 0, True, 0.0, np.zeros(0), time.perf_counter() - t_start)
 
     m = cfg.restart
+    # [c s; -conj(s) c] with c real, the convention the rotation loop below applies
+    lartg = sla.get_lapack_funcs("lartg", dtype=dtype)
     history = []
     restart_checks = []
     total_iters = 0
     cycles = 0
     converged = False
-    breakdown = False
+    singular = False
     nonfinite = False
     true_rel = np.inf
 
-    while total_iters < cfg.max_total_iters and not (converged or breakdown or nonfinite):
+    while total_iters < cfg.max_total_iters and not (converged or singular or nonfinite):
         r = b - apply_A(x)
         beta = float(np.linalg.norm(r))
         if beta / bnorm <= cfg.rel_tol:
@@ -128,24 +121,27 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
         history.append(beta / bnorm)
 
         j = 0
+        breakdown = False
         stop_inner = False
         while j < m and total_iters < cfg.max_total_iters and not stop_inner:
             w = apply_A(apply_M(V[:, j]))
-            for i in range(j + 1):
-                h = np.vdot(V[:, i], w)
-                H[i, j] += h
-                w -= h * V[:, i]
-            if cfg.reorthogonalize:
-                for i in range(j + 1):
-                    h = np.vdot(V[:, i], w)
-                    H[i, j] += h
-                    w -= h * V[:, i]
+            wnorm = float(np.linalg.norm(w))
+            Vj = V[:, :j + 1]
+            # (w^H Vj)^H rather than Vj^H w, which would copy the block
+            h = (w.conj() @ Vj).conj()
+            w -= Vj @ h
             hnext = float(np.linalg.norm(w))
+            if hnext < REORTH_RATIO * wnorm:
+                h2 = (w.conj() @ Vj).conj()
+                w -= Vj @ h2
+                h += h2
+                hnext = float(np.linalg.norm(w))
             if not np.isfinite(hnext):
                 # NaN or Inf from an operator: the cycle ends with the columns
                 # built so far, and no further cycle repeats the failure
                 nonfinite = True
                 break
+            H[:j + 1, j] = h
             H[j + 1, j] = hnext
             if hnext <= HAPPY_BREAKDOWN * beta:
                 breakdown = True
@@ -157,7 +153,7 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
                 t = H[i, j]
                 H[i, j] = cs[i] * t + sn[i] * H[i + 1, j]
                 H[i + 1, j] = -np.conj(sn[i]) * t + cs[i] * H[i + 1, j]
-            cs[j], sn[j], H[j, j] = _givens(H[j, j], H[j + 1, j])
+            cs[j], sn[j], H[j, j] = lartg(H[j, j], H[j + 1, j])
             H[j + 1, j] = 0
             g[j + 1] = -np.conj(sn[j]) * g[j]
             g[j] = cs[j] * g[j]
@@ -173,6 +169,7 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
         # the leading block solvable; the update stops there and x stays finite
         zero_pivots = np.flatnonzero(np.diagonal(H[:j, :j]) == 0)
         p = int(zero_pivots[0]) if zero_pivots.size else j
+        singular = p < j
         if p > 0:
             # the Givens rotations left H[:p, :p] upper triangular
             dx = apply_M(V[:, :p] @ sla.solve_triangular(H[:p, :p], g[:p]))
@@ -182,9 +179,11 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
                 nonfinite = True
         true_rel = float(np.linalg.norm(b - apply_A(x))) / bnorm
         recurrence = float(abs(g[j])) / bnorm
-        if p < j or nonfinite:
-            # after a truncated update or a non-finite operator value the
-            # recurrence no longer tracks x; record the explicit residual
+        if breakdown or nonfinite:
+            # after a breakdown or a non-finite operator value the recurrence
+            # no longer tracks x; record the explicit residual.  Only a
+            # singular breakdown ends the solve: one with a full-rank update
+            # restarts from the refined x
             recurrence = history[-1] = true_rel
         restart_checks.append((recurrence, true_rel))
         if true_rel <= cfg.rel_tol:

@@ -16,7 +16,7 @@ import numpy as np
 from . import ilutp, patterns, sam
 from .gmres import GmresConfig, gmres
 from .problems import SequenceSpec, point_source_rhs, talbot_shifts, fem_pair_2d, matrix_market_read
-from .sparse import as_csc
+from .sparse import as_csc, identity
 
 RECOMPUTE = "prec"
 COMPUTE_SAM = "sam"
@@ -262,7 +262,7 @@ _SECTION_KEYS = {
     "strategy": {"kind", "events"},
     "ilutp": {"lfil", "droptol", "pivtol"},
     "pattern": {"kind", "p", "tau", "offsets", "path"},
-    "gmres": {"restart", "rel_tol", "max_total_iters", "reorthogonalize"},
+    "gmres": {"restart", "rel_tol", "max_total_iters"},
 }
 
 
@@ -364,11 +364,69 @@ def _parse_sequence(seq):
     raise ConfigError(f"sequence.kind: unknown kind {kind!r}")
 
 
+def _parse_strategy(st):
+    st_kind = st.get("kind", "sam_every")
+    if st_kind == "events":
+        return Strategy.at_events(_parse_events(_require("strategy", "events", st)))
+    if "events" in st:
+        raise ConfigError(f"strategy.events conflicts with kind={st_kind}")
+    return Strategy(st_kind)
+
+
+def _parse_ilutp(il):
+    return ilutp.IlutpParams(
+        lfil=int(il.get("lfil", "20")),
+        droptol=float(il.get("droptol", "1e-3")),
+        pivtol=float(il.get("pivtol", "1.0")))
+
+
+def _parse_pattern(pt, n):
+    """A pattern choice for resolve_pattern; a pattern file is read here."""
+    pkind = pt.get("kind", "ref")
+    if pkind == "file":
+        P = patterns.read_pattern(_require("pattern", "path", pt))
+        if (P.nrows, P.ncols) != (n, n):
+            raise ConfigError(f"pattern.path: pattern is {P.nrows}x{P.ncols}, systems have size {n}")
+        return P
+    if pkind == "power":
+        choice = f"power:{pt.get('p', '2')}"
+    elif pkind == "sparsified":
+        choice = f"sparsified:{pt.get('p', '2')}:{pt.get('tau', '1e-4')}"
+    elif pkind == "offsets":
+        choice = f"offsets:{_require('pattern', 'offsets', pt)}"
+    elif pkind in ("ref", "diag", "tridiag"):
+        choice = pkind
+    else:
+        raise ConfigError(f"pattern.kind: unknown kind {pkind!r}")
+    # resolving on a 1x1 stand-in converts p, tau and the offsets and runs the
+    # builders' range checks; the run's reference matrix is not known yet
+    resolve_pattern(choice, identity(1))
+    return choice
+
+
+def _parse_gmres(gm):
+    max_iters = int(gm.get("max_total_iters", "100"))
+    restart_raw = gm.get("restart", "full")
+    return GmresConfig(
+        restart=max_iters if restart_raw == "full" else int(restart_raw),
+        rel_tol=float(gm.get("rel_tol", "1e-10")),
+        max_total_iters=max_iters)
+
+
+def _parse_section(cp, name, parse, *args):
+    """parse(cp[name], *args); a malformed value or unreadable file raises ConfigError."""
+    try:
+        return parse(cp[name], *args)
+    except ConfigError:
+        raise
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
 def parse_config(path):
     """Read a run description: (spec, strategy, ilutp params, pattern, gmres config)."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = cp.read(path)
-    if not read:
+    if not cp.read(path):
         raise ConfigError(f"cannot read config file {path}")
     for section in cp.sections():
         if section not in _SECTION_KEYS:
@@ -378,57 +436,11 @@ def parse_config(path):
                 raise ConfigError(f"unknown key {section}.{key}")
     if "sequence" not in cp:
         raise ConfigError("missing required section [sequence]")
+    cp.read_dict({name: {} for name in _SECTION_KEYS})  # absent sections read as empty
 
-    try:
-        spec = _parse_sequence(cp["sequence"])
-    except ConfigError:
-        raise
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"sequence: {exc}") from None
-
-    st = cp["strategy"] if "strategy" in cp else {}
-    st_kind = st.get("kind", "sam_every")
-    try:
-        if st_kind == "events":
-            strategy = Strategy.at_events(_parse_events(_require("strategy", "events", st)))
-        else:
-            if "events" in st:
-                raise ConfigError(f"strategy.events conflicts with kind={st_kind}")
-            strategy = Strategy(st_kind)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"strategy: {exc}") from None
-
-    il = cp["ilutp"] if "ilutp" in cp else {}
-    params = ilutp.IlutpParams(
-        lfil=int(il.get("lfil", "20")),
-        droptol=float(il.get("droptol", "1e-3")),
-        pivtol=float(il.get("pivtol", "1.0")))
-
-    pt = cp["pattern"] if "pattern" in cp else {}
-    pkind = pt.get("kind", "ref")
-    if pkind == "power":
-        pattern_choice = f"power:{pt.get('p', '2')}"
-    elif pkind == "sparsified":
-        pattern_choice = f"sparsified:{pt.get('p', '2')}:{pt.get('tau', '1e-4')}"
-    elif pkind == "offsets":
-        pattern_choice = f"offsets:{_require('pattern', 'offsets', pt)}"
-    elif pkind == "file":
-        pattern_choice = f"file:{_require('pattern', 'path', pt)}"
-    elif pkind in ("ref", "diag", "tridiag"):
-        pattern_choice = pkind
-    else:
-        raise ConfigError(f"pattern.kind: unknown kind {pkind!r}")
-
-    gm = cp["gmres"] if "gmres" in cp else {}
-    max_iters = int(gm.get("max_total_iters", "100"))
-    restart_raw = gm.get("restart", "full")
-    restart = max_iters if restart_raw == "full" else int(restart_raw)
-    gmres_config = GmresConfig(
-        restart=restart,
-        rel_tol=float(gm.get("rel_tol", "1e-10")),
-        max_total_iters=max_iters,
-        reorthogonalize=gm.get("reorthogonalize", "false").lower() in ("1", "true", "yes"))
-
-    return spec, strategy, params, pattern_choice, gmres_config
+    spec = _parse_section(cp, "sequence", _parse_sequence)
+    return (spec,
+            _parse_section(cp, "strategy", _parse_strategy),
+            _parse_section(cp, "ilutp", _parse_ilutp),
+            _parse_section(cp, "pattern", _parse_pattern, spec.n),
+            _parse_section(cp, "gmres", _parse_gmres))

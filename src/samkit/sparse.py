@@ -59,18 +59,6 @@ def matvec(A, x: np.ndarray) -> np.ndarray:
     return A.dot(x)
 
 
-def extract_dense_submatrix(A, rows, cols) -> np.ndarray:
-    """Dense block A[rows, cols]; positions not stored in A read as zero."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    for idx, n, name in ((rows, A.shape[0], "row"), (cols, A.shape[1], "column")):
-        if idx.size and (idx.min() < 0 or idx.max() >= n):
-            raise IndexError(f"{name} index out of range for shape {A.shape}")
-    if rows.size == 0 or cols.size == 0:
-        return np.zeros((rows.size, cols.size), dtype=A.dtype)
-    return np.asarray(A[np.ix_(rows, cols)].todense())
-
-
 def shifted_family(alphas, E, A) -> list:
     """[alpha * E + A for alpha in alphas], every member on one shared pattern.
 

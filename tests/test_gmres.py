@@ -168,13 +168,18 @@ def test_complex_system():
     assert np.linalg.norm(b - A @ x) <= 1e-9 * np.linalg.norm(b)
 
 
-def test_reorthogonalization_flag():
-    rng = np.random.default_rng(7)
-    A = random_sparse(16, rng, diag_boost=4.0)
-    b = rng.standard_normal(16)
-    cfg = GmresConfig(restart=16, rel_tol=1e-10, max_total_iters=32, reorthogonalize=True)
+def test_graded_diagonal_converges_through_invariant_subspace():
+    # eigenvalues over twelve decades: the first pass loses most of the norm,
+    # so only the second keeps the basis orthogonal; the orthogonal basis then
+    # meets the invariant subspace at step n, and a full-rank breakdown must
+    # restart from the refined x instead of ending the solve
+    A = as_csc(np.diag(np.logspace(0, 12, 100)))
+    b = np.ones(100)
+    cfg = GmresConfig(restart=100, rel_tol=1e-12, max_total_iters=300)
     x, rep = gmres(A, b, config=cfg)
     assert rep.converged
+    assert rep.iterations < cfg.max_total_iters
+    assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_solve_report_converged_implies_tolerance():

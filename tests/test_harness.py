@@ -65,6 +65,10 @@ def test_resolve_pattern_forms(tmp_path):
     path = tmp_path / "p.txt"
     write_pattern(P, path)
     assert resolve_pattern(f"file:{path}", A) == P
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[sequence]\nkind = helmholtz_sweep\nnx = 2\nny = 3\ncount = 1\n"
+                   f"[pattern]\nkind = file\npath = {path}\n")
+    assert parse_config(cfg)[3] == P
     assert resolve_pattern(P, A) is P
     with pytest.raises(ValueError):
         resolve_pattern("nope", A)
@@ -258,6 +262,20 @@ def test_parse_config_rejections(tmp_path):
         "missing_files": "[sequence]\nkind = matrix_files\nfiles = nowhere/a.mtx\n",
         "bad_shift": "[sequence]\nkind = shifted_pair\nnx = 2\nny = 2\nshifts = 1 x\n",
     }
+    # bad values in the other sections fail here too, before anything is factored
+    small = "[sequence]\nkind = helmholtz_sweep\nnx = 3\nny = 3\ncount = 2\n"
+    wrong_size = tmp_path / "p4.txt"
+    write_pattern(offset_pattern(4, [0]), wrong_size)
+    bad.update({
+        "negative_lfil": small + "[ilutp]\nlfil = -1\n",
+        "bad_droptol": small + "[ilutp]\ndroptol = abc\n",
+        "zero_restart": small + "[gmres]\nrestart = 0\n",
+        "removed_gmres_key": small + "[gmres]\nreorthogonalize = true\n",
+        "power_out_of_range": small + "[pattern]\nkind = power\np = 9\n",
+        "bad_tau": small + "[pattern]\nkind = sparsified\ntau = x\n",
+        "missing_pattern_file": small + "[pattern]\nkind = file\npath = nowhere.txt\n",
+        "pattern_file_wrong_size": small + f"[pattern]\nkind = file\npath = {wrong_size}\n",
+    })
     for name, content in bad.items():
         path = tmp_path / f"{name}.cfg"
         path.write_text(content)

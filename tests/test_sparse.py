@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from samkit import (
-    as_csc, extract_dense_submatrix, frobenius_norm_diff, identity, matvec,
+    as_csc, frobenius_norm_diff, identity, matvec,
     shifted_combine, shifted_family,
 )
 from helpers import random_sparse
@@ -47,30 +47,6 @@ def test_matvec_associativity():
     lhs = matvec(A @ B, x)
     rhs = matvec(A, matvec(B, x))
     assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(np.linalg.norm(rhs), 1.0)
-
-
-def test_extract_single_entry():
-    A = as_csc(np.diag([5.0]))
-    block = extract_dense_submatrix(A, [0], [0])
-    assert block.shape == (1, 1) and block[0, 0] == 5.0
-
-
-def test_extract_full_range_equals_dense():
-    rng = np.random.default_rng(6)
-    A = random_sparse(9, rng)
-    block = extract_dense_submatrix(A, np.arange(9), np.arange(9))
-    assert np.array_equal(block, A.toarray())
-
-
-def test_extract_structural_zeros_read_zero():
-    A = as_csc(np.diag([1.0, 2.0, 3.0]))
-    block = extract_dense_submatrix(A, [0, 1], [2])
-    assert np.all(block == 0.0)
-
-
-def test_extract_out_of_range():
-    with pytest.raises(IndexError):
-        extract_dense_submatrix(identity(2), [2], [0])
 
 
 def test_shifted_combine_zero_shift():
