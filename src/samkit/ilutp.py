@@ -194,7 +194,8 @@ def factor(A, params: IlutpParams = IlutpParams()) -> IlutpFactors:
                 diag_val = upper_vals[best]
                 upper, upper_vals = new_upper, new_vals
 
-        if abs(diag_val) < PIVOT_FLOOR:
+        # NaN fails both comparisons, so a non-finite pivot is refused too
+        if not PIVOT_FLOOR <= abs(diag_val) < np.inf:
             w[np.asarray(touched, dtype=np.int64)] = 0
             present[np.asarray(touched, dtype=np.int64)] = False
             raise FactorizationError(ii)

@@ -6,8 +6,6 @@ indices within each column and summed duplicates; explicitly stored zeros are
 legal and are never pruned by the kernels here.
 """
 
-import copy
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -62,18 +60,24 @@ def matvec(A, x: np.ndarray) -> np.ndarray:
 def shifted_family(alphas, E, A) -> list:
     """[alpha * E + A for alpha in alphas], every member on one shared pattern.
 
-    The pattern is the union of the patterns of ``E`` and ``A``; it is built
-    and validated once, as a template matrix, and each member is a shallow
-    copy of the template given its own ``data``, ``indices`` and ``indptr``.
-    A position where the sum cancels (including alpha = 0) stays as a stored
-    zero.  Every position sums at most two terms, so each value is exactly
-    ``alpha * e + a``, and all members share one dtype, the scalar field of
-    ``alphas``, ``E`` and ``A``.
+    ``alphas`` must be a 1-D sequence of finite scalars; anything else raises
+    ``ValueError``.  The pattern is the union of the patterns of ``E`` and
+    ``A``; it is built and validated once, as a template matrix.  The values,
+    row indices and column pointers of all members are computed in one pass
+    each, as stacked blocks with one row per member, and member ``k`` holds
+    row ``k`` of each block.  Rows do not overlap, so members share no
+    memory; a block is freed only when every member holding one of its rows
+    is.  A position where the sum cancels (including alpha = 0) stays as a
+    stored zero.  Every position sums at most two terms, so each value is
+    exactly ``alpha * e + a``, and all members share one dtype, the scalar
+    field of ``alphas``, ``E`` and ``A``.
     """
     _check_same_shape(E, A, "shifted_family")
+    alphas = np.asarray(alphas)
+    if alphas.ndim != 1 or not np.all(np.isfinite(alphas)):
+        raise ValueError("shifted_family: alphas must be a 1-D sequence of finite values")
     E = as_csc(E)
     A = as_csc(A)
-    alphas = np.asarray(alphas)
     dt = scalar_dtype(alphas, E, A)
     # tag E's entries 1 and A's entries 2; their sum stores the union pattern
     # in canonical order, and the bits of each tag say who covers the position
@@ -84,19 +88,22 @@ def shifted_family(alphas, E, A) -> list:
     # exactly, sign of zero included
     base = -np.zeros(tags.nnz, dtype=dt)
     base[np.flatnonzero(tags.data & 2)] = A.data
-    e_vals = E.data.astype(dt)
     # the index checks run once, on the template; sum_duplicates finds it
     # canonical and caches the flags that every member inherits
     template = sp.csc_matrix((base, tags.indices, tags.indptr), shape=A.shape)
     template.check_format(full_check=True)
     template.sum_duplicates()
+    # row k is member k's values: base, plus alphas[k] * e at E's positions
+    m = alphas.size
+    data = np.repeat(base[None], m, axis=0)
+    data[:, e_pos] += np.multiply.outer(alphas.astype(dt), E.data.astype(dt))
+    indices = np.tile(template.indices, (m, 1))
+    indptr = np.tile(template.indptr, (m, 1))
+    cls = type(template)
     family = []
-    for alpha in alphas:
-        member = copy.copy(template)
-        member.data = base.copy()
-        member.data[e_pos] += dt.type(alpha) * e_vals
-        member.indices = template.indices.copy()
-        member.indptr = template.indptr.copy()
+    for row_data, row_indices, row_indptr in zip(data, indices, indptr):
+        member = cls.__new__(cls)
+        member.__dict__.update(template.__dict__, data=row_data, indices=row_indices, indptr=row_indptr)
         family.append(member)
     return family
 

@@ -165,6 +165,25 @@ def test_factor_failure_abort_policy():
                      on_factor_failure="abort")
 
 
+def _spec_with_nan_system():
+    K, _ = fem_pair_2d(6, 6)
+    mats = [K, K.copy(), 2 * K]
+    mats[1].data[:] = np.nan
+    return SequenceSpec("matrix_files", mats, np.zeros(3, dtype=complex), np.ones(K.shape[0]) / 6)
+
+
+def test_nan_system_falls_back_or_aborts():
+    # a NaN pivot fails the factorization, as a zero one does, rather than
+    # reaching the triangular solves with a bare RuntimeError
+    rep = run_sequence(_spec_with_nan_system(), Strategy.recompute_every(), MILD_ILUTP, "ref", FAST_GMRES)
+    assert [r.prec_event for r in rep.rows] == ["prec", "prec_failed", "prec"]
+    assert rep.rows[0].converged and rep.rows[2].converged
+    assert not rep.rows[1].converged
+    with pytest.raises(FactorizationError):
+        run_sequence(_spec_with_nan_system(), Strategy.recompute_every(), MILD_ILUTP, "ref", FAST_GMRES,
+                     on_factor_failure="abort")
+
+
 def test_factor_failure_at_first_system_always_raises():
     spec = _spec_with_bad_system(0)
     with pytest.raises(FactorizationError):
@@ -261,6 +280,7 @@ def test_parse_config_rejections(tmp_path):
                            "m_file = nowhere/m.mtx\nshifts = 1 0\n"),
         "missing_files": "[sequence]\nkind = matrix_files\nfiles = nowhere/a.mtx\n",
         "bad_shift": "[sequence]\nkind = shifted_pair\nnx = 2\nny = 2\nshifts = 1 x\n",
+        "nan_shift": "[sequence]\nkind = shifted_pair\nnx = 2\nny = 2\nshifts = nan 0\n",
     }
     # bad values in the other sections fail here too, before anything is factored
     small = "[sequence]\nkind = helmholtz_sweep\nnx = 3\nny = 3\ncount = 2\n"

@@ -68,6 +68,14 @@ def test_empty_row_fails_with_row_number():
     assert err.value.row == 1
 
 
+def test_non_finite_pivot_fails_with_row_number():
+    for bad in (np.nan, np.inf, complex(np.nan, 0.0)):
+        A = as_csc(np.array([[2.0, 0.0], [0.0, bad]]))
+        with pytest.raises(FactorizationError) as err:
+            factor(A, IlutpParams())
+        assert err.value.row == 1
+
+
 def test_exactness_limit_and_oracle_agreement():
     rng = np.random.default_rng(0)
     for _ in range(20):

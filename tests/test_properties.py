@@ -1,4 +1,4 @@
-"""Property tests: file round trips and pattern set algebra on random inputs."""
+"""Property tests: file round trips, pattern set algebra and shifted families on random inputs."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from samkit import (
     SparsityPattern, is_subset, matrix_market_read, matrix_market_write,
-    pattern_intersection, pattern_union, read_pattern, write_pattern,
+    pattern_intersection, pattern_of, pattern_union, read_pattern, shifted_family,
+    write_pattern,
 )
 
 EXAMPLES = settings(max_examples=100, deadline=None)
@@ -30,11 +31,11 @@ def patterns(draw, shape=None):
 
 
 @st.composite
-def csc_matrices(draw):
-    P = draw(patterns())
-    data = np.array(draw(st.lists(VALUES, min_size=P.nnz, max_size=P.nnz)), dtype=np.float64)
+def csc_matrices(draw, shape=None, values=VALUES):
+    P = draw(patterns(shape))
+    data = np.array(draw(st.lists(values, min_size=P.nnz, max_size=P.nnz)), dtype=np.float64)
     if draw(st.booleans()):
-        imag = np.array(draw(st.lists(VALUES, min_size=P.nnz, max_size=P.nnz)), dtype=np.float64)
+        imag = np.array(draw(st.lists(values, min_size=P.nnz, max_size=P.nnz)), dtype=np.float64)
         data = data + 0j
         data.imag = imag
     return sp.csc_matrix((data, P.indices, P.indptr), shape=(P.nrows, P.ncols))
@@ -104,3 +105,44 @@ def test_pattern_constructor_matches_column_loop(counts, data):
     else:
         with pytest.raises(ValueError, match=f"column {bad} not strictly increasing"):
             SparsityPattern(5, len(counts), indptr, indices)
+
+
+# finite and small enough that no product or sum overflows, so every value
+# compares bit for bit; signed zeros and subnormals included
+FINITE_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -1.0]),
+                          st.floats(-1e3, 1e3, allow_subnormal=True))
+
+
+def stored_values(M, dtype):
+    """Dense copy of M in dtype; unlike toarray, which sums onto +0.0, it keeps a stored -0.0."""
+    D = np.zeros(M.shape, dtype=dtype)
+    D[pattern_of(M).positions()] = M.data
+    return D
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_shifted_family_members_are_exact_on_the_union_pattern(data):
+    shape = (data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6)))
+    E = data.draw(csc_matrices(shape, FINITE_VALUES))
+    A = data.draw(csc_matrices(shape, FINITE_VALUES))
+    # both zero shifts in every family: they decide the sign of a zero product
+    alphas = np.array([0.0, -0.0] + data.draw(st.lists(FINITE_VALUES, max_size=3)))
+    if data.draw(st.booleans()):
+        alphas = alphas.astype(np.complex128)
+        alphas.imag = data.draw(st.lists(FINITE_VALUES, min_size=alphas.size, max_size=alphas.size))
+    family = shifted_family(alphas, E, A)
+    assert len(family) == alphas.size
+    union = pattern_union(pattern_of(E), pattern_of(A))
+    e_mask, a_mask = pattern_to_bool(pattern_of(E)), pattern_to_bool(pattern_of(A))
+    for alpha, C in zip(alphas, family):
+        C.check_format(full_check=True)
+        assert pattern_of(C) == union
+        assert np.array_equal(C.toarray(), alpha * E.toarray() + A.toarray())
+        # bit for bit: alpha * e + a in the family's scalar field where both
+        # operands store a value, the one stored term where only one does
+        dt = C.dtype
+        ae = dt.type(alpha) * stored_values(E, dt)
+        a = stored_values(A, dt)
+        want = np.where(e_mask & a_mask, ae + a, np.where(e_mask, ae, a))
+        assert C.data.tobytes() == want[union.positions()].tobytes()

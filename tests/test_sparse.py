@@ -147,6 +147,15 @@ def test_shifted_family_empty():
     assert shifted_family([], identity(3), identity(3)) == []
 
 
+@pytest.mark.parametrize("alphas", [
+    1.0, np.float64(2.0), [[1.0, 2.0]], np.ones((2, 1)),
+    [1.0, np.nan], [np.inf], [1j, complex(0.0, np.nan)],
+])
+def test_shifted_family_rejects_alphas_not_finite_1d(alphas):
+    with pytest.raises(ValueError, match="1-D sequence of finite values"):
+        shifted_family(alphas, identity(3), identity(3))
+
+
 def test_frobenius_norm_cases():
     A = as_csc(np.diag([3.0, 4.0]))
     assert frobenius_norm_diff(A, A) == 0.0
