@@ -111,10 +111,6 @@ class SequenceReport:
     def total_iterations(self):
         return sum(r.iterations for r in self.rows)
 
-    @property
-    def total_wall_seconds(self):
-        return self.total_prec_seconds + self.total_gmres_seconds
-
 
 def resolve_pattern(choice, A_ref) -> patterns.SparsityPattern:
     """Turn a pattern choice into a concrete pattern for the reference matrix.
@@ -185,7 +181,8 @@ def run_sequence(spec: SequenceSpec, strategy: Strategy, ilutp_params: ilutp.Ilu
                     raise
                 event = "prec_failed"
         elif act == COMPUTE_SAM:
-            if current_plan is None:
+            # a sequence read from files may change structure between systems
+            if current_plan is None or not current_plan.fits(A_k):
                 S = resolve_pattern(pattern_choice, A_ref)
                 current_plan = sam.plan(S, A_k, A_ref=A_ref)
             mapped = sam.compute_map(A_k, A_ref, current_plan, workers=sam_workers)

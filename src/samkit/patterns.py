@@ -116,13 +116,12 @@ def symbolic_power(P: SparsityPattern, p: int) -> SparsityPattern:
     return pattern_of(acc)
 
 
-def sparsified_power(A, p: int, tau: float, absolute: bool = False) -> SparsityPattern:
+def sparsified_power(A, p: int, tau: float) -> SparsityPattern:
     """Pattern of A^p thresholded at tau.
 
-    By default the threshold is relative: A^p is scaled to unit maximum
-    magnitude before comparing against tau, so tau is scale-free.  With
-    ``absolute=True`` the raw magnitudes are compared instead.  tau = 0 keeps
-    the full structural pattern of A^p.
+    The threshold is relative: A^p is scaled to unit maximum magnitude before
+    comparing against tau, so tau is scale-free.  tau = 0 keeps the full
+    structural pattern of A^p.
     """
     A = as_csc(A)
     if A.shape[0] != A.shape[1]:
@@ -139,8 +138,7 @@ def sparsified_power(A, p: int, tau: float, absolute: bool = False) -> SparsityP
     Ap.sum_duplicates()
     Ap.sort_indices()
     mags = np.abs(Ap.data)
-    cutoff = tau if absolute else tau * (mags.max() if mags.size else 0.0)
-    keep = mags >= cutoff
+    keep = mags >= tau * (mags.max() if mags.size else 0.0)
     coo = Ap.tocoo()
     return SparsityPattern.from_positions(A.shape[0], A.shape[1],
                                           coo.row[keep], coo.col[keep])

@@ -33,9 +33,12 @@ class SamPlan:
 
     For column l, ``cols`` holds the pattern row indices (the unknown
     positions of column l of the map) and ``rows`` the union of stored-entry
-    rows of the planning matrix's columns referenced by ``cols``.  Both are
-    stored CSC-style as one index array plus offsets.  The plan is built once
-    per pattern/structure and reused for every matrix with that structure.
+    rows of the planning matrix's columns referenced by ``cols``; both are
+    stored CSC-style as one index array plus offsets.  ``gather`` holds the
+    position in the matrix's ``data`` (``nnz`` where none is stored) of every
+    entry of each row-major ``rows x cols`` block, block l at
+    ``blk_ptr[l]:blk_ptr[l + 1]``.  The plan is built once per
+    pattern/structure, so a map touches values only.
     """
 
     n: int
@@ -43,9 +46,9 @@ class SamPlan:
     col_idx: np.ndarray
     row_ptr: np.ndarray
     row_idx: np.ndarray
-    max_block_cols: int
-    max_block_rows: int
     degenerate_columns: np.ndarray
+    blk_ptr: np.ndarray = field(repr=False)
+    gather: np.ndarray = field(repr=False)
     struct_indptr: np.ndarray = field(repr=False)
     struct_indices: np.ndarray = field(repr=False)
 
@@ -53,6 +56,10 @@ class SamPlan:
         """(rows, cols) sizes of column l's least-squares block."""
         return (int(self.row_ptr[l + 1] - self.row_ptr[l]),
                 int(self.col_ptr[l + 1] - self.col_ptr[l]))
+
+    def fits(self, A) -> bool:
+        """Whether canonical CSC matrix A has the structure the plan was made for."""
+        return np.array_equal(A.indptr, self.struct_indptr) and np.array_equal(A.indices, self.struct_indices)
 
 
 @dataclass
@@ -65,6 +72,18 @@ class SamMap:
     degenerate_columns: np.ndarray
 
 
+def _positions(indptr, indices, rows, cols):
+    """Position in a square CSC structure of each (rows, cols) entry; nnz where none is stored."""
+    # keys col * n + row are sorted in canonical CSC, so one searchsorted finds
+    # every entry; the closing key n * n exceeds every real key, so a miss past
+    # the last stored entry still has a key to compare against
+    n = indptr.size - 1
+    keys = np.append(np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr)) + indices, n * n)
+    want = np.asarray(cols, dtype=np.int64) * n + rows
+    pos = np.searchsorted(keys, want)
+    return np.where(keys[pos] == want, pos, indptr[-1])
+
+
 def plan(S: SparsityPattern, A, A_ref=None) -> SamPlan:
     """Preprocess pattern S against the structure of A.
 
@@ -73,7 +92,8 @@ def plan(S: SparsityPattern, A, A_ref=None) -> SamPlan:
     rows of the A-columns its pattern selects and of the reference matrix's
     own column, so every least-squares block sees the whole reference
     column; ``A_ref`` defaults to ``A`` itself.  Columns with an empty
-    pattern get an empty row set and are flagged degenerate.
+    pattern get an empty row set and are flagged degenerate.  The position
+    in ``A.data`` of every block entry is found here, once.
     """
     A = as_csc(A)
     n = A.shape[0]
@@ -101,22 +121,30 @@ def plan(S: SparsityPattern, A, A_ref=None) -> SamPlan:
         ref_ind = ref_ind @ sp.diags(mask, format="csc")
     rows = pattern_of(pattern_of(A).indicator() @ S.indicator() + ref_ind)
 
+    # entry (i, t) of block l is A[rows[i], cols[t]]
+    nrow = rows.column_counts()
+    sizes = nrow * counts
+    blk_ptr = np.concatenate(([0], np.cumsum(sizes)))
+    blk = np.repeat(np.arange(n), sizes)
+    i, t = np.divmod(np.arange(blk_ptr[-1]) - blk_ptr[blk], counts[blk])
+    gather = _positions(A.indptr, A.indices, rows.indices[rows.indptr[blk] + i], S.indices[S.indptr[blk] + t])
+
     return SamPlan(
         n=n,
         col_ptr=S.indptr.copy(),
         col_idx=S.indices.copy(),
         row_ptr=rows.indptr,
         row_idx=rows.indices,
-        max_block_cols=int(counts.max()) if n else 0,
-        max_block_rows=int(rows.column_counts().max()) if n else 0,
         degenerate_columns=degenerate,
+        blk_ptr=blk_ptr,
+        gather=gather,
         struct_indptr=A.indptr.copy(),
         struct_indices=A.indices.copy(),
     )
 
 
 def _check_structure(A, pl: SamPlan):
-    if np.array_equal(A.indptr, pl.struct_indptr) and np.array_equal(A.indices, pl.struct_indices):
+    if pl.fits(A):
         return
     for j in range(pl.n):
         a = A.indices[A.indptr[j]:A.indptr[j + 1]]
@@ -126,57 +154,41 @@ def _check_structure(A, pl: SamPlan):
     raise ValueError("matrix structure differs from the plan")
 
 
-def _solve_columns(lo, hi, A, A_ref, pl, valN, col_res, dtype):
+def _values(A, A_ref, pl: SamPlan):
+    """(blocks, rhs, out_sq) in the scalar field of A and A_ref: every block's
+    values, the reference columns placed on the row sets, and per column the
+    squared reference mass its row set cannot reach (it still counts).
+    """
+    zero = np.zeros(1, dtype=scalar_dtype(A, A_ref))
+    blocks = np.append(A.data, zero)[pl.gather]
+    ref_cols = np.repeat(np.arange(pl.n), np.diff(A_ref.indptr))
+    at = _positions(pl.row_ptr, pl.row_idx, A_ref.indices, ref_cols)
+    # the slot past the row sets collects the unreached entries and is never read
+    rhs = np.zeros(pl.row_idx.size + 1, dtype=zero.dtype)
+    rhs[at] = A_ref.data
+    out = at == pl.row_idx.size
+    out_sq = np.bincount(ref_cols[out], np.abs(A_ref.data[out]) ** 2, minlength=pl.n)
+    return blocks, rhs, out_sq
+
+
+def _solve_columns(lo, hi, pl, blocks, rhs, out_sq, valN, col_res):
     """Solve the least-squares problems for columns lo..hi-1.
 
     Results land in preassigned slices of ``valN`` and ``col_res``, so the
     output is identical no matter how columns are split across workers.
     """
-    block = np.zeros((pl.max_block_rows, max(pl.max_block_cols, 1)), dtype=dtype)
     for l in range(lo, hi):
         k0, k1 = pl.col_ptr[l], pl.col_ptr[l + 1]
         r0, r1 = pl.row_ptr[l], pl.row_ptr[l + 1]
-        ncol = k1 - k0
-        nrow = r1 - r0
-        rows = pl.row_idx[r0:r1]
-
-        # right-hand side: the reference column scattered onto the row set
-        g0, g1 = A_ref.indptr[l], A_ref.indptr[l + 1]
-        ref_rows = A_ref.indices[g0:g1]
-        ref_vals = A_ref.data[g0:g1]
-        if nrow:
-            pos = np.searchsorted(rows, ref_rows)
-            pos_c = np.minimum(pos, nrow - 1)
-            inside = rows[pos_c] == ref_rows
-        else:
-            pos = pos_c = np.empty(0, dtype=np.int64)
-            inside = np.zeros(ref_rows.shape, dtype=bool)
-        # reference rows the row set cannot reach still count toward the residual
-        out_sq = float(np.sum(np.abs(ref_vals[~inside]) ** 2))
-
-        if ncol == 0:
-            col_res[l] = math.sqrt(out_sq)
-            continue
-
-        f = np.zeros(nrow, dtype=dtype)
-        f[pos_c[inside]] = ref_vals[inside]
-
-        if nrow == 0:
-            valN[k0:k1] = 0
-            col_res[l] = math.sqrt(out_sq)
-            continue
-
-        B = block[:nrow, :ncol]
-        B[:] = 0
-        sel = pl.col_idx[k0:k1]
-        for t in range(ncol):
-            j = sel[t]
-            a0, a1 = A.indptr[j], A.indptr[j + 1]
-            B[np.searchsorted(rows, A.indices[a0:a1]), t] = A.data[a0:a1]
-
-        z = sla.lstsq(B, f, cond=RANK_TOL, lapack_driver="gelsy", check_finite=False)[0]
-        valN[k0:k1] = z
-        col_res[l] = math.sqrt(float(np.sum(np.abs(B @ z - f) ** 2)) + out_sq)
+        nrow, ncol = r1 - r0, k1 - k0
+        res_sq = out_sq[l]
+        if nrow and ncol:
+            B = blocks[pl.blk_ptr[l]:pl.blk_ptr[l + 1]].reshape(nrow, ncol)
+            f = rhs[r0:r1]
+            z = sla.lstsq(B, f, cond=RANK_TOL, lapack_driver="gelsy", check_finite=False)[0]
+            valN[k0:k1] = z
+            res_sq += float(np.sum(np.abs(B @ z - f) ** 2))
+        col_res[l] = math.sqrt(res_sq)
 
 
 def compute_map(A, A_ref, pl: SamPlan, workers: int = 1) -> SamMap:
@@ -184,9 +196,11 @@ def compute_map(A, A_ref, pl: SamPlan, workers: int = 1) -> SamMap:
 
     Each column is an independent dense least-squares problem on the plan's
     index sets, solved by a column-pivoted orthogonal factorization with a
-    minimum-norm solution on rank-deficient blocks.  The map's values fill
-    slices of the plan's own (canonical) CSC structure, preassigned per
-    column, so the result is bit-identical for any ``workers`` count.
+    minimum-norm solution on rank-deficient blocks.  A column whose pattern
+    or row set is empty keeps a zero column, and its residual is the norm of
+    the reference column.  The map's values fill slices of the plan's own
+    (canonical) CSC structure, preassigned per column, so the result is
+    bit-identical for any ``workers`` count.
     """
     A = as_csc(A)
     A_ref = as_csc(A_ref)
@@ -194,27 +208,19 @@ def compute_map(A, A_ref, pl: SamPlan, workers: int = 1) -> SamMap:
         raise ValueError(f"compute_map: matrices must be {pl.n}x{pl.n}")
     _check_structure(A, pl)
 
-    dtype = scalar_dtype(A, A_ref)
-    if A.dtype != dtype:
-        A = A.astype(dtype)
-    if A_ref.dtype != dtype:
-        A_ref = A_ref.astype(dtype)
-
-    nnz = int(pl.col_ptr[-1])
-    valN = np.zeros(nnz, dtype=dtype)
+    blocks, rhs, out_sq = _values(A, A_ref, pl)
+    valN = np.zeros(pl.col_idx.size, dtype=blocks.dtype)
     col_res = np.zeros(pl.n)
+    args = (pl, blocks, rhs, out_sq, valN, col_res)
 
     workers = max(1, int(workers))
     if workers == 1 or pl.n < 2:
-        _solve_columns(0, pl.n, A, A_ref, pl, valN, col_res, dtype)
+        _solve_columns(0, pl.n, *args)
     else:
         bounds = np.linspace(0, pl.n, workers + 1, dtype=int)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [
-                pool.submit(_solve_columns, int(bounds[i]), int(bounds[i + 1]),
-                            A, A_ref, pl, valN, col_res, dtype)
-                for i in range(workers)
-            ]
+            futs = [pool.submit(_solve_columns, int(bounds[i]), int(bounds[i + 1]), *args)
+                    for i in range(workers)]
             for fut in futs:
                 fut.result()
 
@@ -222,10 +228,7 @@ def compute_map(A, A_ref, pl: SamPlan, workers: int = 1) -> SamMap:
 
     ref_norm = float(np.linalg.norm(A_ref.data))
     total = float(np.linalg.norm(col_res))
-    if ref_norm > 0:
-        rel = total / ref_norm
-    else:
-        rel = 0.0 if total == 0 else math.inf
+    rel = total / ref_norm if ref_norm > 0 else (0.0 if total == 0 else math.inf)
     return SamMap(N=N, rel_residual=rel, column_residuals=col_res,
                   degenerate_columns=pl.degenerate_columns.copy())
 

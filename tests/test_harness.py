@@ -6,9 +6,9 @@ import pytest
 
 from samkit import (
     FactorizationError, GmresConfig, IlutpParams, SequenceReport, SequenceSpec,
-    Strategy, SystemRecord, fem_pair_2d, matrix_market_write, offset_pattern,
-    parse_config, pattern_of, render_report, resolve_pattern, run_sequence,
-    talbot_shifts, write_pattern,
+    Strategy, SystemRecord, compute_map, fem_pair_2d, laplace2d_dirichlet,
+    matrix_market_write, offset_pattern, parse_config, pattern_of, plan, render_report,
+    resolve_pattern, run_sequence, talbot_shifts, write_pattern,
 )
 from samkit.harness import ConfigError
 from samkit.cli import main as cli_main
@@ -138,6 +138,24 @@ def test_reference_switch_resets_map_target():
     rep = run_sequence(spec, ev, MILD_ILUTP, "ref", FAST_GMRES)
     far = run_sequence(spec, Strategy.sam_every(), MILD_ILUTP, "ref", FAST_GMRES)
     assert rep.rows[3].sam_rel_residual < far.rows[3].sam_rel_residual
+
+
+def test_matrix_files_changing_structure_plans_again(tmp_path):
+    K, _ = laplace2d_dirichlet(4, 4)
+    wider = K.tolil()
+    wider[0, 15] = -0.5
+    files = []
+    for name, A in (("a.mtx", K), ("b.mtx", K), ("c.mtx", wider.tocsc())):
+        matrix_market_write(A, tmp_path / name)
+        files.append(tmp_path / name)
+    spec = SequenceSpec.matrix_files(files)
+    rep = run_sequence(spec, Strategy.sam_every(), MILD_ILUTP, "ref", FAST_GMRES)
+    assert [r.prec_event for r in rep.rows] == ["prec", "sam", "sam"]
+    assert all(r.converged for r in rep.rows)
+    # the third map is the one a plan made for its own structure gives
+    A_ref, A_2 = spec.matrices[0], spec.matrices[2]
+    want = compute_map(A_2, A_ref, plan(pattern_of(A_ref), A_2, A_ref=A_ref))
+    assert rep.rows[2].sam_rel_residual == want.rel_residual
 
 
 def _spec_with_bad_system(bad_index):

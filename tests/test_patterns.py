@@ -162,6 +162,8 @@ def test_sparsified_power_against_dense_oracle():
     Ad = np.linalg.matrix_power(A.toarray(), p)
     want = np.abs(Ad) >= tau * np.abs(Ad).max()
     assert np.array_equal(pattern_to_bool(P), want)
+    # the threshold is relative to the largest magnitude
+    assert sparsified_power(as_csc(np.diag([10.0, 1.0, 0.1])), 1, 0.5).nnz == 1
 
 
 def test_sparsified_power_threshold_monotone():
@@ -171,12 +173,6 @@ def test_sparsified_power_threshold_monotone():
     P2 = sparsified_power(A, 2, 1e-1)
     assert is_subset(P2, P1)
     assert is_subset(P1, symbolic_power(pattern_of(A), 2))
-
-
-def test_sparsified_power_absolute_mode():
-    A = as_csc(np.diag([10.0, 1.0, 0.1]))
-    assert sparsified_power(A, 1, 0.5, absolute=True).nnz == 2
-    assert sparsified_power(A, 1, 0.5).nnz == 1
 
 
 def test_set_ops_idempotent_and_subset():

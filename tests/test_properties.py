@@ -1,4 +1,6 @@
-"""Property tests: file round trips, pattern set algebra and shifted families on random inputs."""
+"""Property tests: file round trips, pattern set algebra, shifted families and maps on random inputs."""
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -8,10 +10,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from samkit import (
-    SparsityPattern, is_subset, matrix_market_read, matrix_market_write,
-    pattern_intersection, pattern_of, pattern_union, read_pattern, shifted_family,
-    write_pattern,
+    SparsityPattern, compute_map, is_subset, map_residual_norm, matrix_market_read,
+    matrix_market_write, pattern_intersection, pattern_of, pattern_union, plan,
+    read_pattern, shifted_family, write_pattern,
 )
+from samkit.sam import _values
 
 EXAMPLES = settings(max_examples=100, deadline=None)
 
@@ -146,3 +149,37 @@ def test_shifted_family_members_are_exact_on_the_union_pattern(data):
         a = stored_values(A, dt)
         want = np.where(e_mask & a_mask, ae + a, np.where(e_mask, ae, a))
         assert C.data.tobytes() == want[union.positions()].tobytes()
+
+
+# small integers: a block either has full column rank with a modest
+# condition number or is exactly rank deficient, so the dense oracle and the
+# pivoted solver agree on which case they are in
+SMALL_INTS = st.integers(-2, 2).map(float)
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_compute_map_matches_dense_least_squares(data):
+    n = data.draw(st.integers(1, 6))
+    A = data.draw(csc_matrices((n, n), SMALL_INTS))
+    ref = data.draw(csc_matrices((n, n), SMALL_INTS))
+    S = data.draw(patterns((n, n)))
+    planned_ref = ref if data.draw(st.booleans()) else None
+    with pytest.warns(UserWarning) if np.any(S.column_counts() == 0) else nullcontext():
+        pl = plan(S, A, A_ref=planned_ref)
+    m = compute_map(A, ref, pl)
+    Ad, refd, Nd = A.toarray(), ref.toarray(), m.N.toarray()
+    blocks, rhs, _ = _values(A, ref, pl)
+    for l in range(n):
+        # the plan's gathers against dense indexing
+        s, rows = S.column(l), pl.row_idx[pl.row_ptr[l]:pl.row_ptr[l + 1]]
+        assert np.array_equal(blocks[pl.blk_ptr[l]:pl.blk_ptr[l + 1]], Ad[np.ix_(rows, s)].ravel())
+        assert np.array_equal(rhs[pl.row_ptr[l]:pl.row_ptr[l + 1]], refd[rows, l])
+        if s.size and np.linalg.matrix_rank(Ad[:, s]) == s.size:
+            z = np.linalg.lstsq(Ad[:, s], refd[:, l], rcond=None)[0]
+            assert np.abs(Nd[s, l] - z).max() <= 1e-9 * max(1.0, np.abs(z).max())
+    if np.any(refd):
+        assert abs(m.rel_residual - map_residual_norm(A, m.N, ref)) <= 1e-12
+    else:
+        assert m.rel_residual == 0.0
+    assert compute_map(A, ref, pl, workers=3).N.data.tobytes() == m.N.data.tobytes()

@@ -7,8 +7,7 @@ from samkit import (
     frobenius_norm_diff, identity, map_residual_norm, matvec, offset_pattern,
     pattern_of, plan,
 )
-from samkit.sam import _solve_columns
-from samkit.sparse import scalar_dtype
+from samkit.sam import _solve_columns, _values
 from helpers import grid_laplacian_triplets, random_pattern, random_sparse
 
 
@@ -31,7 +30,7 @@ def test_plan_diagonal_case():
     for l in range(3):
         assert np.array_equal(pl.col_idx[pl.col_ptr[l]:pl.col_ptr[l + 1]], [l])
         assert np.array_equal(pl.row_idx[pl.row_ptr[l]:pl.row_ptr[l + 1]], [l])
-    assert pl.max_block_cols == 1 and pl.max_block_rows == 1
+        assert pl.block_shape(l) == (1, 1)
 
 
 def test_plan_grid_corner_column_row_union():
@@ -75,6 +74,12 @@ def test_plan_rhs_rows_augmentation():
     # a plan made for A alone leaves row 2 out; the residual still counts it
     m_out = compute_map(A, ref, plan(offset_pattern(3, [0]), A))
     assert abs(m_out.rel_residual - exact) <= 1e-14
+    # a row set left empty by such a plan still counts its reference column
+    A = as_csc([[1.0, 0.0], [0.0, 0.0]])
+    m_empty = compute_map(A, identity(2), plan(offset_pattern(2, [0]), A))
+    assert not m_empty.N[:, 1].toarray().any()
+    assert np.array_equal(m_empty.column_residuals, [0.0, 1.0])
+    assert m_empty.rel_residual == 1 / np.sqrt(2)
 
 
 def test_compute_map_identity_case():
@@ -221,11 +226,11 @@ def test_column_decoupling_bitwise():
     S = random_pattern(18, rng)
     pl = plan(S, A, A_ref=ref)
     m = compute_map(A, ref, pl)
-    dtype = scalar_dtype(A, ref)
+    blocks, rhs, out_sq = _values(A, ref, pl)
     for l in (0, 5, 17):
-        val = np.zeros(pl.col_ptr[-1], dtype=dtype)
+        val = np.zeros(pl.col_ptr[-1], dtype=blocks.dtype)
         col_res = np.zeros(pl.n)
-        _solve_columns(l, l + 1, A, ref, pl, val, col_res, dtype)
+        _solve_columns(l, l + 1, pl, blocks, rhs, out_sq, val, col_res)
         k0, k1 = pl.col_ptr[l], pl.col_ptr[l + 1]
         assert val[k0:k1].tobytes() == m.N.data[k0:k1].tobytes()
         assert col_res[l] == m.column_residuals[l]
