@@ -11,6 +11,7 @@ from .problems import (
     fem_pair_2d, laplace2d_dirichlet, matrix_market_write, point_source_rhs,
     talbot_shifts,
 )
+from .sparse import identity
 
 
 def _cmd_run(args):
@@ -26,32 +27,23 @@ def _cmd_run(args):
     return 0
 
 
-def _write_vector(vec, path):
-    matrix_market_write(np.asarray(vec).reshape(-1, 1), path)
-
-
 def _cmd_gen(args):
+    """Write the problem as the systems K + s M of a ``shifted_pair`` config."""
+    if args.problem == "helmholtz":
+        # the sweep K0 - s I, with M = -I; its base system comes first
+        K, b = laplace2d_dirichlet(args.nx, args.ny)
+        M = -identity(K.shape[0])
+        shifts = args.delta_s * np.arange(args.count + 1)
+    else:
+        K, M = fem_pair_2d(args.nx, args.ny)
+        b = point_source_rhs(K.shape[0])
+        shifts = talbot_shifts(args.n_z, args.t)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    if args.problem == "helmholtz":
-        K0, b = laplace2d_dirichlet(args.nx, args.ny)
-        matrix_market_write(K0, outdir / "k0.mtx")
-        _write_vector(b, outdir / "rhs.mtx")
-        shifts = args.delta_s * np.arange(1, args.count + 1)
-        with open(outdir / "shifts.txt", "w") as fh:
-            for s in shifts:
-                fh.write(f"{s:.17g} 0\n")
-    elif args.problem == "fem-pair":
-        K, M = fem_pair_2d(args.nx, args.ny)
-        matrix_market_write(K, outdir / "k.mtx")
-        matrix_market_write(M, outdir / "m.mtx")
-        _write_vector(point_source_rhs(K.shape[0]), outdir / "rhs.mtx")
-        shifts = talbot_shifts(args.n_z, args.t)
-        with open(outdir / "shifts.txt", "w") as fh:
-            for z in shifts:
-                fh.write(f"{z.real:.17g} {z.imag:.17g}\n")
-    else:
-        raise SystemExit(f"unknown problem {args.problem!r}")
+    matrix_market_write(K, outdir / "k.mtx")
+    matrix_market_write(M, outdir / "m.mtx")
+    matrix_market_write(b.reshape(-1, 1), outdir / "rhs.mtx")
+    np.savetxt(outdir / "shifts.txt", np.column_stack([shifts.real, shifts.imag]), fmt="%.17g")
     print(f"wrote {args.problem} problem files to {outdir}", file=sys.stderr)
     return 0
 

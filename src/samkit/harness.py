@@ -21,23 +21,25 @@ from .sparse import as_csc, identity
 RECOMPUTE = "prec"
 COMPUTE_SAM = "sam"
 REUSE = "reuse"
-_ACTIONS = (RECOMPUTE, COMPUTE_SAM, REUSE)
+# per strategy kind, the action of every system after 0 that no event names
+_DEFAULT_ACTION = {"recompute_every": RECOMPUTE, "sam_every": COMPUTE_SAM,
+                   "reuse_first": REUSE, "events": REUSE}
 
 
 @dataclass(frozen=True)
 class Strategy:
     """Per-system preconditioner policy.
 
-    ``events`` maps explicit indices to actions; systems without an event
-    reuse the current operator.  Index 0 must always recompute, since a
-    sequence has to start from a real preconditioner.
+    System 0 always recomputes, since a sequence has to start from a real
+    preconditioner.  ``events`` maps explicit indices to actions; every other
+    system takes its kind's default action.
     """
 
     kind: str
     events: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("recompute_every", "reuse_first", "sam_every", "events"):
+        if self.kind not in _DEFAULT_ACTION:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         if self.kind == "events":
             if not self.events:
@@ -48,7 +50,7 @@ class Strategy:
             if any(b <= a for a, b in zip(idx, idx[1:])):
                 raise ValueError("event indices must be strictly increasing")
             for _, act in self.events:
-                if act not in _ACTIONS:
+                if act not in _DEFAULT_ACTION.values():
                     raise ValueError(f"unknown action {act!r}")
         elif self.events:
             raise ValueError(f"strategy {self.kind!r} does not take events")
@@ -70,16 +72,9 @@ class Strategy:
         return cls("events", tuple((int(i), str(a)) for i, a in events))
 
     def action(self, k: int) -> str:
-        if self.kind == "recompute_every":
+        if k == 0:
             return RECOMPUTE
-        if self.kind == "reuse_first":
-            return RECOMPUTE if k == 0 else REUSE
-        if self.kind == "sam_every":
-            return RECOMPUTE if k == 0 else COMPUTE_SAM
-        for i, act in self.events:
-            if i == k:
-                return act
-        return REUSE
+        return dict(self.events).get(k, _DEFAULT_ACTION[self.kind])
 
 
 @dataclass
@@ -144,16 +139,13 @@ def resolve_pattern(choice, A_ref) -> patterns.SparsityPattern:
 
 
 def run_sequence(spec: SequenceSpec, strategy: Strategy, ilutp_params: ilutp.IlutpParams,
-                 pattern_choice, gmres_config: GmresConfig,
-                 on_factor_failure: str = "fallback", sam_workers: int = 1) -> SequenceReport:
+                 pattern_choice, gmres_config: GmresConfig, sam_workers: int = 1) -> SequenceReport:
     """Solve every system of the sequence in order under the given strategy.
 
-    Factorization failures after the first system are recorded and, under the
-    default policy, the previous operator is kept so the run continues; pass
-    ``on_factor_failure="abort"`` to raise instead.
+    A failed factorization of the first system raises.  Any later one is
+    recorded as ``prec_failed`` and the previous operator is kept, so the run
+    continues.
     """
-    if on_factor_failure not in ("fallback", "abort"):
-        raise ValueError("on_factor_failure must be 'fallback' or 'abort'")
     b = spec.rhs
     report = SequenceReport()
 
@@ -165,8 +157,6 @@ def run_sequence(spec: SequenceSpec, strategy: Strategy, ilutp_params: ilutp.Ilu
     for k, A_k in enumerate(spec.matrices):
         A_k = as_csc(A_k)
         act = strategy.action(k)
-        if k == 0 and act != RECOMPUTE:
-            raise ValueError("a sequence must start by computing a preconditioner")
         event = act
         sam_rel = None
         t0 = time.perf_counter()
@@ -177,7 +167,7 @@ def run_sequence(spec: SequenceSpec, strategy: Strategy, ilutp_params: ilutp.Ilu
                 current = P_ref
                 current_plan = None
             except ilutp.FactorizationError:
-                if k == 0 or on_factor_failure == "abort":
+                if k == 0:
                     raise
                 event = "prec_failed"
         elif act == COMPUTE_SAM:
@@ -277,16 +267,15 @@ def _parse_shifts(seq):
     if "shifts" in seq:
         if "shift_file" in seq or "n_z" in seq:
             raise ConfigError("sequence: give only one of shifts, shift_file, n_z/t")
-        pairs = [tok for tok in seq["shifts"].replace(";", " ").split()]
-        if len(pairs) % 2 != 0:
+        pairs = np.array(seq["shifts"].replace(";", " ").split(), dtype=float)
+        if pairs.size % 2 != 0:
             raise ConfigError("sequence.shifts: expected pairs of 're im' values")
-        vals = [float(tok) for tok in pairs]
-        return np.array([complex(vals[i], vals[i + 1]) for i in range(0, len(vals), 2)])
+        return pairs.view(np.complex128)  # each (re, im) pair, bit for bit
     if "shift_file" in seq:
         pairs = np.loadtxt(seq["shift_file"], ndmin=2)
         if pairs.shape[0] == 0 or pairs.shape[1] != 2:
             raise ConfigError("sequence.shift_file: expected one 're im' pair per line")
-        return pairs.view(np.complex128)[:, 0]  # each (re, im) row, bit for bit
+        return pairs.view(np.complex128)[:, 0]
     n_z = int(seq.get("n_z", "40"))
     t = float(seq.get("t", "60"))
     if "talbot_constants" in seq:

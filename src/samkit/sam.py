@@ -113,12 +113,8 @@ def plan(S: SparsityPattern, A, A_ref=None) -> SamPlan:
 
     # Row sets for all columns at once: the structural product A * S gives,
     # per column l, the union of stored rows of the A-columns selected by S.
-    ref_ind = pattern_of(ref).indicator()
-    if degenerate.size:
-        # degenerate columns keep an empty row set
-        mask = np.ones(n)
-        mask[degenerate] = 0.0
-        ref_ind = ref_ind @ sp.diags(mask, format="csc")
+    # degenerate columns keep an empty row set: the product drops the masked entries
+    ref_ind = pattern_of(ref).indicator() @ sp.diags((counts > 0).astype(float), format="csc")
     rows = pattern_of(pattern_of(A).indicator() @ S.indicator() + ref_ind)
 
     # entry (i, t) of block l is A[rows[i], cols[t]]

@@ -19,7 +19,7 @@ def scalar_dtype(*operands) -> np.dtype:
     return COMPLEX if np.issubdtype(dt, np.complexfloating) else REAL
 
 
-def as_csc(A, dtype=None) -> sp.csc_matrix:
+def as_csc(A) -> sp.csc_matrix:
     """Coerce ``A`` (sparse or dense) to a canonical CSC matrix.
 
     Canonical means: per-column row indices sorted and strictly increasing,
@@ -29,9 +29,7 @@ def as_csc(A, dtype=None) -> sp.csc_matrix:
         M = A.tocsc(copy=False)
     else:
         M = sp.csc_matrix(np.atleast_2d(np.asarray(A)))
-    want = dtype if dtype is not None else scalar_dtype(M)
-    if M.dtype != want:
-        M = M.astype(want)
+    M = M.astype(scalar_dtype(M), copy=False)
     if not M.has_canonical_format:
         M = M.copy()
         M.sum_duplicates()
