@@ -7,11 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from .harness import parse_config, render_report, run_sequence
-from .problems import (
-    fem_pair_2d, laplace2d_dirichlet, matrix_market_write, point_source_rhs,
-    talbot_shifts,
-)
-from .sparse import identity
+from .problems import SequenceSpec, fem_pair_2d, matrix_market_write, talbot_shifts
 
 
 def _cmd_run(args):
@@ -28,22 +24,17 @@ def _cmd_run(args):
 
 
 def _cmd_gen(args):
-    """Write the problem as the systems K + s M of a ``shifted_pair`` config."""
+    """Write a built-in spec's own pair, rhs and shifts as a ``shifted_pair`` config reads them."""
     if args.problem == "helmholtz":
-        # the sweep K0 - s I, with M = -I; its base system comes first
-        K, b = laplace2d_dirichlet(args.nx, args.ny)
-        M = -identity(K.shape[0])
-        shifts = args.delta_s * np.arange(args.count + 1)
+        spec = SequenceSpec.helmholtz(args.nx, args.ny, args.delta_s, args.count)
     else:
-        K, M = fem_pair_2d(args.nx, args.ny)
-        b = point_source_rhs(K.shape[0])
-        shifts = talbot_shifts(args.n_z, args.t)
+        spec = SequenceSpec.shifted_pair(*fem_pair_2d(args.nx, args.ny), talbot_shifts(args.n_z, args.t))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    matrix_market_write(K, outdir / "k.mtx")
-    matrix_market_write(M, outdir / "m.mtx")
-    matrix_market_write(b.reshape(-1, 1), outdir / "rhs.mtx")
-    np.savetxt(outdir / "shifts.txt", np.column_stack([shifts.real, shifts.imag]), fmt="%.17g")
+    matrix_market_write(spec.pair[0], outdir / "k.mtx")
+    matrix_market_write(spec.pair[1], outdir / "m.mtx")
+    matrix_market_write(spec.rhs.reshape(-1, 1), outdir / "rhs.mtx")
+    np.savetxt(outdir / "shifts.txt", spec.shifts.view(float).reshape(-1, 2), fmt="%.17g")
     print(f"wrote {args.problem} problem files to {outdir}", file=sys.stderr)
     return 0
 

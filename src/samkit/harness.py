@@ -264,9 +264,10 @@ def _require(section, key, cfg):
 
 
 def _parse_shifts(seq):
+    contour = any(key in seq for key in ("n_z", "t", "talbot_constants"))
+    if ("shifts" in seq) + ("shift_file" in seq) + contour > 1:
+        raise ConfigError("sequence: give only one of shifts, shift_file, n_z/t/talbot_constants")
     if "shifts" in seq:
-        if "shift_file" in seq or "n_z" in seq:
-            raise ConfigError("sequence: give only one of shifts, shift_file, n_z/t")
         pairs = np.array(seq["shifts"].replace(";", " ").split(), dtype=float)
         if pairs.size % 2 != 0:
             raise ConfigError("sequence.shifts: expected pairs of 're im' values")
@@ -278,13 +279,12 @@ def _parse_shifts(seq):
         return pairs.view(np.complex128)[:, 0]
     n_z = int(seq.get("n_z", "40"))
     t = float(seq.get("t", "60"))
-    if "talbot_constants" in seq:
-        consts = tuple(float(tok) for tok in seq["talbot_constants"].split())
-        if len(consts) != 4:
-            raise ConfigError("sequence.talbot_constants: four values required")
-    else:
-        consts = None
-    return talbot_shifts(n_z, t) if consts is None else talbot_shifts(n_z, t, consts)
+    if "talbot_constants" not in seq:
+        return talbot_shifts(n_z, t)
+    consts = tuple(float(tok) for tok in seq["talbot_constants"].split())
+    if len(consts) != 4:
+        raise ConfigError("sequence.talbot_constants: four values required")
+    return talbot_shifts(n_z, t, consts)
 
 
 def _parse_rhs(seq, n):

@@ -40,16 +40,14 @@ def helmholtz_sequence(K0, delta_s: float, count: int):
     """Matrices K0 - (i * delta_s) * I for i = 1..count.
 
     The base matrix itself is system 0 of the sweep; the returned list holds
-    only the shifted systems.  They are built by :func:`shifted_family`, so
-    all of them share one pattern, the union of K0's and the diagonal.
+    only the shifted systems, the members s E + K0 of :func:`shifted_family`
+    with E = -I and s = i * delta_s.  They share one pattern, the union of
+    K0's and the diagonal; a K0 that is not square fails its shape check.
     """
     K0 = as_csc(K0)
-    if K0.shape[0] != K0.shape[1]:
-        raise ValueError("base matrix must be square")
     if delta_s <= 0:
         raise ValueError("delta_s must be positive")
-    eye = identity(K0.shape[0], dtype=K0.dtype)
-    return shifted_family(-delta_s * np.arange(1, count + 1), eye, K0)
+    return shifted_family(delta_s * np.arange(1, count + 1), -identity(K0.shape[0]), K0)
 
 
 def fem_pair_2d(nx: int, ny: int, kappa=None):
@@ -64,13 +62,12 @@ def fem_pair_2d(nx: int, ny: int, kappa=None):
     """
     if nx < 2 or ny < 2:
         raise ValueError("grid must be at least 2x2")
-    if kappa is None:
-        kappa = lambda x, y: 1.0
     hx = 1.0 / (nx + 1)
     hy = 1.0 / (ny + 1)
     xs = (np.arange(nx) + 1) * hx
     ys = (np.arange(ny) + 1) * hy
-    kap = np.array([[kappa(x, y) for x in xs] for y in ys], dtype=float)
+    kap = (np.ones((ny, nx)) if kappa is None
+           else np.array([[kappa(x, y) for x in xs] for y in ys], dtype=float))
     if np.any(kap <= 0) or not np.all(np.isfinite(kap)):
         raise ValueError("kappa must be positive and finite at every node")
     M = sp.diags(np.full(nx * ny, hx * hy), format="csc")
@@ -169,13 +166,15 @@ class SequenceSpec:
     """A fully materialized sequence of systems sharing one right-hand side.
 
     ``shifts[k]`` is the scalar reported for system k (0 for file-based
-    sequences without shift data).
+    sequences without shift data); ``pair`` is the ``(K, M)`` of a
+    :meth:`shifted_pair` sequence, and ``None`` for any other.
     """
 
     kind: str
     matrices: list = field(repr=False)
     shifts: np.ndarray = field(repr=False)
     rhs: np.ndarray = field(repr=False)
+    pair: tuple = field(default=None, repr=False)
 
     def __post_init__(self):
         if len(self.matrices) == 0:
@@ -198,33 +197,35 @@ class SequenceSpec:
 
     @classmethod
     def helmholtz(cls, nx=10, ny=10, delta_s=0.01, count=200):
-        """Downward diagonal sweep of the 2D Laplacian; system 0 is the unshifted base."""
+        """Shifted pair (K0, -I) of the 2D Laplacian K0 at s = 0, delta_s, ..., count * delta_s."""
+        if delta_s <= 0:
+            raise ValueError("delta_s must be positive")
         K0, b = laplace2d_dirichlet(nx, ny)
-        mats = [K0] + helmholtz_sequence(K0, delta_s, count)
-        shifts = np.concatenate([[0.0], delta_s * np.arange(1, count + 1)]).astype(complex)
-        return cls("helmholtz_sweep", mats, shifts, b)
+        spec = cls.shifted_pair(K0, -identity(K0.shape[0]), delta_s * np.arange(count + 1), rhs=b)
+        spec.kind = "helmholtz_sweep"
+        return spec
 
     @classmethod
     def shifted_pair(cls, K, M, shifts, rhs=None):
-        """Systems K + z M for each shift z, with a point-source default rhs."""
+        """Systems K + z M for each shift z, with a point-source default rhs.
+
+        The systems are real when K, M and every shift are; ``shifts`` stays complex.
+        """
         K = as_csc(K)
         M = as_csc(M)
         shifts = np.asarray(shifts, dtype=complex)
         if shifts.size == 0:
             raise ValueError("shift list must be nonempty")
-        mats = shifted_family(shifts, M, K)
+        mats = shifted_family(shifts if shifts.imag.any() else shifts.real, M, K)
         if rhs is None:
             rhs = point_source_rhs(K.shape[0])
-        return cls("shifted_pair", mats, shifts, np.asarray(rhs))
+        return cls("shifted_pair", mats, shifts, np.asarray(rhs), pair=(K, M))
 
     @classmethod
     def matrix_files(cls, paths, rhs=None, shifts=None):
         """Sequence read from Matrix Market files, in the given order."""
         mats = [matrix_market_read(p) for p in paths]
-        if shifts is None:
-            shifts = np.zeros(len(mats), dtype=complex)
-        else:
-            shifts = np.asarray(shifts, dtype=complex)
+        shifts = np.asarray(np.zeros(len(mats)) if shifts is None else shifts, dtype=complex)
         if rhs is None:
             rhs = point_source_rhs(mats[0].shape[0])
         return cls("matrix_files", mats, shifts, np.asarray(rhs))

@@ -290,6 +290,15 @@ def test_parse_config_rejections(tmp_path):
         "bad_shift": "[sequence]\nkind = shifted_pair\nnx = 2\nny = 2\nshifts = 1 x\n",
         "nan_shift": "[sequence]\nkind = shifted_pair\nnx = 2\nny = 2\nshifts = nan 0\n",
     }
+    # inline shifts, a shift file and the contour keys are three exclusive sources
+    shift_file = tmp_path / "shifts.txt"
+    shift_file.write_text("1 0\n2 0\n")
+    for name, extra in (("file_n_z", f"shift_file = {shift_file}\nn_z = 8\n"),
+                        ("file_t", f"shift_file = {shift_file}\nt = 2\n"),
+                        ("file_constants", f"shift_file = {shift_file}\ntalbot_constants = 1 1 1 1\n"),
+                        ("inline_t", "shifts = 1 0\nt = 2\n"),
+                        ("inline_constants", "shifts = 1 0\ntalbot_constants = 1 1 1 1\n")):
+        bad[name] = "[sequence]\nkind = shifted_pair\nnx = 2\nny = 2\n" + extra
     # bad values in the other sections fail here too, before anything is factored
     small = "[sequence]\nkind = helmholtz_sweep\nnx = 3\nny = 3\ncount = 2\n"
     wrong_size = tmp_path / "p4.txt"
@@ -426,7 +435,10 @@ def test_cli_gen_output_runs(tmp_path):
         assert np.array_equal(spec.shifts, direct.shifts)
         assert len(spec) == len(direct)
         for A, B in zip(spec.matrices, direct.matrices):
-            assert np.array_equal(A.toarray(), B.toarray())
+            # bit for bit, scalar field included
+            assert A.dtype == B.dtype
+            for arr in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(A, arr), getattr(B, arr))
         report = run_sequence(spec, strategy, params, pattern, gc)
         assert len(report.rows) == 4 and all(r.converged for r in report.rows)
 

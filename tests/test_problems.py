@@ -80,6 +80,8 @@ def test_helmholtz_sequence_shifts_diagonal():
     off0 = K0 - as_csc(np.diag(d0))
     off200 = seq[-1] - as_csc(np.diag(seq[-1].diagonal()))
     assert frobenius_norm_diff(off0, off200) == 0.0
+    with pytest.raises(ValueError):
+        helmholtz_sequence(sp.csc_matrix((3, 4)), 0.01, 2)
 
 
 def test_helmholtz_twentieth_shift_indefinite():
@@ -284,6 +286,16 @@ def test_sequence_spec_helmholtz():
     assert spec.shifts[0] == 0.0
     assert spec.shifts[10] == pytest.approx(0.1)
     assert spec.kind == "helmholtz_sweep"
+    # the sweep is the real shifted pair (K0, -I), and system 0 is K0 itself
+    K0, b = laplace2d_dirichlet(4, 4)
+    K, M = spec.pair
+    assert np.array_equal(K.toarray(), K0.toarray()) and np.array_equal(M.toarray(), -np.eye(16))
+    assert np.array_equal(spec.rhs, b)
+    for arr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(spec.matrices[0], arr), getattr(K0, arr))
+    assert all(A.dtype == np.float64 for A in spec.matrices)
+    with pytest.raises(ValueError):
+        SequenceSpec.helmholtz(4, 4, 0.0, 3)
 
 
 def test_sequence_spec_shifted_pair():
@@ -295,6 +307,20 @@ def test_sequence_spec_shifted_pair():
     assert A0.dtype == np.complex128
     assert np.allclose(A0.toarray(), K.toarray() + z[0] * M.toarray())
     assert np.linalg.norm(spec.rhs) == 1.0
+    assert all(np.array_equal(P.toarray(), Q.toarray()) for P, Q in zip(spec.pair, (K, M)))
+    # real K, M and shifts give real systems, whether the shifts come as
+    # floats or as complex values with zero imaginary parts
+    for real in ([0.5, -1.0, 2.0], np.array([0.5, -1.0, 2.0]) + 0j, [complex(1.0, -0.0)]):
+        spec = SequenceSpec.shifted_pair(K, M, real)
+        assert spec.shifts.dtype == np.complex128
+        for A, s in zip(spec.matrices, spec.shifts):
+            assert A.dtype == np.float64
+            assert np.array_equal(A.toarray(), K.toarray() + s.real * M.toarray())
+    # one nonzero imaginary part makes the whole sequence complex
+    spec = SequenceSpec.shifted_pair(K, M, [0.5, 1j])
+    assert all(A.dtype == np.complex128 for A in spec.matrices)
+    # only shifted_pair keeps a pair
+    assert SequenceSpec("custom", [K], np.zeros(1), np.ones(K.shape[0])).pair is None
 
 
 def test_sequence_spec_matrix_files(tmp_path):
