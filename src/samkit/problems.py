@@ -11,7 +11,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .sparse import as_csc, identity, shifted_family
+from .sparse import as_csc, shifted_family
 
 # Modified Talbot contour constants (sigma, mu, alpha, nu).  These defaults
 # come from the published optimized-contour literature, not from any property
@@ -47,16 +47,27 @@ def helmholtz_sequence(K0, delta_s: float, count: int):
     K0 = as_csc(K0)
     if delta_s <= 0:
         raise ValueError("delta_s must be positive")
-    return shifted_family(delta_s * np.arange(1, count + 1), -identity(K0.shape[0]), K0)
+    return shifted_family(delta_s * np.arange(1, count + 1), _diagonal(np.full(K0.shape[0], -1.0)), K0)
+
+
+def _diagonal(d) -> sp.csc_matrix:
+    """The diagonal matrix of the values ``d``, built directly in canonical CSC."""
+    n = d.size
+    return sp.csc_matrix((d, np.arange(n, dtype=np.int32), np.arange(n + 1, dtype=np.int32)), shape=(n, n))
 
 
 def fem_pair_2d(nx: int, ny: int, kappa=None):
     """Variable-coefficient stiffness and lumped mass pair on the unit square.
 
-    ``kappa(x, y)`` samples a positive conductivity field at the interior
-    nodes; edge coefficients between neighbors are harmonic means of the two
-    node values, and edges meeting the (zero Dirichlet) boundary use the
-    node's own value.  With kappa constant 1 the stiffness equals
+    ``kappa`` is the conductivity at the interior nodes: either a callable
+    ``kappa(x, y)``, which is sampled at every node, or an ``(ny, nx)`` array
+    of node values, row ``j`` at ``y = (j + 1) * hy`` and column ``i`` at
+    ``x = (i + 1) * hx`` with ``hx = 1 / (nx + 1)`` and ``hy = 1 / (ny + 1)``;
+    an array sampled there gives the same matrices bit for bit as the
+    callable, and every value must be positive and finite.  Edge coefficients
+    between neighbors are harmonic means of the two node values, and edges
+    meeting the (zero Dirichlet) boundary use the node's own value.  With
+    kappa constant 1 (the default) the stiffness equals
     :func:`laplace2d_dirichlet`.  The mass matrix is diagonal with the cell
     area at every node.
     """
@@ -66,16 +77,26 @@ def fem_pair_2d(nx: int, ny: int, kappa=None):
     hy = 1.0 / (ny + 1)
     xs = (np.arange(nx) + 1) * hx
     ys = (np.arange(ny) + 1) * hy
-    kap = (np.ones((ny, nx)) if kappa is None
-           else np.array([[kappa(x, y) for x in xs] for y in ys], dtype=float))
+    if kappa is None:
+        kap = np.ones((ny, nx))
+    elif callable(kappa):
+        kap = np.array([[kappa(x, y) for x in xs] for y in ys], dtype=float)
+    else:
+        kap = np.asarray(kappa, dtype=float)
+    if kap.shape != (ny, nx):
+        raise ValueError(f"kappa must have one value per node, shape {(ny, nx)}, not {kap.shape}")
     if np.any(kap <= 0) or not np.all(np.isfinite(kap)):
         raise ValueError("kappa must be positive and finite at every node")
-    M = sp.diags(np.full(nx * ny, hx * hy), format="csc")
-    return _stiffness(kap), as_csc(M)
+    return _stiffness(kap), _diagonal(np.full(nx * ny, hx * hy))
 
 
 def _stiffness(kap):
-    """Stiffness of :func:`fem_pair_2d` for the ny-by-nx node conductivities ``kap``."""
+    """Stiffness of :func:`fem_pair_2d` for the ny-by-nx node conductivities ``kap``.
+
+    The matrix is assembled straight into canonical CSC: column ``j`` holds
+    the slots of rows ``j - nx, j - 1, j, j + 1, j + nx`` in that order, and
+    the slots that fall off the grid are masked out.
+    """
     ny, nx = kap.shape
 
     def hmean(a, b):
@@ -87,14 +108,24 @@ def _stiffness(kap):
     east = np.hstack([cx, kap[:, -1:]])
     south = np.vstack([kap[:1], cy])
     north = np.vstack([cy, kap[-1:]])
+    vals = np.empty((ny, nx, 5))
+    vals[1:, :, 0] = -cy
+    vals[:, 1:, 1] = -cx
+    vals[..., 2] = ((west + east) + south) + north  # one fixed summation order, reproducible bit for bit
+    vals[:, :-1, 3] = -cx
+    vals[:-1, :, 4] = -cy
+    keep = np.ones((ny, nx, 5), dtype=bool)
+    keep[0, :, 0] = keep[:, 0, 1] = keep[:, -1, 3] = keep[-1, :, 4] = False
     n = nx * ny
-    node = np.arange(n).reshape(ny, nx)
-    left, right, below, above = node[:, :-1], node[:, 1:], node[:-1], node[1:]
-    rows = np.concatenate([left, right, below, above, node], axis=None)
-    cols = np.concatenate([right, left, above, below, node], axis=None)
-    diag = ((west + east) + south) + north  # one fixed summation order, reproducible bit for bit
-    vals = np.concatenate([-cx, -cx, -cy, -cy, diag], axis=None)
-    return as_csc(sp.csc_matrix((vals, (rows, cols)), shape=(n, n)))
+    rows = np.arange(n, dtype=np.int32).reshape(ny, nx, 1) + np.array([-nx, -1, 0, 1, nx], dtype=np.int32)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=2, dtype=np.int32), axis=None, out=indptr[1:])
+    K = sp.csc_matrix((vals[keep], rows[keep], indptr), shape=(n, n))
+    # as for shifted_family's template: the index checks run once, and
+    # sum_duplicates finds the matrix canonical and caches its flags
+    K.check_format(full_check=True)
+    K.sum_duplicates()
+    return K
 
 
 def talbot_shifts(n_z: int, t: float, constants=TALBOT_CONSTANTS) -> np.ndarray:
@@ -182,9 +213,8 @@ class SequenceSpec:
         if len(self.shifts) != len(self.matrices):
             raise ValueError("one shift per system required")
         n = self.matrices[0].shape[0]
-        for A in self.matrices:
-            if A.shape != (n, n):
-                raise ValueError("all systems must be square with one common size")
+        if {A.shape for A in self.matrices} != {(n, n)}:
+            raise ValueError("all systems must be square with one common size")
         if self.rhs.shape[0] != n:
             raise ValueError("right-hand side length mismatch")
 
@@ -201,7 +231,7 @@ class SequenceSpec:
         if delta_s <= 0:
             raise ValueError("delta_s must be positive")
         K0, b = laplace2d_dirichlet(nx, ny)
-        spec = cls.shifted_pair(K0, -identity(K0.shape[0]), delta_s * np.arange(count + 1), rhs=b)
+        spec = cls.shifted_pair(K0, _diagonal(np.full(K0.shape[0], -1.0)), delta_s * np.arange(count + 1), rhs=b)
         spec.kind = "helmholtz_sweep"
         return spec
 

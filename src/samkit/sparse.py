@@ -60,15 +60,18 @@ def shifted_family(alphas, E, A) -> list:
 
     ``alphas`` must be a 1-D sequence of finite scalars; anything else raises
     ``ValueError``.  The pattern is the union of the patterns of ``E`` and
-    ``A``; it is built and validated once, as a template matrix.  The values,
-    row indices and column pointers of all members are computed in one pass
-    each, as stacked blocks with one row per member, and member ``k`` holds
-    row ``k`` of each block.  Rows do not overlap, so members share no
-    memory; a block is freed only when every member holding one of its rows
-    is.  A position where the sum cancels (including alpha = 0) stays as a
-    stored zero.  Every position sums at most two terms, so each value is
-    exactly ``alpha * e + a``, and all members share one dtype, the scalar
-    field of ``alphas``, ``E`` and ``A``.
+    ``A``; it is built and validated once, as a template matrix.  The values
+    of all members are computed in one pass, as a stacked block with one row
+    per member, and member ``k`` holds row ``k`` of it as its ``data``: value
+    rows do not overlap, and the block is freed only when every member
+    holding one of its rows is.  All members hold the template's one
+    ``indices``/``indptr`` pair, which shares no memory with ``E`` or ``A``
+    and is read-only, so writing a member's pattern in place raises
+    ``ValueError`` instead of changing its siblings; ``copy()`` gives a
+    member a writeable pattern of its own.  A position where the sum cancels
+    (including alpha = 0) stays as a stored zero.  Every position sums at
+    most two terms, so each value is exactly ``alpha * e + a``, and all
+    members share one dtype, the scalar field of ``alphas``, ``E`` and ``A``.
     """
     _check_same_shape(E, A, "shifted_family")
     alphas = np.asarray(alphas)
@@ -91,17 +94,16 @@ def shifted_family(alphas, E, A) -> list:
     template = sp.csc_matrix((base, tags.indices, tags.indptr), shape=A.shape)
     template.check_format(full_check=True)
     template.sum_duplicates()
+    template.indices.flags.writeable = False
+    template.indptr.flags.writeable = False
     # row k is member k's values: base, plus alphas[k] * e at E's positions
-    m = alphas.size
-    data = np.repeat(base[None], m, axis=0)
-    data[:, e_pos] += np.multiply.outer(alphas.astype(dt), E.data.astype(dt))
-    indices = np.tile(template.indices, (m, 1))
-    indptr = np.tile(template.indptr, (m, 1))
+    data = np.repeat(base[None], alphas.size, axis=0)
+    data[:, e_pos] = base[e_pos] + np.multiply.outer(alphas.astype(dt), E.data.astype(dt))
     cls = type(template)
     family = []
-    for row_data, row_indices, row_indptr in zip(data, indices, indptr):
+    for row in data:
         member = cls.__new__(cls)
-        member.__dict__.update(template.__dict__, data=row_data, indices=row_indices, indptr=row_indptr)
+        member.__dict__.update(template.__dict__, data=row)
         family.append(member)
     return family
 
@@ -110,7 +112,8 @@ def shifted_combine(alpha, E, A) -> sp.csc_matrix:
     """alpha * E + A with the union of both sparsity patterns stored.
 
     The one-member case of :func:`shifted_family`: positions whose sum
-    cancels (including alpha = 0) stay in the pattern as stored zeros.
+    cancels (including alpha = 0) stay in the pattern as stored zeros, and
+    the ``indices``/``indptr`` pair is read-only.
     """
     return shifted_family([alpha], E, A)[0]
 

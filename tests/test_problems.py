@@ -61,6 +61,7 @@ def test_laplace2d_matches_kron_construction(nx, ny, kron_stores_zeros):
     assert (np.count_nonzero(old.data) < old.nnz) == kron_stores_zeros
     old.eliminate_zeros()
     assert _same_bytes(K, old)
+    assert K.indices.dtype == K.indptr.dtype == np.int32 and K.has_canonical_format
     assert np.count_nonzero(K.data) == K.nnz == 5 * nx * ny - 2 * (nx + ny)
 
 
@@ -156,7 +157,7 @@ def fem_stiffness_by_node_loop(nx, ny, kappa):
     return as_csc(K)
 
 
-@pytest.mark.parametrize("nx, ny", [(5, 3), (2, 7)])
+@pytest.mark.parametrize("nx, ny", [(5, 3), (2, 7), (32, 32), (2, 9), (9, 2)])
 @pytest.mark.parametrize("kappa", [None, lambda x, y: 2.5, lambda x, y: np.exp(np.sin(7 * x) + 3 * x * y)])
 def test_fem_pair_matches_node_loop_bit_for_bit(nx, ny, kappa):
     K, _ = fem_pair_2d(nx, ny, kappa)
@@ -165,6 +166,18 @@ def test_fem_pair_matches_node_loop_bit_for_bit(nx, ny, kappa):
     for name in ("data", "indices", "indptr"):
         got, want = getattr(K, name), getattr(ref, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert K.indices.dtype == K.indptr.dtype == np.int32 and K.has_canonical_format
+
+
+@pytest.mark.parametrize("nx, ny", [(5, 3), (2, 9), (9, 2)])
+def test_fem_pair_array_kappa_matches_callable_bit_for_bit(nx, ny):
+    kappa = lambda x, y: np.exp(np.sin(7 * x) + 3 * x * y)
+    xs = (np.arange(nx) + 1) * (1.0 / (nx + 1))
+    ys = (np.arange(ny) + 1) * (1.0 / (ny + 1))
+    nodes = np.array([[kappa(x, y) for x in xs] for y in ys])
+    for got, want in zip(fem_pair_2d(nx, ny, nodes), fem_pair_2d(nx, ny, kappa)):
+        assert _same_bytes(got, want)
+        assert got.has_canonical_format
 
 
 def test_fem_pair_constant_vector_boundary_only():
@@ -180,6 +193,9 @@ def test_fem_pair_constant_vector_boundary_only():
 def test_fem_pair_rejects_bad_kappa():
     with pytest.raises(ValueError):
         fem_pair_2d(3, 3, lambda x, y: -1.0)
+    for nodes in (-np.ones((3, 4)), np.full((3, 4), np.inf), np.ones((4, 3)), np.ones(12), 2.0):
+        with pytest.raises(ValueError):
+            fem_pair_2d(4, 3, nodes)
 
 
 def test_fem_pair_shifted_system_nonsingular():

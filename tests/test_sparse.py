@@ -113,31 +113,60 @@ def test_shifted_family_union_pattern_keeps_cancelled_sums():
     assert np.array_equal(C0.data, [1.0, 0.0, 5.0]) and np.signbit(C0.data[1])
 
 
-def test_shifted_family_members_share_no_memory():
+def test_shifted_family_members_share_one_read_only_pattern():
     rng = np.random.default_rng(11)
-    family = shifted_family([1.0, 2.0, 3.0], identity(6), random_sparse(6, rng))
+    E = random_sparse(6, rng)
+    A = random_sparse(6, rng)
+    family = shifted_family([1.0, 2.0, 3.0], E, A)
+    for X in family:
+        for name in ("indices", "indptr"):
+            assert getattr(X, name) is getattr(family[0], name)
+            assert not getattr(X, name).flags.writeable
+    # value rows are independent: writing one member's values leaves the others
     for i, X in enumerate(family):
         for Y in family[i + 1:]:
-            for name in ("data", "indices", "indptr"):
-                assert not np.shares_memory(getattr(X, name), getattr(Y, name))
+            assert not np.shares_memory(X.data, Y.data)
+    before = [X.data.copy() for X in family]
+    family[0].data[:] = 7.0
+    for X, data in zip(family[1:], before[1:]):
+        assert np.array_equal(X.data, data)
 
 
-def test_shifted_family_members_are_valid_independent_matrices():
+def _by_combine(alphas, E, A):
+    return [shifted_combine(alpha, E, A) for alpha in alphas]
+
+
+@pytest.mark.parametrize("build", [shifted_family, _by_combine])
+def test_shifted_members_are_valid_matrices_on_a_read_only_pattern(build):
     rng = np.random.default_rng(12)
     E = random_sparse(8, rng)
     A = random_sparse(8, rng, complex_values=True)
-    family = shifted_family([0.5, -2.0, 1j], E, A)
-    for X in family:
+    alphas = [0.5, -2.0, 1j]
+    family = build(alphas, E, A)
+    before = [(X.data.copy(), X.indices.copy(), X.indptr.copy()) for X in family]
+    x = rng.standard_normal(8)
+    for alpha, X in zip(alphas, family):
         X.check_format(full_check=True)
         assert X.has_canonical_format and X.has_sorted_indices
         for name in ("data", "indices", "indptr"):
             for operand in (E, A):
                 assert not np.shares_memory(getattr(X, name), getattr(operand, name))
-    before = [(X.data.copy(), X.indices.copy(), X.indptr.copy()) for X in family]
-    family[0].data[:] = 7.0
-    family[0].indices[:] = 0
-    family[0].indptr[1:] = 0
-    for X, (data, indices, indptr) in zip(family[1:], before[1:]):
+        # an in-place write of the shared pattern fails and changes nothing
+        with pytest.raises(ValueError):
+            X.indices[:] = 0
+        with pytest.raises(ValueError):
+            X.indptr[1:] = 0
+        dense = alpha * E.toarray() + A.toarray()
+        assert np.allclose(X @ x, dense @ x, rtol=1e-14, atol=1e-14)
+        assert np.array_equal(X.T.toarray(), dense.T)
+        assert np.array_equal(X.tocsr().toarray(), dense)
+        assert np.array_equal((-X).toarray(), -dense)
+        assert np.array_equal((X - X).toarray(), np.zeros((8, 8)))
+        C = X.copy()
+        assert C.indices.flags.writeable and C.indptr.flags.writeable
+        assert not np.shares_memory(C.indices, X.indices)
+        C.indices[:] = 0
+    for X, (data, indices, indptr) in zip(family, before):
         assert np.array_equal(X.data, data)
         assert np.array_equal(X.indices, indices)
         assert np.array_equal(X.indptr, indptr)
