@@ -18,7 +18,7 @@ from .patterns import (
     write_pattern,
 )
 from .problems import (
-    SequenceSpec, fem_pair_2d, helmholtz_sequence, laplace2d_dirichlet,
+    SequenceSpec, fem_pair_2d, laplace2d_dirichlet,
     matrix_market_read, matrix_market_write, point_source_rhs, talbot_shifts,
 )
 from .sam import (

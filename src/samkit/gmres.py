@@ -53,9 +53,7 @@ def as_operator(op):
     """Normalize a matrix / factors / chain / callable / None into a callable."""
     if op is None:
         return lambda v: v
-    if sp.issparse(op):
-        return op.dot
-    if isinstance(op, np.ndarray):
+    if sp.issparse(op) or isinstance(op, np.ndarray):
         return op.dot
     if hasattr(op, "apply_solve"):
         return op.apply_solve

@@ -9,7 +9,7 @@ pair, so maps always target the most recently factored matrix.
 import configparser
 import io
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -119,7 +119,9 @@ def resolve_pattern(choice, A_ref) -> patterns.SparsityPattern:
     if not isinstance(choice, str):
         raise TypeError("pattern choice must be a SparsityPattern or a string")
     n = A_ref.shape[0]
-    name, _, arg = choice.partition(":")
+    name, sep, arg = choice.partition(":")
+    if sep and name in ("ref", "diag", "tridiag"):
+        raise ValueError(f"pattern choice {choice!r}: {name} takes no argument")
     if name == "ref":
         return patterns.pattern_of(A_ref)
     if name == "diag":
@@ -345,7 +347,7 @@ def _parse_sequence(seq):
                 raise ConfigError(f"sequence: {len(shifts)} shifts for {len(files)} files")
         spec = SequenceSpec.matrix_files(files, shifts=shifts)
         if "rhs" in seq:
-            spec = SequenceSpec(spec.kind, spec.matrices, spec.shifts, _parse_rhs(seq, spec.n))
+            spec = replace(spec, rhs=_parse_rhs(seq, spec.n))
         return spec
     raise ConfigError(f"sequence.kind: unknown kind {kind!r}")
 

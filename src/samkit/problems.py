@@ -36,20 +36,6 @@ def laplace2d_dirichlet(nx: int, ny: int):
     return _stiffness(np.ones((ny, nx))), b
 
 
-def helmholtz_sequence(K0, delta_s: float, count: int):
-    """Matrices K0 - (i * delta_s) * I for i = 1..count.
-
-    The base matrix itself is system 0 of the sweep; the returned list holds
-    only the shifted systems, the members s E + K0 of :func:`shifted_family`
-    with E = -I and s = i * delta_s.  They share one pattern, the union of
-    K0's and the diagonal; a K0 that is not square fails its shape check.
-    """
-    K0 = as_csc(K0)
-    if delta_s <= 0:
-        raise ValueError("delta_s must be positive")
-    return shifted_family(delta_s * np.arange(1, count + 1), _diagonal(np.full(K0.shape[0], -1.0)), K0)
-
-
 def _diagonal(d) -> sp.csc_matrix:
     """The diagonal matrix of the values ``d``, built directly in canonical CSC."""
     n = d.size
@@ -252,13 +238,11 @@ class SequenceSpec:
         return cls("shifted_pair", mats, shifts, np.asarray(rhs), pair=(K, M))
 
     @classmethod
-    def matrix_files(cls, paths, rhs=None, shifts=None):
-        """Sequence read from Matrix Market files, in the given order."""
+    def matrix_files(cls, paths, shifts=None):
+        """Sequence read from Matrix Market files, in the given order, with a point-source rhs."""
         mats = [matrix_market_read(p) for p in paths]
         shifts = np.asarray(np.zeros(len(mats)) if shifts is None else shifts, dtype=complex)
-        if rhs is None:
-            rhs = point_source_rhs(mats[0].shape[0])
-        return cls("matrix_files", mats, shifts, np.asarray(rhs))
+        return cls("matrix_files", mats, shifts, point_source_rhs(mats[0].shape[0]))
 
 
 def point_source_rhs(n: int, index=None) -> np.ndarray:

@@ -140,14 +140,12 @@ def plan(S: SparsityPattern, A, A_ref=None) -> SamPlan:
 
 
 def _check_structure(A, pl: SamPlan):
-    if pl.fits(A):
-        return
-    for j in range(pl.n):
-        a = A.indices[A.indptr[j]:A.indptr[j + 1]]
-        b = pl.struct_indices[pl.struct_indptr[j]:pl.struct_indptr[j + 1]]
-        if not np.array_equal(a, b):
-            raise ValueError(f"matrix structure differs from the plan, first offending column: {j}")
-    raise ValueError("matrix structure differs from the plan")
+    if not pl.fits(A):
+        # both structures are canonical, so their indicators' difference
+        # stores exactly the positions that only one of them holds
+        planned = SparsityPattern(pl.n, pl.n, pl.struct_indptr, pl.struct_indices).indicator()
+        j = np.flatnonzero(np.diff((pattern_of(A).indicator() - planned).indptr))[0]
+        raise ValueError(f"matrix structure differs from the plan, first offending column: {j}")
 
 
 def _values(A, A_ref, pl: SamPlan):
@@ -244,37 +242,32 @@ def map_residual_norm(A, N, A_ref) -> float:
 
 
 class PreconditionerChain:
-    """Composition of operator stages applied right-to-left.
+    """The recycled preconditioner: apply the reference operator P, then the map N.
 
-    Each stage is any operand :func:`samkit.gmres.as_operator` accepts: a
-    sparse matrix (applied through :func:`samkit.sparse.matvec`), a dense
-    matrix, an object exposing ``apply_solve`` or ``apply``, a callable, or
-    None for identity.  A chain is itself a valid stage, so compositions nest.
+    ``P`` is any operand :func:`samkit.gmres.as_operator` accepts: a sparse
+    or dense matrix, an object exposing ``apply_solve`` or ``apply``, a
+    callable, or None for identity; the chain holds the callable that
+    function makes of it.  A chain exposes ``apply``, so a chain is itself a
+    valid ``P`` and compositions nest.  The map is applied through
+    :func:`samkit.sparse.matvec`, looked up at every call.
     """
 
-    def __init__(self, stages):
-        self.stages = list(stages)
-        shapes = [getattr(s, "shape", None) for s in self.stages]
-        for left, right in zip(shapes, shapes[1:]):
-            if left is not None and right is not None and left[1] != right[0]:
-                raise ValueError(f"chain stages have incompatible shapes {left} and {right}")
+    def __init__(self, N, P):
+        self.N = as_csc(N)
+        pshape = getattr(P, "shape", None)
+        if pshape is not None and self.N.shape[1] != pshape[0]:
+            raise ValueError(f"chain: map shape {self.N.shape} incompatible with operator shape {pshape}")
+        self.P = as_operator(P)
 
     def apply(self, v):
-        for stage in reversed(self.stages):
-            # a sparse map is applied through the sparse layer's entry point
-            v = matvec(stage, v) if sp.issparse(stage) else as_operator(stage)(v)
-        return v
+        return matvec(self.N, self.P(v))
 
     __call__ = apply
 
 
 def compose(N, P) -> PreconditionerChain:
-    """Recycled preconditioner: apply P, then multiply by the map N."""
-    N = as_csc(N)
-    pshape = getattr(P, "shape", None)
-    if pshape is not None and N.shape[1] != pshape[0]:
-        raise ValueError(f"compose: map shape {N.shape} incompatible with operator shape {pshape}")
-    return PreconditionerChain([N, P])
+    """Two-stage recycled preconditioner N P: apply P, then multiply by the map N."""
+    return PreconditionerChain(N, P)
 
 
 __all__ = [

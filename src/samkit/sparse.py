@@ -47,7 +47,7 @@ def matvec(A, x: np.ndarray) -> np.ndarray:
 
     The wrapper stays so that the map apply in
     :class:`samkit.sam.PreconditionerChain` has one named entry point, which
-    a tracer can patch to time it apart from the other operator stages.
+    a tracer can patch to time it apart from the reference operator.
     """
     x = np.asarray(x).ravel()
     if A.shape[1] != x.shape[0]:

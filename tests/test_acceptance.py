@@ -10,9 +10,9 @@ import numpy as np
 
 from samkit import (
     GmresConfig, IlutpParams, SequenceSpec, Strategy, as_csc, compute_map,
-    factor, fem_pair_2d, frobenius_norm_diff, gmres, helmholtz_sequence,
-    identity, laplace2d_dirichlet, offset_pattern, pattern_of, plan,
-    run_sequence, symbolic_power, talbot_shifts,
+    factor, fem_pair_2d, frobenius_norm_diff, gmres, identity,
+    laplace2d_dirichlet, offset_pattern, pattern_of, plan, run_sequence,
+    symbolic_power, talbot_shifts,
 )
 from helpers import random_pattern, random_sparse
 
@@ -72,7 +72,7 @@ def test_criterion_2_least_squares_oracle_equivalence():
 def test_criterion_3_nested_pattern_monotonicity():
     t0 = time.perf_counter()
     K0, _ = laplace2d_dirichlet(10, 10)
-    A_k = helmholtz_sequence(K0, 0.01, 150)[-1]
+    A_k = SequenceSpec.helmholtz(10, 10, 0.01, 150).matrices[150]
     ref_norm = frobenius_norm_diff(K0)
     chain = [
         offset_pattern(100, [0]),
@@ -218,7 +218,7 @@ def test_criterion_7_strategy_trend_shifted_pair():
 def test_criterion_8_parallel_determinism():
     t0 = time.perf_counter()
     K0, _ = laplace2d_dirichlet(10, 10)
-    A_k = helmholtz_sequence(K0, 0.01, 150)[-1]
+    A_k = SequenceSpec.helmholtz(10, 10, 0.01, 150).matrices[150]
     pl = plan(pattern_of(K0), A_k, A_ref=K0)
     maps = [compute_map(A_k, K0, pl, workers=w) for w in (1, 8)]
     helm_same = (maps[0].N.data.tobytes() == maps[1].N.data.tobytes()

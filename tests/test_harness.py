@@ -70,8 +70,9 @@ def test_resolve_pattern_forms(tmp_path):
                    f"[pattern]\nkind = file\npath = {path}\n")
     assert parse_config(cfg)[3] == P
     assert resolve_pattern(P, A) is P
-    with pytest.raises(ValueError):
-        resolve_pattern("nope", A)
+    for bad in ("nope", "ref:junk", "diag:3", "tridiag:1"):
+        with pytest.raises(ValueError, match=bad):
+            resolve_pattern(bad, A)
     with pytest.raises(TypeError):
         resolve_pattern(42, A)
 

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from samkit import (
-    SequenceSpec, as_csc, fem_pair_2d, frobenius_norm_diff, helmholtz_sequence,
+    SequenceSpec, as_csc, fem_pair_2d, frobenius_norm_diff,
     laplace2d_dirichlet, matrix_market_read, matrix_market_write,
     point_source_rhs, talbot_shifts,
 )
@@ -72,24 +72,24 @@ def test_laplace2d_rejects_small_grid():
 
 def test_helmholtz_sequence_shifts_diagonal():
     K0, _ = laplace2d_dirichlet(4, 4)
-    seq = helmholtz_sequence(K0, 0.01, 200)
-    assert len(seq) == 200
+    seq = SequenceSpec.helmholtz(4, 4, 0.01, 200).matrices
+    assert len(seq) == 201
     d0 = K0.diagonal()
     for i in (1, 50, 200):
-        di = seq[i - 1].diagonal()
+        di = seq[i].diagonal()
         assert np.allclose(di, d0 - i * 0.01, atol=1e-14)
     off0 = K0 - as_csc(np.diag(d0))
     off200 = seq[-1] - as_csc(np.diag(seq[-1].diagonal()))
     assert frobenius_norm_diff(off0, off200) == 0.0
     with pytest.raises(ValueError):
-        helmholtz_sequence(sp.csc_matrix((3, 4)), 0.01, 2)
+        SequenceSpec.helmholtz(4, 4, -0.01, 2)
 
 
 def test_helmholtz_twentieth_shift_indefinite():
     K0, _ = laplace2d_dirichlet(10, 10)
     evals = np.linalg.eigvalsh(K0.toarray())
     assert abs(evals[0] - 8 * np.sin(np.pi / 22) ** 2) <= 1e-12
-    K20 = helmholtz_sequence(K0, 0.01, 20)[-1]
+    K20 = SequenceSpec.helmholtz(10, 10, 0.01, 20).matrices[20]
     e20 = np.linalg.eigvalsh(K20.toarray())
     assert e20[0] < 0.0 < e20[-1]
 

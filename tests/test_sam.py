@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import samkit.sam
 from samkit import (
-    PreconditionerChain, SparsityPattern, as_csc, compose, compute_map,
-    frobenius_norm_diff, identity, map_residual_norm, matvec, offset_pattern,
-    pattern_of, plan,
+    IlutpFactors, IlutpParams, PreconditionerChain, SparsityPattern, as_csc,
+    compose, compute_map, factor, frobenius_norm_diff, identity,
+    map_residual_norm, matvec, offset_pattern, pattern_of, plan,
 )
 from samkit.sam import _solve_columns, _values
 from helpers import grid_laplacian_triplets, random_pattern, random_sparse
@@ -112,6 +113,13 @@ def test_compute_map_worked_2x2():
     assert abs(map_residual_norm(A_k, m.N, A_ref) - 0.5) <= 1e-14
 
 
+def _first_differing_column(A, B):
+    """First column whose stored rows differ between A and B, by a per-column scan."""
+    return next(j for j in range(A.shape[1])
+                if not np.array_equal(A.indices[A.indptr[j]:A.indptr[j + 1]],
+                                      B.indices[B.indptr[j]:B.indptr[j + 1]]))
+
+
 def test_compute_map_structural_mismatch_names_column():
     rng = np.random.default_rng(1)
     A = random_sparse(6, rng, diag_boost=6.0)
@@ -119,9 +127,30 @@ def test_compute_map_structural_mismatch_names_column():
     dense = A.toarray()
     hole = np.argwhere(dense == 0)
     row, col = hole[-1]
-    B = as_csc(A + sp.csc_matrix(([1.0], ([row], [col])), shape=(6, 6)))
-    with pytest.raises(ValueError, match=f"column: {col}"):
-        compute_map(B, A, pl)
+    added = as_csc(A + sp.csc_matrix(([1.0], ([row], [col])), shape=(6, 6)))
+    rows, cols = pattern_of(A).positions()
+
+    def rebuilt(new_rows, keep):
+        return as_csc(sp.csc_matrix((A.data[keep], (new_rows[keep], cols[keep])), shape=(6, 6)))
+
+    # the second stored entry of column 4 removed
+    every = np.ones(A.nnz, dtype=bool)
+    dropped = every.copy()
+    dropped[A.indptr[4] + 1] = False
+    removed = rebuilt(rows, dropped)
+    # the first stored entry of column `col` moved to the row it lacks: the
+    # column pointers match, only the row indices differ
+    moved_rows = rows.copy()
+    moved_rows[A.indptr[col]] = row
+    moved = rebuilt(moved_rows, every)
+    assert np.array_equal(moved.indptr, A.indptr) and not np.array_equal(moved.indices, A.indices)
+    # both changes: two offending columns, and the first one is named
+    both = rebuilt(moved_rows, dropped)
+    assert col < 4
+    for B, want in ((added, col), (removed, 4), (moved, col), (both, col)):
+        assert _first_differing_column(A, B) == want
+        with pytest.raises(ValueError, match=f"first offending column: {want}$"):
+            compute_map(B, A, pl)
 
 
 def test_compute_map_rank_deficient_minimum_norm():
@@ -303,6 +332,35 @@ def test_compose_shape_mismatch():
 
 
 def test_chain_rejects_unknown_stage():
-    chain = PreconditionerChain([object()])
     with pytest.raises(TypeError):
-        chain.apply(np.ones(2))
+        PreconditionerChain(identity(2), object())
+    with pytest.raises(TypeError):
+        compose(identity(2), object())
+
+
+def test_chain_applies_through_patchable_entry_points(monkeypatch):
+    # a tracer patches samkit.sam.matvec and IlutpFactors.apply_solve; a chain
+    # composed after the patch must call both once per apply
+    rng = np.random.default_rng(13)
+    A = random_sparse(10, rng, diag_boost=10.0)
+    F = factor(A, IlutpParams(lfil=10, droptol=0.0, pivtol=1.0))
+    N = random_sparse(10, rng)
+    matvec0, solve0 = samkit.sam.matvec, IlutpFactors.apply_solve
+    calls = {"matvec": 0, "apply_solve": 0}
+
+    def counting_matvec(*args):
+        calls["matvec"] += 1
+        return matvec0(*args)
+
+    def counting_solve(self, v):
+        calls["apply_solve"] += 1
+        return solve0(self, v)
+
+    monkeypatch.setattr(samkit.sam, "matvec", counting_matvec)
+    monkeypatch.setattr(IlutpFactors, "apply_solve", counting_solve)
+    chain = compose(N, F)
+    v = rng.standard_normal(10)
+    outs = [chain.apply(v) for _ in range(3)]
+    assert calls == {"matvec": 3, "apply_solve": 3}
+    want = matvec0(N, solve0(F, v))
+    assert all(np.array_equal(y, want) for y in outs)
