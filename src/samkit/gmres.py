@@ -120,8 +120,7 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
 
         j = 0
         breakdown = False
-        stop_inner = False
-        while j < m and total_iters < cfg.max_total_iters and not stop_inner:
+        while j < m and total_iters < cfg.max_total_iters:
             w = apply_A(apply_M(V[:, j]))
             wnorm = float(np.linalg.norm(w))
             Vj = V[:, :j + 1]
@@ -141,10 +140,8 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
                 break
             H[:j + 1, j] = h
             H[j + 1, j] = hnext
-            if hnext <= HAPPY_BREAKDOWN * beta:
-                breakdown = True
-                stop_inner = True
-            else:
+            breakdown = hnext <= HAPPY_BREAKDOWN * beta
+            if not breakdown:
                 V[:, j + 1] = w / hnext
 
             for i in range(j):
@@ -160,8 +157,8 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
             rel = abs(g[j + 1]) / bnorm
             history.append(rel)
             j += 1
-            if rel <= cfg.rel_tol:
-                stop_inner = True
+            if breakdown or rel <= cfg.rel_tol:
+                break
 
         # an exactly zero pivot (breakdown on a singular operator) leaves only
         # the leading block solvable; the update stops there and x stays finite

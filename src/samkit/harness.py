@@ -146,8 +146,11 @@ def run_sequence(spec: SequenceSpec, strategy: Strategy, ilutp_params: ilutp.Ilu
 
     A failed factorization of the first system raises.  Any later one is
     recorded as ``prec_failed`` and the previous operator is kept, so the run
-    continues.
+    continues.  An event past the last system raises before any work.
     """
+    late = [i for i, _ in strategy.events if i >= len(spec)]
+    if late:
+        raise ValueError(f"strategy event at index {late[0]} lies past the sequence of {len(spec)} systems")
     b = spec.rhs
     report = SequenceReport()
 
@@ -300,10 +303,10 @@ def _parse_rhs(seq, n):
         # a Matrix Market vector, as `samkit gen` writes, or one value per line
         with open(path) as fh:
             banner = fh.readline().startswith("%%MatrixMarket")
-        vec = matrix_market_read(path).toarray().ravel() if banner else np.loadtxt(path, ndmin=1)
-        if vec.shape != (n,):
+        vec = matrix_market_read(path).toarray() if banner else np.loadtxt(path, ndmin=1)
+        if vec.shape != ((n, 1) if banner else (n,)):
             raise ConfigError(f"sequence.rhs: file holds shape {vec.shape}, systems have size {n}")
-        return vec
+        return vec.ravel()
     raise ConfigError(f"sequence.rhs: unknown source {src!r}")
 
 

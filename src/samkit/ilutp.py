@@ -99,6 +99,18 @@ def _keep_largest(cols, vals, limit):
     return order[:limit]
 
 
+def _rows_to_csc(cols, vals, diag, perm):
+    """CSC factor from its kept rows: off-diagonal original columns and values, plus the diagonal."""
+    # positions of kept entries are final: later swaps only touch positions
+    # beyond the storing row
+    indptr = np.concatenate(([0], np.cumsum([c.size + 1 for c in cols])))
+    indices = np.concatenate([np.append(perm[c], i) for i, c in enumerate(cols)])
+    data = np.concatenate([np.append(v, d) for v, d in zip(vals, diag)])
+    T = sp.csr_matrix((data, indices, indptr), shape=(len(cols), len(cols))).tocsc()
+    T.sort_indices()
+    return T
+
+
 def factor(A, params: IlutpParams = IlutpParams()) -> IlutpFactors:
     """Dual-threshold pivoted incomplete factorization of a square sparse matrix."""
     A = as_csc(A)
@@ -149,30 +161,27 @@ def factor(A, params: IlutpParams = IlutpParams()) -> IlutpFactors:
             w[c] = 0
             if abs(fact) < tnorm or fact == 0:
                 continue
+            # row p < ii of U is already stored
             ucols = urow_cols[p]
-            if ucols is not None and ucols.size:
-                uvals = urow_vals[p]
-                fresh = ucols[~present[ucols]]
-                w[ucols] -= fact * uvals
-                if fresh.size:
-                    present[fresh] = True
-                    touched.extend(int(c2) for c2 in fresh)
-                    for c2 in fresh:
-                        if perm[c2] < ii:
-                            heapq.heappush(heap, (int(perm[c2]), int(c2)))
+            fresh = ucols[~present[ucols]]
+            w[ucols] -= fact * urow_vals[p]
+            if fresh.size:
+                present[fresh] = True
+                touched.extend(int(c2) for c2 in fresh)
+                for c2 in fresh:
+                    if perm[c2] < ii:
+                        heapq.heappush(heap, (int(perm[c2]), int(c2)))
             lcols.append(c)
             lvals.append(fact)
 
-        # split the surviving entries into diagonal candidate and upper part
-        ucand = np.array([c for c in touched if present[c]], dtype=np.int64)
+        # split the surviving entries into diagonal candidate and upper part;
+        # w is zero wherever no entry is present
         diag_col = iperm[ii]
-        diag_val = w[diag_col] if (ucand.size and present[diag_col]) else dtype.type(0)
-        upper = ucand[ucand != diag_col]
+        diag_val = w[diag_col]
+        upper = np.array([c for c in touched if present[c] and c != diag_col], dtype=np.int64)
         upper_vals = w[upper]
-        if upper.size:
-            keep = np.abs(upper_vals) >= tnorm
-            upper = upper[keep]
-            upper_vals = upper_vals[keep]
+        keep = np.abs(upper_vals) >= tnorm
+        upper, upper_vals = upper[keep], upper_vals[keep]
 
         # pivot: largest upper entry beats the diagonal candidate when scaled by pivtol
         if upper.size:
@@ -184,10 +193,8 @@ def factor(A, params: IlutpParams = IlutpParams()) -> IlutpFactors:
                 perm[diag_col], perm[swap_col] = pos_swap, ii
                 iperm[ii] = swap_col
                 iperm[pos_swap] = diag_col
-                mask = np.ones(upper.size, dtype=bool)
-                mask[best] = False
-                new_upper = upper[mask]
-                new_vals = upper_vals[mask]
+                new_upper = np.delete(upper, best)
+                new_vals = np.delete(upper_vals, best)
                 if abs(diag_val) >= tnorm:  # old candidate joins the upper part
                     new_upper = np.append(new_upper, diag_col)
                     new_vals = np.append(new_vals, diag_val)
@@ -196,8 +203,6 @@ def factor(A, params: IlutpParams = IlutpParams()) -> IlutpFactors:
 
         # NaN fails both comparisons, so a non-finite pivot is refused too
         if not PIVOT_FLOOR <= abs(diag_val) < np.inf:
-            w[np.asarray(touched, dtype=np.int64)] = 0
-            present[np.asarray(touched, dtype=np.int64)] = False
             raise FactorizationError(ii)
 
         udiag[ii] = diag_val
@@ -217,24 +222,6 @@ def factor(A, params: IlutpParams = IlutpParams()) -> IlutpFactors:
         w[reset] = 0
         present[reset] = False
 
-    # assemble in permuted column coordinates; positions of kept entries are
-    # final because later swaps only touch positions beyond the storing row
-    lr, lcn, lvn = [], [], []
-    ur, ucn, uvn = [], [], []
-    for ii in range(n):
-        lr.append(np.full(lrow_cols[ii].size + 1, ii, dtype=np.int64))
-        lcn.append(np.append(perm[lrow_cols[ii]], ii))
-        lvn.append(np.append(lrow_vals[ii], dtype.type(1)))
-        ur.append(np.full(urow_cols[ii].size + 1, ii, dtype=np.int64))
-        ucn.append(np.append(perm[urow_cols[ii]], ii))
-        uvn.append(np.append(urow_vals[ii], udiag[ii]))
-
-    L = sp.csc_matrix(
-        (np.concatenate(lvn), (np.concatenate(lr), np.concatenate(lcn))), shape=(n, n)
-    )
-    U = sp.csc_matrix(
-        (np.concatenate(uvn), (np.concatenate(ur), np.concatenate(ucn))), shape=(n, n)
-    )
-    L.sort_indices()
-    U.sort_indices()
+    L = _rows_to_csc(lrow_cols, lrow_vals, np.ones(n, dtype=dtype), perm)
+    U = _rows_to_csc(urow_cols, urow_vals, udiag, perm)
     return IlutpFactors(L, U, iperm.copy(), params)

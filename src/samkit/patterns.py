@@ -88,18 +88,9 @@ def offset_pattern(n: int, offsets) -> SparsityPattern:
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    offsets = sorted(set(int(o) for o in offsets))
-    rows = []
-    cols = []
-    s = np.arange(n, dtype=np.int64)
-    for o in offsets:
-        r = s + o
-        keep = (r >= 0) & (r < n)
-        rows.append(r[keep])
-        cols.append(s[keep])
-    if not rows:
-        return SparsityPattern(n, n, np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64))
-    return SparsityPattern.from_positions(n, n, np.concatenate(rows), np.concatenate(cols))
+    rows = np.arange(n) + np.array([int(o) for o in offsets], dtype=np.int64)[:, None]
+    keep = (rows >= 0) & (rows < n)
+    return SparsityPattern.from_positions(n, n, rows[keep], np.nonzero(keep)[1])
 
 
 def symbolic_power(P: SparsityPattern, p: int) -> SparsityPattern:

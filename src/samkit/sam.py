@@ -74,14 +74,14 @@ class SamMap:
 
 def _positions(indptr, indices, rows, cols):
     """Position in a square CSC structure of each (rows, cols) entry; nnz where none is stored."""
-    # keys col * n + row are sorted in canonical CSC, so one searchsorted finds
-    # every entry; the closing key n * n exceeds every real key, so a miss past
-    # the last stored entry still has a key to compare against
-    n = indptr.size - 1
-    keys = np.append(np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr)) + indices, n * n)
-    want = np.asarray(cols, dtype=np.int64) * n + rows
-    pos = np.searchsorted(keys, want)
-    return np.where(keys[pos] == want, pos, indptr[-1])
+    if len(rows) == 0:  # scipy answers an empty lookup with a sparse matrix
+        return np.empty(0, dtype=np.int64)
+    # scipy's lookup reads the stored 1-based positions, and a miss reads 0;
+    # ravel makes its (1, k) np.matrix and a 1-D answer alike
+    n, nnz = indptr.size - 1, indptr[-1]
+    at = sp.csc_matrix((np.arange(1, nnz + 1, dtype=np.int64), indices, indptr), shape=(n, n))
+    got = np.asarray(at[rows, cols]).ravel()
+    return np.where(got > 0, got - 1, nnz)
 
 
 def plan(S: SparsityPattern, A, A_ref=None) -> SamPlan:

@@ -4,6 +4,7 @@ import io
 import numpy as np
 import pytest
 
+import samkit.harness
 from samkit import (
     FactorizationError, GmresConfig, IlutpParams, SequenceReport, SequenceSpec,
     Strategy, SystemRecord, compute_map, fem_pair_2d, laplace2d_dirichlet,
@@ -111,6 +112,18 @@ def test_events_reduce_to_reuse_first():
     for a, b in zip(rep_ev.rows, rep_reuse.rows):
         assert a.iterations == b.iterations
         assert a.final_rel_residual == b.final_rel_residual
+
+
+def test_event_past_the_end_raises_before_any_factorization(monkeypatch):
+    spec = small_sweep(count=4)
+    assert len(spec) == 5
+
+    def no_factor(*args, **kwargs):
+        raise AssertionError("factored before the events were checked")
+    monkeypatch.setattr(samkit.harness.ilutp, "factor", no_factor)
+    for events in ([(0, "prec"), (2, "sam"), (50, "sam")], [(0, "prec"), (5, "sam")]):
+        with pytest.raises(ValueError, match=rf"index {events[-1][0]} .* 5 systems"):
+            run_sequence(spec, Strategy.at_events(events), MILD_ILUTP, "ref", FAST_GMRES)
 
 
 def test_run_determinism():
@@ -458,7 +471,10 @@ def test_parse_config_rhs_file(tmp_path):
     garbled.write_text("1\nwhat\n")
     bad_mm = tmp_path / "bad.mtx"
     bad_mm.write_text("%%MatrixMarket matrix array real general\n4 1\n1\n2\n3\n4\n")
-    for path in (tmp_path / "missing.txt", short, garbled, bad_mm):
+    # a matrix with n entries is not a vector
+    square = tmp_path / "square.mtx"
+    matrix_market_write(np.ones((2, 2)), square)
+    for path in (tmp_path / "missing.txt", short, garbled, bad_mm, square):
         cfg.write_text(base + f"rhs = file:{path}\n")
         with pytest.raises(ConfigError):
             parse_config(cfg)

@@ -153,6 +153,14 @@ def test_apply_solve_matches_dense_oracle(complex_factors):
     A = random_sparse(40, rng, diag_boost=0.5, complex_values=complex_factors)
     F = factor(A, IlutpParams(lfil=5, droptol=1e-2, pivtol=1.0))
     assert np.any(F.colperm != np.arange(40))  # the pivoted path is exercised
+    # canonical CSC factors: L unit lower triangular, U upper with a nonzero diagonal
+    for T in (F.L, F.U):
+        assert T.format == "csc" and T.has_canonical_format
+        cols = np.repeat(np.arange(40), np.diff(T.indptr))
+        assert np.all(np.diff(T.indices)[np.diff(cols) == 0] > 0)  # sorted, no duplicates
+    Ld, Ud = F.L.toarray(), F.U.toarray()
+    assert np.array_equal(Ld, np.tril(Ld)) and np.array_equal(np.diag(Ld), np.ones(40))
+    assert np.array_equal(Ud, np.triu(Ud)) and np.all(np.diag(Ud) != 0)
     vectors = [rng.standard_normal(40), rng.standard_normal(40) + 1j * rng.standard_normal(40)]
     for v in vectors:
         got, want = F.apply_solve(v), dense_apply_solve(F, v)

@@ -177,6 +177,17 @@ def test_compute_map_empty_pattern_column():
     # the unmatched reference column contributes its whole norm
     assert abs(m.column_residuals[1] - 2.0) <= 1e-15
     assert abs(m.rel_residual - 2.0 / np.sqrt(5.0)) <= 1e-15
+    # every column degenerate: no block entry to look up, N stores nothing
+    with pytest.warns(UserWarning):
+        pl = plan(offset_pattern(2, []), A)
+    m = compute_map(A, A, pl)
+    assert pl.gather.size == 0 and m.N.nnz == 0
+    assert np.array_equal(m.degenerate_columns, [0, 1])
+    assert m.rel_residual == 1.0
+    # a reference with no stored entries: no reference entry to place
+    empty = as_csc(sp.csc_matrix((2, 2)))
+    m = compute_map(A, empty, plan(pattern_of(A), A, A_ref=empty))
+    assert m.rel_residual == 0.0
 
 
 def test_compute_map_matches_dense_oracle_random():
