@@ -15,6 +15,8 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from .sparse import scalar_dtype
+
 HAPPY_BREAKDOWN = 1e-14
 # a second Gram-Schmidt pass runs when a pass leaves less than this share of
 # the vector's norm (Kahan-Parlett); two passes keep the basis orthogonal to
@@ -64,9 +66,18 @@ def as_operator(op):
     raise TypeError(f"cannot treat {type(op).__name__} as a linear operator")
 
 
+def _in_field(w, dtype):
+    if not np.can_cast(w.dtype, dtype, "same_kind"):
+        raise TypeError(f"gmres: an operand returned {w.dtype} values on a {dtype} run; give it a dtype")
+    return w
+
+
 def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
     """Solve A x = b with right preconditioner M.
 
+    The working field is complex when any of ``A``, ``b``, ``x0`` and ``M``
+    declares a complex ``dtype``; an operand that declares none and returns
+    complex values on a real run raises ``TypeError`` rather than being cast.
     Returns (x, SolveReport).  Convergence means the explicitly recomputed
     residual satisfies ||b - A x|| <= rel_tol * ||b||; the inner recurrence
     value is used to decide when to stop each cycle and is re-verified at
@@ -77,11 +88,11 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
 
     b = np.asarray(b).ravel()
     n = b.shape[0]
-    apply_A = as_operator(A)
-    apply_M = as_operator(M)
-    dtype = np.result_type(np.float64, b.dtype, getattr(A, "dtype", b.dtype))
+    apply_A, apply_M = as_operator(A), as_operator(M)
+    x0 = None if x0 is None else np.asarray(x0)
+    dtype = scalar_dtype(b, *(op for op in (A, M, x0) if getattr(op, "dtype", None) is not None))
 
-    x = np.zeros(n, dtype=dtype) if x0 is None else np.asarray(x0, dtype=dtype).copy()
+    x = np.zeros(n, dtype=dtype) if x0 is None else x0.astype(dtype)
 
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
@@ -101,7 +112,7 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
     true_rel = np.inf
 
     while total_iters < cfg.max_total_iters and not (converged or singular or nonfinite):
-        r = b - apply_A(x)
+        r = _in_field(b - apply_A(x), dtype)
         beta = float(np.linalg.norm(r))
         if beta / bnorm <= cfg.rel_tol:
             true_rel = beta / bnorm
@@ -121,7 +132,7 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
         j = 0
         breakdown = False
         while j < m and total_iters < cfg.max_total_iters:
-            w = apply_A(apply_M(V[:, j]))
+            w = _in_field(apply_A(apply_M(V[:, j])), dtype)
             wnorm = float(np.linalg.norm(w))
             Vj = V[:, :j + 1]
             # (w^H Vj)^H rather than Vj^H w, which would copy the block

@@ -54,6 +54,8 @@ class Strategy:
                     raise ValueError(f"unknown action {act!r}")
         elif self.events:
             raise ValueError(f"strategy {self.kind!r} does not take events")
+        # built once, since action() runs for every system
+        object.__setattr__(self, "_event_actions", {**dict(self.events), 0: RECOMPUTE})
 
     @classmethod
     def recompute_every(cls):
@@ -72,9 +74,7 @@ class Strategy:
         return cls("events", tuple((int(i), str(a)) for i, a in events))
 
     def action(self, k: int) -> str:
-        if k == 0:
-            return RECOMPUTE
-        return dict(self.events).get(k, _DEFAULT_ACTION[self.kind])
+        return self._event_actions.get(k, _DEFAULT_ACTION[self.kind])
 
 
 @dataclass
@@ -154,10 +154,7 @@ def run_sequence(spec: SequenceSpec, strategy: Strategy, ilutp_params: ilutp.Ilu
     b = spec.rhs
     report = SequenceReport()
 
-    A_ref = None
-    P_ref = None
-    current = None
-    current_plan = None
+    A_ref = P_ref = current = S = current_plan = None
 
     for k, A_k in enumerate(spec.matrices):
         A_k = as_csc(A_k)
@@ -168,17 +165,18 @@ def run_sequence(spec: SequenceSpec, strategy: Strategy, ilutp_params: ilutp.Ilu
         if act == RECOMPUTE:
             try:
                 P_ref = ilutp.factor(A_k, ilutp_params)
-                A_ref = A_k
-                current = P_ref
-                current_plan = None
+                A_ref, current = A_k, P_ref
+                S = None  # the pattern is resolved again for the new reference
             except ilutp.FactorizationError:
                 if k == 0:
                     raise
                 event = "prec_failed"
         elif act == COMPUTE_SAM:
-            # a sequence read from files may change structure between systems
-            if current_plan is None or not current_plan.fits(A_k):
+            if S is None:
                 S = resolve_pattern(pattern_choice, A_ref)
+            # one plan serves every pattern, system and reference of its structures;
+            # files may change structure, and a value-dependent pattern its own
+            if current_plan is None or not current_plan.fits(S, A_k, A_ref):
                 current_plan = sam.plan(S, A_k, A_ref=A_ref)
             mapped = sam.compute_map(A_k, A_ref, current_plan, workers=sam_workers)
             current = sam.compose(mapped.N, P_ref)

@@ -67,6 +67,7 @@ class IlutpFactors:
         self.colperm = np.asarray(colperm, dtype=np.int64)
         self.params = params
         self.shape = L.shape
+        self.dtype = np.result_type(L.dtype, U.dtype)
         # checked and pre-factored once, so each apply is two C triangular solves
         self._L_lu = splu(L, **_TRIANGULAR_SPLU)
         self._U_lu = splu(U, **_TRIANGULAR_SPLU)

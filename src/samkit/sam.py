@@ -32,13 +32,16 @@ class SamPlan:
     """Preprocessed per-column index sets for computing maps on a fixed pattern.
 
     For column l, ``cols`` holds the pattern row indices (the unknown
-    positions of column l of the map) and ``rows`` the union of stored-entry
-    rows of the planning matrix's columns referenced by ``cols``; both are
-    stored CSC-style as one index array plus offsets.  ``gather`` holds the
-    position in the matrix's ``data`` (``nnz`` where none is stored) of every
-    entry of each row-major ``rows x cols`` block, block l at
-    ``blk_ptr[l]:blk_ptr[l + 1]``.  The plan is built once per
-    pattern/structure, so a map touches values only.
+    positions of column l of the map) and ``rows`` the union of the
+    stored-entry rows of the matrix's columns that ``cols`` selects and of
+    the reference's column l; both are stored CSC-style as one index array
+    plus offsets.  ``gather`` holds the position in the matrix's ``data``
+    (``nnz`` where none is stored) of every entry of each row-major ``rows x
+    cols`` block, block l at ``blk_ptr[l]:blk_ptr[l + 1]``, and
+    ``ref_gather`` that in the reference's ``data`` of every row-set entry.
+    ``structures`` keeps the pattern, matrix and reference structures these
+    depend on, so a map touches values only and one plan serves every
+    pattern, matrix and reference that it :meth:`fits`.
     """
 
     n: int
@@ -49,17 +52,19 @@ class SamPlan:
     degenerate_columns: np.ndarray
     blk_ptr: np.ndarray = field(repr=False)
     gather: np.ndarray = field(repr=False)
-    struct_indptr: np.ndarray = field(repr=False)
-    struct_indices: np.ndarray = field(repr=False)
+    ref_gather: np.ndarray = field(repr=False)
+    structures: tuple = field(repr=False)
 
     def block_shape(self, l):
         """(rows, cols) sizes of column l's least-squares block."""
         return (int(self.row_ptr[l + 1] - self.row_ptr[l]),
                 int(self.col_ptr[l + 1] - self.col_ptr[l]))
 
-    def fits(self, A) -> bool:
-        """Whether canonical CSC matrix A has the structure the plan was made for."""
-        return np.array_equal(A.indptr, self.struct_indptr) and np.array_equal(A.indices, self.struct_indices)
+    def fits(self, S, A, A_ref) -> bool:
+        """Whether pattern S, matrix A and reference A_ref (canonical CSC) have
+        the structures the plan was made for."""
+        return all(np.array_equal(M.indptr, P.indptr) and np.array_equal(M.indices, P.indices)
+                   for M, P in zip((S, A, A_ref), self.structures))
 
 
 @dataclass
@@ -72,28 +77,28 @@ class SamMap:
     degenerate_columns: np.ndarray
 
 
-def _positions(indptr, indices, rows, cols):
-    """Position in a square CSC structure of each (rows, cols) entry; nnz where none is stored."""
+def _positions(M, rows, cols):
+    """Position in square CSC matrix M's ``data`` of each (rows, cols) entry; nnz where none is stored."""
     if len(rows) == 0:  # scipy answers an empty lookup with a sparse matrix
         return np.empty(0, dtype=np.int64)
     # scipy's lookup reads the stored 1-based positions, and a miss reads 0;
     # ravel makes its (1, k) np.matrix and a 1-D answer alike
-    n, nnz = indptr.size - 1, indptr[-1]
-    at = sp.csc_matrix((np.arange(1, nnz + 1, dtype=np.int64), indices, indptr), shape=(n, n))
+    at = sp.csc_matrix((np.arange(1, M.nnz + 1, dtype=np.int64), M.indices, M.indptr), shape=M.shape)
     got = np.asarray(at[rows, cols]).ravel()
-    return np.where(got > 0, got - 1, nnz)
+    return np.where(got > 0, got - 1, M.nnz)
 
 
 def plan(S: SparsityPattern, A, A_ref=None) -> SamPlan:
-    """Preprocess pattern S against the structure of A.
+    """Preprocess pattern S against the structures of A and of A_ref.
 
-    ``A`` is the structural prototype of the matrices the map will be
-    computed for.  Each column's row set is the union of the stored-entry
-    rows of the A-columns its pattern selects and of the reference matrix's
-    own column, so every least-squares block sees the whole reference
-    column; ``A_ref`` defaults to ``A`` itself.  Columns with an empty
-    pattern get an empty row set and are flagged degenerate.  The position
-    in ``A.data`` of every block entry is found here, once.
+    ``A`` and ``A_ref`` (default ``A`` itself) are the structural prototypes
+    of the matrices and references the map will be computed for.  Each
+    column's row set is the union of the stored-entry rows of the A-columns
+    its pattern selects and of the reference's own column, so every block
+    sees the whole reference column.  Columns with an empty pattern are
+    flagged degenerate; their blocks have no columns.  The position in
+    ``A.data`` of every block entry and in ``A_ref.data`` of every row-set
+    entry is found here, once.
     """
     A = as_csc(A)
     n = A.shape[0]
@@ -111,11 +116,9 @@ def plan(S: SparsityPattern, A, A_ref=None) -> SamPlan:
             stacklevel=2,
         )
 
-    # Row sets for all columns at once: the structural product A * S gives,
-    # per column l, the union of stored rows of the A-columns selected by S.
-    # degenerate columns keep an empty row set: the product drops the masked entries
-    ref_ind = pattern_of(ref).indicator() @ sp.diags((counts > 0).astype(float), format="csc")
-    rows = pattern_of(pattern_of(A).indicator() @ S.indicator() + ref_ind)
+    # Row sets for all columns at once: per column l, the structural product
+    # A * S unites the stored rows of the A-columns S selects; ref adds its own.
+    rows = pattern_of(pattern_of(A).indicator() @ S.indicator() + pattern_of(ref).indicator())
 
     # entry (i, t) of block l is A[rows[i], cols[t]]
     nrow = rows.column_counts()
@@ -123,66 +126,52 @@ def plan(S: SparsityPattern, A, A_ref=None) -> SamPlan:
     blk_ptr = np.concatenate(([0], np.cumsum(sizes)))
     blk = np.repeat(np.arange(n), sizes)
     i, t = np.divmod(np.arange(blk_ptr[-1]) - blk_ptr[blk], counts[blk])
-    gather = _positions(A.indptr, A.indices, rows.indices[rows.indptr[blk] + i], S.indices[S.indptr[blk] + t])
+    gather = _positions(A, rows.indices[rows.indptr[blk] + i], S.indices[S.indptr[blk] + t])
 
+    cols = SparsityPattern(n, n, S.indptr.copy(), S.indices.copy())
     return SamPlan(
-        n=n,
-        col_ptr=S.indptr.copy(),
-        col_idx=S.indices.copy(),
-        row_ptr=rows.indptr,
-        row_idx=rows.indices,
-        degenerate_columns=degenerate,
-        blk_ptr=blk_ptr,
-        gather=gather,
-        struct_indptr=A.indptr.copy(),
-        struct_indices=A.indices.copy(),
+        n=n, col_ptr=cols.indptr, col_idx=cols.indices, row_ptr=rows.indptr, row_idx=rows.indices,
+        degenerate_columns=degenerate, blk_ptr=blk_ptr, gather=gather,
+        ref_gather=_positions(ref, rows.indices, np.repeat(np.arange(n), nrow)),
+        structures=(cols, pattern_of(A), pattern_of(ref)),
     )
 
 
-def _check_structure(A, pl: SamPlan):
-    if not pl.fits(A):
+def _check_fit(A, A_ref, pl: SamPlan):
+    if pl.fits(pl.structures[0], A, A_ref):
+        return
+    for name, M, planned in zip(("matrix", "reference"), (A, A_ref), pl.structures[1:]):
         # both structures are canonical, so their indicators' difference
         # stores exactly the positions that only one of them holds
-        planned = SparsityPattern(pl.n, pl.n, pl.struct_indptr, pl.struct_indices).indicator()
-        j = np.flatnonzero(np.diff((pattern_of(A).indicator() - planned).indptr))[0]
-        raise ValueError(f"matrix structure differs from the plan, first offending column: {j}")
+        changed = np.flatnonzero(np.diff((pattern_of(M).indicator() - planned.indicator()).indptr))
+        if changed.size:
+            raise ValueError(f"{name} structure differs from the plan, first offending column: {changed[0]}")
 
 
 def _values(A, A_ref, pl: SamPlan):
-    """(blocks, rhs, out_sq) in the scalar field of A and A_ref: every block's
-    values, the reference columns placed on the row sets, and per column the
-    squared reference mass its row set cannot reach (it still counts).
-    """
+    """(blocks, rhs) in the scalar field of A and A_ref: every block's values
+    and every row set's reference values, each one gather."""
     zero = np.zeros(1, dtype=scalar_dtype(A, A_ref))
-    blocks = np.append(A.data, zero)[pl.gather]
-    ref_cols = np.repeat(np.arange(pl.n), np.diff(A_ref.indptr))
-    at = _positions(pl.row_ptr, pl.row_idx, A_ref.indices, ref_cols)
-    # the slot past the row sets collects the unreached entries and is never read
-    rhs = np.zeros(pl.row_idx.size + 1, dtype=zero.dtype)
-    rhs[at] = A_ref.data
-    out = at == pl.row_idx.size
-    out_sq = np.bincount(ref_cols[out], np.abs(A_ref.data[out]) ** 2, minlength=pl.n)
-    return blocks, rhs, out_sq
+    return np.append(A.data, zero)[pl.gather], np.append(A_ref.data, zero)[pl.ref_gather]
 
 
-def _solve_columns(lo, hi, pl, blocks, rhs, out_sq, valN, col_res):
+def _solve_columns(lo, hi, pl, blocks, rhs, valN, col_res):
     """Solve the least-squares problems for columns lo..hi-1.
 
-    Results land in preassigned slices of ``valN`` and ``col_res``, so the
-    output is identical no matter how columns are split across workers.
+    A block without entries leaves its unknowns zero, and its residual is the
+    norm of its reference values.  Results land in preassigned slices of ``valN`` and
+    ``col_res``, so the output is identical however columns are split.
     """
     for l in range(lo, hi):
         k0, k1 = pl.col_ptr[l], pl.col_ptr[l + 1]
         r0, r1 = pl.row_ptr[l], pl.row_ptr[l + 1]
-        nrow, ncol = r1 - r0, k1 - k0
-        res_sq = out_sq[l]
-        if nrow and ncol:
-            B = blocks[pl.blk_ptr[l]:pl.blk_ptr[l + 1]].reshape(nrow, ncol)
-            f = rhs[r0:r1]
+        f = rhs[r0:r1]
+        B = blocks[pl.blk_ptr[l]:pl.blk_ptr[l + 1]].reshape(r1 - r0, k1 - k0)
+        if B.size:
             z = sla.lstsq(B, f, cond=RANK_TOL, lapack_driver="gelsy", check_finite=False)[0]
             valN[k0:k1] = z
-            res_sq += float(np.sum(np.abs(B @ z - f) ** 2))
-        col_res[l] = math.sqrt(res_sq)
+            f = B @ z - f
+        col_res[l] = math.sqrt(float(np.sum(np.abs(f) ** 2)))
 
 
 def compute_map(A, A_ref, pl: SamPlan, workers: int = 1) -> SamMap:
@@ -191,21 +180,22 @@ def compute_map(A, A_ref, pl: SamPlan, workers: int = 1) -> SamMap:
     Each column is an independent dense least-squares problem on the plan's
     index sets, solved by a column-pivoted orthogonal factorization with a
     minimum-norm solution on rank-deficient blocks.  A column whose pattern
-    or row set is empty keeps a zero column, and its residual is the norm of
-    the reference column.  The map's values fill slices of the plan's own
-    (canonical) CSC structure, preassigned per column, so the result is
-    bit-identical for any ``workers`` count.
+    is empty keeps a zero column, and its residual is the norm of the
+    reference column.  ``A`` and ``A_ref`` must have the structures the plan
+    was made for; otherwise ``ValueError`` names which of the two differs
+    and its first offending column.  The map's values fill slices of the
+    plan's own (canonical) CSC structure, preassigned per column, so the
+    result is bit-identical for any ``workers`` count.
     """
-    A = as_csc(A)
-    A_ref = as_csc(A_ref)
+    A, A_ref = as_csc(A), as_csc(A_ref)
     if A.shape != (pl.n, pl.n) or A_ref.shape != (pl.n, pl.n):
         raise ValueError(f"compute_map: matrices must be {pl.n}x{pl.n}")
-    _check_structure(A, pl)
+    _check_fit(A, A_ref, pl)
 
-    blocks, rhs, out_sq = _values(A, A_ref, pl)
+    blocks, rhs = _values(A, A_ref, pl)
     valN = np.zeros(pl.col_idx.size, dtype=blocks.dtype)
     col_res = np.zeros(pl.n)
-    args = (pl, blocks, rhs, out_sq, valN, col_res)
+    args = (pl, blocks, rhs, valN, col_res)
 
     workers = max(1, int(workers))
     if workers == 1 or pl.n < 2:
@@ -213,10 +203,7 @@ def compute_map(A, A_ref, pl: SamPlan, workers: int = 1) -> SamMap:
     else:
         bounds = np.linspace(0, pl.n, workers + 1, dtype=int)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_solve_columns, int(bounds[i]), int(bounds[i + 1]), *args)
-                    for i in range(workers)]
-            for fut in futs:
-                fut.result()
+            list(pool.map(lambda lo, hi: _solve_columns(lo, hi, *args), bounds[:-1], bounds[1:]))
 
     N = sp.csc_matrix((valN, pl.col_idx.copy(), pl.col_ptr.copy()), shape=(pl.n, pl.n))
 
@@ -248,7 +235,8 @@ class PreconditionerChain:
     or dense matrix, an object exposing ``apply_solve`` or ``apply``, a
     callable, or None for identity; the chain holds the callable that
     function makes of it.  A chain exposes ``apply``, so a chain is itself a
-    valid ``P`` and compositions nest.  The map is applied through
+    valid ``P`` and compositions nest.  Its ``dtype`` covers ``N`` and ``P``,
+    and is None when ``P`` declares none.  The map is applied through
     :func:`samkit.sparse.matvec`, looked up at every call.
     """
 
@@ -258,6 +246,8 @@ class PreconditionerChain:
         if pshape is not None and self.N.shape[1] != pshape[0]:
             raise ValueError(f"chain: map shape {self.N.shape} incompatible with operator shape {pshape}")
         self.P = as_operator(P)
+        p_dtype = self.N.dtype if P is None else getattr(P, "dtype", None)
+        self.dtype = None if p_dtype is None else np.result_type(self.N.dtype, p_dtype)
 
     def apply(self, v):
         return matvec(self.N, self.P(v))

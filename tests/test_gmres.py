@@ -191,3 +191,24 @@ def test_solve_report_converged_implies_tolerance():
         x, rep = gmres(A, b, config=cfg)
         if rep.converged:
             assert rep.final_rel_residual <= cfg.rel_tol
+
+
+def test_complex_preconditioner_and_start_on_real_system():
+    # a real system solved through complex operands runs in the complex field;
+    # casting to the system's field would drop every imaginary part
+    rng = np.random.default_rng(9)
+    A = random_sparse(12, rng, diag_boost=12.0)
+    b = rng.standard_normal(12)
+    cfg = GmresConfig(restart=12, rel_tol=1e-10, max_total_iters=24)
+    M = as_csc(np.diag(1.0 / A.diagonal()) * (1 + 1j))
+    x0 = 1j * np.ones(12)
+    for kwargs in ({"M": M}, {"M": compose(identity(12), M)}, {"x0": x0}):
+        x, rep = gmres(A, b, config=cfg, **kwargs)
+        assert x.dtype == np.complex128
+        assert rep.converged
+        assert np.linalg.norm(b - A @ x) <= 1e-9 * np.linalg.norm(b)
+    # an operand without a dtype that answers in the complex field is refused
+    with pytest.raises(TypeError, match="complex128 values on a float64 run"):
+        gmres(A, b, M=lambda v: M @ v, config=cfg)
+    with pytest.raises(TypeError, match="complex128 values on a float64 run"):
+        gmres(lambda v: (A @ v) * (1 + 0j), b, config=cfg)

@@ -7,7 +7,7 @@ import pytest
 import samkit.harness
 from samkit import (
     FactorizationError, GmresConfig, IlutpParams, SequenceReport, SequenceSpec,
-    Strategy, SystemRecord, compute_map, fem_pair_2d, laplace2d_dirichlet,
+    Strategy, SystemRecord, as_csc, compute_map, fem_pair_2d, laplace2d_dirichlet,
     matrix_market_write, offset_pattern, parse_config, pattern_of, plan, render_report,
     resolve_pattern, run_sequence, talbot_shifts, write_pattern,
 )
@@ -170,6 +170,55 @@ def test_matrix_files_changing_structure_plans_again(tmp_path):
     A_ref, A_2 = spec.matrices[0], spec.matrices[2]
     want = compute_map(A_2, A_ref, plan(pattern_of(A_ref), A_2, A_ref=A_ref))
     assert rep.rows[2].sam_rel_residual == want.rel_residual
+
+
+def _count_plans(monkeypatch):
+    calls = []
+    plan0 = samkit.sam.plan
+
+    def counting_plan(*args, **kwargs):
+        calls.append(args)
+        return plan0(*args, **kwargs)
+
+    monkeypatch.setattr(samkit.sam, "plan", counting_plan)
+    return calls
+
+
+def test_one_plan_serves_every_reference_of_one_structure(monkeypatch):
+    # recompute at every 4th system, map at the others: four references, one structure
+    spec = small_sweep(count=11)
+    refresh = Strategy.at_events([(k, "prec" if k % 4 == 0 else "sam") for k in range(12)])
+    calls = _count_plans(monkeypatch)
+    rep = run_sequence(spec, refresh, MILD_ILUTP, "ref", FAST_GMRES)
+    assert len(calls) == 1
+    # every map is the one a plan made for its own reference gives
+    for r in rep.rows:
+        if r.prec_event == "sam":
+            A_ref, A_k = spec.matrices[r.index - r.index % 4], spec.matrices[r.index]
+            want = compute_map(A_k, A_ref, plan(pattern_of(A_ref), A_k, A_ref=A_ref))
+            assert r.sam_rel_residual == want.rel_residual
+
+
+def test_pattern_that_changes_with_the_reference_plans_again(monkeypatch):
+    # the sparsified pattern keeps only the diagonal of system 0 and the whole
+    # stencil of system 20, whose diagonal is smaller
+    spec = SequenceSpec.helmholtz(4, 4, 0.05, 21)
+    choice = "sparsified:1:0.3"
+    assert resolve_pattern(choice, spec.matrices[0]) != resolve_pattern(choice, spec.matrices[20])
+    events = Strategy.at_events([(0, "prec"), (1, "sam"), (2, "sam"), (20, "prec"), (21, "sam")])
+    calls = _count_plans(monkeypatch)
+    run_sequence(spec, events, MILD_ILUTP, choice, FAST_GMRES)
+    assert len(calls) == 2
+
+
+def test_complex_reference_preconditioner_on_real_system():
+    # GMRES on the real system 1 runs in the field of the complex factors
+    K, M = fem_pair_2d(6, 6)
+    mats = [as_csc(K + (5 + 3j) * M), as_csc(K)]
+    spec = SequenceSpec("matrix_files", mats, np.zeros(2, dtype=complex), np.ones(K.shape[0]) / 6)
+    for strategy in (Strategy.reuse_first(), Strategy.sam_every()):
+        rep = run_sequence(spec, strategy, MILD_ILUTP, "ref", FAST_GMRES)
+        assert rep.rows[1].converged and rep.rows[1].iterations < 20
 
 
 def _spec_with_bad_system(bad_index):

@@ -164,12 +164,11 @@ def test_compute_map_matches_dense_least_squares(data):
     A = data.draw(csc_matrices((n, n), SMALL_INTS))
     ref = data.draw(csc_matrices((n, n), SMALL_INTS))
     S = data.draw(patterns((n, n)))
-    planned_ref = ref if data.draw(st.booleans()) else None
     with pytest.warns(UserWarning) if np.any(S.column_counts() == 0) else nullcontext():
-        pl = plan(S, A, A_ref=planned_ref)
+        pl = plan(S, A, A_ref=ref)
     m = compute_map(A, ref, pl)
     Ad, refd, Nd = A.toarray(), ref.toarray(), m.N.toarray()
-    blocks, rhs, _ = _values(A, ref, pl)
+    blocks, rhs = _values(A, ref, pl)
     for l in range(n):
         # the plan's gathers against dense indexing
         s, rows = S.column(l), pl.row_idx[pl.row_ptr[l]:pl.row_ptr[l + 1]]

@@ -54,7 +54,9 @@ def test_plan_empty_column_degenerate():
     with pytest.warns(UserWarning):
         pl = plan(S, A)
     assert np.array_equal(pl.degenerate_columns, [1])
-    assert pl.row_ptr[2] - pl.row_ptr[1] == 0
+    # the empty column keeps its reference rows and gets a block with no columns
+    assert np.array_equal(pl.row_idx[pl.row_ptr[1]:pl.row_ptr[2]], [1])
+    assert pl.block_shape(1) == (1, 0)
 
 
 def test_plan_dimension_mismatch():
@@ -72,12 +74,9 @@ def test_plan_rhs_rows_augmentation():
     m = compute_map(A, ref, pl)
     exact = map_residual_norm(A, m.N, ref)
     assert abs(m.rel_residual - exact) <= 1e-14
-    # a plan made for A alone leaves row 2 out; the residual still counts it
-    m_out = compute_map(A, ref, plan(offset_pattern(3, [0]), A))
-    assert abs(m_out.rel_residual - exact) <= 1e-14
-    # a row set left empty by such a plan still counts its reference column
+    # a block whose matrix part stores nothing still counts its reference column
     A = as_csc([[1.0, 0.0], [0.0, 0.0]])
-    m_empty = compute_map(A, identity(2), plan(offset_pattern(2, [0]), A))
+    m_empty = compute_map(A, identity(2), plan(offset_pattern(2, [0]), A, A_ref=identity(2)))
     assert not m_empty.N[:, 1].toarray().any()
     assert np.array_equal(m_empty.column_residuals, [0.0, 1.0])
     assert m_empty.rel_residual == 1 / np.sqrt(2)
@@ -151,6 +150,16 @@ def test_compute_map_structural_mismatch_names_column():
         assert _first_differing_column(A, B) == want
         with pytest.raises(ValueError, match=f"first offending column: {want}$"):
             compute_map(B, A, pl)
+
+
+def test_compute_map_unplanned_reference_names_it():
+    A = as_csc(np.diag([1.0, 2.0, 3.0]))
+    pl = plan(offset_pattern(3, [0]), A)
+    wider = as_csc(np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 5.0, 3.0]]))
+    with pytest.raises(ValueError, match="^reference structure differs from the plan, first offending column: 1$"):
+        compute_map(A, wider, pl)
+    # the reference's values may change; its structure may not
+    assert compute_map(A, 2 * A, pl).rel_residual == 0.0
 
 
 def test_compute_map_rank_deficient_minimum_norm():
@@ -266,11 +275,11 @@ def test_column_decoupling_bitwise():
     S = random_pattern(18, rng)
     pl = plan(S, A, A_ref=ref)
     m = compute_map(A, ref, pl)
-    blocks, rhs, out_sq = _values(A, ref, pl)
+    blocks, rhs = _values(A, ref, pl)
     for l in (0, 5, 17):
         val = np.zeros(pl.col_ptr[-1], dtype=blocks.dtype)
         col_res = np.zeros(pl.n)
-        _solve_columns(l, l + 1, pl, blocks, rhs, out_sq, val, col_res)
+        _solve_columns(l, l + 1, pl, blocks, rhs, val, col_res)
         k0, k1 = pl.col_ptr[l], pl.col_ptr[l + 1]
         assert val[k0:k1].tobytes() == m.N.data[k0:k1].tobytes()
         assert col_res[l] == m.column_residuals[l]
