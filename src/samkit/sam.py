@@ -13,18 +13,28 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .gmres import as_operator
 from .patterns import SparsityPattern, pattern_of
 from .sparse import as_csc, frobenius_norm_diff, matvec, scalar_dtype
 
-# Rank cutoff handed to the column-pivoted orthogonal LS solver; blocks whose
-# triangular factor falls below this relative size get a minimum-norm solution.
+# Singular-value cutoff of the block pseudoinverse, relative to each block's
+# largest singular value; smaller ones count as zero, so rank-deficient blocks
+# get their minimum-norm solution.
 RANK_TOL = 1e-12
+
+
+class ShapeGroup(NamedTuple):
+    """The ``g`` columns whose least-squares blocks share one (rows, cols) shape."""
+
+    columns: np.ndarray
+    blocks: np.ndarray
+    refs: np.ndarray
+    unknowns: np.ndarray
 
 
 @dataclass
@@ -35,10 +45,11 @@ class SamPlan:
     positions of column l of the map) and ``rows`` the union of the
     stored-entry rows of the matrix's columns that ``cols`` selects and of
     the reference's column l; both are stored CSC-style as one index array
-    plus offsets.  ``gather`` holds the position in the matrix's ``data``
-    (``nnz`` where none is stored) of every entry of each row-major ``rows x
-    cols`` block, block l at ``blk_ptr[l]:blk_ptr[l + 1]``, and
-    ``ref_gather`` that in the reference's ``data`` of every row-set entry.
+    plus offsets.  ``groups`` holds one :class:`ShapeGroup` per block shape:
+    the position in the matrix's ``data`` (``nnz`` where none is stored) of
+    every block entry, ``blocks`` ``(g, rows, cols)``; that in the
+    reference's ``data`` of every row-set entry, ``refs`` ``(g, rows)``; and
+    that in the map's ``data`` of every unknown, ``unknowns`` ``(g, cols)``.
     ``structures`` keeps the pattern, matrix and reference structures these
     depend on, so a map touches values only and one plan serves every
     pattern, matrix and reference that it :meth:`fits`.
@@ -50,9 +61,7 @@ class SamPlan:
     row_ptr: np.ndarray
     row_idx: np.ndarray
     degenerate_columns: np.ndarray
-    blk_ptr: np.ndarray = field(repr=False)
-    gather: np.ndarray = field(repr=False)
-    ref_gather: np.ndarray = field(repr=False)
+    groups: list = field(repr=False)
     structures: tuple = field(repr=False)
 
     def block_shape(self, l):
@@ -96,9 +105,9 @@ def plan(S: SparsityPattern, A, A_ref=None) -> SamPlan:
     column's row set is the union of the stored-entry rows of the A-columns
     its pattern selects and of the reference's own column, so every block
     sees the whole reference column.  Columns with an empty pattern are
-    flagged degenerate; their blocks have no columns.  The position in
-    ``A.data`` of every block entry and in ``A_ref.data`` of every row-set
-    entry is found here, once.
+    flagged degenerate; their blocks have no columns.  The columns are
+    grouped by block shape, and the position in ``A.data`` of every block
+    entry and in ``A_ref.data`` of every row-set entry is found here, once.
     """
     A = as_csc(A)
     n = A.shape[0]
@@ -120,19 +129,23 @@ def plan(S: SparsityPattern, A, A_ref=None) -> SamPlan:
     # A * S unites the stored rows of the A-columns S selects; ref adds its own.
     rows = pattern_of(pattern_of(A).indicator() @ S.indicator() + pattern_of(ref).indicator())
 
-    # entry (i, t) of block l is A[rows[i], cols[t]]
-    nrow = rows.column_counts()
-    sizes = nrow * counts
-    blk_ptr = np.concatenate(([0], np.cumsum(sizes)))
-    blk = np.repeat(np.arange(n), sizes)
-    i, t = np.divmod(np.arange(blk_ptr[-1]) - blk_ptr[blk], counts[blk])
-    gather = _positions(A, rows.indices[rows.indptr[blk] + i], S.indices[S.indptr[blk] + t])
+    # entry (i, t) of column l's block is A[rows[i], S[t]]
+    shape_key = rows.column_counts() * (n + 1) + counts
+    groups = []
+    for key in np.unique(shape_key):
+        r, c = divmod(int(key), n + 1)
+        columns = np.flatnonzero(shape_key == key)
+        g = columns.size
+        row_ids = rows.indices[rows.indptr[columns, None] + np.arange(r)]
+        unknowns = S.indptr[columns, None] + np.arange(c)
+        blocks = _positions(A, np.repeat(row_ids, c), np.tile(S.indices[unknowns], r).ravel())
+        refs = _positions(ref, row_ids.ravel(), np.repeat(columns, r))
+        groups.append(ShapeGroup(columns, blocks.reshape(g, r, c), refs.reshape(g, r), unknowns))
 
     cols = SparsityPattern(n, n, S.indptr.copy(), S.indices.copy())
     return SamPlan(
         n=n, col_ptr=cols.indptr, col_idx=cols.indices, row_ptr=rows.indptr, row_idx=rows.indices,
-        degenerate_columns=degenerate, blk_ptr=blk_ptr, gather=gather,
-        ref_gather=_positions(ref, rows.indices, np.repeat(np.arange(n), nrow)),
+        degenerate_columns=degenerate, groups=groups,
         structures=(cols, pattern_of(A), pattern_of(ref)),
     )
 
@@ -148,62 +161,47 @@ def _check_fit(A, A_ref, pl: SamPlan):
             raise ValueError(f"{name} structure differs from the plan, first offending column: {changed[0]}")
 
 
-def _values(A, A_ref, pl: SamPlan):
-    """(blocks, rhs) in the scalar field of A and A_ref: every block's values
-    and every row set's reference values, each one gather."""
-    zero = np.zeros(1, dtype=scalar_dtype(A, A_ref))
-    return np.append(A.data, zero)[pl.gather], np.append(A_ref.data, zero)[pl.ref_gather]
-
-
-def _solve_columns(lo, hi, pl, blocks, rhs, valN, col_res):
-    """Solve the least-squares problems for columns lo..hi-1.
-
-    A block without entries leaves its unknowns zero, and its residual is the
-    norm of its reference values.  Results land in preassigned slices of ``valN`` and
-    ``col_res``, so the output is identical however columns are split.
-    """
-    for l in range(lo, hi):
-        k0, k1 = pl.col_ptr[l], pl.col_ptr[l + 1]
-        r0, r1 = pl.row_ptr[l], pl.row_ptr[l + 1]
-        f = rhs[r0:r1]
-        B = blocks[pl.blk_ptr[l]:pl.blk_ptr[l + 1]].reshape(r1 - r0, k1 - k0)
-        if B.size:
-            z = sla.lstsq(B, f, cond=RANK_TOL, lapack_driver="gelsy", check_finite=False)[0]
-            valN[k0:k1] = z
-            f = B @ z - f
-        col_res[l] = math.sqrt(float(np.sum(np.abs(f) ** 2)))
-
-
 def compute_map(A, A_ref, pl: SamPlan, workers: int = 1) -> SamMap:
     """Minimize ||A N - A_ref||_F over the plan's pattern, column by column.
 
     Each column is an independent dense least-squares problem on the plan's
-    index sets, solved by a column-pivoted orthogonal factorization with a
-    minimum-norm solution on rank-deficient blocks.  A column whose pattern
-    is empty keeps a zero column, and its residual is the norm of the
-    reference column.  ``A`` and ``A_ref`` must have the structures the plan
-    was made for; otherwise ``ValueError`` names which of the two differs
-    and its first offending column.  The map's values fill slices of the
-    plan's own (canonical) CSC structure, preassigned per column, so the
-    result is bit-identical for any ``workers`` count.
+    index sets.  The stacked blocks of one shape group are solved at once
+    through their pseudoinverse, which gives the minimum-norm solution on
+    full-rank, rank-deficient and underdetermined blocks alike.  A column
+    with an empty pattern stays zero, with its reference column's norm as
+    residual; one whose block or reference values are not all finite gets
+    NaN unknowns and a NaN residual.  ``A`` and ``A_ref`` must have the
+    structures the plan was made for; otherwise ``ValueError`` names which
+    of the two differs and its first offending column.  Up to ``workers``
+    threads take whole groups, each filling its own preassigned positions of
+    the plan's (canonical) CSC structure, so the result is bit-identical for
+    any ``workers`` count.
     """
     A, A_ref = as_csc(A), as_csc(A_ref)
     if A.shape != (pl.n, pl.n) or A_ref.shape != (pl.n, pl.n):
         raise ValueError(f"compute_map: matrices must be {pl.n}x{pl.n}")
     _check_fit(A, A_ref, pl)
 
-    blocks, rhs = _values(A, A_ref, pl)
-    valN = np.zeros(pl.col_idx.size, dtype=blocks.dtype)
+    zero = np.zeros(1, dtype=scalar_dtype(A, A_ref))
+    a, ref = np.append(A.data, zero), np.append(A_ref.data, zero)
+    valN = np.zeros(pl.col_idx.size, dtype=a.dtype)
     col_res = np.zeros(pl.n)
-    args = (pl, blocks, rhs, valN, col_res)
 
-    workers = max(1, int(workers))
-    if workers == 1 or pl.n < 2:
-        _solve_columns(0, pl.n, *args)
-    else:
-        bounds = np.linspace(0, pl.n, workers + 1, dtype=int)
+    def solve(g: ShapeGroup):
+        B, f = a[g.blocks], ref[g.refs]
+        # the SVD fails on non-finite values; those columns stay NaN
+        finite = np.isfinite(B).all(axis=(1, 2)) & np.isfinite(f).all(axis=1)
+        z = np.full(g.unknowns.shape, np.nan, dtype=a.dtype)
+        z[finite] = (np.linalg.pinv(B[finite], rcond=RANK_TOL) @ f[finite, :, None])[..., 0]
+        valN[g.unknowns] = z
+        col_res[g.columns] = np.linalg.norm((B @ z[..., None])[..., 0] - f, axis=1)
+
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda lo, hi: _solve_columns(lo, hi, *args), bounds[:-1], bounds[1:]))
+            list(pool.map(solve, pl.groups))
+    else:
+        for g in pl.groups:
+            solve(g)
 
     N = sp.csc_matrix((valN, pl.col_idx.copy(), pl.col_ptr.copy()), shape=(pl.n, pl.n))
 

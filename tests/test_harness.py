@@ -255,6 +255,18 @@ def test_nan_system_falls_back():
     assert not rep.rows[1].converged
 
 
+def test_nan_entry_spoils_only_its_mapped_system():
+    # one NaN entry in system 2 makes NaN columns in its map; that system
+    # stops unconverged at once, and the rest converge
+    spec = SequenceSpec.helmholtz(4, 4, 0.01, 5)
+    spec.matrices[2] = spec.matrices[2].copy()
+    spec.matrices[2].data[5] = np.nan
+    rep = run_sequence(spec, Strategy.sam_every(), MILD_ILUTP, "ref", FAST_GMRES)
+    assert np.isnan(rep.rows[2].sam_rel_residual)
+    assert (rep.rows[2].converged, rep.rows[2].iterations) == (False, 0)
+    assert all(r.converged for r in rep.rows[:2] + rep.rows[3:])
+
+
 def test_factor_failure_at_first_system_always_raises():
     spec = _spec_with_bad_system(0)
     with pytest.raises(FactorizationError):

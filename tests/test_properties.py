@@ -14,7 +14,6 @@ from samkit import (
     matrix_market_write, pattern_intersection, pattern_of, pattern_union, plan,
     read_pattern, shifted_family, write_pattern,
 )
-from samkit.sam import _values
 
 EXAMPLES = settings(max_examples=100, deadline=None)
 
@@ -168,12 +167,17 @@ def test_compute_map_matches_dense_least_squares(data):
         pl = plan(S, A, A_ref=ref)
     m = compute_map(A, ref, pl)
     Ad, refd, Nd = A.toarray(), ref.toarray(), m.N.toarray()
-    blocks, rhs = _values(A, ref, pl)
+    a, r = np.append(A.data, 0), np.append(ref.data, 0)
+    # the plan's group arrays against dense indexing; each column in one group
+    assert np.array_equal(np.sort(np.concatenate([g.columns for g in pl.groups])), np.arange(n))
+    for g in pl.groups:
+        for l, blk, refs, unknowns in zip(*g):
+            s, rows = S.column(l), pl.row_idx[pl.row_ptr[l]:pl.row_ptr[l + 1]]
+            assert np.array_equal(a[blk], Ad[np.ix_(rows, s)])
+            assert np.array_equal(r[refs], refd[rows, l])
+            assert np.array_equal(unknowns, np.arange(pl.col_ptr[l], pl.col_ptr[l + 1]))
     for l in range(n):
-        # the plan's gathers against dense indexing
-        s, rows = S.column(l), pl.row_idx[pl.row_ptr[l]:pl.row_ptr[l + 1]]
-        assert np.array_equal(blocks[pl.blk_ptr[l]:pl.blk_ptr[l + 1]], Ad[np.ix_(rows, s)].ravel())
-        assert np.array_equal(rhs[pl.row_ptr[l]:pl.row_ptr[l + 1]], refd[rows, l])
+        s = S.column(l)
         if s.size and np.linalg.matrix_rank(Ad[:, s]) == s.size:
             z = np.linalg.lstsq(Ad[:, s], refd[:, l], rcond=None)[0]
             assert np.abs(Nd[s, l] - z).max() <= 1e-9 * max(1.0, np.abs(z).max())
@@ -182,3 +186,33 @@ def test_compute_map_matches_dense_least_squares(data):
     else:
         assert m.rel_residual == 0.0
     assert compute_map(A, ref, pl, workers=3).N.data.tobytes() == m.N.data.tobytes()
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_compute_map_complex_repeated_columns_minimum_norm(data):
+    # pattern column l selects columns j1 and j2 of A, which are equal, so
+    # its block is rank deficient; the minimum-norm solution splits the
+    # weight evenly between the two unknowns
+    n = data.draw(st.integers(2, 5))
+    A = data.draw(csc_matrices((n, n), SMALL_INTS)).astype(complex).tolil()
+    ref = data.draw(csc_matrices((n, n), SMALL_INTS)).astype(complex)
+    j1, j2 = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+    re = data.draw(st.lists(SMALL_INTS, min_size=n, max_size=n))
+    im = data.draw(st.lists(SMALL_INTS, min_size=n, max_size=n).filter(any))
+    A[:, j1] = A[:, j2] = (np.array(re) + 1j * np.array(im))[:, None]
+    A = sp.csc_matrix(A)
+    S = data.draw(patterns((n, n)))
+    l = data.draw(st.integers(0, n - 1))
+    extra = data.draw(st.sets(st.integers(0, n - 1), max_size=1))
+    rows, cols = S.positions()
+    keep = cols != l
+    picked = sorted({j1, j2} | extra)
+    S = SparsityPattern.from_positions(n, n, np.append(rows[keep], picked), np.append(cols[keep], [l] * len(picked)))
+    with pytest.warns(UserWarning) if np.any(S.column_counts() == 0) else nullcontext():
+        pl = plan(S, A, A_ref=ref)
+    Nd = compute_map(A, ref, pl).N.toarray()
+    Ad, refd = A.toarray(), ref.toarray()
+    z = np.linalg.lstsq(Ad[:, picked], refd[:, l], rcond=1e-10)[0]
+    assert np.abs(Nd[picked, l] - z).max() <= 1e-9 * max(1.0, np.abs(z).max())
+    assert abs(Nd[j1, l] - Nd[j2, l]) <= 1e-9 * max(1.0, np.abs(z).max())

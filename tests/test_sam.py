@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 import samkit.sam
 from samkit import (
-    IlutpFactors, IlutpParams, PreconditionerChain, SparsityPattern, as_csc,
+    IlutpFactors, IlutpParams, PreconditionerChain, SequenceSpec, SparsityPattern, as_csc,
     compose, compute_map, factor, frobenius_norm_diff, identity,
     map_residual_norm, matvec, offset_pattern, pattern_of, plan,
 )
-from samkit.sam import _solve_columns, _values
+from samkit.sam import RANK_TOL
 from helpers import grid_laplacian_triplets, random_pattern, random_sparse
 
 
@@ -190,7 +191,7 @@ def test_compute_map_empty_pattern_column():
     with pytest.warns(UserWarning):
         pl = plan(offset_pattern(2, []), A)
     m = compute_map(A, A, pl)
-    assert pl.gather.size == 0 and m.N.nnz == 0
+    assert [g.blocks.shape for g in pl.groups] == [(2, 1, 0)] and m.N.nnz == 0
     assert np.array_equal(m.degenerate_columns, [0, 1])
     assert m.rel_residual == 1.0
     # a reference with no stored entries: no reference entry to place
@@ -268,21 +269,91 @@ def test_compute_map_pattern_containment():
     assert is_subset(pattern_of(m.N), S)
 
 
-def test_column_decoupling_bitwise():
+def gelsy_map(A, ref, pl):
+    """Per-column reference solver: column-pivoted QR (LAPACK gelsy) with the
+    rank cutoff RANK_TOL, one block at a time; returns (N dense, column residuals)."""
+    Ad, refd = A.toarray(), ref.toarray()
+    N = np.zeros((pl.n, pl.n), dtype=np.result_type(Ad, refd))
+    res = np.zeros(pl.n)
+    for l in range(pl.n):
+        s = pl.col_idx[pl.col_ptr[l]:pl.col_ptr[l + 1]]
+        r = pl.row_idx[pl.row_ptr[l]:pl.row_ptr[l + 1]]
+        B, f = Ad[np.ix_(r, s)], refd[r, l]
+        if B.size:
+            N[s, l] = sla.lstsq(B, f, cond=RANK_TOL, lapack_driver="gelsy")[0]
+            f = B @ N[s, l] - f
+        res[l] = np.linalg.norm(f)
+    return N, res
+
+
+def gelsy_case(n, rng, complex_values, wide):
+    """Random A, reference and pattern whose columns 0 and 1 have empty blocks.
+
+    With ``wide`` every column of A and of the reference stores two entries
+    in the first five rows and pattern columns select 6-9 rows, so blocks
+    have more unknowns than rows; otherwise they have more rows than unknowns.
+    """
+    def matrix():
+        if not wide:
+            return random_sparse(n, rng, complex_values=complex_values).toarray()
+        D = np.zeros((n, n), dtype=complex if complex_values else float)
+        for j in range(n):
+            v = rng.standard_normal(2) + (1j * rng.standard_normal(2) if complex_values else 0)
+            D[rng.choice(5, size=2, replace=False), j] = v
+        return D
+
+    A, ref = matrix(), matrix()
+    # column 0 selects nothing; column 1 selects only A's empty column 3 and
+    # has no reference entries, so its block has no rows
+    A[:, 3] = 0
+    ref[:, 1] = 0
+    lo, hi = (6, 10) if wide else (1, 4)
+    rows, cols = random_pattern(n, rng, lo, hi).positions()
+    keep = cols > 1
+    S = SparsityPattern.from_positions(n, n, np.append(rows[keep], 3), np.append(cols[keep], 1))
+    return as_csc(A), as_csc(ref), S
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_compute_map_matches_gelsy_reference(complex_values):
     rng = np.random.default_rng(7)
-    A = random_sparse(18, rng, diag_boost=18.0)
-    ref = random_sparse(18, rng, diag_boost=18.0)
-    S = random_pattern(18, rng)
+    shapes = set()
+    for trial in range(6):
+        A, ref, S = gelsy_case(18, rng, complex_values, wide=trial % 2 == 1)
+        with pytest.warns(UserWarning):
+            pl = plan(S, A, A_ref=ref)
+        m = compute_map(A, ref, pl)
+        want, want_res = gelsy_map(A, ref, pl)
+        assert np.abs(m.N.toarray() - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(m.column_residuals - want_res).max() <= 1e-12 * want_res.max()
+        shapes.update(g.blocks.shape[1:] for g in pl.groups)
+    # overdetermined, underdetermined and both kinds of empty block occurred
+    assert any(r > c > 0 for r, c in shapes) and any(0 < r < c for r, c in shapes)
+    assert (0, 1) in shapes and any(r > 0 and c == 0 for r, c in shapes)
+
+
+def test_compute_map_non_finite_values_give_nan_columns():
+    # a NaN in A and an Inf in the reference spoil exactly the columns whose
+    # blocks or reference values hold them: NaN unknowns, NaN residual, no raise
+    mats = SequenceSpec.helmholtz(4, 4, 0.01, 5).matrices
+    A, ref = mats[2].copy(), mats[0].copy()
+    A.data[5] = np.nan
+    S = pattern_of(ref)
     pl = plan(S, A, A_ref=ref)
+    assert np.isnan(compute_map(A, ref, pl).N.data).sum() == 16
+    ref.data[ref.indptr[9]] = np.inf
     m = compute_map(A, ref, pl)
-    blocks, rhs = _values(A, ref, pl)
-    for l in (0, 5, 17):
-        val = np.zeros(pl.col_ptr[-1], dtype=blocks.dtype)
-        col_res = np.zeros(pl.n)
-        _solve_columns(l, l + 1, pl, blocks, rhs, val, col_res)
-        k0, k1 = pl.col_ptr[l], pl.col_ptr[l + 1]
-        assert val[k0:k1].tobytes() == m.N.data[k0:k1].tobytes()
-        assert col_res[l] == m.column_residuals[l]
+    j = np.searchsorted(A.indptr, 5, side="right") - 1  # the column holding the NaN
+    spoiled = np.array([j in S.column(l) or l == 9 for l in range(pl.n)])
+    assert np.array_equal(np.isnan(m.column_residuals), spoiled) and np.isnan(m.rel_residual)
+    nan_cols = np.repeat(np.arange(pl.n), np.diff(m.N.indptr))[np.isnan(m.N.data)]
+    assert np.array_equal(np.unique(nan_cols), np.flatnonzero(spoiled))
+    assert np.isnan(m.N.data).sum() == sum(S.column(l).size for l in np.flatnonzero(spoiled))
+    # the other columns are the map of the finite matrices there
+    finite = compute_map(mats[2], mats[0], pl)
+    keep = ~np.isnan(m.N.data)
+    assert np.allclose(m.N.data[keep], finite.N.data[keep], rtol=1e-12, atol=0)
+    assert np.allclose(m.column_residuals[~spoiled], finite.column_residuals[~spoiled], rtol=1e-12, atol=1e-15)
 
 
 def test_worker_determinism():
