@@ -13,9 +13,8 @@ from .harness import (
 )
 from .ilutp import FactorizationError, IlutpFactors, IlutpParams, factor
 from .patterns import (
-    SparsityPattern, is_subset, offset_pattern, pattern_intersection,
-    pattern_of, pattern_union, read_pattern, sparsified_power, symbolic_power,
-    write_pattern,
+    SparsityPattern, offset_pattern, pattern_of, read_pattern, sparsified_power,
+    symbolic_power, write_pattern,
 )
 from .problems import (
     SequenceSpec, fem_pair_2d, laplace2d_dirichlet,
@@ -25,9 +24,6 @@ from .sam import (
     PreconditionerChain, SamMap, SamPlan, compose, compute_map,
     map_residual_norm, plan,
 )
-from .sparse import (
-    as_csc, frobenius_norm_diff, identity, matvec,
-    shifted_combine, shifted_family,
-)
+from .sparse import as_csc, identity, matvec, shifted_family
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ equals the true residual, so reported iteration counts are comparable across
 preconditioners.
 """
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -31,12 +32,12 @@ class GmresConfig:
     max_total_iters: int = 500
 
     def __post_init__(self):
-        if self.restart < 1:
-            raise ValueError("restart must be at least 1")
-        if self.rel_tol <= 0:
+        if not isinstance(self.restart, numbers.Integral) or self.restart < 1:
+            raise ValueError("restart must be an integer of at least 1")
+        if not self.rel_tol > 0:  # NaN fails too
             raise ValueError("rel_tol must be positive")
-        if self.max_total_iters < 1:
-            raise ValueError("max_total_iters must be at least 1")
+        if not isinstance(self.max_total_iters, numbers.Integral) or self.max_total_iters < 1:
+            raise ValueError("max_total_iters must be an integer of at least 1")
 
 
 @dataclass

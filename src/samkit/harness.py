@@ -112,7 +112,8 @@ def resolve_pattern(choice, A_ref) -> patterns.SparsityPattern:
 
     Accepts a SparsityPattern directly, or one of the string forms
     ``ref``, ``diag``, ``tridiag``, ``power:P``, ``sparsified:P:TAU``,
-    ``offsets:o1,o2,...``, ``file:PATH``.
+    ``offsets:o1,o2,...``.  A pattern file is passed as the SparsityPattern
+    :func:`samkit.patterns.read_pattern` returns, as ``[pattern] kind = file`` does.
     """
     if isinstance(choice, patterns.SparsityPattern):
         return choice
@@ -135,8 +136,6 @@ def resolve_pattern(choice, A_ref) -> patterns.SparsityPattern:
         return patterns.sparsified_power(A_ref, int(p), float(tau))
     if name == "offsets":
         return patterns.offset_pattern(n, [int(tok) for tok in arg.split(",")])
-    if name == "file":
-        return patterns.read_pattern(arg)
     raise ValueError(f"unknown pattern choice {choice!r}")
 
 

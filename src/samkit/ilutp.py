@@ -13,6 +13,7 @@ lower triangular and U upper triangular with a nonzero diagonal.
 """
 
 import heapq
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +45,9 @@ class IlutpParams:
     pivtol: float = 1.0
 
     def __post_init__(self):
-        if self.lfil < 0:
-            raise ValueError("lfil must be nonnegative")
-        if self.droptol < 0:
+        if not isinstance(self.lfil, numbers.Integral) or self.lfil < 0:
+            raise ValueError("lfil must be a nonnegative integer")
+        if not self.droptol >= 0:  # NaN fails too
             raise ValueError("droptol must be nonnegative")
         if not 0.0 <= self.pivtol <= 1.0:
             raise ValueError("pivtol must lie in [0, 1]")
@@ -61,11 +62,10 @@ _TRIANGULAR_SPLU = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0,
 class IlutpFactors:
     """Factors L, U and the column permutation such that A[:, colperm] ~ L U."""
 
-    def __init__(self, L, U, colperm, params):
+    def __init__(self, L, U, colperm):
         self.L = L
         self.U = U
         self.colperm = np.asarray(colperm, dtype=np.int64)
-        self.params = params
         self.shape = L.shape
         self.dtype = np.result_type(L.dtype, U.dtype)
         # checked and pre-factored once, so each apply is two C triangular solves
@@ -225,4 +225,4 @@ def factor(A, params: IlutpParams = IlutpParams()) -> IlutpFactors:
 
     L = _rows_to_csc(lrow_cols, lrow_vals, np.ones(n, dtype=dtype), perm)
     U = _rows_to_csc(urow_cols, urow_vals, udiag, perm)
-    return IlutpFactors(L, U, iperm.copy(), params)
+    return IlutpFactors(L, U, iperm.copy())

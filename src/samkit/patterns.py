@@ -6,6 +6,14 @@ import scipy.sparse as sp
 from .sparse import as_csc
 
 
+def _indices(a) -> np.ndarray:
+    """``a`` as int64 indices; non-integer values raise instead of truncating."""
+    a = np.asarray(a)
+    if a.size and a.dtype.kind not in "iu":
+        raise ValueError(f"indices must be integers, not {a.dtype}")
+    return a.astype(np.int64, copy=False)
+
+
 class SparsityPattern:
     """Per-column sorted row-index sets, stored as CSC structure without values."""
 
@@ -14,8 +22,8 @@ class SparsityPattern:
     def __init__(self, nrows, ncols, indptr, indices):
         self.nrows = int(nrows)
         self.ncols = int(ncols)
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int64)
+        self.indptr = _indices(indptr)
+        self.indices = _indices(indices)
         if self.indptr.shape != (self.ncols + 1,) or self.indptr[0] != 0:
             raise ValueError("bad column pointer array")
         if self.indptr[-1] != self.indices.size or np.any(np.diff(self.indptr) < 0):
@@ -31,8 +39,7 @@ class SparsityPattern:
     @classmethod
     def from_positions(cls, nrows, ncols, rows, cols) -> "SparsityPattern":
         """Build from (row, col) pairs in any order; duplicates collapse."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
+        rows, cols = _indices(rows), _indices(cols)
         if rows.size:
             if rows.min() < 0 or rows.max() >= nrows or cols.min() < 0 or cols.max() >= ncols:
                 raise ValueError("position out of range")
@@ -53,10 +60,10 @@ class SparsityPattern:
         cols = np.repeat(np.arange(self.ncols, dtype=np.int64), self.column_counts())
         return self.indices.copy(), cols
 
-    def indicator(self, dtype=np.float64) -> sp.csc_matrix:
+    def indicator(self) -> sp.csc_matrix:
         """All-ones CSC matrix on this pattern (for structural products)."""
         return sp.csc_matrix(
-            (np.ones(self.nnz, dtype=dtype), self.indices.copy(), self.indptr.copy()),
+            (np.ones(self.nnz), self.indices.copy(), self.indptr.copy()),
             shape=(self.nrows, self.ncols),
         )
 
@@ -117,7 +124,7 @@ def sparsified_power(A, p: int, tau: float) -> SparsityPattern:
     A = as_csc(A)
     if A.shape[0] != A.shape[1]:
         raise ValueError("sparsified_power needs a square matrix")
-    if tau < 0:
+    if not tau >= 0:  # NaN fails too
         raise ValueError("tau must be nonnegative")
     if tau == 0:
         return symbolic_power(pattern_of(A), p)
@@ -133,27 +140,6 @@ def sparsified_power(A, p: int, tau: float) -> SparsityPattern:
     coo = Ap.tocoo()
     return SparsityPattern.from_positions(A.shape[0], A.shape[1],
                                           coo.row[keep], coo.col[keep])
-
-
-def _check_dims(P: SparsityPattern, Q: SparsityPattern):
-    if (P.nrows, P.ncols) != (Q.nrows, Q.ncols):
-        raise ValueError(f"pattern dimension mismatch {P.nrows}x{P.ncols} vs {Q.nrows}x{Q.ncols}")
-
-
-def pattern_union(P: SparsityPattern, Q: SparsityPattern) -> SparsityPattern:
-    _check_dims(P, Q)
-    return pattern_of(P.indicator() + Q.indicator())
-
-
-def pattern_intersection(P: SparsityPattern, Q: SparsityPattern) -> SparsityPattern:
-    _check_dims(P, Q)
-    return pattern_of(P.indicator().multiply(Q.indicator()))
-
-
-def is_subset(P: SparsityPattern, Q: SparsityPattern) -> bool:
-    """True when every position of P also appears in Q."""
-    _check_dims(P, Q)
-    return pattern_intersection(P, Q).nnz == P.nnz
 
 
 def write_pattern(P: SparsityPattern, path):

@@ -245,8 +245,8 @@ class SequenceSpec:
         return cls("matrix_files", mats, shifts, point_source_rhs(mats[0].shape[0]))
 
 
-def point_source_rhs(n: int, index=None) -> np.ndarray:
-    """Unit-norm vector with a single nonzero, centered by default."""
+def point_source_rhs(n: int) -> np.ndarray:
+    """Unit-norm vector with a single nonzero, at the centre index n // 2."""
     b = np.zeros(n)
-    b[n // 2 if index is None else index] = 1.0
+    b[n // 2] = 1.0
     return b

@@ -17,10 +17,11 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .gmres import as_operator
 from .patterns import SparsityPattern, pattern_of
-from .sparse import as_csc, frobenius_norm_diff, matvec, scalar_dtype
+from .sparse import REAL, as_csc, matvec, scalar_dtype
 
 # Singular-value cutoff of the block pseudoinverse, relative to each block's
 # largest singular value; smaller ones count as zero, so rank-deficient blocks
@@ -150,6 +151,11 @@ def plan(S: SparsityPattern, A, A_ref=None) -> SamPlan:
     )
 
 
+def _ldexp(x, e):
+    """x times 2**e[i] at each leading index i, exactly; a complex x scales both parts."""
+    return np.ldexp(x.view(REAL), e.reshape((-1,) + (1,) * (x.ndim - 1))).view(x.dtype)
+
+
 def _check_fit(A, A_ref, pl: SamPlan):
     if pl.fits(pl.structures[0], A, A_ref):
         return
@@ -167,15 +173,17 @@ def compute_map(A, A_ref, pl: SamPlan, workers: int = 1) -> SamMap:
     Each column is an independent dense least-squares problem on the plan's
     index sets.  The stacked blocks of one shape group are solved at once
     through their pseudoinverse, which gives the minimum-norm solution on
-    full-rank, rank-deficient and underdetermined blocks alike.  A column
-    with an empty pattern stays zero, with its reference column's norm as
-    residual; one whose block or reference values are not all finite gets
-    NaN unknowns and a NaN residual.  ``A`` and ``A_ref`` must have the
-    structures the plan was made for; otherwise ``ValueError`` names which
-    of the two differs and its first offending column.  Up to ``workers``
-    threads take whole groups, each filling its own preassigned positions of
-    the plan's (canonical) CSC structure, so the result is bit-identical for
-    any ``workers`` count.
+    full-rank, rank-deficient and underdetermined blocks alike.  Each block
+    and its reference are first scaled by the power of two that brings their
+    largest entry into [0.5, 1), which is exact, so blocks near either end of
+    the float range keep finite unknowns.  A column with an empty pattern
+    stays zero, with its reference column's norm as residual; one whose block
+    or reference values are not all finite gets NaN unknowns and a NaN
+    residual.  ``A`` and ``A_ref`` must have the structures the plan was made
+    for; otherwise ``ValueError`` names which of the two differs and its
+    first offending column.  Up to ``workers`` threads take whole groups,
+    each filling its own preassigned positions of the plan's (canonical) CSC
+    structure, so the result is bit-identical for any ``workers`` count.
     """
     A, A_ref = as_csc(A), as_csc(A_ref)
     if A.shape != (pl.n, pl.n) or A_ref.shape != (pl.n, pl.n):
@@ -189,12 +197,17 @@ def compute_map(A, A_ref, pl: SamPlan, workers: int = 1) -> SamMap:
 
     def solve(g: ShapeGroup):
         B, f = a[g.blocks], ref[g.refs]
-        # the SVD fails on non-finite values; those columns stay NaN
-        finite = np.isfinite(B).all(axis=(1, 2)) & np.isfinite(f).all(axis=1)
+        # the largest real or imaginary part of each block and its reference:
+        # the SVD fails on non-finite values, so those columns stay NaN, and its
+        # exponent scales the rest, so that no magnitude overflows
+        top = np.maximum(np.abs(B.view(REAL)).max(axis=(1, 2), initial=0),
+                         np.abs(f.view(REAL)).max(axis=1, initial=0))
+        finite, e = np.isfinite(top), np.frexp(top)[1]
+        B, f = _ldexp(B, -e), _ldexp(f, -e)
         z = np.full(g.unknowns.shape, np.nan, dtype=a.dtype)
         z[finite] = (np.linalg.pinv(B[finite], rcond=RANK_TOL) @ f[finite, :, None])[..., 0]
         valN[g.unknowns] = z
-        col_res[g.columns] = np.linalg.norm((B @ z[..., None])[..., 0] - f, axis=1)
+        col_res[g.columns] = np.ldexp(np.linalg.norm((B @ z[..., None])[..., 0] - f, axis=1), e)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -205,8 +218,11 @@ def compute_map(A, A_ref, pl: SamPlan, workers: int = 1) -> SamMap:
 
     N = sp.csc_matrix((valN, pl.col_idx.copy(), pl.col_ptr.copy()), shape=(pl.n, pl.n))
 
-    ref_norm = float(np.linalg.norm(A_ref.data))
-    total = float(np.linalg.norm(col_res))
+    # both norms on the reference's power-of-two scale: their ratio keeps every
+    # bit, and neither overflows nor underflows
+    e = np.frexp(np.abs(A_ref.data.view(REAL)).max(initial=0))[1]
+    ref_norm = float(np.linalg.norm(_ldexp(A_ref.data, -e)))
+    total = float(np.linalg.norm(np.ldexp(col_res, -e)))
     rel = total / ref_norm if ref_norm > 0 else (0.0 if total == 0 else math.inf)
     return SamMap(N=N, rel_residual=rel, column_residuals=col_res,
                   degenerate_columns=pl.degenerate_columns.copy())
@@ -220,10 +236,11 @@ def map_residual_norm(A, N, A_ref) -> float:
     """
     if A.shape[1] != N.shape[0] or A.shape[0] != A_ref.shape[0] or N.shape[1] != A_ref.shape[1]:
         raise ValueError("map_residual_norm: incompatible dimensions")
-    ref_norm = frobenius_norm_diff(A_ref)
+    A_ref = as_csc(A_ref)
+    ref_norm = spla.norm(A_ref)
     if ref_norm == 0:
         raise ValueError("reference matrix has zero norm, relative residual undefined")
-    return frobenius_norm_diff(as_csc(A) @ as_csc(N), A_ref) / ref_norm
+    return spla.norm(as_csc(A) @ as_csc(N) - A_ref) / ref_norm
 
 
 class PreconditionerChain:

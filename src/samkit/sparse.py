@@ -37,11 +37,6 @@ def as_csc(A) -> sp.csc_matrix:
     return M
 
 
-def _check_same_shape(A, B, op: str):
-    if A.shape != B.shape:
-        raise ValueError(f"{op}: shape mismatch {A.shape} vs {B.shape}")
-
-
 def matvec(A, x: np.ndarray) -> np.ndarray:
     """y = A x, computed by scipy's ``A.dot`` after a length check.
 
@@ -73,7 +68,8 @@ def shifted_family(alphas, E, A) -> list:
     most two terms, so each value is exactly ``alpha * e + a``, and all
     members share one dtype, the scalar field of ``alphas``, ``E`` and ``A``.
     """
-    _check_same_shape(E, A, "shifted_family")
+    if E.shape != A.shape:
+        raise ValueError(f"shifted_family: shape mismatch {E.shape} vs {A.shape}")
     alphas = np.asarray(alphas)
     if alphas.ndim != 1 or not np.all(np.isfinite(alphas)):
         raise ValueError("shifted_family: alphas must be a 1-D sequence of finite values")
@@ -108,24 +104,5 @@ def shifted_family(alphas, E, A) -> list:
     return family
 
 
-def shifted_combine(alpha, E, A) -> sp.csc_matrix:
-    """alpha * E + A with the union of both sparsity patterns stored.
-
-    The one-member case of :func:`shifted_family`: positions whose sum
-    cancels (including alpha = 0) stay in the pattern as stored zeros, and
-    the ``indices``/``indptr`` pair is read-only.
-    """
-    return shifted_family([alpha], E, A)[0]
-
-
-def frobenius_norm_diff(A, B=None) -> float:
-    """Frobenius norm of A - B (or of A when B is omitted)."""
-    if B is None:
-        return float(np.linalg.norm(as_csc(A).data))
-    _check_same_shape(A, B, "frobenius_norm_diff")
-    D = as_csc(A) - as_csc(B)
-    return float(np.linalg.norm(D.data))
-
-
-def identity(n: int, dtype=REAL) -> sp.csc_matrix:
-    return sp.identity(n, dtype=dtype, format="csc")
+def identity(n: int) -> sp.csc_matrix:
+    return sp.identity(n, format="csc")

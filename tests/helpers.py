@@ -1,5 +1,6 @@
 """Random sparse matrices and patterns shared by the test modules."""
 
+import numpy as np
 import scipy.sparse as sp
 
 from samkit import as_csc
@@ -34,6 +35,13 @@ def random_pattern(n, rng, lo=3, hi=8):
         rows.extend(rng.choice(n, size=k, replace=False))
         cols.extend([j] * k)
     return SparsityPattern.from_positions(n, n, rows, cols)
+
+
+def pattern_to_bool(P):
+    """Dense boolean matrix, True at every position of pattern P."""
+    D = np.zeros((P.nrows, P.ncols), dtype=bool)
+    D[P.positions()] = True
+    return D
 
 
 def grid_laplacian_triplets(nx, ny):

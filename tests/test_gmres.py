@@ -14,6 +14,15 @@ def test_config_validation():
         GmresConfig(max_total_iters=0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"rel_tol": np.nan}, {"restart": 2.5}, {"restart": np.nan}, {"max_total_iters": 2.5},
+])
+def test_config_rejects_nan_and_non_integers(kwargs):
+    # a NaN rel_tol never converged, and a fractional restart failed deep in the solve
+    with pytest.raises(ValueError):
+        GmresConfig(**kwargs)
+
+
 def test_identity_converges_in_one_iteration():
     b = np.array([1.0, -2.0, 3.0])
     x, rep = gmres(identity(3), b)

@@ -65,7 +65,8 @@ def test_resolve_pattern_forms(tmp_path):
     P = offset_pattern(6, [0, 1])
     path = tmp_path / "p.txt"
     write_pattern(P, path)
-    assert resolve_pattern(f"file:{path}", A) == P
+    with pytest.raises(ValueError, match="unknown pattern choice"):
+        resolve_pattern(f"file:{path}", A)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[sequence]\nkind = helmholtz_sweep\nnx = 2\nny = 3\ncount = 1\n"
                    f"[pattern]\nkind = file\npath = {path}\n")
@@ -378,6 +379,8 @@ def test_parse_config_rejections(tmp_path):
     small = "[sequence]\nkind = helmholtz_sweep\nnx = 3\nny = 3\ncount = 2\n"
     wrong_size = tmp_path / "p4.txt"
     write_pattern(offset_pattern(4, [0]), wrong_size)
+    fractional = tmp_path / "p_fractional.txt"
+    fractional.write_text("9 9 1\n0.7 1\n")
     bad.update({
         "negative_lfil": small + "[ilutp]\nlfil = -1\n",
         "bad_droptol": small + "[ilutp]\ndroptol = abc\n",
@@ -385,6 +388,12 @@ def test_parse_config_rejections(tmp_path):
         "removed_gmres_key": small + "[gmres]\nreorthogonalize = true\n",
         "power_out_of_range": small + "[pattern]\nkind = power\np = 9\n",
         "bad_tau": small + "[pattern]\nkind = sparsified\ntau = x\n",
+        "nan_tau": small + "[pattern]\nkind = sparsified\ntau = nan\n",
+        "nan_droptol": small + "[ilutp]\ndroptol = nan\n",
+        "fractional_lfil": small + "[ilutp]\nlfil = 2.5\n",
+        "nan_rel_tol": small + "[gmres]\nrel_tol = nan\n",
+        "fractional_restart": small + "[gmres]\nrestart = 2.5\n",
+        "fractional_pattern_index": small + f"[pattern]\nkind = file\npath = {fractional}\n",
         "missing_pattern_file": small + "[pattern]\nkind = file\npath = nowhere.txt\n",
         "pattern_file_wrong_size": small + f"[pattern]\nkind = file\npath = {wrong_size}\n",
     })

@@ -31,6 +31,15 @@ def test_params_validation():
         IlutpParams(pivtol=1.5)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"droptol": np.nan}, {"pivtol": np.nan}, {"lfil": 2.5}, {"lfil": 2.0}, {"lfil": np.nan},
+])
+def test_params_reject_nan_and_non_integers(kwargs):
+    # a NaN droptol kept only U's diagonal, and a fractional lfil failed deep in the factor
+    with pytest.raises(ValueError):
+        IlutpParams(**kwargs)
+
+
 def test_diagonal_matrix():
     A = as_csc(np.diag([3.0, -2.0, 5.0]))
     F = factor(A, IlutpParams())

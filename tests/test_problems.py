@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from samkit import (
-    SequenceSpec, as_csc, fem_pair_2d, frobenius_norm_diff,
+    SequenceSpec, as_csc, fem_pair_2d,
     laplace2d_dirichlet, matrix_market_read, matrix_market_write,
     point_source_rhs, talbot_shifts,
 )
@@ -33,7 +34,7 @@ def test_laplace2d_boundary_rhs():
 
 def test_laplace2d_symmetric_positive_definite():
     K, _ = laplace2d_dirichlet(8, 7)
-    assert frobenius_norm_diff(K, as_csc(K.T)) == 0.0
+    assert spla.norm(K - K.T) == 0.0
     evals = np.linalg.eigvalsh(K.toarray())
     assert evals[0] > 0.0
 
@@ -80,7 +81,7 @@ def test_helmholtz_sequence_shifts_diagonal():
         assert np.allclose(di, d0 - i * 0.01, atol=1e-14)
     off0 = K0 - as_csc(np.diag(d0))
     off200 = seq[-1] - as_csc(np.diag(seq[-1].diagonal()))
-    assert frobenius_norm_diff(off0, off200) == 0.0
+    assert spla.norm(off0 - off200) == 0.0
     with pytest.raises(ValueError):
         SequenceSpec.helmholtz(4, 4, -0.01, 2)
 
@@ -97,7 +98,7 @@ def test_helmholtz_twentieth_shift_indefinite():
 def test_fem_pair_constant_kappa_matches_laplacian():
     K, M = fem_pair_2d(5, 4)
     L, _ = laplace2d_dirichlet(5, 4)
-    assert frobenius_norm_diff(K, L) <= 1e-14
+    assert spla.norm(K - L) <= 1e-14
     hx, hy = 1.0 / 6.0, 1.0 / 5.0
     assert M.nnz == 20
     assert np.allclose(M.diagonal(), hx * hy)
@@ -106,7 +107,7 @@ def test_fem_pair_constant_kappa_matches_laplacian():
 def test_fem_pair_symmetric_variable_kappa():
     kappa = lambda x, y: 1.0 + 3.0 * x + y * y
     K, M = fem_pair_2d(6, 6, kappa)
-    assert frobenius_norm_diff(K, as_csc(K.T)) <= 1e-14
+    assert spla.norm(K - K.T) <= 1e-14
     assert np.all(M.diagonal() > 0)
 
 
@@ -366,5 +367,4 @@ def test_sequence_spec_validation():
 def test_point_source_rhs():
     b = point_source_rhs(9)
     assert b[4] == 1.0 and np.linalg.norm(b) == 1.0
-    b2 = point_source_rhs(9, index=0)
-    assert b2[0] == 1.0
+    assert point_source_rhs(8)[4] == 1.0

@@ -1,4 +1,4 @@
-"""Property tests: file round trips, pattern set algebra, shifted families and maps on random inputs."""
+"""Property tests: file round trips, pattern construction, shifted families and maps on random inputs."""
 
 from contextlib import nullcontext
 
@@ -10,10 +10,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from samkit import (
-    SparsityPattern, compute_map, is_subset, map_residual_norm, matrix_market_read,
-    matrix_market_write, pattern_intersection, pattern_of, pattern_union, plan,
-    read_pattern, shifted_family, write_pattern,
+    SparsityPattern, compute_map, map_residual_norm, matrix_market_read,
+    matrix_market_write, pattern_of, plan, read_pattern, shifted_family, write_pattern,
 )
+from helpers import pattern_to_bool
 
 EXAMPLES = settings(max_examples=100, deadline=None)
 
@@ -43,12 +43,6 @@ def csc_matrices(draw, shape=None, values=VALUES):
     return sp.csc_matrix((data, P.indices, P.indptr), shape=(P.nrows, P.ncols))
 
 
-def pattern_to_bool(P):
-    D = np.zeros((P.nrows, P.ncols), dtype=bool)
-    D[P.positions()] = True
-    return D
-
-
 @EXAMPLES
 @given(A=csc_matrices())
 @example(A=sp.csc_matrix((2, 3), dtype=np.complex128))
@@ -68,21 +62,6 @@ def test_pattern_file_round_trip(P, tmp_path_factory):
     path = tmp_path_factory.mktemp("pattern") / "p.txt"
     write_pattern(P, path)
     assert read_pattern(path) == P
-
-
-@EXAMPLES
-@given(data=st.data())
-def test_pattern_set_algebra_matches_dense_oracle(data):
-    P = data.draw(patterns())
-    Q = data.draw(patterns((P.nrows, P.ncols)))
-    dp, dq = pattern_to_bool(P), pattern_to_bool(Q)
-    if data.draw(st.booleans()):
-        # widen Q to a superset of P, so that is_subset also meets the true case
-        dq |= dp
-        Q = SparsityPattern.from_positions(P.nrows, P.ncols, *np.nonzero(dq))
-    assert np.array_equal(pattern_to_bool(pattern_union(P, Q)), dp | dq)
-    assert np.array_equal(pattern_to_bool(pattern_intersection(P, Q)), dp & dq)
-    assert is_subset(P, Q) == bool(np.all(dq[dp]))
 
 
 def first_unsorted_column(indptr, indices):
@@ -135,8 +114,8 @@ def test_shifted_family_members_are_exact_on_the_union_pattern(data):
         alphas.imag = data.draw(st.lists(FINITE_VALUES, min_size=alphas.size, max_size=alphas.size))
     family = shifted_family(alphas, E, A)
     assert len(family) == alphas.size
-    union = pattern_union(pattern_of(E), pattern_of(A))
     e_mask, a_mask = pattern_to_bool(pattern_of(E)), pattern_to_bool(pattern_of(A))
+    union = SparsityPattern.from_positions(*shape, *np.nonzero(e_mask | a_mask))
     for alpha, C in zip(alphas, family):
         C.check_format(full_check=True)
         assert pattern_of(C) == union
