@@ -13,8 +13,8 @@ from .harness import (
 )
 from .ilutp import FactorizationError, IlutpFactors, IlutpParams, factor
 from .patterns import (
-    SparsityPattern, offset_pattern, pattern_of, read_pattern, sparsified_power,
-    symbolic_power, write_pattern,
+    offset_pattern, pattern_of, read_pattern, sparsified_power, symbolic_power,
+    write_pattern,
 )
 from .problems import (
     SequenceSpec, fem_pair_2d, laplace2d_dirichlet,

@@ -12,6 +12,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import ilutp, patterns, sam
 from .gmres import GmresConfig, gmres
@@ -107,18 +108,19 @@ class SequenceReport:
         return sum(r.iterations for r in self.rows)
 
 
-def resolve_pattern(choice, A_ref) -> patterns.SparsityPattern:
+def resolve_pattern(choice, A_ref) -> sp.csc_matrix:
     """Turn a pattern choice into a concrete pattern for the reference matrix.
 
-    Accepts a SparsityPattern directly, or one of the string forms
-    ``ref``, ``diag``, ``tridiag``, ``power:P``, ``sparsified:P:TAU``,
-    ``offsets:o1,o2,...``.  A pattern file is passed as the SparsityPattern
-    :func:`samkit.patterns.read_pattern` returns, as ``[pattern] kind = file`` does.
+    Accepts a sparse matrix, whose stored positions are the pattern, or one
+    of the string forms ``ref``, ``diag``, ``tridiag``, ``power:P``,
+    ``sparsified:P:TAU``, ``offsets:o1,o2,...``.  A pattern file is passed as
+    the pattern :func:`samkit.patterns.read_pattern` returns, as
+    ``[pattern] kind = file`` does.
     """
-    if isinstance(choice, patterns.SparsityPattern):
-        return choice
+    if sp.issparse(choice):
+        return patterns.pattern_of(choice)
     if not isinstance(choice, str):
-        raise TypeError("pattern choice must be a SparsityPattern or a string")
+        raise TypeError("pattern choice must be a sparse matrix or a string")
     n = A_ref.shape[0]
     name, sep, arg = choice.partition(":")
     if sep and name in ("ref", "diag", "tridiag"):
@@ -130,7 +132,7 @@ def resolve_pattern(choice, A_ref) -> patterns.SparsityPattern:
     if name == "tridiag":
         return patterns.offset_pattern(n, [-1, 0, 1])
     if name == "power":
-        return patterns.symbolic_power(patterns.pattern_of(A_ref), int(arg))
+        return patterns.symbolic_power(A_ref, int(arg))
     if name == "sparsified":
         p, tau = arg.split(":")
         return patterns.sparsified_power(A_ref, int(p), float(tau))
@@ -373,8 +375,8 @@ def _parse_pattern(pt, n):
     pkind = pt.get("kind", "ref")
     if pkind == "file":
         P = patterns.read_pattern(_require("pattern", "path", pt))
-        if (P.nrows, P.ncols) != (n, n):
-            raise ConfigError(f"pattern.path: pattern is {P.nrows}x{P.ncols}, systems have size {n}")
+        if P.shape != (n, n):
+            raise ConfigError(f"pattern.path: pattern is {P.shape[0]}x{P.shape[1]}, systems have size {n}")
         return P
     if pkind == "power":
         choice = f"power:{pt.get('p', '2')}"

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .gmres import as_operator
-from .patterns import SparsityPattern, pattern_of
+from .patterns import pattern_of
 from .sparse import REAL, as_csc, matvec, scalar_dtype
 
 # Singular-value cutoff of the block pseudoinverse, relative to each block's
@@ -98,9 +98,10 @@ def _positions(M, rows, cols):
     return np.where(got > 0, got - 1, M.nnz)
 
 
-def plan(S: SparsityPattern, A, A_ref=None) -> SamPlan:
+def plan(S, A, A_ref=None) -> SamPlan:
     """Preprocess pattern S against the structures of A and of A_ref.
 
+    ``S`` may be any sparse matrix: its stored positions are the pattern.
     ``A`` and ``A_ref`` (default ``A`` itself) are the structural prototypes
     of the matrices and references the map will be computed for.  Each
     column's row set is the union of the stored-entry rows of the A-columns
@@ -110,15 +111,15 @@ def plan(S: SparsityPattern, A, A_ref=None) -> SamPlan:
     grouped by block shape, and the position in ``A.data`` of every block
     entry and in ``A_ref.data`` of every row-set entry is found here, once.
     """
-    A = as_csc(A)
+    S, A = pattern_of(S), as_csc(A)
     n = A.shape[0]
-    if A.shape[0] != A.shape[1] or (S.nrows, S.ncols) != A.shape:
-        raise ValueError(f"plan: pattern {S.nrows}x{S.ncols} does not match matrix {A.shape}")
+    if A.shape[0] != A.shape[1] or S.shape != A.shape:
+        raise ValueError(f"plan: pattern {S.shape[0]}x{S.shape[1]} does not match matrix {A.shape}")
     ref = A if A_ref is None else as_csc(A_ref)
     if ref.shape != A.shape:
         raise ValueError(f"plan: reference shape {ref.shape} does not match matrix {A.shape}")
 
-    counts = S.column_counts()
+    counts = np.diff(S.indptr)
     degenerate = np.flatnonzero(counts == 0)
     if degenerate.size:
         warnings.warn(
@@ -128,10 +129,10 @@ def plan(S: SparsityPattern, A, A_ref=None) -> SamPlan:
 
     # Row sets for all columns at once: per column l, the structural product
     # A * S unites the stored rows of the A-columns S selects; ref adds its own.
-    rows = pattern_of(pattern_of(A).indicator() @ S.indicator() + pattern_of(ref).indicator())
+    rows = pattern_of(pattern_of(A) @ S + pattern_of(ref))
 
     # entry (i, t) of column l's block is A[rows[i], S[t]]
-    shape_key = rows.column_counts() * (n + 1) + counts
+    shape_key = np.diff(rows.indptr).astype(np.int64) * (n + 1) + counts
     groups = []
     for key in np.unique(shape_key):
         r, c = divmod(int(key), n + 1)
@@ -143,11 +144,10 @@ def plan(S: SparsityPattern, A, A_ref=None) -> SamPlan:
         refs = _positions(ref, row_ids.ravel(), np.repeat(columns, r))
         groups.append(ShapeGroup(columns, blocks.reshape(g, r, c), refs.reshape(g, r), unknowns))
 
-    cols = SparsityPattern(n, n, S.indptr.copy(), S.indices.copy())
     return SamPlan(
-        n=n, col_ptr=cols.indptr, col_idx=cols.indices, row_ptr=rows.indptr, row_idx=rows.indices,
+        n=n, col_ptr=S.indptr, col_idx=S.indices, row_ptr=rows.indptr, row_idx=rows.indices,
         degenerate_columns=degenerate, groups=groups,
-        structures=(cols, pattern_of(A), pattern_of(ref)),
+        structures=(S, pattern_of(A), pattern_of(ref)),
     )
 
 
@@ -160,9 +160,9 @@ def _check_fit(A, A_ref, pl: SamPlan):
     if pl.fits(pl.structures[0], A, A_ref):
         return
     for name, M, planned in zip(("matrix", "reference"), (A, A_ref), pl.structures[1:]):
-        # both structures are canonical, so their indicators' difference
-        # stores exactly the positions that only one of them holds
-        changed = np.flatnonzero(np.diff((pattern_of(M).indicator() - planned.indicator()).indptr))
+        # both patterns are canonical, so their difference stores exactly
+        # the positions that only one of them holds
+        changed = np.flatnonzero(np.diff((pattern_of(M) - planned).indptr))
         if changed.size:
             raise ValueError(f"{name} structure differs from the plan, first offending column: {changed[0]}")
 
@@ -236,11 +236,15 @@ def map_residual_norm(A, N, A_ref) -> float:
     """
     if A.shape[1] != N.shape[0] or A.shape[0] != A_ref.shape[0] or N.shape[1] != A_ref.shape[1]:
         raise ValueError("map_residual_norm: incompatible dimensions")
-    A_ref = as_csc(A_ref)
+    # A and A_ref on the power-of-two scale of their largest real or imaginary
+    # part: the ratio keeps every bit, and neither norm overflows or underflows
+    A, A_ref = as_csc(A), as_csc(A_ref)
+    e = np.frexp(max(np.abs(M.data.view(REAL)).max(initial=0) for M in (A, A_ref)))[1]
+    A, A_ref = (sp.csc_matrix((_ldexp(M.data, -e), M.indices, M.indptr), shape=M.shape) for M in (A, A_ref))
     ref_norm = spla.norm(A_ref)
     if ref_norm == 0:
         raise ValueError("reference matrix has zero norm, relative residual undefined")
-    return spla.norm(as_csc(A) @ as_csc(N) - A_ref) / ref_norm
+    return spla.norm(A @ as_csc(N) - A_ref) / ref_norm
 
 
 class PreconditionerChain:

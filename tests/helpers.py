@@ -3,7 +3,7 @@
 import numpy as np
 import scipy.sparse as sp
 
-from samkit import as_csc
+from samkit import as_csc, pattern_of
 
 
 def random_sparse(n, rng, per_col=5, diag_boost=None, complex_values=False):
@@ -28,20 +28,23 @@ def random_sparse(n, rng, per_col=5, diag_boost=None, complex_values=False):
 
 
 def random_pattern(n, rng, lo=3, hi=8):
-    from samkit import SparsityPattern
     rows, cols = [], []
     for j in range(n):
         k = int(rng.integers(lo, hi))
         rows.extend(rng.choice(n, size=k, replace=False))
         cols.extend([j] * k)
-    return SparsityPattern.from_positions(n, n, rows, cols)
+    return pattern_of(sp.csc_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)))
 
 
 def pattern_to_bool(P):
     """Dense boolean matrix, True at every position of pattern P."""
-    D = np.zeros((P.nrows, P.ncols), dtype=bool)
-    D[P.positions()] = True
-    return D
+    return P.toarray() != 0
+
+
+def same_pattern(P, Q):
+    """Whether patterns P and Q have the same shape and positions."""
+    return (P.shape == Q.shape and np.array_equal(P.indptr, Q.indptr)
+            and np.array_equal(P.indices, Q.indices))
 
 
 def grid_laplacian_triplets(nx, ny):

@@ -53,7 +53,7 @@ def test_criterion_2_least_squares_oracle_equivalence():
         m = compute_map(A, ref, pl)
         Ad, refd, Nd = A.toarray(), ref.toarray(), m.N.toarray()
         for j in range(50):
-            s = S.column(j)
+            s = S.indices[S.indptr[j]:S.indptr[j + 1]]
             z = np.linalg.lstsq(Ad[:, s], refd[:, j], rcond=None)[0]
             worst_col = max(worst_col, np.linalg.norm(Nd[s, j] - z) / max(1.0, np.linalg.norm(z)))
             r = pl.row_idx[pl.row_ptr[j]:pl.row_ptr[j + 1]]

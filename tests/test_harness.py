@@ -3,6 +3,7 @@ import io
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import samkit.harness
 from samkit import (
@@ -13,7 +14,7 @@ from samkit import (
 )
 from samkit.harness import ConfigError
 from samkit.cli import main as cli_main
-from helpers import random_sparse
+from helpers import random_sparse, same_pattern
 
 FAST_GMRES = GmresConfig(restart=50, rel_tol=1e-10, max_total_iters=100)
 MILD_ILUTP = IlutpParams(lfil=10, droptol=1e-3, pivtol=1.0)
@@ -56,12 +57,12 @@ def test_strategy_actions():
 def test_resolve_pattern_forms(tmp_path):
     rng = np.random.default_rng(0)
     A = random_sparse(6, rng)
-    assert resolve_pattern("ref", A) == pattern_of(A)
-    assert resolve_pattern("diag", A) == offset_pattern(6, [0])
-    assert resolve_pattern("tridiag", A) == offset_pattern(6, [-1, 0, 1])
-    assert resolve_pattern("offsets:-2,0,2", A) == offset_pattern(6, [-2, 0, 2])
+    assert same_pattern(resolve_pattern("ref", A), pattern_of(A))
+    assert same_pattern(resolve_pattern("diag", A), offset_pattern(6, [0]))
+    assert same_pattern(resolve_pattern("tridiag", A), offset_pattern(6, [-1, 0, 1]))
+    assert same_pattern(resolve_pattern("offsets:-2,0,2", A), offset_pattern(6, [-2, 0, 2]))
     from samkit import symbolic_power
-    assert resolve_pattern("power:2", A) == symbolic_power(pattern_of(A), 2)
+    assert same_pattern(resolve_pattern("power:2", A), symbolic_power(pattern_of(A), 2))
     P = offset_pattern(6, [0, 1])
     path = tmp_path / "p.txt"
     write_pattern(P, path)
@@ -70,8 +71,15 @@ def test_resolve_pattern_forms(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[sequence]\nkind = helmholtz_sweep\nnx = 2\nny = 3\ncount = 1\n"
                    f"[pattern]\nkind = file\npath = {path}\n")
-    assert parse_config(cfg)[3] == P
-    assert resolve_pattern(P, A) is P
+    assert same_pattern(parse_config(cfg)[3], P)
+    # any sparse matrix is a pattern: a valued one with a stored zero, rows
+    # out of order and a duplicated position gives the pattern of its stored entries
+    M = sp.csc_matrix(([2.0, 0.0, -1.0, 4.0, 4.0], [3, 0, 5, 1, 1], [0, 3, 3, 5, 5, 5, 5]), shape=(6, 6))
+    assert not M.has_canonical_format
+    got = resolve_pattern(M, A)
+    assert same_pattern(got, pattern_of(M)) and got.data.tolist() == [1.0] * 4
+    assert np.array_equal(got.indptr, [0, 3, 3, 4, 4, 4, 4]) and np.array_equal(got.indices, [0, 3, 5, 1])
+    assert same_pattern(resolve_pattern(P, A), P)
     for bad in ("nope", "ref:junk", "diag:3", "tridiag:1"):
         with pytest.raises(ValueError, match=bad):
             resolve_pattern(bad, A)
@@ -205,7 +213,8 @@ def test_pattern_that_changes_with_the_reference_plans_again(monkeypatch):
     # stencil of system 20, whose diagonal is smaller
     spec = SequenceSpec.helmholtz(4, 4, 0.05, 21)
     choice = "sparsified:1:0.3"
-    assert resolve_pattern(choice, spec.matrices[0]) != resolve_pattern(choice, spec.matrices[20])
+    assert not same_pattern(resolve_pattern(choice, spec.matrices[0]),
+                            resolve_pattern(choice, spec.matrices[20]))
     events = Strategy.at_events([(0, "prec"), (1, "sam"), (2, "sam"), (20, "prec"), (21, "sam")])
     calls = _count_plans(monkeypatch)
     run_sequence(spec, events, MILD_ILUTP, choice, FAST_GMRES)
@@ -394,6 +403,7 @@ def test_parse_config_rejections(tmp_path):
         "nan_rel_tol": small + "[gmres]\nrel_tol = nan\n",
         "fractional_restart": small + "[gmres]\nrestart = 2.5\n",
         "fractional_pattern_index": small + f"[pattern]\nkind = file\npath = {fractional}\n",
+        "fractional_offset": small + "[pattern]\nkind = offsets\noffsets = -1,0.9\n",
         "missing_pattern_file": small + "[pattern]\nkind = file\npath = nowhere.txt\n",
         "pattern_file_wrong_size": small + f"[pattern]\nkind = file\npath = {wrong_size}\n",
     })

@@ -6,19 +6,24 @@ import scipy.sparse.linalg as spla
 
 import samkit.sam
 from samkit import (
-    IlutpFactors, IlutpParams, PreconditionerChain, SequenceSpec, SparsityPattern, as_csc,
+    IlutpFactors, IlutpParams, PreconditionerChain, SequenceSpec, as_csc,
     compose, compute_map, factor, identity,
-    map_residual_norm, matvec, offset_pattern, pattern_of, plan,
+    map_residual_norm, matvec, offset_pattern, pattern_of, plan, resolve_pattern,
 )
+from samkit.patterns import _from_positions
 from samkit.sam import RANK_TOL
-from helpers import grid_laplacian_triplets, pattern_to_bool, random_pattern, random_sparse
+from helpers import grid_laplacian_triplets, pattern_to_bool, random_pattern, random_sparse, same_pattern
+
+
+def column(S, j):
+    return S.indices[S.indptr[j]:S.indptr[j + 1]]
 
 
 def dense_minnorm_oracle(A_dense, ref_dense, S):
     """Column-by-column minimum-norm least squares on the full dense matrices."""
-    N = np.zeros((S.nrows, S.ncols), dtype=A_dense.dtype)
-    for j in range(S.ncols):
-        s = S.column(j)
+    N = np.zeros(S.shape, dtype=A_dense.dtype)
+    for j in range(S.shape[1]):
+        s = column(S, j)
         if s.size == 0:
             continue
         z, *_ = np.linalg.lstsq(A_dense[:, s], ref_dense[:, j], rcond=None)
@@ -42,7 +47,7 @@ def test_plan_grid_corner_column_row_union():
     S = pattern_of(A)
     pl = plan(S, A)
     # brute-force union of the stencil columns selected by the corner column
-    s0 = S.column(0)
+    s0 = column(S, 0)
     assert np.array_equal(s0, [0, 1, 3])
     want = np.unique(np.concatenate([A.indices[A.indptr[j]:A.indptr[j + 1]] for j in s0]))
     got = pl.row_idx[pl.row_ptr[0]:pl.row_ptr[1]]
@@ -52,13 +57,51 @@ def test_plan_grid_corner_column_row_union():
 
 def test_plan_empty_column_degenerate():
     A = as_csc(np.diag([1.0, 2.0]))
-    S = SparsityPattern.from_positions(2, 2, [0], [0])  # column 1 empty
+    S = _from_positions(2, 2, [0], [0])  # column 1 empty
     with pytest.warns(UserWarning):
         pl = plan(S, A)
     assert np.array_equal(pl.degenerate_columns, [1])
     # the empty column keeps its reference rows and gets a block with no columns
     assert np.array_equal(pl.row_idx[pl.row_ptr[1]:pl.row_ptr[2]], [1])
     assert pl.block_shape(1) == (1, 0)
+
+
+def same_plan(p, q):
+    """Whether plans p and q hold the same index sets and group arrays, dtypes included."""
+    arrays = [(getattr(p, k), getattr(q, k))
+              for k in ("col_ptr", "col_idx", "row_ptr", "row_idx", "degenerate_columns")]
+    arrays += [(a, b) for g, h in zip(p.groups, q.groups) for a, b in zip(g, h)]
+    arrays += [(getattr(M, k), getattr(P, k)) for M, P in zip(p.structures, q.structures)
+               for k in ("indptr", "indices")]
+    return (p.n == q.n and len(p.groups) == len(q.groups)
+            and all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in arrays))
+
+
+def test_plan_takes_any_sparse_matrix_as_pattern():
+    rng = np.random.default_rng(14)
+    A = random_sparse(12, rng, diag_boost=12.0, complex_values=True)
+    ref = random_sparse(12, rng, diag_boost=12.0, complex_values=True)
+    # the valued matrix and its pattern give one plan and one map, bit for bit
+    pl, pl_pattern = plan(A, A, A_ref=ref), plan(pattern_of(A), A, A_ref=ref)
+    assert same_plan(pl, pl_pattern)
+    m, want = compute_map(A, ref, pl), compute_map(A, ref, pl_pattern)
+    assert m.N.data.tobytes() == want.N.data.tobytes()
+    assert m.column_residuals.tobytes() == want.column_residuals.tobytes()
+    # a valued, non-canonical matrix is the pattern of its stored positions:
+    # rows out of order, one duplicated per column, and a stored zero
+    S0 = random_pattern(12, rng)
+    indices, indptr = [], [0]
+    for j in range(12):
+        r = rng.permutation(column(S0, j))
+        indices.extend(np.append(r, r[0]))
+        indptr.append(len(indices))
+    vals = rng.standard_normal(len(indices))
+    vals[0] = 0.0
+    M = sp.csc_matrix((vals, indices, indptr), shape=(12, 12))
+    assert not M.has_canonical_format
+    S = resolve_pattern(M, ref)
+    assert same_pattern(S, pattern_of(M)) and same_pattern(S, S0)
+    assert same_plan(plan(M, A, A_ref=ref), plan(S0, A, A_ref=ref))
 
 
 def test_plan_dimension_mismatch():
@@ -129,7 +172,8 @@ def test_compute_map_structural_mismatch_names_column():
     hole = np.argwhere(dense == 0)
     row, col = hole[-1]
     added = as_csc(A + sp.csc_matrix(([1.0], ([row], [col])), shape=(6, 6)))
-    rows, cols = pattern_of(A).positions()
+    coo = A.tocoo()
+    rows, cols = coo.row, coo.col
 
     def rebuilt(new_rows, keep):
         return as_csc(sp.csc_matrix((A.data[keep], (new_rows[keep], cols[keep])), shape=(6, 6)))
@@ -168,7 +212,7 @@ def test_compute_map_rank_deficient_minimum_norm():
     # column 1 of A is structurally empty, so its unknown must come out zero
     A = as_csc(np.array([[1.0, 0.0], [0.0, 0.0]]))
     ref = identity(2)
-    S = SparsityPattern.from_positions(2, 2, [0, 1, 0, 1], [0, 0, 1, 1])
+    S = _from_positions(2, 2, [0, 1, 0, 1], [0, 0, 1, 1])
     pl = plan(S, A, A_ref=ref)
     m = compute_map(A, ref, pl)
     Nd = m.N.toarray()
@@ -179,7 +223,7 @@ def test_compute_map_rank_deficient_minimum_norm():
 
 def test_compute_map_empty_pattern_column():
     A = as_csc(np.diag([1.0, 2.0]))
-    S = SparsityPattern.from_positions(2, 2, [0], [0])
+    S = _from_positions(2, 2, [0], [0])
     with pytest.warns(UserWarning):
         pl = plan(S, A)
     m = compute_map(A, A, pl)
@@ -238,7 +282,7 @@ def test_compute_map_orthogonality_invariant():
     refd = ref.toarray()
     Nd = m.N.toarray()
     for l in range(20):
-        s = S.column(l)
+        s = column(S, l)
         r = pl.row_idx[pl.row_ptr[l]:pl.row_ptr[l + 1]]
         B = Ad[np.ix_(r, s)]
         resid = B @ Nd[s, l] - refd[r, l]
@@ -252,7 +296,7 @@ def test_compute_map_nested_pattern_monotonicity():
     ref = random_sparse(20, rng, diag_boost=20.0)
     S1 = random_pattern(20, rng, lo=2, hi=4)
     extra = random_pattern(20, rng, lo=1, hi=3)
-    S2 = SparsityPattern.from_positions(20, 20, *np.nonzero(pattern_to_bool(S1) | pattern_to_bool(extra)))
+    S2 = _from_positions(20, 20, *np.nonzero(pattern_to_bool(S1) | pattern_to_bool(extra)))
     res = []
     for S in (S1, S2):
         m = compute_map(A, ref, plan(S, A, A_ref=ref))
@@ -307,9 +351,10 @@ def gelsy_case(n, rng, complex_values, wide):
     A[:, 3] = 0
     ref[:, 1] = 0
     lo, hi = (6, 10) if wide else (1, 4)
-    rows, cols = random_pattern(n, rng, lo, hi).positions()
+    coo = random_pattern(n, rng, lo, hi).tocoo()
+    rows, cols = coo.row, coo.col
     keep = cols > 1
-    S = SparsityPattern.from_positions(n, n, np.append(rows[keep], 3), np.append(cols[keep], 1))
+    S = _from_positions(n, n, np.append(rows[keep], 3), np.append(cols[keep], 1))
     return as_csc(A), as_csc(ref), S
 
 
@@ -363,11 +408,11 @@ def test_compute_map_non_finite_values_give_nan_columns():
     ref.data[ref.indptr[9]] = np.inf
     m = compute_map(A, ref, pl)
     j = np.searchsorted(A.indptr, 5, side="right") - 1  # the column holding the NaN
-    spoiled = np.array([j in S.column(l) or l == 9 for l in range(pl.n)])
+    spoiled = np.array([j in column(S, l) or l == 9 for l in range(pl.n)])
     assert np.array_equal(np.isnan(m.column_residuals), spoiled) and np.isnan(m.rel_residual)
     nan_cols = np.repeat(np.arange(pl.n), np.diff(m.N.indptr))[np.isnan(m.N.data)]
     assert np.array_equal(np.unique(nan_cols), np.flatnonzero(spoiled))
-    assert np.isnan(m.N.data).sum() == sum(S.column(l).size for l in np.flatnonzero(spoiled))
+    assert np.isnan(m.N.data).sum() == sum(column(S, l).size for l in np.flatnonzero(spoiled))
     # the other columns are the map of the finite matrices there
     finite = compute_map(mats[2], mats[0], pl)
     keep = ~np.isnan(m.N.data)
@@ -397,6 +442,20 @@ def test_map_residual_norm_trivial_cases():
         map_residual_norm(A, N, Z)
     with pytest.raises(ValueError):
         map_residual_norm(A, N, identity(3))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e308, 1e-320])
+def test_map_residual_norm_finite_near_the_ends_of_the_float_range(scale):
+    # at 1e308 the sums of squares overflowed to NaN, and at 1e-320 the
+    # reference's norm underflowed to zero; the map itself was finite at both
+    signs = np.array([[1, -1, 1], [-1, 1, 1], [1, 1, -1]], dtype=float)
+    R = np.array([[1, 0.5, -0.25], [0.75, 1, 0.5], [-0.5, 0.25, 1]])
+    A, ref = as_csc(scale * signs), as_csc(scale * R)
+    m = compute_map(A, ref, plan(pattern_of(np.ones((3, 3))), A, A_ref=ref))
+    got = map_residual_norm(A, m.N, ref)
+    assert np.isfinite(got) and got <= 1e-14
+    if scale == 1.0:
+        assert abs(got - m.rel_residual) <= 1e-14
 
 
 def test_compose_identity_map_behaves_like_p():
