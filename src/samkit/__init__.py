@@ -21,8 +21,7 @@ from .problems import (
     matrix_market_read, matrix_market_write, point_source_rhs, talbot_shifts,
 )
 from .sam import (
-    PreconditionerChain, SamMap, SamPlan, compose, compute_map,
-    map_residual_norm, plan,
+    PreconditionerChain, SamMap, SamPlan, compute_map, map_residual_norm, plan,
 )
 from .sparse import as_csc, identity, matvec, shifted_family
 

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from . import ilutp, patterns, sam
 from .gmres import GmresConfig, gmres
 from .problems import SequenceSpec, point_source_rhs, talbot_shifts, fem_pair_2d, matrix_market_read
-from .sparse import as_csc, identity
+from .sparse import as_csc, check_indices, identity
 
 RECOMPUTE = "prec"
 COMPUTE_SAM = "sam"
@@ -147,11 +147,13 @@ def run_sequence(spec: SequenceSpec, strategy: Strategy, ilutp_params: ilutp.Ilu
 
     A failed factorization of the first system raises.  Any later one is
     recorded as ``prec_failed`` and the previous operator is kept, so the run
-    continues.  An event past the last system raises before any work.
+    continues.  An event past the last system, or a matrix with malformed
+    index arrays, raises before any work.
     """
     late = [i for i, _ in strategy.events if i >= len(spec)]
     if late:
         raise ValueError(f"strategy event at index {late[0]} lies past the sequence of {len(spec)} systems")
+    check_indices(*spec.matrices)
     b = spec.rhs
     report = SequenceReport()
 
@@ -180,7 +182,7 @@ def run_sequence(spec: SequenceSpec, strategy: Strategy, ilutp_params: ilutp.Ilu
             if current_plan is None or not current_plan.fits(S, A_k, A_ref):
                 current_plan = sam.plan(S, A_k, A_ref=A_ref)
             mapped = sam.compute_map(A_k, A_ref, current_plan, workers=sam_workers)
-            current = sam.compose(mapped.N, P_ref)
+            current = sam.PreconditionerChain(mapped.N, P_ref)
             sam_rel = mapped.rel_residual
         prec_seconds = time.perf_counter() - t0
 

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .sparse import as_csc
+from .sparse import as_csc, check_indices
 
 PIVOT_FLOOR = 1e-300
 
@@ -107,19 +107,17 @@ def _rows_to_csc(cols, vals, diag, perm):
     indptr = np.concatenate(([0], np.cumsum([c.size + 1 for c in cols])))
     indices = np.concatenate([np.append(perm[c], i) for i, c in enumerate(cols)])
     data = np.concatenate([np.append(v, d) for v, d in zip(vals, diag)])
-    T = sp.csr_matrix((data, indices, indptr), shape=(len(cols), len(cols))).tocsc()
-    T.sort_indices()
-    return T
+    return sp.csr_matrix((data, indices, indptr), shape=(len(cols), len(cols))).tocsc()
 
 
 def factor(A, params: IlutpParams = IlutpParams()) -> IlutpFactors:
     """Dual-threshold pivoted incomplete factorization of a square sparse matrix."""
+    check_indices(A)
     A = as_csc(A)
     n, m = A.shape
     if n != m:
         raise ValueError("factor: matrix must be square")
     R = A.tocsr()  # one-time transposition of the column layout for row access
-    R.sort_indices()
     dtype = R.dtype
 
     lfil = params.lfil

@@ -8,7 +8,7 @@ products of patterns.
 import numpy as np
 import scipy.sparse as sp
 
-from .sparse import as_csc
+from .sparse import as_csc, check_indices
 
 
 def _indices(a) -> np.ndarray:
@@ -22,12 +22,10 @@ def _indices(a) -> np.ndarray:
 def pattern_of(A) -> sp.csc_matrix:
     """Pattern of the stored entries of A, stored zeros included.
 
-    Compressed index arrays that are malformed (row indices out of range,
-    decreasing column pointers) raise ``ValueError`` before scipy's kernels
-    use them.
+    Malformed compressed index arrays raise ``ValueError`` (see
+    :func:`samkit.sparse.check_indices`).
     """
-    if hasattr(A, "check_format"):
-        A.check_format(full_check=True)
+    check_indices(A)
     A = as_csc(A)
     return sp.csc_matrix((np.ones(A.nnz), A.indices.copy(), A.indptr.copy()), shape=A.shape)
 
@@ -89,7 +87,6 @@ def sparsified_power(A, p: int, tau: float) -> sp.csc_matrix:
     for _ in range(p - 1):
         Ap = (Ap @ A).tocsc()
     Ap.sum_duplicates()
-    Ap.sort_indices()
     mags = np.abs(Ap.data)
     keep = mags >= tau * (mags.max() if mags.size else 0.0)
     coo = Ap.tocoo()

@@ -21,7 +21,7 @@ import scipy.sparse.linalg as spla
 
 from .gmres import as_operator
 from .patterns import pattern_of
-from .sparse import REAL, as_csc, matvec, scalar_dtype
+from .sparse import REAL, as_csc, check_indices, matvec, scalar_dtype
 
 # Singular-value cutoff of the block pseudoinverse, relative to each block's
 # largest singular value; smaller ones count as zero, so rank-deficient blocks
@@ -42,38 +42,30 @@ class ShapeGroup(NamedTuple):
 class SamPlan:
     """Preprocessed per-column index sets for computing maps on a fixed pattern.
 
-    For column l, ``cols`` holds the pattern row indices (the unknown
-    positions of column l of the map) and ``rows`` the union of the
-    stored-entry rows of the matrix's columns that ``cols`` selects and of
-    the reference's column l; both are stored CSC-style as one index array
-    plus offsets.  ``groups`` holds one :class:`ShapeGroup` per block shape:
-    the position in the matrix's ``data`` (``nnz`` where none is stored) of
-    every block entry, ``blocks`` ``(g, rows, cols)``; that in the
+    ``structures`` holds the patterns of the map (``S``), the matrix and the
+    reference the plan was made for; ``S``'s index arrays are read-only, and
+    every map of the plan stores its values on them.  ``rows`` is the
+    pattern of the row sets: its column l holds the union of the stored-entry
+    rows of the matrix's columns that column l of ``S`` selects and of the
+    reference's column l.  ``groups`` holds one :class:`ShapeGroup` per block
+    shape: the position in the matrix's ``data`` (``nnz`` where none is
+    stored) of every block entry, ``blocks`` ``(g, rows, cols)``; that in the
     reference's ``data`` of every row-set entry, ``refs`` ``(g, rows)``; and
     that in the map's ``data`` of every unknown, ``unknowns`` ``(g, cols)``.
-    ``structures`` keeps the pattern, matrix and reference structures these
-    depend on, so a map touches values only and one plan serves every
-    pattern, matrix and reference that it :meth:`fits`.
+    So a map touches values only, and one plan serves every pattern, matrix
+    and reference that it :meth:`fits`.
     """
 
     n: int
-    col_ptr: np.ndarray
-    col_idx: np.ndarray
-    row_ptr: np.ndarray
-    row_idx: np.ndarray
     degenerate_columns: np.ndarray
+    rows: sp.csc_matrix = field(repr=False)
     groups: list = field(repr=False)
     structures: tuple = field(repr=False)
-
-    def block_shape(self, l):
-        """(rows, cols) sizes of column l's least-squares block."""
-        return (int(self.row_ptr[l + 1] - self.row_ptr[l]),
-                int(self.col_ptr[l + 1] - self.col_ptr[l]))
 
     def fits(self, S, A, A_ref) -> bool:
         """Whether pattern S, matrix A and reference A_ref (canonical CSC) have
         the structures the plan was made for."""
-        return all(np.array_equal(M.indptr, P.indptr) and np.array_equal(M.indices, P.indices)
+        return all(M.shape == P.shape and _first_change(M, P) is None
                    for M, P in zip((S, A, A_ref), self.structures))
 
 
@@ -84,7 +76,15 @@ class SamMap:
     N: sp.csc_matrix
     rel_residual: float
     column_residuals: np.ndarray
-    degenerate_columns: np.ndarray
+
+
+def _first_change(M, P):
+    """First column where canonical CSC M, of P's shape, stores other positions than pattern P; else None."""
+    if np.array_equal(M.indptr, P.indptr) and np.array_equal(M.indices, P.indices):
+        return None
+    # both are canonical, so their difference stores exactly the positions
+    # that only one of them holds
+    return int(np.flatnonzero(np.diff((pattern_of(M) - P).indptr))[0])
 
 
 def _positions(M, rows, cols):
@@ -111,11 +111,11 @@ def plan(S, A, A_ref=None) -> SamPlan:
     grouped by block shape, and the position in ``A.data`` of every block
     entry and in ``A_ref.data`` of every row-set entry is found here, once.
     """
-    S, A = pattern_of(S), as_csc(A)
+    S, A = pattern_of(S), pattern_of(A)
     n = A.shape[0]
     if A.shape[0] != A.shape[1] or S.shape != A.shape:
         raise ValueError(f"plan: pattern {S.shape[0]}x{S.shape[1]} does not match matrix {A.shape}")
-    ref = A if A_ref is None else as_csc(A_ref)
+    ref = A if A_ref is None else pattern_of(A_ref)
     if ref.shape != A.shape:
         raise ValueError(f"plan: reference shape {ref.shape} does not match matrix {A.shape}")
 
@@ -129,7 +129,7 @@ def plan(S, A, A_ref=None) -> SamPlan:
 
     # Row sets for all columns at once: per column l, the structural product
     # A * S unites the stored rows of the A-columns S selects; ref adds its own.
-    rows = pattern_of(pattern_of(A) @ S + pattern_of(ref))
+    rows = pattern_of(A @ S + ref)
 
     # entry (i, t) of column l's block is A[rows[i], S[t]]
     shape_key = np.diff(rows.indptr).astype(np.int64) * (n + 1) + counts
@@ -144,27 +144,13 @@ def plan(S, A, A_ref=None) -> SamPlan:
         refs = _positions(ref, row_ids.ravel(), np.repeat(columns, r))
         groups.append(ShapeGroup(columns, blocks.reshape(g, r, c), refs.reshape(g, r), unknowns))
 
-    return SamPlan(
-        n=n, col_ptr=S.indptr, col_idx=S.indices, row_ptr=rows.indptr, row_idx=rows.indices,
-        degenerate_columns=degenerate, groups=groups,
-        structures=(S, pattern_of(A), pattern_of(ref)),
-    )
+    S.indices.flags.writeable = S.indptr.flags.writeable = False
+    return SamPlan(n=n, degenerate_columns=degenerate, rows=rows, groups=groups, structures=(S, A, ref))
 
 
 def _ldexp(x, e):
     """x times 2**e[i] at each leading index i, exactly; a complex x scales both parts."""
     return np.ldexp(x.view(REAL), e.reshape((-1,) + (1,) * (x.ndim - 1))).view(x.dtype)
-
-
-def _check_fit(A, A_ref, pl: SamPlan):
-    if pl.fits(pl.structures[0], A, A_ref):
-        return
-    for name, M, planned in zip(("matrix", "reference"), (A, A_ref), pl.structures[1:]):
-        # both patterns are canonical, so their difference stores exactly
-        # the positions that only one of them holds
-        changed = np.flatnonzero(np.diff((pattern_of(M) - planned).indptr))
-        if changed.size:
-            raise ValueError(f"{name} structure differs from the plan, first offending column: {changed[0]}")
 
 
 def compute_map(A, A_ref, pl: SamPlan, workers: int = 1) -> SamMap:
@@ -182,17 +168,23 @@ def compute_map(A, A_ref, pl: SamPlan, workers: int = 1) -> SamMap:
     residual.  ``A`` and ``A_ref`` must have the structures the plan was made
     for; otherwise ``ValueError`` names which of the two differs and its
     first offending column.  Up to ``workers`` threads take whole groups,
-    each filling its own preassigned positions of the plan's (canonical) CSC
-    structure, so the result is bit-identical for any ``workers`` count.
+    each filling its own preassigned positions of ``N.data``, so the result
+    is bit-identical for any ``workers`` count.  ``N`` stores its values on
+    the plan's read-only pattern arrays, so writing its pattern in place
+    raises ``ValueError``; ``N.copy()`` gives it a writeable pattern.
     """
     A, A_ref = as_csc(A), as_csc(A_ref)
     if A.shape != (pl.n, pl.n) or A_ref.shape != (pl.n, pl.n):
         raise ValueError(f"compute_map: matrices must be {pl.n}x{pl.n}")
-    _check_fit(A, A_ref, pl)
+    for name, M, P in zip(("matrix", "reference"), (A, A_ref), pl.structures[1:]):
+        col = _first_change(M, P)
+        if col is not None:
+            raise ValueError(f"{name} structure differs from the plan, first offending column: {col}")
 
     zero = np.zeros(1, dtype=scalar_dtype(A, A_ref))
     a, ref = np.append(A.data, zero), np.append(A_ref.data, zero)
-    valN = np.zeros(pl.col_idx.size, dtype=a.dtype)
+    S = pl.structures[0]
+    valN = np.zeros(S.nnz, dtype=a.dtype)
     col_res = np.zeros(pl.n)
 
     def solve(g: ShapeGroup):
@@ -216,7 +208,7 @@ def compute_map(A, A_ref, pl: SamPlan, workers: int = 1) -> SamMap:
         for g in pl.groups:
             solve(g)
 
-    N = sp.csc_matrix((valN, pl.col_idx.copy(), pl.col_ptr.copy()), shape=(pl.n, pl.n))
+    N = sp.csc_matrix((valN, S.indices, S.indptr), shape=S.shape)
 
     # both norms on the reference's power-of-two scale: their ratio keeps every
     # bit, and neither overflows nor underflows
@@ -224,8 +216,7 @@ def compute_map(A, A_ref, pl: SamPlan, workers: int = 1) -> SamMap:
     ref_norm = float(np.linalg.norm(_ldexp(A_ref.data, -e)))
     total = float(np.linalg.norm(np.ldexp(col_res, -e)))
     rel = total / ref_norm if ref_norm > 0 else (0.0 if total == 0 else math.inf)
-    return SamMap(N=N, rel_residual=rel, column_residuals=col_res,
-                  degenerate_columns=pl.degenerate_columns.copy())
+    return SamMap(N=N, rel_residual=rel, column_residuals=col_res)
 
 
 def map_residual_norm(A, N, A_ref) -> float:
@@ -256,10 +247,12 @@ class PreconditionerChain:
     function makes of it.  A chain exposes ``apply``, so a chain is itself a
     valid ``P`` and compositions nest.  Its ``dtype`` covers ``N`` and ``P``,
     and is None when ``P`` declares none.  The map is applied through
-    :func:`samkit.sparse.matvec`, looked up at every call.
+    :func:`samkit.sparse.matvec`, looked up at every call.  Malformed index
+    arrays of ``N`` or of a compressed ``P`` raise ``ValueError``.
     """
 
     def __init__(self, N, P):
+        check_indices(N, P)
         self.N = as_csc(N)
         pshape = getattr(P, "shape", None)
         if pshape is not None and self.N.shape[1] != pshape[0]:
@@ -274,12 +267,7 @@ class PreconditionerChain:
     __call__ = apply
 
 
-def compose(N, P) -> PreconditionerChain:
-    """Two-stage recycled preconditioner N P: apply P, then multiply by the map N."""
-    return PreconditionerChain(N, P)
-
-
 __all__ = [
     "SamPlan", "SamMap", "plan", "compute_map", "map_residual_norm",
-    "PreconditionerChain", "compose", "RANK_TOL",
+    "PreconditionerChain", "RANK_TOL",
 ]

@@ -6,6 +6,8 @@ indices within each column and summed duplicates; explicitly stored zeros are
 legal and are never pruned by the kernels here.
 """
 
+import copy
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -33,8 +35,20 @@ def as_csc(A) -> sp.csc_matrix:
     if not M.has_canonical_format:
         M = M.copy()
         M.sum_duplicates()
-        M.sort_indices()
     return M
+
+
+def check_indices(*matrices):
+    """Raise ``ValueError`` where a compressed matrix's index arrays are malformed.
+
+    scipy's kernels read them unchecked, and bad ones crash the process or
+    give wrong results.  scipy's full check runs once per distinct
+    ``indices``/``indptr`` pair, so a family sharing one pattern costs one
+    check, and on a shallow copy, since it may swap a matrix's arrays for
+    views or copies.  Operands that are not compressed pass.
+    """
+    for M in {(id(M.indices), id(M.indptr)): M for M in matrices if hasattr(M, "check_format")}.values():
+        copy.copy(M).check_format(full_check=True)
 
 
 def matvec(A, x: np.ndarray) -> np.ndarray:

@@ -56,7 +56,7 @@ def test_criterion_2_least_squares_oracle_equivalence():
             s = S.indices[S.indptr[j]:S.indptr[j + 1]]
             z = np.linalg.lstsq(Ad[:, s], refd[:, j], rcond=None)[0]
             worst_col = max(worst_col, np.linalg.norm(Nd[s, j] - z) / max(1.0, np.linalg.norm(z)))
-            r = pl.row_idx[pl.row_ptr[j]:pl.row_ptr[j + 1]]
+            r = pl.rows.indices[pl.rows.indptr[j]:pl.rows.indptr[j + 1]]
             B = Ad[np.ix_(r, s)]
             resid = B @ Nd[s, j] - refd[r, j]
             orth = np.linalg.norm(B.conj().T @ resid)

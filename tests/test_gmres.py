@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from samkit import GmresConfig, as_csc, compose, gmres, identity
+from samkit import GmresConfig, PreconditionerChain, as_csc, gmres, identity
 from helpers import random_sparse
 
 
@@ -85,7 +85,7 @@ def test_preconditioner_equivalence_identity_compose():
     b = rng.standard_normal(15)
     cfg = GmresConfig(restart=15, rel_tol=1e-10, max_total_iters=60)
     x1, rep1 = gmres(A, b, M=P, config=cfg)
-    x2, rep2 = gmres(A, b, M=compose(identity(15), P), config=cfg)
+    x2, rep2 = gmres(A, b, M=PreconditionerChain(identity(15), P), config=cfg)
     assert rep1.iterations == rep2.iterations
     assert np.array_equal(x1, x2)
 
@@ -211,7 +211,7 @@ def test_complex_preconditioner_and_start_on_real_system():
     cfg = GmresConfig(restart=12, rel_tol=1e-10, max_total_iters=24)
     M = as_csc(np.diag(1.0 / A.diagonal()) * (1 + 1j))
     x0 = 1j * np.ones(12)
-    for kwargs in ({"M": M}, {"M": compose(identity(12), M)}, {"x0": x0}):
+    for kwargs in ({"M": M}, {"M": PreconditionerChain(identity(12), M)}, {"x0": x0}):
         x, rep = gmres(A, b, config=cfg, **kwargs)
         assert x.dtype == np.complex128
         assert rep.converged

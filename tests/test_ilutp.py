@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from samkit import FactorizationError, IlutpParams, as_csc, factor, identity
 from helpers import random_sparse
@@ -206,3 +207,13 @@ def test_factor_requires_square():
     import scipy.sparse as sp
     with pytest.raises(ValueError):
         factor(sp.csc_matrix((2, 3)), IlutpParams())
+
+
+def test_factor_refuses_malformed_index_arrays():
+    bad = sp.csc_matrix((np.ones(5), [0, 5, 1, 2, 2], [0, 2, 3, 5]), shape=(3, 3))
+    with pytest.raises(ValueError, match="indices must be < 3"):
+        factor(bad)
+    bad.indptr[1:] = [3, 2, 5]  # decreasing column pointers
+    bad.indices[1] = 1
+    with pytest.raises(ValueError, match="non-decreasing"):
+        factor(bad)

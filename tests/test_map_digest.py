@@ -1,0 +1,29 @@
+"""tools/map_digest.py runs end to end on a toy workload and prints the same text twice."""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "map_digest.py"
+
+
+def test_map_digest_toy_run_is_complete_and_repeatable():
+    cmd = [sys.executable, str(TOOL), "--workload", "helmholtz-sweep", "--seed", "1", "--toy"]
+    runs = [subprocess.run(cmd, capture_output=True, text=True, check=True).stdout for _ in range(2)]
+    assert runs[0] == runs[1]
+    lines = runs[0].splitlines()
+    assert lines[0] == "workload helmholtz-sweep seed 1 toy systems 7"
+    maps, totals = {}, {}
+    for line in lines[1:]:
+        arm, kind, key, *rest = line.split()
+        if kind == "map":
+            assert int(key) == maps.get(arm, 0) and re.fullmatch("[0-9a-f]{64}", rest[0])
+            maps[arm] = int(key) + 1
+        else:
+            assert kind == "iterations" and not rest and int(key) > 0
+            totals[arm] = int(key)
+    # one line per map: every system but 0 maps in map and map2, and refresh
+    # maps every system but 0 and 4, which it factors
+    assert list(totals) == ["recompute", "reuse", "map", "refresh", "map2"]
+    assert maps == {"map": 6, "refresh": 5, "map2": 6}

@@ -133,10 +133,10 @@ def test_compute_map_matches_dense_least_squares(data):
     assert np.array_equal(np.sort(np.concatenate([g.columns for g in pl.groups])), np.arange(n))
     for g in pl.groups:
         for l, blk, refs, unknowns in zip(*g):
-            s, rows = S.indices[S.indptr[l]:S.indptr[l + 1]], pl.row_idx[pl.row_ptr[l]:pl.row_ptr[l + 1]]
+            s, rows = S.indices[S.indptr[l]:S.indptr[l + 1]], pl.rows.indices[pl.rows.indptr[l]:pl.rows.indptr[l + 1]]
             assert np.array_equal(a[blk], Ad[np.ix_(rows, s)])
             assert np.array_equal(r[refs], refd[rows, l])
-            assert np.array_equal(unknowns, np.arange(pl.col_ptr[l], pl.col_ptr[l + 1]))
+            assert np.array_equal(unknowns, np.arange(*pl.structures[0].indptr[l:l + 2]))
     for l in range(n):
         s = S.indices[S.indptr[l]:S.indptr[l + 1]]
         if s.size and np.linalg.matrix_rank(Ad[:, s]) == s.size:

@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 import samkit.sam
 from samkit import (
     IlutpFactors, IlutpParams, PreconditionerChain, SequenceSpec, as_csc,
-    compose, compute_map, factor, identity,
+    compute_map, factor, identity,
     map_residual_norm, matvec, offset_pattern, pattern_of, plan, resolve_pattern,
 )
 from samkit.patterns import _from_positions
@@ -36,9 +36,9 @@ def test_plan_diagonal_case():
     S = offset_pattern(3, [0])
     pl = plan(S, A)
     for l in range(3):
-        assert np.array_equal(pl.col_idx[pl.col_ptr[l]:pl.col_ptr[l + 1]], [l])
-        assert np.array_equal(pl.row_idx[pl.row_ptr[l]:pl.row_ptr[l + 1]], [l])
-        assert pl.block_shape(l) == (1, 1)
+        assert np.array_equal(column(pl.structures[0], l), [l])
+        assert np.array_equal(column(pl.rows, l), [l])
+        assert pl.groups[0].blocks.shape == (3, 1, 1)
 
 
 def test_plan_grid_corner_column_row_union():
@@ -50,9 +50,10 @@ def test_plan_grid_corner_column_row_union():
     s0 = column(S, 0)
     assert np.array_equal(s0, [0, 1, 3])
     want = np.unique(np.concatenate([A.indices[A.indptr[j]:A.indptr[j + 1]] for j in s0]))
-    got = pl.row_idx[pl.row_ptr[0]:pl.row_ptr[1]]
+    got = column(pl.rows, 0)
     assert np.array_equal(got, want)
-    assert pl.block_shape(0) == (want.size, 3)
+    group = next(g for g in pl.groups if 0 in g.columns)
+    assert group.blocks.shape[1:] == (want.size, 3)
 
 
 def test_plan_empty_column_degenerate():
@@ -62,16 +63,15 @@ def test_plan_empty_column_degenerate():
         pl = plan(S, A)
     assert np.array_equal(pl.degenerate_columns, [1])
     # the empty column keeps its reference rows and gets a block with no columns
-    assert np.array_equal(pl.row_idx[pl.row_ptr[1]:pl.row_ptr[2]], [1])
-    assert pl.block_shape(1) == (1, 0)
+    assert np.array_equal(column(pl.rows, 1), [1])
+    assert [g.blocks.shape for g in pl.groups] == [(1, 1, 0), (1, 1, 1)]
 
 
 def same_plan(p, q):
     """Whether plans p and q hold the same index sets and group arrays, dtypes included."""
-    arrays = [(getattr(p, k), getattr(q, k))
-              for k in ("col_ptr", "col_idx", "row_ptr", "row_idx", "degenerate_columns")]
+    arrays = [(p.degenerate_columns, q.degenerate_columns)]
     arrays += [(a, b) for g, h in zip(p.groups, q.groups) for a, b in zip(g, h)]
-    arrays += [(getattr(M, k), getattr(P, k)) for M, P in zip(p.structures, q.structures)
+    arrays += [(getattr(M, k), getattr(P, k)) for M, P in zip((p.rows, *p.structures), (q.rows, *q.structures))
                for k in ("indptr", "indices")]
     return (p.n == q.n and len(p.groups) == len(q.groups)
             and all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in arrays))
@@ -115,7 +115,7 @@ def test_plan_rhs_rows_augmentation():
     ref = as_csc(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [2.0, 0.0, 1.0]]))
     pl = plan(offset_pattern(3, [0]), A, A_ref=ref)
     # the row set gains the reference column's row 2
-    assert np.array_equal(pl.row_idx[pl.row_ptr[0]:pl.row_ptr[1]], [0, 2])
+    assert np.array_equal(column(pl.rows, 0), [0, 2])
     m = compute_map(A, ref, pl)
     exact = map_residual_norm(A, m.N, ref)
     assert abs(m.rel_residual - exact) <= 1e-14
@@ -227,7 +227,7 @@ def test_compute_map_empty_pattern_column():
     with pytest.warns(UserWarning):
         pl = plan(S, A)
     m = compute_map(A, A, pl)
-    assert np.array_equal(m.degenerate_columns, [1])
+    assert np.array_equal(pl.degenerate_columns, [1])
     assert m.N[:, 1].nnz == 0
     # the unmatched reference column contributes its whole norm
     assert abs(m.column_residuals[1] - 2.0) <= 1e-15
@@ -237,7 +237,7 @@ def test_compute_map_empty_pattern_column():
         pl = plan(offset_pattern(2, []), A)
     m = compute_map(A, A, pl)
     assert [g.blocks.shape for g in pl.groups] == [(2, 1, 0)] and m.N.nnz == 0
-    assert np.array_equal(m.degenerate_columns, [0, 1])
+    assert np.array_equal(pl.degenerate_columns, [0, 1])
     assert m.rel_residual == 1.0
     # a reference with no stored entries: no reference entry to place
     empty = as_csc(sp.csc_matrix((2, 2)))
@@ -283,7 +283,7 @@ def test_compute_map_orthogonality_invariant():
     Nd = m.N.toarray()
     for l in range(20):
         s = column(S, l)
-        r = pl.row_idx[pl.row_ptr[l]:pl.row_ptr[l + 1]]
+        r = column(pl.rows, l)
         B = Ad[np.ix_(r, s)]
         resid = B @ Nd[s, l] - refd[r, l]
         lhs = np.linalg.norm(B.conj().T @ resid)
@@ -319,8 +319,8 @@ def gelsy_map(A, ref, pl):
     N = np.zeros((pl.n, pl.n), dtype=np.result_type(Ad, refd))
     res = np.zeros(pl.n)
     for l in range(pl.n):
-        s = pl.col_idx[pl.col_ptr[l]:pl.col_ptr[l + 1]]
-        r = pl.row_idx[pl.row_ptr[l]:pl.row_ptr[l + 1]]
+        s = column(pl.structures[0], l)
+        r = column(pl.rows, l)
         B, f = Ad[np.ix_(r, s)], refd[r, l]
         if B.size:
             N[s, l] = sla.lstsq(B, f, cond=RANK_TOL, lapack_driver="gelsy")[0]
@@ -431,6 +431,37 @@ def test_worker_determinism():
     assert np.array_equal(m1.N.indices, m5.N.indices)
 
 
+def test_maps_share_the_plans_read_only_pattern():
+    rng = np.random.default_rng(15)
+    A = random_sparse(12, rng, diag_boost=12.0)
+    ref = random_sparse(12, rng, diag_boost=12.0)
+    S = random_pattern(12, rng)
+    pl = plan(S, A, A_ref=ref)
+    P = pl.structures[0]
+    assert not P.indices.flags.writeable and not P.indptr.flags.writeable
+    m1, m2 = compute_map(A, ref, pl), compute_map(2 * A, ref, pl)
+    for m in (m1, m2):
+        assert np.shares_memory(m.N.indices, P.indices) and np.shares_memory(m.N.indptr, P.indptr)
+    assert not np.shares_memory(m1.N.data, m2.N.data)
+    with pytest.raises(ValueError):
+        m1.N.indices[0] = 1
+    own = m1.N.copy()
+    own.indices[0] = own.indices[0]
+    assert own.indices.flags.writeable and not np.shares_memory(own.indices, P.indices)
+    # fits compares shapes and structures; the plan's own copy of S fits like S
+    assert pl.fits(S, A, ref) and pl.fits(P, A, ref)
+    assert not pl.fits(S, A, A) and not pl.fits(S, identity(12), ref)
+    assert not pl.fits(S, A, as_csc(sp.csc_matrix((12, 13))))
+
+
+def test_chain_refuses_malformed_index_arrays():
+    # row 5 of a 3x3 matrix, and the same check for a compressed P
+    bad = sp.csc_matrix((np.ones(5), [0, 5, 1, 2, 2], [0, 2, 3, 5]), shape=(3, 3))
+    for N, P in ((bad, None), (identity(3), bad)):
+        with pytest.raises(ValueError, match="indices must be < 3"):
+            PreconditionerChain(N, P).apply(np.ones(3))
+
+
 def test_map_residual_norm_trivial_cases():
     A = as_csc(np.diag([2.0, 4.0]))
     ref = as_csc(np.diag([1.0, 2.0]))
@@ -461,7 +492,7 @@ def test_map_residual_norm_finite_near_the_ends_of_the_float_range(scale):
 def test_compose_identity_map_behaves_like_p():
     rng = np.random.default_rng(9)
     P = random_sparse(10, rng)
-    chain = compose(identity(10), P)
+    chain = PreconditionerChain(identity(10), P)
     v = rng.standard_normal(10)
     assert np.array_equal(chain.apply(v), matvec(P, v))
 
@@ -469,7 +500,7 @@ def test_compose_identity_map_behaves_like_p():
 def test_compose_identity_operator():
     rng = np.random.default_rng(10)
     N = random_sparse(10, rng)
-    chain = compose(N, None)
+    chain = PreconditionerChain(N, None)
     v = rng.standard_normal(10)
     assert np.array_equal(chain.apply(v), matvec(N, v))
 
@@ -478,7 +509,7 @@ def test_compose_matches_dense_product():
     rng = np.random.default_rng(11)
     N = random_sparse(12, rng)
     P = random_sparse(12, rng)
-    chain = compose(N, P)
+    chain = PreconditionerChain(N, P)
     v = rng.standard_normal(12)
     want = (N.toarray() @ P.toarray()) @ v
     assert np.linalg.norm(chain.apply(v) - want) <= 1e-13 * max(1.0, np.linalg.norm(want))
@@ -489,7 +520,7 @@ def test_compose_nests():
     N1 = random_sparse(9, rng)
     N2 = random_sparse(9, rng)
     P = random_sparse(9, rng)
-    chain = compose(N2, compose(N1, P))
+    chain = PreconditionerChain(N2, PreconditionerChain(N1, P))
     v = rng.standard_normal(9)
     want = N2.toarray() @ (N1.toarray() @ (P.toarray() @ v))
     assert np.allclose(chain.apply(v), want, atol=1e-12)
@@ -497,14 +528,12 @@ def test_compose_nests():
 
 def test_compose_shape_mismatch():
     with pytest.raises(ValueError):
-        compose(identity(3), identity(4))
+        PreconditionerChain(identity(3), identity(4))
 
 
 def test_chain_rejects_unknown_stage():
     with pytest.raises(TypeError):
         PreconditionerChain(identity(2), object())
-    with pytest.raises(TypeError):
-        compose(identity(2), object())
 
 
 def test_chain_applies_through_patchable_entry_points(monkeypatch):
@@ -527,7 +556,7 @@ def test_chain_applies_through_patchable_entry_points(monkeypatch):
 
     monkeypatch.setattr(samkit.sam, "matvec", counting_matvec)
     monkeypatch.setattr(IlutpFactors, "apply_solve", counting_solve)
-    chain = compose(N, F)
+    chain = PreconditionerChain(N, F)
     v = rng.standard_normal(10)
     outs = [chain.apply(v) for _ in range(3)]
     assert calls == {"matvec": 3, "apply_solve": 3}

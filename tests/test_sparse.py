@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from samkit import as_csc, identity, map_residual_norm, matvec, shifted_family
+from samkit.sparse import check_indices
 from helpers import random_sparse
 
 
@@ -210,3 +211,25 @@ def test_frobenius_norm_against_dense():
 def test_frobenius_norm_dimension_mismatch():
     with pytest.raises(ValueError):
         map_residual_norm(identity(2), identity(3), identity(3))
+
+
+
+def test_check_indices_once_per_pattern(monkeypatch):
+    family = shifted_family([1.0, 2.0, 3.0], identity(4), as_csc(np.ones((4, 4))))
+    arrays = [(M.data, M.indices, M.indptr) for M in family]
+    full_checks = []
+    check_format = sp.csc_matrix.check_format
+
+    def counting(self, full_check=True):
+        full_checks.append(full_check)
+        return check_format(self, full_check)
+
+    monkeypatch.setattr(sp.csc_matrix, "check_format", counting)
+    check_indices(*family)
+    assert full_checks == [True]
+    # each matrix keeps its arrays: scipy's check may swap them
+    assert all(M.data is d and M.indices is i and M.indptr is p for M, (d, i, p) in zip(family, arrays))
+    own = family[0].copy()
+    full_checks.clear()
+    check_indices(*family, own, np.eye(4), None)
+    assert full_checks == [True, True]

@@ -1,0 +1,78 @@
+"""Print a digest of every map and every arm's iteration total of one benchmark workload.
+
+    python3 tools/map_digest.py --workload helmholtz-sweep --seed 0 [--toy]
+
+Each arm of ``perfbench/workloads.py`` runs once through
+``samkit.harness.run_sequence``.  A wrapper around ``samkit.sam.compute_map``,
+set from outside the package, records each map; the output has one line per
+map, the sha256 of its ``N.data``, ``N.indices``, ``N.indptr``,
+``column_residuals`` and ``rel_residual`` bytes, and one line per arm with its
+GMRES iteration total.  Two source trees that compute the same maps and take
+the same iterations print the same text, so a refactor is checked by diffing
+the output of the old and the new tree.  ``--toy`` runs the workload's small
+test size.
+"""
+
+import argparse
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+# one BLAS thread, as in perfbench/run.py
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
+
+import samkit.harness  # noqa: E402
+import samkit.sam  # noqa: E402
+from workloads import ARMS, ILUTP, PATTERN, WORKLOADS, arm_strategy  # noqa: E402
+
+
+def map_digest(m) -> str:
+    h = hashlib.sha256()
+    for a in (m.N.data, m.N.indices, m.N.indptr, m.column_residuals, np.float64(m.rel_residual)):
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def digest_lines(workload, seed, toy=False):
+    wl = WORKLOADS[workload]
+    spec = wl.build(seed, toy=toy)
+    compute_map = samkit.sam.compute_map
+    lines = [f"workload {workload} seed {seed}{' toy' if toy else ''} systems {len(spec)}"]
+    for arm in ARMS:
+        strategy, workers = arm_strategy(arm, len(spec), os.cpu_count() or 1)
+        digests = []
+
+        def recording(*args, **kwargs):
+            m = compute_map(*args, **kwargs)
+            digests.append(map_digest(m))
+            return m
+
+        samkit.sam.compute_map = recording
+        try:
+            report = samkit.harness.run_sequence(spec, strategy, ILUTP, PATTERN, wl.gmres, sam_workers=workers)
+        finally:
+            samkit.sam.compute_map = compute_map
+        lines += [f"{arm} map {i} {d}" for i, d in enumerate(digests)]
+        lines.append(f"{arm} iterations {report.total_iterations}")
+    return lines
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--toy", action="store_true")
+    args = ap.parse_args(argv)
+    print("\n".join(digest_lines(args.workload, args.seed, args.toy)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
