@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .sparse import scalar_dtype
+from .sparse import check_indices, scalar_dtype
 
 HAPPY_BREAKDOWN = 1e-14
 # a second Gram-Schmidt pass runs when a pass leaves less than this share of
@@ -78,12 +78,13 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
 
     The working field is complex when any of ``A``, ``b``, ``x0`` and ``M``
     declares a complex ``dtype``; an operand that declares none and returns
-    complex values on a real run raises ``TypeError`` rather than being cast.
-    Returns (x, SolveReport).  Convergence means the explicitly recomputed
-    residual satisfies ||b - A x|| <= rel_tol * ||b||; the inner recurrence
-    value is used to decide when to stop each cycle and is re-verified at
-    every restart boundary.
+    complex values on a real run raises ``TypeError`` rather than being cast,
+    and malformed index arrays of a compressed ``A`` or ``M`` ``ValueError``.
+    Returns (x, SolveReport).  Convergence means the explicit residual
+    satisfies ||b - A x|| <= rel_tol * ||b||.  The recurrence residual ends
+    each cycle; the explicit one at its end re-verifies it and starts the next.
     """
+    check_indices(A, M)
     cfg = config if config is not None else GmresConfig()
     t_start = time.perf_counter()
 
@@ -107,18 +108,13 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
     restart_checks = []
     total_iters = 0
     cycles = 0
-    converged = False
     singular = False
     nonfinite = False
-    true_rel = np.inf
+    r = _in_field(b - apply_A(x), dtype)
+    beta = float(np.linalg.norm(r))
 
-    while total_iters < cfg.max_total_iters and not (converged or singular or nonfinite):
-        r = _in_field(b - apply_A(x), dtype)
-        beta = float(np.linalg.norm(r))
-        if beta / bnorm <= cfg.rel_tol:
-            true_rel = beta / bnorm
-            converged = True
-            break
+    # the one convergence test; a NaN residual runs a cycle, which records it
+    while not (beta / bnorm <= cfg.rel_tol or singular or nonfinite) and total_iters < cfg.max_total_iters:
         cycles += 1
 
         V = np.zeros((n, m + 1), dtype=dtype)
@@ -184,23 +180,22 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
                 x = x + dx
             else:
                 nonfinite = True
-        true_rel = float(np.linalg.norm(b - apply_A(x))) / bnorm
-        recurrence = float(abs(g[j])) / bnorm
+        # the explicit residual checks this cycle and starts the next one
+        r = _in_field(b - apply_A(x), dtype)
+        beta = float(np.linalg.norm(r))
         if breakdown or nonfinite:
             # after a breakdown or a non-finite operator value the recurrence
             # no longer tracks x; record the explicit residual.  Only a
             # singular breakdown ends the solve: one with a full-rank update
             # restarts from the refined x
-            recurrence = history[-1] = true_rel
-        restart_checks.append((recurrence, true_rel))
-        if true_rel <= cfg.rel_tol:
-            converged = True
+            history[-1] = beta / bnorm
+        restart_checks.append((float(history[-1]), beta / bnorm))
 
     return x, SolveReport(
         iterations=total_iters,
         restarts=max(cycles - 1, 0),
-        converged=converged,
-        final_rel_residual=float(true_rel),
+        converged=beta / bnorm <= cfg.rel_tol,
+        final_rel_residual=beta / bnorm,
         residual_history=np.asarray(history),
         wall_seconds=time.perf_counter() - t_start,
         restart_checks=restart_checks,

@@ -184,8 +184,7 @@ def factor(A, params: IlutpParams = IlutpParams()) -> IlutpFactors:
 
         # pivot: largest upper entry beats the diagonal candidate when scaled by pivtol
         if upper.size:
-            order = np.lexsort((upper, -np.abs(upper_vals)))
-            best = order[0]
+            best = _keep_largest(upper, upper_vals, 1)[0]
             if abs(upper_vals[best]) * pivtol > abs(diag_val):
                 swap_col = upper[best]
                 pos_swap = perm[swap_col]

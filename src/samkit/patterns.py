@@ -72,8 +72,9 @@ def sparsified_power(A, p: int, tau: float) -> sp.csc_matrix:
 
     The threshold is relative: A^p is scaled to unit maximum magnitude before
     comparing against tau, so tau is scale-free.  tau = 0 keeps the full
-    structural pattern of A^p.
+    structural pattern of A^p.  Malformed index arrays raise ``ValueError``.
     """
+    check_indices(A)
     A = as_csc(A)
     if A.shape[0] != A.shape[1]:
         raise ValueError("sparsified_power needs a square matrix")

@@ -223,8 +223,10 @@ def map_residual_norm(A, N, A_ref) -> float:
     """||A N - A_ref||_F / ||A_ref||_F computed from the full sparse product.
 
     Independent of the running residual accumulation in :func:`compute_map`;
-    intended as the expensive cross-check.
+    intended as the expensive cross-check.  Malformed index arrays raise
+    ``ValueError``.
     """
+    check_indices(A, N, A_ref)
     if A.shape[1] != N.shape[0] or A.shape[0] != A_ref.shape[0] or N.shape[1] != A_ref.shape[1]:
         raise ValueError("map_residual_norm: incompatible dimensions")
     # A and A_ref on the power-of-two scale of their largest real or imaginary

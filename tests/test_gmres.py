@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from samkit import GmresConfig, PreconditionerChain, as_csc, gmres, identity
 from helpers import random_sparse
@@ -67,6 +68,36 @@ def test_restart_boundary_consistency():
     assert rep.restarts >= 1
     for recurrence, explicit in rep.restart_checks:
         assert abs(recurrence - explicit) <= 1e-8
+
+
+@pytest.mark.parametrize("config, converges", [
+    (GmresConfig(restart=4, rel_tol=1e-10, max_total_iters=200), True),
+    (GmresConfig(restart=2, rel_tol=1e-14, max_total_iters=6), False),
+])
+def test_operator_applied_once_per_iteration_and_cycle_boundary(config, converges):
+    # the explicit residual at a cycle's end is the next cycle's start, so a
+    # restart costs one apply of A, not two
+    rng = np.random.default_rng(2)
+    A = random_sparse(20, rng, diag_boost=8.0)
+    b = rng.standard_normal(20)
+    calls = []
+
+    def counting(v):
+        calls.append(1)
+        return A @ v
+
+    x, rep = gmres(counting, b, config=config)
+    assert rep.restarts >= 2 and rep.converged == converges
+    assert len(calls) == rep.iterations + rep.restarts + 2
+
+
+def test_gmres_refuses_malformed_index_arrays():
+    # row 5 of a 3x3 matrix, in A and in a compressed M; scipy's product
+    # kernels read it unchecked, and the process crashed
+    bad = sp.csc_matrix((np.ones(5), [0, 5, 1, 2, 2], [0, 2, 3, 5]), shape=(3, 3))
+    for A, M in ((bad, None), (identity(3), bad)):
+        with pytest.raises(ValueError, match="indices must be < 3"):
+            gmres(A, np.ones(3), M=M)
 
 
 def test_residual_history_monotone_within_cycles():

@@ -14,16 +14,25 @@ def test_map_digest_toy_run_is_complete_and_repeatable():
     assert runs[0] == runs[1]
     lines = runs[0].splitlines()
     assert lines[0] == "workload helmholtz-sweep seed 1 toy systems 7"
-    maps, totals = {}, {}
+    maps, solves, totals = {}, {}, {}
     for line in lines[1:]:
         arm, kind, key, *rest = line.split()
         if kind == "map":
             assert int(key) == maps.get(arm, 0) and re.fullmatch("[0-9a-f]{64}", rest[0])
             maps[arm] = int(key) + 1
+        elif kind == "solves":
+            # one digest of all the arm's solves, before its iteration total
+            assert arm not in solves and arm not in totals and not rest
+            assert re.fullmatch("[0-9a-f]{64}", key)
+            solves[arm] = key
         else:
-            assert kind == "iterations" and not rest and int(key) > 0
+            assert kind == "iterations" and not rest and int(key) > 0 and arm in solves
             totals[arm] = int(key)
     # one line per map: every system but 0 maps in map and map2, and refresh
     # maps every system but 0 and 4, which it factors
-    assert list(totals) == ["recompute", "reuse", "map", "refresh", "map2"]
+    assert list(totals) == list(solves) == ["recompute", "reuse", "map", "refresh", "map2"]
     assert maps == {"map": 6, "refresh": 5, "map2": 6}
+    # the arms solve with other preconditioners, so their digests differ;
+    # map and map2 differ only in the map's thread count, which changes no bit
+    assert solves["map"] == solves["map2"]
+    assert len({solves[a] for a in ("recompute", "reuse", "map", "refresh")}) == 4

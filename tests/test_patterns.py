@@ -62,6 +62,14 @@ def test_pattern_of_refuses_out_of_range_indices(fmt):
         pattern_of(M)
 
 
+@pytest.mark.parametrize("tau", [0.0, 0.1])
+def test_sparsified_power_refuses_malformed_index_arrays(tau):
+    # row 5 of a 3x3 matrix reached scipy's product kernels, and the process crashed
+    bad = sp.csc_matrix((np.ones(5), [0, 5, 1, 2, 2], [0, 2, 3, 5]), shape=(3, 3))
+    with pytest.raises(ValueError, match="indices must be < 3"):
+        sparsified_power(bad, 2, tau)
+
+
 FRACTIONAL = [0.7, 1.2, 2.9]
 
 

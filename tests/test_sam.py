@@ -462,6 +462,15 @@ def test_chain_refuses_malformed_index_arrays():
             PreconditionerChain(N, P).apply(np.ones(3))
 
 
+def test_map_residual_norm_refuses_malformed_index_arrays():
+    # row 5 of a 3x3 matrix in any of the three operands crashed the process
+    bad = sp.csc_matrix((np.ones(5), [0, 5, 1, 2, 2], [0, 2, 3, 5]), shape=(3, 3))
+    for operands in ((bad, identity(3), identity(3)), (identity(3), bad, identity(3)),
+                     (identity(3), identity(3), bad)):
+        with pytest.raises(ValueError, match="indices must be < 3"):
+            map_residual_norm(*operands)
+
+
 def test_map_residual_norm_trivial_cases():
     A = as_csc(np.diag([2.0, 4.0]))
     ref = as_csc(np.diag([1.0, 2.0]))

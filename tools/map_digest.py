@@ -1,16 +1,18 @@
-"""Print a digest of every map and every arm's iteration total of one benchmark workload.
+"""Print a digest of every map, every arm's solves and iteration total of one benchmark workload.
 
     python3 tools/map_digest.py --workload helmholtz-sweep --seed 0 [--toy]
 
 Each arm of ``perfbench/workloads.py`` runs once through
-``samkit.harness.run_sequence``.  A wrapper around ``samkit.sam.compute_map``,
-set from outside the package, records each map; the output has one line per
-map, the sha256 of its ``N.data``, ``N.indices``, ``N.indptr``,
-``column_residuals`` and ``rel_residual`` bytes, and one line per arm with its
-GMRES iteration total.  Two source trees that compute the same maps and take
-the same iterations print the same text, so a refactor is checked by diffing
-the output of the old and the new tree.  ``--toy`` runs the workload's small
-test size.
+``samkit.harness.run_sequence``.  Wrappers around ``samkit.sam.compute_map``
+and ``samkit.harness.gmres``, set from outside the package, record each map
+and each solve.  The output has one line per map, the sha256 of its
+``N.data``, ``N.indices``, ``N.indptr``, ``column_residuals`` and
+``rel_residual`` bytes; one line per arm, the sha256 of every solve's ``x``,
+``residual_history``, ``restart_checks``, ``iterations``, ``restarts``,
+``converged`` and ``final_rel_residual``; and one line per arm with its GMRES
+iteration total.  Two source trees that compute the same maps and solves
+print the same text, so a refactor is checked by diffing the output of the
+old and the new tree.  ``--toy`` runs the workload's small test size.
 """
 
 import argparse
@@ -40,26 +42,39 @@ def map_digest(m) -> str:
     return h.hexdigest()
 
 
+def solve_bytes(x, rep) -> bytes:
+    return b"".join(a.tobytes() for a in (
+        x, rep.residual_history, np.asarray(rep.restart_checks, dtype=np.float64),
+        np.array([rep.iterations, rep.restarts, rep.converged], dtype=np.int64),
+        np.float64(rep.final_rel_residual)))
+
+
 def digest_lines(workload, seed, toy=False):
     wl = WORKLOADS[workload]
     spec = wl.build(seed, toy=toy)
-    compute_map = samkit.sam.compute_map
+    compute_map, gmres = samkit.sam.compute_map, samkit.harness.gmres
     lines = [f"workload {workload} seed {seed}{' toy' if toy else ''} systems {len(spec)}"]
     for arm in ARMS:
         strategy, workers = arm_strategy(arm, len(spec), os.cpu_count() or 1)
-        digests = []
+        digests, solves = [], hashlib.sha256()
 
-        def recording(*args, **kwargs):
+        def recording_map(*args, **kwargs):
             m = compute_map(*args, **kwargs)
             digests.append(map_digest(m))
             return m
 
-        samkit.sam.compute_map = recording
+        def recording_solve(*args, **kwargs):
+            x, rep = gmres(*args, **kwargs)
+            solves.update(solve_bytes(x, rep))
+            return x, rep
+
+        samkit.sam.compute_map, samkit.harness.gmres = recording_map, recording_solve
         try:
             report = samkit.harness.run_sequence(spec, strategy, ILUTP, PATTERN, wl.gmres, sam_workers=workers)
         finally:
-            samkit.sam.compute_map = compute_map
+            samkit.sam.compute_map, samkit.harness.gmres = compute_map, gmres
         lines += [f"{arm} map {i} {d}" for i, d in enumerate(digests)]
+        lines.append(f"{arm} solves {solves.hexdigest()}")
         lines.append(f"{arm} iterations {report.total_iterations}")
     return lines
 
