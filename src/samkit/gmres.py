@@ -107,7 +107,6 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
     history = []
     restart_checks = []
     total_iters = 0
-    cycles = 0
     singular = False
     nonfinite = False
     r = _in_field(b - apply_A(x), dtype)
@@ -115,15 +114,14 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
 
     # the one convergence test; a NaN residual runs a cycle, which records it
     while not (beta / bnorm <= cfg.rel_tol or singular or nonfinite) and total_iters < cfg.max_total_iters:
-        cycles += 1
-
         V = np.zeros((n, m + 1), dtype=dtype)
         H = np.zeros((m + 1, m), dtype=dtype)
-        cs = np.zeros(m + 1, dtype=np.float64)
-        sn = np.zeros(m + 1, dtype=dtype)
-        g = np.zeros(m + 1, dtype=dtype)
         V[:, 0] = r / beta
-        g[0] = beta
+        # the rotations (c, s) and the least-squares right-hand side g are
+        # Python scalars: each step reads and writes them one at a time, which
+        # numpy scalar indexing made the larger part of GMRES's own time
+        rotations = []
+        g = [beta]
         history.append(beta / bnorm)
 
         j = 0
@@ -146,20 +144,18 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
                 # built so far, and no further cycle repeats the failure
                 nonfinite = True
                 break
-            H[:j + 1, j] = h
-            H[j + 1, j] = hnext
             breakdown = hnext <= HAPPY_BREAKDOWN * beta
             if not breakdown:
                 V[:, j + 1] = w / hnext
 
-            for i in range(j):
-                t = H[i, j]
-                H[i, j] = cs[i] * t + sn[i] * H[i + 1, j]
-                H[i + 1, j] = -np.conj(sn[i]) * t + cs[i] * H[i + 1, j]
-            cs[j], sn[j], H[j, j] = lartg(H[j, j], H[j + 1, j])
-            H[j + 1, j] = 0
-            g[j + 1] = -np.conj(sn[j]) * g[j]
-            g[j] = cs[j] * g[j]
+            col = h.tolist()
+            for i, (c, s) in enumerate(rotations):
+                col[i], col[i + 1] = c * col[i] + s * col[i + 1], -s.conjugate() * col[i] + c * col[i + 1]
+            c, s, col[j] = lartg(col[j], hnext)
+            rotations.append((c, s))
+            H[:j + 1, j] = col  # H[j + 1, j], which the rotation annihilates, stays 0
+            g.append(-s.conjugate() * g[j])
+            g[j] = c * g[j]
 
             total_iters += 1
             rel = abs(g[j + 1]) / bnorm
@@ -175,7 +171,7 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
         singular = p < j
         if p > 0:
             # the Givens rotations left H[:p, :p] upper triangular
-            dx = apply_M(V[:, :p] @ sla.solve_triangular(H[:p, :p], g[:p]))
+            dx = apply_M(V[:, :p] @ sla.solve_triangular(H[:p, :p], np.array(g[:p], dtype=dtype)))
             if np.all(np.isfinite(dx)):
                 x = x + dx
             else:
@@ -193,7 +189,7 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
 
     return x, SolveReport(
         iterations=total_iters,
-        restarts=max(cycles - 1, 0),
+        restarts=max(len(restart_checks) - 1, 0),
         converged=beta / bnorm <= cfg.rel_tol,
         final_rel_residual=beta / bnorm,
         residual_history=np.asarray(history),

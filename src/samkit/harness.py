@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from . import ilutp, patterns, sam
 from .gmres import GmresConfig, gmres
 from .problems import SequenceSpec, point_source_rhs, talbot_shifts, fem_pair_2d, matrix_market_read
-from .sparse import as_csc, check_indices, identity
+from .sparse import as_csc, check_indices
 
 RECOMPUTE = "prec"
 COMPUTE_SAM = "sam"
@@ -392,7 +392,7 @@ def _parse_pattern(pt, n):
         raise ConfigError(f"pattern.kind: unknown kind {pkind!r}")
     # resolving on a 1x1 stand-in converts p, tau and the offsets and runs the
     # builders' range checks; the run's reference matrix is not known yet
-    resolve_pattern(choice, identity(1))
+    resolve_pattern(choice, sp.identity(1, format="csc"))
     return choice
 
 

@@ -54,9 +54,11 @@ def check_indices(*matrices):
 def matvec(A, x: np.ndarray) -> np.ndarray:
     """y = A x, computed by scipy's ``A.dot`` after a length check.
 
-    The wrapper stays so that the map apply in
-    :class:`samkit.sam.PreconditionerChain` has one named entry point, which
-    a tracer can patch to time it apart from the reference operator.
+    Internal and unchecked: ``A``'s index arrays are read as they are, and
+    malformed ones can crash the process.  Its one caller is the map apply
+    of :class:`samkit.sam.PreconditionerChain`, whose ``N`` was checked when
+    the chain was built; the named entry point lets a tracer patch it to
+    time the map apart from the reference operator.
     """
     x = np.asarray(x).ravel()
     if A.shape[1] != x.shape[0]:
@@ -117,6 +119,3 @@ def shifted_family(alphas, E, A) -> list:
         family.append(member)
     return family
 
-
-def identity(n: int) -> sp.csc_matrix:
-    return sp.identity(n, format="csc")

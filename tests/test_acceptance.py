@@ -7,11 +7,12 @@ lines as they execute.
 import time
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from samkit import (
     GmresConfig, IlutpParams, SequenceSpec, Strategy, as_csc, compute_map,
-    factor, fem_pair_2d, gmres, identity,
+    factor, fem_pair_2d, gmres,
     laplace2d_dirichlet, offset_pattern, pattern_of, plan, run_sequence,
     shifted_family, symbolic_power, talbot_shifts,
 )
@@ -31,7 +32,7 @@ def test_criterion_1_identity_map_exactness():
         A = random_sparse(50, rng, per_col=5, diag_boost=50.0)
         pl = plan(pattern_of(A), A)
         m = compute_map(A, A, pl)
-        worst_n = max(worst_n, spla.norm(m.N - identity(50)))
+        worst_n = max(worst_n, spla.norm(m.N - sp.identity(50, format="csc")))
         worst_r = max(worst_r, m.rel_residual)
     elapsed = time.perf_counter() - t0
     ok = worst_n <= 1e-10 and worst_r <= 1e-12 and elapsed < 1.0
@@ -123,7 +124,7 @@ def test_criterion_5_gmres_correctness():
     rng = np.random.default_rng(505)
     t0 = time.perf_counter()
     b = rng.standard_normal(25)
-    x, rep = gmres(identity(25), b)
+    x, rep = gmres(sp.identity(25, format="csc"), b)
     one_iter = rep.iterations == 1 and rep.converged
     full_ok = True
     for _ in range(5):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
-from samkit import GmresConfig, PreconditionerChain, as_csc, gmres, identity
+from samkit import GmresConfig, PreconditionerChain, as_csc, gmres
+from samkit.gmres import HAPPY_BREAKDOWN, REORTH_RATIO, as_operator
+from samkit.sparse import scalar_dtype
 from helpers import random_sparse
 
 
@@ -26,7 +29,7 @@ def test_config_rejects_nan_and_non_integers(kwargs):
 
 def test_identity_converges_in_one_iteration():
     b = np.array([1.0, -2.0, 3.0])
-    x, rep = gmres(identity(3), b)
+    x, rep = gmres(sp.identity(3, format="csc"), b)
     assert rep.iterations == 1
     assert rep.converged
     assert np.allclose(x, b, atol=1e-14)
@@ -95,7 +98,7 @@ def test_gmres_refuses_malformed_index_arrays():
     # row 5 of a 3x3 matrix, in A and in a compressed M; scipy's product
     # kernels read it unchecked, and the process crashed
     bad = sp.csc_matrix((np.ones(5), [0, 5, 1, 2, 2], [0, 2, 3, 5]), shape=(3, 3))
-    for A, M in ((bad, None), (identity(3), bad)):
+    for A, M in ((bad, None), (sp.identity(3, format="csc"), bad)):
         with pytest.raises(ValueError, match="indices must be < 3"):
             gmres(A, np.ones(3), M=M)
 
@@ -116,13 +119,13 @@ def test_preconditioner_equivalence_identity_compose():
     b = rng.standard_normal(15)
     cfg = GmresConfig(restart=15, rel_tol=1e-10, max_total_iters=60)
     x1, rep1 = gmres(A, b, M=P, config=cfg)
-    x2, rep2 = gmres(A, b, M=PreconditionerChain(identity(15), P), config=cfg)
+    x2, rep2 = gmres(A, b, M=PreconditionerChain(sp.identity(15, format="csc"), P), config=cfg)
     assert rep1.iterations == rep2.iterations
     assert np.array_equal(x1, x2)
 
 
 def test_zero_rhs():
-    x, rep = gmres(identity(4), np.zeros(4))
+    x, rep = gmres(sp.identity(4, format="csc"), np.zeros(4))
     assert rep.converged and rep.iterations == 0
     assert np.array_equal(x, np.zeros(4))
 
@@ -242,7 +245,7 @@ def test_complex_preconditioner_and_start_on_real_system():
     cfg = GmresConfig(restart=12, rel_tol=1e-10, max_total_iters=24)
     M = as_csc(np.diag(1.0 / A.diagonal()) * (1 + 1j))
     x0 = 1j * np.ones(12)
-    for kwargs in ({"M": M}, {"M": PreconditionerChain(identity(12), M)}, {"x0": x0}):
+    for kwargs in ({"M": M}, {"M": PreconditionerChain(sp.identity(12, format="csc"), M)}, {"x0": x0}):
         x, rep = gmres(A, b, config=cfg, **kwargs)
         assert x.dtype == np.complex128
         assert rep.converged
@@ -252,3 +255,114 @@ def test_complex_preconditioner_and_start_on_real_system():
         gmres(A, b, M=lambda v: M @ v, config=cfg)
     with pytest.raises(TypeError, match="complex128 values on a float64 run"):
         gmres(lambda v: (A @ v) * (1 + 0j), b, config=cfg)
+
+
+def _array_gmres(A, b, M, cfg):
+    """The earlier gmres cycle, which kept its rotations and g in numpy arrays.
+
+    The reference for the scalar update: same Arnoldi steps, same arithmetic
+    in the same order, on finite operands and a zero start.
+    """
+    apply_A, apply_M = as_operator(A), as_operator(M)
+    dtype = scalar_dtype(b, *(op for op in (A, M) if op is not None))
+    n, m = b.shape[0], cfg.restart
+    bnorm = float(np.linalg.norm(b))
+    lartg = sla.get_lapack_funcs("lartg", dtype=dtype)
+    x = np.zeros(n, dtype=dtype)
+    history, restart_checks, total_iters, cycles, singular = [], [], 0, 0, False
+    r = b - apply_A(x)
+    beta = float(np.linalg.norm(r))
+    while not (beta / bnorm <= cfg.rel_tol or singular) and total_iters < cfg.max_total_iters:
+        cycles += 1
+        V = np.zeros((n, m + 1), dtype=dtype)
+        H = np.zeros((m + 1, m), dtype=dtype)
+        cs = np.zeros(m + 1, dtype=np.float64)
+        sn = np.zeros(m + 1, dtype=dtype)
+        g = np.zeros(m + 1, dtype=dtype)
+        V[:, 0] = r / beta
+        g[0] = beta
+        history.append(beta / bnorm)
+        j = 0
+        breakdown = False
+        while j < m and total_iters < cfg.max_total_iters:
+            w = apply_A(apply_M(V[:, j]))
+            wnorm = float(np.linalg.norm(w))
+            Vj = V[:, :j + 1]
+            h = (w.conj() @ Vj).conj()
+            w -= Vj @ h
+            hnext = float(np.linalg.norm(w))
+            if hnext < REORTH_RATIO * wnorm:
+                h2 = (w.conj() @ Vj).conj()
+                w -= Vj @ h2
+                h += h2
+                hnext = float(np.linalg.norm(w))
+            H[:j + 1, j] = h
+            H[j + 1, j] = hnext
+            breakdown = hnext <= HAPPY_BREAKDOWN * beta
+            if not breakdown:
+                V[:, j + 1] = w / hnext
+            for i in range(j):
+                t = H[i, j]
+                H[i, j] = cs[i] * t + sn[i] * H[i + 1, j]
+                H[i + 1, j] = -np.conj(sn[i]) * t + cs[i] * H[i + 1, j]
+            cs[j], sn[j], H[j, j] = lartg(H[j, j], H[j + 1, j])
+            H[j + 1, j] = 0
+            g[j + 1] = -np.conj(sn[j]) * g[j]
+            g[j] = cs[j] * g[j]
+            total_iters += 1
+            rel = abs(g[j + 1]) / bnorm
+            history.append(rel)
+            j += 1
+            if breakdown or rel <= cfg.rel_tol:
+                break
+        zero_pivots = np.flatnonzero(np.diagonal(H[:j, :j]) == 0)
+        p = int(zero_pivots[0]) if zero_pivots.size else j
+        singular = p < j
+        if p > 0:
+            x = x + apply_M(V[:, :p] @ sla.solve_triangular(H[:p, :p], g[:p]))
+        r = b - apply_A(x)
+        beta = float(np.linalg.norm(r))
+        if breakdown:
+            history[-1] = beta / bnorm
+        restart_checks.append((float(history[-1]), beta / bnorm))
+    return x, np.asarray(history), restart_checks, total_iters, max(cycles - 1, 0)
+
+
+def _reference_cases():
+    rng = np.random.default_rng(21)
+    real = random_sparse(30, rng, diag_boost=3.0)
+    cplx = random_sparse(24, rng, diag_boost=4.0, complex_values=True)
+    # four distinct eigenvalues: the Krylov space is exhausted at step 4
+    four = as_csc(np.diag(np.tile([1.0, 2.0, 3.0, 5.0], 10)))
+    return {
+        "real-restart3": (real, rng.standard_normal(30), None, GmresConfig(3, 1e-10, 300)),
+        "real-prec": (real, rng.standard_normal(30), random_sparse(30, rng, diag_boost=6.0),
+                      GmresConfig(5, 1e-12, 200)),
+        "real-exhausted": (real, rng.standard_normal(30), None, GmresConfig(3, 1e-14, 7)),
+        "complex-restart3": (cplx, rng.standard_normal(24) + 1j * rng.standard_normal(24), None,
+                             GmresConfig(3, 1e-10, 300)),
+        "complex-prec-on-real": (real, rng.standard_normal(30),
+                                 as_csc(np.diag((1 + 1j) / real.diagonal())), GmresConfig(7, 1e-12, 200)),
+        # a tolerance no recurrence reaches: only the breakdown ends each cycle
+        "happy-breakdown": (four, rng.standard_normal(40), None, GmresConfig(10, 1e-300, 12)),
+        "complex-happy-breakdown": (four * (1 + 2j), rng.standard_normal(40) + 0j, None,
+                                    GmresConfig(10, 1e-300, 12)),
+        "singular-breakdown": (as_csc(np.array([[0.0, 1.0], [0.0, 0.0]])), np.array([1.0, 0.0]), None,
+                               GmresConfig()),
+    }
+
+
+@pytest.mark.parametrize("case", list(_reference_cases()))
+def test_scalar_rotations_match_array_reference(case):
+    A, b, M, cfg = _reference_cases()[case]
+    x, rep = gmres(A, b, M=M, config=cfg)
+    x_ref, history, checks, iterations, restarts = _array_gmres(A, b, M, cfg)
+    assert x.dtype == x_ref.dtype and x.tobytes() == x_ref.tobytes()
+    assert rep.residual_history.tobytes() == history.tobytes()
+    assert rep.restart_checks == checks
+    assert (rep.iterations, rep.restarts) == (iterations, restarts)
+    assert rep.restarts == max(len(rep.restart_checks) - 1, 0)
+    if "happy" in case:
+        # the first cycle broke down after four steps and recorded its explicit residual
+        assert len(history) > 5 and history[4] == checks[0][1] == checks[0][0]
+        assert len(checks) >= 2

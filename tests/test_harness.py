@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import samkit.harness
 from samkit import (
     FactorizationError, GmresConfig, IlutpParams, SequenceReport, SequenceSpec,
-    Strategy, SystemRecord, as_csc, compute_map, fem_pair_2d, identity, laplace2d_dirichlet,
+    Strategy, SystemRecord, as_csc, compute_map, fem_pair_2d, laplace2d_dirichlet,
     matrix_market_write, offset_pattern, parse_config, pattern_of, plan, render_report,
     resolve_pattern, run_sequence, talbot_shifts, write_pattern,
 )
@@ -579,7 +579,7 @@ def test_parse_config_shift_file_faults(tmp_path):
 def test_run_sequence_refuses_malformed_index_arrays(monkeypatch):
     # the bad matrix is the second system: the run refuses before factoring the first
     bad = sp.csc_matrix((np.ones(5), [0, 5, 1, 2, 2], [0, 2, 3, 5]), shape=(3, 3))
-    spec = SequenceSpec("matrix_files", [identity(3), bad], np.zeros(2), np.ones(3))
+    spec = SequenceSpec("matrix_files", [sp.identity(3, format="csc"), bad], np.zeros(2), np.ones(3))
     factored = []
     monkeypatch.setattr(samkit.harness.ilutp, "factor", lambda *args: factored.append(args))
     with pytest.raises(ValueError, match="indices must be < 3"):

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from samkit import FactorizationError, IlutpParams, as_csc, factor, identity
+from samkit import FactorizationError, IlutpParams, as_csc, factor
 from helpers import random_sparse
 
 
@@ -190,7 +190,7 @@ def test_triangular_factorizations_keep_order_and_fill():
 
 
 def test_apply_solve_length_check():
-    F = factor(identity(3), IlutpParams())
+    F = factor(sp.identity(3, format="csc"), IlutpParams())
     with pytest.raises(ValueError):
         F.apply_solve(np.ones(4))
 

@@ -7,11 +7,12 @@ import scipy.sparse.linalg as spla
 import samkit.sam
 from samkit import (
     IlutpFactors, IlutpParams, PreconditionerChain, SequenceSpec, as_csc,
-    compute_map, factor, identity,
-    map_residual_norm, matvec, offset_pattern, pattern_of, plan, resolve_pattern,
+    compute_map, factor,
+    map_residual_norm, offset_pattern, pattern_of, plan, resolve_pattern,
 )
 from samkit.patterns import _from_positions
 from samkit.sam import RANK_TOL
+from samkit.sparse import matvec
 from helpers import grid_laplacian_triplets, pattern_to_bool, random_pattern, random_sparse, same_pattern
 
 
@@ -106,7 +107,7 @@ def test_plan_takes_any_sparse_matrix_as_pattern():
 
 def test_plan_dimension_mismatch():
     with pytest.raises(ValueError):
-        plan(offset_pattern(3, [0]), identity(4))
+        plan(offset_pattern(3, [0]), sp.identity(4, format="csc"))
 
 
 def test_plan_rhs_rows_augmentation():
@@ -121,7 +122,7 @@ def test_plan_rhs_rows_augmentation():
     assert abs(m.rel_residual - exact) <= 1e-14
     # a block whose matrix part stores nothing still counts its reference column
     A = as_csc([[1.0, 0.0], [0.0, 0.0]])
-    m_empty = compute_map(A, identity(2), plan(offset_pattern(2, [0]), A, A_ref=identity(2)))
+    m_empty = compute_map(A, sp.identity(2, format="csc"), plan(offset_pattern(2, [0]), A, A_ref=sp.identity(2, format="csc")))
     assert not m_empty.N[:, 1].toarray().any()
     assert np.array_equal(m_empty.column_residuals, [0.0, 1.0])
     assert m_empty.rel_residual == 1 / np.sqrt(2)
@@ -132,7 +133,7 @@ def test_compute_map_identity_case():
     A = random_sparse(30, rng, diag_boost=30.0)
     pl = plan(pattern_of(A), A)
     m = compute_map(A, A, pl)
-    assert spla.norm(m.N - identity(30)) <= 1e-12
+    assert spla.norm(m.N - sp.identity(30, format="csc")) <= 1e-12
     assert m.rel_residual <= 1e-13
 
 
@@ -147,7 +148,7 @@ def test_compute_map_diagonal_algebra():
 
 def test_compute_map_worked_2x2():
     A_k = as_csc(np.array([[2.0, 1.0], [0.0, 1.0]]))
-    A_ref = identity(2)
+    A_ref = sp.identity(2, format="csc")
     pl = plan(offset_pattern(2, [0]), A_k, A_ref=A_ref)
     m = compute_map(A_k, A_ref, pl)
     assert np.allclose(m.N.toarray(), np.diag([0.5, 0.5]), atol=1e-15)
@@ -211,7 +212,7 @@ def test_compute_map_unplanned_reference_names_it():
 def test_compute_map_rank_deficient_minimum_norm():
     # column 1 of A is structurally empty, so its unknown must come out zero
     A = as_csc(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    ref = identity(2)
+    ref = sp.identity(2, format="csc")
     S = _from_positions(2, 2, [0, 1, 0, 1], [0, 0, 1, 1])
     pl = plan(S, A, A_ref=ref)
     m = compute_map(A, ref, pl)
@@ -450,14 +451,14 @@ def test_maps_share_the_plans_read_only_pattern():
     assert own.indices.flags.writeable and not np.shares_memory(own.indices, P.indices)
     # fits compares shapes and structures; the plan's own copy of S fits like S
     assert pl.fits(S, A, ref) and pl.fits(P, A, ref)
-    assert not pl.fits(S, A, A) and not pl.fits(S, identity(12), ref)
+    assert not pl.fits(S, A, A) and not pl.fits(S, sp.identity(12, format="csc"), ref)
     assert not pl.fits(S, A, as_csc(sp.csc_matrix((12, 13))))
 
 
 def test_chain_refuses_malformed_index_arrays():
     # row 5 of a 3x3 matrix, and the same check for a compressed P
     bad = sp.csc_matrix((np.ones(5), [0, 5, 1, 2, 2], [0, 2, 3, 5]), shape=(3, 3))
-    for N, P in ((bad, None), (identity(3), bad)):
+    for N, P in ((bad, None), (sp.identity(3, format="csc"), bad)):
         with pytest.raises(ValueError, match="indices must be < 3"):
             PreconditionerChain(N, P).apply(np.ones(3))
 
@@ -465,8 +466,8 @@ def test_chain_refuses_malformed_index_arrays():
 def test_map_residual_norm_refuses_malformed_index_arrays():
     # row 5 of a 3x3 matrix in any of the three operands crashed the process
     bad = sp.csc_matrix((np.ones(5), [0, 5, 1, 2, 2], [0, 2, 3, 5]), shape=(3, 3))
-    for operands in ((bad, identity(3), identity(3)), (identity(3), bad, identity(3)),
-                     (identity(3), identity(3), bad)):
+    for operands in ((bad, sp.identity(3, format="csc"), sp.identity(3, format="csc")), (sp.identity(3, format="csc"), bad, sp.identity(3, format="csc")),
+                     (sp.identity(3, format="csc"), sp.identity(3, format="csc"), bad)):
         with pytest.raises(ValueError, match="indices must be < 3"):
             map_residual_norm(*operands)
 
@@ -481,7 +482,7 @@ def test_map_residual_norm_trivial_cases():
     with pytest.raises(ValueError):
         map_residual_norm(A, N, Z)
     with pytest.raises(ValueError):
-        map_residual_norm(A, N, identity(3))
+        map_residual_norm(A, N, sp.identity(3, format="csc"))
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e308, 1e-320])
@@ -501,7 +502,7 @@ def test_map_residual_norm_finite_near_the_ends_of_the_float_range(scale):
 def test_compose_identity_map_behaves_like_p():
     rng = np.random.default_rng(9)
     P = random_sparse(10, rng)
-    chain = PreconditionerChain(identity(10), P)
+    chain = PreconditionerChain(sp.identity(10, format="csc"), P)
     v = rng.standard_normal(10)
     assert np.array_equal(chain.apply(v), matvec(P, v))
 
@@ -537,12 +538,12 @@ def test_compose_nests():
 
 def test_compose_shape_mismatch():
     with pytest.raises(ValueError):
-        PreconditionerChain(identity(3), identity(4))
+        PreconditionerChain(sp.identity(3, format="csc"), sp.identity(4, format="csc"))
 
 
 def test_chain_rejects_unknown_stage():
     with pytest.raises(TypeError):
-        PreconditionerChain(identity(2), object())
+        PreconditionerChain(sp.identity(2, format="csc"), object())
 
 
 def test_chain_applies_through_patchable_entry_points(monkeypatch):

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from samkit import as_csc, identity, map_residual_norm, matvec, shifted_family
-from samkit.sparse import check_indices
+from samkit import as_csc, map_residual_norm, shifted_family
+from samkit.sparse import check_indices, matvec
 from helpers import random_sparse
 
 
 def test_matvec_identity_and_diagonal():
     x = np.array([3.0, -4.0])
-    assert np.array_equal(matvec(identity(2), x), x)
+    assert np.array_equal(matvec(sp.identity(2, format="csc"), x), x)
     D = as_csc(np.diag([2.0, 3.0]))
     assert np.array_equal(matvec(D, np.ones(2)), np.array([2.0, 3.0]))
 
@@ -25,7 +25,7 @@ def test_matvec_against_dense():
 
 def test_matvec_dimension_mismatch():
     with pytest.raises(ValueError):
-        matvec(identity(3), np.ones(4))
+        matvec(sp.identity(3, format="csc"), np.ones(4))
 
 
 def test_matvec_distributes():
@@ -53,7 +53,7 @@ def test_matvec_associativity():
 def test_shifted_combine_zero_shift():
     rng = np.random.default_rng(7)
     A = random_sparse(6, rng)
-    E = identity(6)
+    E = sp.identity(6, format="csc")
     C = shifted_family([0.0], E, A)[0]
     assert np.array_equal(C.toarray(), A.toarray())
     # union pattern: the diagonal positions of E are now stored
@@ -63,7 +63,7 @@ def test_shifted_combine_zero_shift():
 
 def test_shifted_combine_identity():
     Z = as_csc(np.zeros((2, 2)))
-    C = shifted_family([1.0], identity(2), Z)[0]
+    C = shifted_family([1.0], sp.identity(2, format="csc"), Z)[0]
     assert np.array_equal(C.toarray(), np.eye(2))
 
 
@@ -79,7 +79,7 @@ def test_shifted_combine_complex_shift_exact():
 
 def test_shifted_combine_dimension_mismatch():
     with pytest.raises(ValueError):
-        shifted_family([1.0], identity(2), identity(3))
+        shifted_family([1.0], sp.identity(2, format="csc"), sp.identity(3, format="csc"))
 
 
 def _positions(M):
@@ -174,7 +174,7 @@ def test_shifted_members_are_valid_matrices_on_a_read_only_pattern(build):
 
 
 def test_shifted_family_empty():
-    assert shifted_family([], identity(3), identity(3)) == []
+    assert shifted_family([], sp.identity(3, format="csc"), sp.identity(3, format="csc")) == []
 
 
 @pytest.mark.parametrize("alphas", [
@@ -183,16 +183,16 @@ def test_shifted_family_empty():
 ])
 def test_shifted_family_rejects_alphas_not_finite_1d(alphas):
     with pytest.raises(ValueError, match="1-D sequence of finite values"):
-        shifted_family(alphas, identity(3), identity(3))
+        shifted_family(alphas, sp.identity(3, format="csc"), sp.identity(3, format="csc"))
 
 
 # the Frobenius norms samkit takes are scipy's, in map_residual_norm
 
 def test_frobenius_norm_cases():
     A = as_csc(np.diag([3.0, 4.0]))
-    assert map_residual_norm(identity(2), A, A) == 0.0
-    assert map_residual_norm(identity(2), as_csc(np.zeros((2, 2))), A) == 1.0
-    assert map_residual_norm(identity(2), 3 * A, A) == 2.0
+    assert map_residual_norm(sp.identity(2, format="csc"), A, A) == 0.0
+    assert map_residual_norm(sp.identity(2, format="csc"), as_csc(np.zeros((2, 2))), A) == 1.0
+    assert map_residual_norm(sp.identity(2, format="csc"), 3 * A, A) == 2.0
 
 
 def test_frobenius_norm_against_dense():
@@ -210,12 +210,12 @@ def test_frobenius_norm_against_dense():
 
 def test_frobenius_norm_dimension_mismatch():
     with pytest.raises(ValueError):
-        map_residual_norm(identity(2), identity(3), identity(3))
+        map_residual_norm(sp.identity(2, format="csc"), sp.identity(3, format="csc"), sp.identity(3, format="csc"))
 
 
 
 def test_check_indices_once_per_pattern(monkeypatch):
-    family = shifted_family([1.0, 2.0, 3.0], identity(4), as_csc(np.ones((4, 4))))
+    family = shifted_family([1.0, 2.0, 3.0], sp.identity(4, format="csc"), as_csc(np.ones((4, 4))))
     arrays = [(M.data, M.indices, M.indptr) for M in family]
     full_checks = []
     check_format = sp.csc_matrix.check_format
