@@ -12,10 +12,7 @@ from .harness import (
     resolve_pattern, run_sequence,
 )
 from .ilutp import FactorizationError, IlutpFactors, IlutpParams, factor
-from .patterns import (
-    offset_pattern, pattern_of, read_pattern, sparsified_power, symbolic_power,
-    write_pattern,
-)
+from .patterns import offset_pattern, pattern_of, sparsified_power, symbolic_power
 from .problems import (
     SequenceSpec, fem_pair_2d, laplace2d_dirichlet,
     matrix_market_read, matrix_market_write, point_source_rhs, talbot_shifts,

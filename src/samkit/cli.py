@@ -6,12 +6,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .harness import parse_config, render_report, run_sequence
+from .harness import ConfigError, parse_config, render_report, run_sequence
 from .problems import SequenceSpec, fem_pair_2d, matrix_market_write, talbot_shifts
 
 
 def _cmd_run(args):
-    spec, strategy, ilutp_params, pattern_choice, gmres_config = parse_config(args.config)
+    try:
+        spec, strategy, ilutp_params, pattern_choice, gmres_config = parse_config(args.config)
+    except ConfigError as exc:
+        print(f"samkit: {exc}", file=sys.stderr)
+        return 2  # the status argparse gives a malformed command line
     report = run_sequence(spec, strategy, ilutp_params, pattern_choice, gmres_config,
                           sam_workers=args.workers)
     text = render_report(report, format=args.format)

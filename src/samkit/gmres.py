@@ -25,7 +25,7 @@ HAPPY_BREAKDOWN = 1e-14
 REORTH_RATIO = 0.7
 
 
-@dataclass
+@dataclass(frozen=True)
 class GmresConfig:
     restart: int = 50
     rel_tol: float = 1e-8

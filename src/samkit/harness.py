@@ -113,8 +113,9 @@ def resolve_pattern(choice, A_ref) -> sp.csc_matrix:
 
     Accepts a sparse matrix, whose stored positions are the pattern, or one
     of the string forms ``ref``, ``diag``, ``tridiag``, ``power:P``,
-    ``sparsified:P:TAU``, ``offsets:o1,o2,...``.  A pattern file is passed as
-    the pattern :func:`samkit.patterns.read_pattern` returns, as
+    ``sparsified:P:TAU``, ``offsets:o1,o2,...``.  A pattern file is any
+    Matrix Market matrix, passed as the matrix
+    :func:`samkit.problems.matrix_market_read` returns, as
     ``[pattern] kind = file`` does.
     """
     if sp.issparse(choice):
@@ -300,14 +301,11 @@ def _parse_rhs(seq, n):
     if src == "ones":
         return np.ones(n) / np.sqrt(n)
     if src.startswith("file:"):
-        path = src[len("file:"):]
-        # a Matrix Market vector, as `samkit gen` writes, or one value per line
-        with open(path) as fh:
-            banner = fh.readline().startswith("%%MatrixMarket")
-        vec = matrix_market_read(path).toarray() if banner else np.loadtxt(path, ndmin=1)
-        if vec.shape != ((n, 1) if banner else (n,)):
-            raise ConfigError(f"sequence.rhs: file holds shape {vec.shape}, systems have size {n}")
-        return vec.ravel()
+        # an n x 1 Matrix Market vector, as `samkit gen` writes
+        vec = matrix_market_read(src[len("file:"):])
+        if vec.shape != (n, 1):
+            raise ConfigError(f"sequence.rhs: file holds shape {vec.shape}, systems need ({n}, 1)")
+        return vec.toarray().ravel()
     raise ConfigError(f"sequence.rhs: unknown source {src!r}")
 
 
@@ -373,10 +371,10 @@ def _parse_ilutp(il):
 
 
 def _parse_pattern(pt, n):
-    """A pattern choice for resolve_pattern; a pattern file is read here."""
+    """A pattern choice for resolve_pattern; a pattern file, any Matrix Market matrix, is read here."""
     pkind = pt.get("kind", "ref")
     if pkind == "file":
-        P = patterns.read_pattern(_require("pattern", "path", pt))
+        P = matrix_market_read(_require("pattern", "path", pt))
         if P.shape != (n, n):
             raise ConfigError(f"pattern.path: pattern is {P.shape[0]}x{P.shape[1]}, systems have size {n}")
         return P
@@ -411,14 +409,23 @@ def _parse_section(cp, name, parse, *args):
         return parse(cp[name], *args)
     except ConfigError:
         raise
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, configparser.Error) as exc:
         raise ConfigError(f"{name}: {exc}") from None
 
 
 def parse_config(path):
-    """Read a run description: (spec, strategy, ilutp params, pattern, gmres config)."""
+    """Read a run description: (spec, strategy, ilutp params, pattern, gmres config).
+
+    Matrix, right-hand side and pattern files are Matrix Market; shift files
+    hold "re im" lines.  Malformed INI, unknown keys, bad values and files that
+    cannot be read or do not fit raise :class:`ConfigError` before any factoring.
+    """
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    if not cp.read(path):
+    try:
+        found = cp.read(path)
+    except configparser.Error as exc:  # its message names the file, over several lines
+        raise ConfigError(" ".join(str(exc).split())) from None
+    if not found:
         raise ConfigError(f"cannot read config file {path}")
     for section in cp.sections():
         if section not in _SECTION_KEYS:

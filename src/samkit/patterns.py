@@ -93,31 +93,3 @@ def sparsified_power(A, p: int, tau: float) -> sp.csc_matrix:
     coo = Ap.tocoo()
     return _from_positions(A.shape[0], A.shape[1], coo.row[keep], coo.col[keep])
 
-
-def write_pattern(P, path):
-    """Write as text: a "nrows ncols nnz" header then one "row col" line per entry."""
-    P = P.tocoo()
-    np.savetxt(path, np.column_stack((P.row, P.col)), fmt="%d",
-               header=f"{P.shape[0]} {P.shape[1]} {P.nnz}", comments="")
-
-
-def read_pattern(path) -> sp.csc_matrix:
-    """Read the text format written by :func:`write_pattern`.
-
-    Entries need not be sorted on disk; indices are 0-based.
-    """
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ValueError(f"{path}: malformed pattern header, expected 'nrows ncols nnz'")
-        try:
-            nrows, ncols, nnz = (int(tok) for tok in header)
-        except ValueError:
-            raise ValueError(f"{path}: malformed pattern header, expected three integers") from None
-        # loadtxt warns on an empty input, which a pattern with no entries is
-        entries = (np.loadtxt(fh, dtype=np.int64, ndmin=2, max_rows=nnz) if nnz > 0
-                   else np.empty((0, 2), dtype=np.int64))
-    if entries.shape != (nnz, 2):
-        raise ValueError(f"{path}: header promises {nnz} 'row col' entries, "
-                         f"file holds {entries.shape[0]} of {entries.shape[1]} values")
-    return _from_positions(nrows, ncols, entries[:, 0], entries[:, 1])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -16,6 +18,9 @@ def test_config_validation():
         GmresConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         GmresConfig(max_total_iters=0)
+    # a checked config stays checked: restart = 0 set afterwards made gmres loop forever
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        GmresConfig(restart=5).restart = 0
 
 
 @pytest.mark.parametrize("kwargs", [

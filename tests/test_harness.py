@@ -10,7 +10,7 @@ from samkit import (
     FactorizationError, GmresConfig, IlutpParams, SequenceReport, SequenceSpec,
     Strategy, SystemRecord, as_csc, compute_map, fem_pair_2d, laplace2d_dirichlet,
     matrix_market_write, offset_pattern, parse_config, pattern_of, plan, render_report,
-    resolve_pattern, run_sequence, talbot_shifts, write_pattern,
+    resolve_pattern, run_sequence, sparsified_power, symbolic_power, talbot_shifts,
 )
 from samkit.harness import ConfigError
 from samkit.cli import main as cli_main
@@ -61,11 +61,10 @@ def test_resolve_pattern_forms(tmp_path):
     assert same_pattern(resolve_pattern("diag", A), offset_pattern(6, [0]))
     assert same_pattern(resolve_pattern("tridiag", A), offset_pattern(6, [-1, 0, 1]))
     assert same_pattern(resolve_pattern("offsets:-2,0,2", A), offset_pattern(6, [-2, 0, 2]))
-    from samkit import symbolic_power
     assert same_pattern(resolve_pattern("power:2", A), symbolic_power(pattern_of(A), 2))
     P = offset_pattern(6, [0, 1])
-    path = tmp_path / "p.txt"
-    write_pattern(P, path)
+    path = tmp_path / "p.mtx"
+    matrix_market_write(P, path)
     with pytest.raises(ValueError, match="unknown pattern choice"):
         resolve_pattern(f"file:{path}", A)
     cfg = tmp_path / "run.cfg"
@@ -374,6 +373,11 @@ def test_parse_config_rejections(tmp_path):
         "missing_files": "[sequence]\nkind = matrix_files\nfiles = nowhere/a.mtx\n",
         "bad_shift": "[sequence]\nkind = shifted_pair\nnx = 2\nny = 2\nshifts = 1 x\n",
         "nan_shift": "[sequence]\nkind = shifted_pair\nnx = 2\nny = 2\nshifts = nan 0\n",
+        # malformed INI
+        "duplicate_key": "[sequence]\nkind = helmholtz_sweep\nkind = shifted_pair\n",
+        "duplicate_section": "[sequence]\nkind = helmholtz_sweep\n[sequence]\nnx = 4\n",
+        "no_section_header": "kind = helmholtz_sweep\n[sequence]\n",
+        "bad_interpolation": "[sequence]\nkind = helmholtz_sweep\ndelta_s = 1%\n",
     }
     # inline shifts, a shift file and the contour keys are three exclusive sources
     shift_file = tmp_path / "shifts.txt"
@@ -386,10 +390,16 @@ def test_parse_config_rejections(tmp_path):
         bad[name] = "[sequence]\nkind = shifted_pair\nnx = 2\nny = 2\n" + extra
     # bad values in the other sections fail here too, before anything is factored
     small = "[sequence]\nkind = helmholtz_sweep\nnx = 3\nny = 3\ncount = 2\n"
-    wrong_size = tmp_path / "p4.txt"
-    write_pattern(offset_pattern(4, [0]), wrong_size)
-    fractional = tmp_path / "p_fractional.txt"
-    fractional.write_text("9 9 1\n0.7 1\n")
+    wrong_size = tmp_path / "p4.mtx"
+    matrix_market_write(offset_pattern(4, [0]), wrong_size)
+    fractional = tmp_path / "p_fractional.mtx"
+    fractional.write_text("%%MatrixMarket matrix coordinate real general\n9 9 1\n1.7 2 1\n")
+    # pattern and right-hand side files are Matrix Market only: the retired
+    # "nrows ncols nnz" pattern text and a plain one-value-per-line vector are refused
+    text_pattern = tmp_path / "p_text.txt"
+    text_pattern.write_text("9 9 1\n0 0\n")
+    text_rhs = tmp_path / "rhs.txt"
+    text_rhs.write_text("\n".join(["1"] * 9) + "\n")
     bad.update({
         "negative_lfil": small + "[ilutp]\nlfil = -1\n",
         "bad_droptol": small + "[ilutp]\ndroptol = abc\n",
@@ -406,12 +416,54 @@ def test_parse_config_rejections(tmp_path):
         "fractional_offset": small + "[pattern]\nkind = offsets\noffsets = -1,0.9\n",
         "missing_pattern_file": small + "[pattern]\nkind = file\npath = nowhere.txt\n",
         "pattern_file_wrong_size": small + f"[pattern]\nkind = file\npath = {wrong_size}\n",
+        "text_pattern_file": small + f"[pattern]\nkind = file\npath = {text_pattern}\n",
+        "text_rhs_file": ("[sequence]\nkind = shifted_pair\nnx = 3\nny = 3\nshifts = 1 0\n"
+                          f"rhs = file:{text_rhs}\n"),
     })
     for name, content in bad.items():
         path = tmp_path / f"{name}.cfg"
         path.write_text(content)
         with pytest.raises(ConfigError):
             parse_config(path)
+
+
+SMALL_SWEEP = "[sequence]\nkind = helmholtz_sweep\nnx = 3\nny = 3\ncount = 2\n"
+A_SMALL = SequenceSpec.helmholtz(3, 3, 0.01, 2).matrices[0]  # the reference SMALL_SWEEP factors first
+SMALL_PAIR = "[sequence]\nkind = shifted_pair\nnx = 2\nny = 2\n"
+
+
+def _bits(x):
+    """x in a form that compares equal only when every array matches bit for bit."""
+    if sp.issparse(x):
+        return x.shape, [_bits(getattr(x, arr)) for arr in ("data", "indices", "indptr")]
+    if isinstance(x, np.ndarray):
+        return x.dtype, x.shape, x.tobytes()
+    return x
+
+
+@pytest.mark.parametrize("text, built, direct", [
+    (SMALL_PAIR + "shifts = 1 0\nrhs = ones\n", lambda c: c[0].rhs, lambda: np.ones(4) / np.sqrt(4)),
+    (SMALL_PAIR + "n_z = 8\nt = 2\ntalbot_constants = 0.61 0.51 0.62 0.31\n", lambda c: c[0].shifts,
+     lambda: talbot_shifts(8, 2.0, (0.61, 0.51, 0.62, 0.31))),
+    (SMALL_SWEEP + "delta_s = 0.3\n", lambda c: c[0].shifts, lambda: SequenceSpec.helmholtz(3, 3, 0.3, 2).shifts),
+    (SMALL_SWEEP + "[strategy]\nkind = recompute_every\n", lambda c: c[1], Strategy.recompute_every),
+    (SMALL_SWEEP + "[ilutp]\npivtol = 0.5\n", lambda c: c[2], lambda: IlutpParams(pivtol=0.5)),
+    (SMALL_SWEEP + "[pattern]\nkind = diag\n", lambda c: resolve_pattern(c[3], A_SMALL),
+     lambda: offset_pattern(9, [0])),
+    (SMALL_SWEEP + "[pattern]\nkind = tridiag\n", lambda c: resolve_pattern(c[3], A_SMALL),
+     lambda: offset_pattern(9, [-1, 0, 1])),
+    (SMALL_SWEEP + "[pattern]\nkind = power\np = 3\n", lambda c: resolve_pattern(c[3], A_SMALL),
+     lambda: symbolic_power(A_SMALL, 3)),
+    (SMALL_SWEEP + "[pattern]\nkind = sparsified\np = 2\ntau = 0.1\n",
+     lambda c: resolve_pattern(c[3], A_SMALL), lambda: sparsified_power(A_SMALL, 2, 0.1)),
+    (SMALL_SWEEP + "[pattern]\nkind = offsets\noffsets = -1,0,2\n",
+     lambda c: resolve_pattern(c[3], A_SMALL), lambda: offset_pattern(9, [-1, 0, 2])),
+], ids=["rhs_ones", "talbot_constants", "delta_s", "recompute_every", "pivtol",
+        "diag", "tridiag", "power", "sparsified", "offsets"])
+def test_parse_config_values_build_their_objects(tmp_path, text, built, direct):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert _bits(built(parse_config(cfg))) == _bits(direct())
 
 
 def test_parse_config_shifted_pair_inline_shifts(tmp_path):
@@ -471,6 +523,19 @@ def test_cli_run_outputs_csv(tmp_path, capsys):
     assert len(rows) == 4  # three systems plus totals
     assert rows[0]["prec_event"] == "prec"
     assert rows[1]["prec_event"] == "sam"
+
+
+def test_cli_run_reports_config_error_on_one_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[sequence]\nkind = helmholtz_sweep\n[gmres]\nrestart = 0\n")
+    assert cli_main(["run", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "samkit: gmres: restart must be an integer of at least 1\n"
+    cfg.write_text("kind = helmholtz_sweep\n")  # configparser's own message spans three lines
+    assert cli_main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("samkit: File contains no section headers.") and err.count("\n") == 1
+    assert str(cfg) in err
 
 
 def test_cli_run_writes_file(tmp_path):
@@ -540,21 +605,22 @@ def test_cli_gen_output_runs(tmp_path):
 def test_parse_config_rhs_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     base = "[sequence]\nkind = shifted_pair\nnx = 2\nny = 2\nshifts = 1 0\n"
-    plain = tmp_path / "rhs.txt"
-    plain.write_text("1\n-2.5\n0\n3e-1\n")
-    cfg.write_text(base + f"rhs = file:{plain}\n")
+    vector = tmp_path / "rhs.mtx"
+    matrix_market_write(np.array([[1.0], [-2.5], [0.0], [0.3]]), vector)
+    cfg.write_text(base + f"rhs = file:{vector}\n")
     spec, *_ = parse_config(cfg)
     assert np.array_equal(spec.rhs, [1.0, -2.5, 0.0, 0.3])
     short = tmp_path / "short.mtx"
     matrix_market_write(np.ones((3, 1)), short)
-    garbled = tmp_path / "garbled.txt"
-    garbled.write_text("1\nwhat\n")
+    # a row vector holds n entries too
+    row = tmp_path / "row.mtx"
+    matrix_market_write(np.ones((1, 4)), row)
     bad_mm = tmp_path / "bad.mtx"
     bad_mm.write_text("%%MatrixMarket matrix array real general\n4 1\n1\n2\n3\n4\n")
     # a matrix with n entries is not a vector
     square = tmp_path / "square.mtx"
     matrix_market_write(np.ones((2, 2)), square)
-    for path in (tmp_path / "missing.txt", short, garbled, bad_mm, square):
+    for path in (tmp_path / "missing.mtx", short, row, bad_mm, square):
         cfg.write_text(base + f"rhs = file:{path}\n")
         with pytest.raises(ConfigError):
             parse_config(cfg)

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from samkit import (
-    as_csc, offset_pattern, pattern_of, read_pattern, sparsified_power, symbolic_power, write_pattern,
-)
+from samkit import as_csc, offset_pattern, pattern_of, sparsified_power, symbolic_power
 from samkit.patterns import _from_positions
 from helpers import grid_laplacian_triplets, pattern_to_bool, random_pattern, random_sparse, same_pattern
 
@@ -248,39 +246,3 @@ def test_sparsified_power_threshold_monotone():
     assert not (D2 & ~D1).any()
     assert not (D1 & ~pattern_to_bool(symbolic_power(pattern_of(A), 2))).any()
 
-
-def test_pattern_io_round_trip(tmp_path):
-    P = random_pattern(8, np.random.default_rng(7))
-    path = tmp_path / "pat.txt"
-    write_pattern(P, path)
-    assert same_pattern(read_pattern(path), P)
-
-
-def test_pattern_io_empty_file(tmp_path):
-    path = tmp_path / "empty.txt"
-    path.write_text("3 3 0\n")
-    P = read_pattern(path)
-    assert P.shape == (3, 3) and P.nnz == 0
-
-
-def test_pattern_io_hand_written(tmp_path):
-    path = tmp_path / "two.txt"
-    path.write_text("3 2 2\n2 1\n0 0\n")
-    P = read_pattern(path)
-    assert np.array_equal(column(P, 0), [0])
-    assert np.array_equal(column(P, 1), [2])
-
-
-def test_pattern_io_errors(tmp_path):
-    bad_header = tmp_path / "a.txt"
-    bad_header.write_text("3 3\n")
-    with pytest.raises(ValueError):
-        read_pattern(bad_header)
-    truncated = tmp_path / "b.txt"
-    truncated.write_text("3 3 2\n0 0\n")
-    with pytest.raises(ValueError):
-        read_pattern(truncated)
-    out_of_range = tmp_path / "c.txt"
-    out_of_range.write_text("3 3 1\n5 0\n")
-    with pytest.raises(ValueError):
-        read_pattern(out_of_range)
