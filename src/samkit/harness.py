@@ -8,6 +8,7 @@ pair, so maps always target the most recently factored matrix.
 
 import configparser
 import io
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -46,6 +47,8 @@ class Strategy:
             if not self.events:
                 raise ValueError("events strategy needs at least one event")
             idx = [e[0] for e in self.events]
+            if not all(isinstance(i, numbers.Integral) for i in idx):
+                raise ValueError("event indices must be integers")
             if idx[0] != 0 or self.events[0][1] != RECOMPUTE:
                 raise ValueError("the first event must recompute the preconditioner at index 0")
             if any(b <= a for a, b in zip(idx, idx[1:])):
@@ -72,7 +75,7 @@ class Strategy:
 
     @classmethod
     def at_events(cls, events):
-        return cls("events", tuple((int(i), str(a)) for i, a in events))
+        return cls("events", tuple((i, str(a)) for i, a in events))
 
     def action(self, k: int) -> str:
         return self._event_actions.get(k, _DEFAULT_ACTION[self.kind])
@@ -116,7 +119,7 @@ def resolve_pattern(choice, A_ref) -> sp.csc_matrix:
     ``sparsified:P:TAU``, ``offsets:o1,o2,...``.  A pattern file is any
     Matrix Market matrix, passed as the matrix
     :func:`samkit.problems.matrix_market_read` returns, as
-    ``[pattern] kind = file`` does.
+    ``[pattern] kind = file`` does; ``[pattern] kind`` takes the string forms.
     """
     if sp.issparse(choice):
         return patterns.pattern_of(choice)
@@ -255,7 +258,7 @@ _SECTION_KEYS = {
                  "files", "shifts", "shift_file", "n_z", "t", "talbot_constants", "rhs"},
     "strategy": {"kind", "events"},
     "ilutp": {"lfil", "droptol", "pivtol"},
-    "pattern": {"kind", "p", "tau", "offsets", "path"},
+    "pattern": {"kind", "path"},
     "gmres": {"restart", "rel_tol", "max_total_iters"},
 }
 
@@ -268,6 +271,11 @@ def _require(section, key, cfg):
     if key not in cfg:
         raise ConfigError(f"missing required key {section}.{key}")
     return cfg[key]
+
+
+def _given(cfg, **convert):
+    """The keys of ``convert`` that the section sets, converted; the constructor's defaults fill the rest."""
+    return {key: to(cfg[key]) for key, to in convert.items() if key in cfg}
 
 
 def _parse_shifts(seq):
@@ -330,9 +338,7 @@ def _parse_sequence(seq):
     """The SequenceSpec a [sequence] section describes."""
     kind = _require("sequence", "kind", seq)
     if kind == "helmholtz_sweep":
-        return SequenceSpec.helmholtz(
-            nx=int(seq.get("nx", "10")), ny=int(seq.get("ny", "10")),
-            delta_s=float(seq.get("delta_s", "0.01")), count=int(seq.get("count", "200")))
+        return SequenceSpec.helmholtz(**_given(seq, nx=int, ny=int, delta_s=float, count=int))
     if kind == "shifted_pair":
         if "k_file" in seq or "m_file" in seq:
             K = matrix_market_read(_require("sequence", "k_file", seq))
@@ -354,42 +360,34 @@ def _parse_sequence(seq):
     raise ConfigError(f"sequence.kind: unknown kind {kind!r}")
 
 
-def _parse_strategy(st):
+def _parse_strategy(st, n_systems):
     st_kind = st.get("kind", "sam_every")
     if st_kind == "events":
-        return Strategy.at_events(_parse_events(_require("strategy", "events", st)))
+        strategy = Strategy.at_events(_parse_events(_require("strategy", "events", st)))
+        last = strategy.events[-1][0]  # indices increase, so the last is the largest
+        if last >= n_systems:
+            raise ConfigError(f"strategy.events: event at index {last} lies past "
+                              f"the sequence of {n_systems} systems")
+        return strategy
     if "events" in st:
         raise ConfigError(f"strategy.events conflicts with kind={st_kind}")
     return Strategy(st_kind)
 
 
 def _parse_ilutp(il):
-    return ilutp.IlutpParams(
-        lfil=int(il.get("lfil", "20")),
-        droptol=float(il.get("droptol", "1e-3")),
-        pivtol=float(il.get("pivtol", "1.0")))
+    return ilutp.IlutpParams(**_given(il, lfil=int, droptol=float, pivtol=float))
 
 
 def _parse_pattern(pt, n):
     """A pattern choice for resolve_pattern; a pattern file, any Matrix Market matrix, is read here."""
-    pkind = pt.get("kind", "ref")
-    if pkind == "file":
+    choice = pt.get("kind", "ref")
+    if choice == "file":
         P = matrix_market_read(_require("pattern", "path", pt))
         if P.shape != (n, n):
             raise ConfigError(f"pattern.path: pattern is {P.shape[0]}x{P.shape[1]}, systems have size {n}")
         return P
-    if pkind == "power":
-        choice = f"power:{pt.get('p', '2')}"
-    elif pkind == "sparsified":
-        choice = f"sparsified:{pt.get('p', '2')}:{pt.get('tau', '1e-4')}"
-    elif pkind == "offsets":
-        choice = f"offsets:{_require('pattern', 'offsets', pt)}"
-    elif pkind in ("ref", "diag", "tridiag"):
-        choice = pkind
-    else:
-        raise ConfigError(f"pattern.kind: unknown kind {pkind!r}")
-    # resolving on a 1x1 stand-in converts p, tau and the offsets and runs the
-    # builders' range checks; the run's reference matrix is not known yet
+    # resolving on a 1x1 stand-in parses the choice and runs the builders'
+    # range checks; the run's reference matrix is not known yet
     resolve_pattern(choice, sp.identity(1, format="csc"))
     return choice
 
@@ -439,7 +437,7 @@ def parse_config(path):
 
     spec = _parse_section(cp, "sequence", _parse_sequence)
     return (spec,
-            _parse_section(cp, "strategy", _parse_strategy),
+            _parse_section(cp, "strategy", _parse_strategy, len(spec)),
             _parse_section(cp, "ilutp", _parse_ilutp),
             _parse_section(cp, "pattern", _parse_pattern, spec.n),
             _parse_section(cp, "gmres", _parse_gmres))

@@ -44,6 +44,11 @@ def test_strategy_validation():
         Strategy.at_events([(0, "prec"), (3, "explode")])
     with pytest.raises(ValueError):
         Strategy("sam_every", events=((0, "prec"),))
+    # an index that is not an integer is refused, not truncated
+    for bad in (1.5, 2.0, "1"):
+        with pytest.raises(ValueError, match="integers"):
+            Strategy.at_events([(0, "prec"), (bad, "sam")])
+    assert Strategy.at_events([(np.int64(0), "prec"), (np.int32(2), "sam")]).action(2) == "sam"
 
 
 def test_strategy_actions():
@@ -405,15 +410,17 @@ def test_parse_config_rejections(tmp_path):
         "bad_droptol": small + "[ilutp]\ndroptol = abc\n",
         "zero_restart": small + "[gmres]\nrestart = 0\n",
         "removed_gmres_key": small + "[gmres]\nreorthogonalize = true\n",
-        "power_out_of_range": small + "[pattern]\nkind = power\np = 9\n",
-        "bad_tau": small + "[pattern]\nkind = sparsified\ntau = x\n",
-        "nan_tau": small + "[pattern]\nkind = sparsified\ntau = nan\n",
+        "power_out_of_range": small + "[pattern]\nkind = power:9\n",
+        "bad_tau": small + "[pattern]\nkind = sparsified:2:x\n",
+        "nan_tau": small + "[pattern]\nkind = sparsified:2:nan\n",
+        "sparsified_without_tau": small + "[pattern]\nkind = sparsified:2\n",
+        "power_without_p": small + "[pattern]\nkind = power\n",
         "nan_droptol": small + "[ilutp]\ndroptol = nan\n",
         "fractional_lfil": small + "[ilutp]\nlfil = 2.5\n",
         "nan_rel_tol": small + "[gmres]\nrel_tol = nan\n",
         "fractional_restart": small + "[gmres]\nrestart = 2.5\n",
         "fractional_pattern_index": small + f"[pattern]\nkind = file\npath = {fractional}\n",
-        "fractional_offset": small + "[pattern]\nkind = offsets\noffsets = -1,0.9\n",
+        "fractional_offset": small + "[pattern]\nkind = offsets:-1,0.9\n",
         "missing_pattern_file": small + "[pattern]\nkind = file\npath = nowhere.txt\n",
         "pattern_file_wrong_size": small + f"[pattern]\nkind = file\npath = {wrong_size}\n",
         "text_pattern_file": small + f"[pattern]\nkind = file\npath = {text_pattern}\n",
@@ -424,6 +431,12 @@ def test_parse_config_rejections(tmp_path):
         path = tmp_path / f"{name}.cfg"
         path.write_text(content)
         with pytest.raises(ConfigError):
+            parse_config(path)
+    # the retired pattern keys are unknown keys: kind = power:2 spells them now
+    for key in ("p = 2", "tau = 0.1", "offsets = 0,1"):
+        path = tmp_path / "retired.cfg"
+        path.write_text(small + f"[pattern]\nkind = power:2\n{key}\n")
+        with pytest.raises(ConfigError, match=f"unknown key pattern.{key.split()[0]}$"):
             parse_config(path)
 
 
@@ -452,11 +465,11 @@ def _bits(x):
      lambda: offset_pattern(9, [0])),
     (SMALL_SWEEP + "[pattern]\nkind = tridiag\n", lambda c: resolve_pattern(c[3], A_SMALL),
      lambda: offset_pattern(9, [-1, 0, 1])),
-    (SMALL_SWEEP + "[pattern]\nkind = power\np = 3\n", lambda c: resolve_pattern(c[3], A_SMALL),
+    (SMALL_SWEEP + "[pattern]\nkind = power:3\n", lambda c: resolve_pattern(c[3], A_SMALL),
      lambda: symbolic_power(A_SMALL, 3)),
-    (SMALL_SWEEP + "[pattern]\nkind = sparsified\np = 2\ntau = 0.1\n",
+    (SMALL_SWEEP + "[pattern]\nkind = sparsified:2:0.1\n",
      lambda c: resolve_pattern(c[3], A_SMALL), lambda: sparsified_power(A_SMALL, 2, 0.1)),
-    (SMALL_SWEEP + "[pattern]\nkind = offsets\noffsets = -1,0,2\n",
+    (SMALL_SWEEP + "[pattern]\nkind = offsets:-1,0,2\n",
      lambda c: resolve_pattern(c[3], A_SMALL), lambda: offset_pattern(9, [-1, 0, 2])),
 ], ids=["rhs_ones", "talbot_constants", "delta_s", "recompute_every", "pivtol",
         "diag", "tridiag", "power", "sparsified", "offsets"])
@@ -549,10 +562,17 @@ def test_cli_run_writes_file(tmp_path):
     assert out_path.read_text().startswith("index,")
 
 
+def _gen(tmp_path, name, sequence):
+    """Run ``samkit gen`` on a config holding the given [sequence] lines; the output directory."""
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text("[sequence]\n" + sequence)
+    outdir = tmp_path / name
+    assert cli_main(["gen", "--config", str(cfg), "--out", str(outdir)]) == 0
+    return outdir
+
+
 def test_cli_gen_helmholtz(tmp_path):
-    outdir = tmp_path / "gen"
-    assert cli_main(["gen", "--problem", "helmholtz", "--out", str(outdir),
-                     "--nx", "4", "--ny", "4", "--count", "5"]) == 0
+    outdir = _gen(tmp_path, "gen", "kind = helmholtz_sweep\nnx = 4\nny = 4\ncount = 5\n")
     from samkit import matrix_market_read
     assert matrix_market_read(outdir / "k.mtx").shape == (16, 16)
     assert matrix_market_read(outdir / "m.mtx").shape == (16, 16)
@@ -563,27 +583,28 @@ def test_cli_gen_helmholtz(tmp_path):
 
 
 def test_cli_gen_fem_pair(tmp_path):
-    outdir = tmp_path / "gen2"
-    assert cli_main(["gen", "--problem", "fem-pair", "--out", str(outdir),
-                     "--nx", "3", "--ny", "3", "--n-z", "8", "--t", "1.0"]) == 0
+    outdir = _gen(tmp_path, "gen2", "kind = shifted_pair\nnx = 3\nny = 3\nn_z = 8\nt = 1.0\n")
     from samkit import matrix_market_read
     assert matrix_market_read(outdir / "k.mtx").shape == (9, 9)
     assert matrix_market_read(outdir / "m.mtx").shape == (9, 9)
     lines = (outdir / "shifts.txt").read_text().strip().split("\n")
     assert len(lines) == 4
+    # gen takes the config's own defaults: a 32x32 grid and n_z = 40, which gives 20 shifts
+    outdir = _gen(tmp_path, "gen3", "kind = shifted_pair\n")
+    assert matrix_market_read(outdir / "k.mtx").shape == (1024, 1024)
+    assert len((outdir / "shifts.txt").read_text().strip().split("\n")) == 20
 
 
 def test_cli_gen_output_runs(tmp_path):
-    # gen writes each built-in problem as a shifted pair that runs as a config
+    # gen writes each configured pair as a shifted pair that runs as a config
     cases = {
-        "fem-pair": (["--nx", "4", "--ny", "4", "--n-z", "8", "--t", "1.0"],
+        "fem-pair": ("kind = shifted_pair\nnx = 4\nny = 4\nn_z = 8\nt = 1.0\n",
                      SequenceSpec.shifted_pair(*fem_pair_2d(4, 4), talbot_shifts(8, 1.0))),
-        "helmholtz": (["--nx", "4", "--ny", "4", "--count", "3", "--delta-s", "0.3"],
+        "helmholtz": ("kind = helmholtz_sweep\nnx = 4\nny = 4\ncount = 3\ndelta_s = 0.3\n",
                       SequenceSpec.helmholtz(4, 4, delta_s=0.3, count=3)),
     }
-    for problem, (args, direct) in cases.items():
-        outdir = tmp_path / problem
-        assert cli_main(["gen", "--problem", problem, "--out", str(outdir), *args]) == 0
+    for problem, (sequence, direct) in cases.items():
+        outdir = _gen(tmp_path, problem, sequence)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
             f"[sequence]\nkind = shifted_pair\nk_file = {outdir / 'k.mtx'}\n"
@@ -600,6 +621,25 @@ def test_cli_gen_output_runs(tmp_path):
                 assert np.array_equal(getattr(A, arr), getattr(B, arr))
         report = run_sequence(spec, strategy, params, pattern, gc)
         assert len(report.rows) == 4 and all(r.converged for r in report.rows)
+
+
+def test_cli_late_event_and_pairless_gen_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "late.cfg"
+    cfg.write_text("[sequence]\nkind = helmholtz_sweep\nnx = 3\nny = 3\ncount = 2\n"
+                   "[strategy]\nkind = events\nevents = [0:prec, 50:sam]\n")
+    assert cli_main(["run", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("samkit: strategy.events: event at index 50 lies past "
+                                 "the sequence of 3 systems\n")
+    # a matrix_files sequence has no (K, M) pair for gen to write
+    K, _ = fem_pair_2d(2, 2)
+    matrix_market_write(K, tmp_path / "a.mtx")
+    cfg.write_text(f"[sequence]\nkind = matrix_files\nfiles = {tmp_path / 'a.mtx'}\n")
+    outdir = tmp_path / "out"
+    assert cli_main(["gen", "--config", str(cfg), "--out", str(outdir)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "samkit: gen: a matrix_files sequence has no (K, M) pair to write\n"
+    assert not outdir.exists()
 
 
 def test_parse_config_rhs_file(tmp_path):
