@@ -11,6 +11,8 @@ from .problems import matrix_market_write
 
 
 def _cmd_run(args):
+    if args.out and not Path(args.out).parent.is_dir():  # refused before the run, not after it
+        raise ConfigError(f"run: --out directory {Path(args.out).parent} does not exist")
     report = run_sequence(*parse_config(args.config))
     text = render_report(report, format=args.format)
     if args.out:

@@ -24,17 +24,16 @@ RECOMPUTE = "prec"
 COMPUTE_SAM = "sam"
 REUSE = "reuse"
 # per strategy kind, the action of every system after 0 that no event names
-_DEFAULT_ACTION = {"recompute_every": RECOMPUTE, "sam_every": COMPUTE_SAM,
-                   "reuse_first": REUSE, "events": REUSE}
+_DEFAULT_ACTION = {"recompute_every": RECOMPUTE, "sam_every": COMPUTE_SAM, "reuse_first": REUSE}
 
 
 @dataclass(frozen=True)
 class Strategy:
     """Per-system preconditioner policy.
 
-    System 0 always recomputes, since a sequence has to start from a real
-    preconditioner.  ``events`` maps explicit indices to actions; every other
-    system takes its kind's default action.
+    System 0 recomputes, since a sequence has to start from a real
+    preconditioner; under every kind, an event's action wins, and every
+    other system takes the kind's default action.
     """
 
     kind: str
@@ -43,21 +42,16 @@ class Strategy:
     def __post_init__(self):
         if self.kind not in _DEFAULT_ACTION:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
-        if self.kind == "events":
-            if not self.events:
-                raise ValueError("events strategy needs at least one event")
-            idx = [e[0] for e in self.events]
-            if not all(isinstance(i, numbers.Integral) for i in idx):
-                raise ValueError("event indices must be integers")
-            if idx[0] != 0 or self.events[0][1] != RECOMPUTE:
-                raise ValueError("the first event must recompute the preconditioner at index 0")
-            if any(b <= a for a, b in zip(idx, idx[1:])):
-                raise ValueError("event indices must be strictly increasing")
-            for _, act in self.events:
-                if act not in _DEFAULT_ACTION.values():
-                    raise ValueError(f"unknown action {act!r}")
-        elif self.events:
-            raise ValueError(f"strategy {self.kind!r} does not take events")
+        idx = [i for i, _ in self.events]
+        if not all(isinstance(i, numbers.Integral) for i in idx):
+            raise ValueError("event indices must be integers")
+        if any(b <= a for a, b in zip([-1] + idx, idx)):
+            raise ValueError("event indices must be nonnegative and strictly increasing")
+        for i, act in self.events:
+            if act not in _DEFAULT_ACTION.values():
+                raise ValueError(f"unknown action {act!r}")
+            if i == 0 and act != RECOMPUTE:
+                raise ValueError(f"system 0 must recompute the preconditioner, not {act!r}")
         # built once, since action() runs for every system
         object.__setattr__(self, "_event_actions", {**dict(self.events), 0: RECOMPUTE})
 
@@ -75,7 +69,8 @@ class Strategy:
 
     @classmethod
     def at_events(cls, events):
-        return cls("events", tuple((i, str(a)) for i, a in events))
+        """The ``reuse_first`` kind with the given events."""
+        return cls("reuse_first", tuple((i, str(a)) for i, a in events))
 
     def action(self, k: int) -> str:
         return self._event_actions.get(k, _DEFAULT_ACTION[self.kind])
@@ -253,9 +248,15 @@ def _render_markdown(report):
 
 # --- config files -------------------------------------------------------
 
+# the [sequence] keys each kind reads besides ``kind``
+_SEQUENCE_KEYS = {
+    "helmholtz_sweep": {"nx", "ny", "delta_s", "count"},
+    "shifted_pair": {"nx", "ny", "k_file", "m_file", "shifts", "shift_file",
+                     "n_z", "t", "talbot_constants", "rhs"},
+    "matrix_files": {"files", "shifts", "shift_file", "rhs"},
+}
 _SECTION_KEYS = {
-    "sequence": {"kind", "nx", "ny", "delta_s", "count", "k_file", "m_file",
-                 "files", "shifts", "shift_file", "n_z", "t", "talbot_constants", "rhs"},
+    "sequence": {"kind"}.union(*_SEQUENCE_KEYS.values()),
     "strategy": {"kind", "events"},
     "ilutp": {"lfil", "droptol", "pivtol"},
     "pattern": {"kind", "path"},
@@ -331,47 +332,47 @@ def _parse_events(text):
             events.append((int(idx), act.strip()))
         except ValueError:
             raise ConfigError(f"strategy.events: bad item {item!r}") from None
-    return events
+    return tuple(events)
 
 
 def _parse_sequence(seq):
     """The SequenceSpec a [sequence] section describes."""
     kind = _require("sequence", "kind", seq)
+    if kind not in _SEQUENCE_KEYS:
+        raise ConfigError(f"sequence.kind: unknown kind {kind!r}")
+    unread = set(seq) - _SEQUENCE_KEYS[kind] - {"kind"}
+    if unread:
+        raise ConfigError(f"sequence: kind {kind} does not read {', '.join(sorted(unread))}")
     if kind == "helmholtz_sweep":
         return SequenceSpec.helmholtz(**_given(seq, nx=int, ny=int, delta_s=float, count=int))
     if kind == "shifted_pair":
         if "k_file" in seq or "m_file" in seq:
+            if "nx" in seq or "ny" in seq:
+                raise ConfigError("sequence: give only one of nx/ny, k_file/m_file")
             K = matrix_market_read(_require("sequence", "k_file", seq))
             M = matrix_market_read(_require("sequence", "m_file", seq))
         else:
             K, M = fem_pair_2d(int(seq.get("nx", "32")), int(seq.get("ny", "32")))
         return SequenceSpec.shifted_pair(K, M, _parse_shifts(seq), rhs=_parse_rhs(seq, K.shape[0]))
-    if kind == "matrix_files":
-        files = _require("sequence", "files", seq).split()
-        shifts = None
-        if "shifts" in seq or "shift_file" in seq:
-            shifts = _parse_shifts(seq)
-            if len(shifts) != len(files):
-                raise ConfigError(f"sequence: {len(shifts)} shifts for {len(files)} files")
-        spec = SequenceSpec.matrix_files(files, shifts=shifts)
-        if "rhs" in seq:
-            spec = replace(spec, rhs=_parse_rhs(seq, spec.n))
-        return spec
-    raise ConfigError(f"sequence.kind: unknown kind {kind!r}")
+    files = _require("sequence", "files", seq).split()  # matrix_files
+    shifts = None
+    if "shifts" in seq or "shift_file" in seq:
+        shifts = _parse_shifts(seq)
+        if len(shifts) != len(files):
+            raise ConfigError(f"sequence: {len(shifts)} shifts for {len(files)} files")
+    spec = SequenceSpec.matrix_files(files, shifts=shifts)
+    if "rhs" in seq:
+        spec = replace(spec, rhs=_parse_rhs(seq, spec.n))
+    return spec
 
 
 def _parse_strategy(st, n_systems):
-    st_kind = st.get("kind", "sam_every")
-    if st_kind == "events":
-        strategy = Strategy.at_events(_parse_events(_require("strategy", "events", st)))
-        last = strategy.events[-1][0]  # indices increase, so the last is the largest
-        if last >= n_systems:
-            raise ConfigError(f"strategy.events: event at index {last} lies past "
-                              f"the sequence of {n_systems} systems")
-        return strategy
-    if "events" in st:
-        raise ConfigError(f"strategy.events conflicts with kind={st_kind}")
-    return Strategy(st_kind)
+    strategy = Strategy(st.get("kind", "sam_every"), _parse_events(st.get("events", "[]")))
+    last = strategy.events[-1][0] if strategy.events else -1  # indices increase
+    if last >= n_systems:
+        raise ConfigError(f"strategy.events: event at index {last} lies past "
+                          f"the sequence of {n_systems} systems")
+    return strategy
 
 
 def _parse_ilutp(il):
@@ -386,6 +387,8 @@ def _parse_pattern(pt, n):
         if P.shape != (n, n):
             raise ConfigError(f"pattern.path: pattern is {P.shape[0]}x{P.shape[1]}, systems have size {n}")
         return P
+    if "path" in pt:
+        raise ConfigError(f"pattern.path: kind {choice} reads no path")
     # resolving on a 1x1 stand-in parses the choice and runs the builders'
     # range checks; the run's reference matrix is not known yet
     resolve_pattern(choice, sp.identity(1, format="csc"))
@@ -394,9 +397,8 @@ def _parse_pattern(pt, n):
 
 def _parse_gmres(gm):
     max_iters = int(gm.get("max_total_iters", "100"))
-    restart_raw = gm.get("restart", "full")
     return GmresConfig(
-        restart=max_iters if restart_raw == "full" else int(restart_raw),
+        restart=int(gm.get("restart", max_iters)),  # full restarts by default
         rel_tol=float(gm.get("rel_tol", "1e-10")),
         max_total_iters=max_iters)
 

@@ -242,7 +242,8 @@ class SequenceSpec:
         """Sequence read from Matrix Market files, in the given order, with a point-source rhs."""
         mats = [matrix_market_read(p) for p in paths]
         shifts = np.asarray(np.zeros(len(mats)) if shifts is None else shifts, dtype=complex)
-        return cls("matrix_files", mats, shifts, point_source_rhs(mats[0].shape[0]))
+        rhs = point_source_rhs(mats[0].shape[0]) if mats else np.zeros(0)  # no files: the constructor refuses
+        return cls("matrix_files", mats, shifts, rhs)
 
 
 def point_source_rhs(n: int) -> np.ndarray:

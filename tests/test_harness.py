@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import samkit.cli
 import samkit.harness
 from samkit import (
     FactorizationError, GmresConfig, IlutpParams, SequenceReport, SequenceSpec,
@@ -30,20 +31,26 @@ def constant_sequence(n_systems=4):
 
 
 def test_strategy_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown strategy kind"):
         Strategy("bogus")
-    with pytest.raises(ValueError):
-        Strategy.at_events([])
-    with pytest.raises(ValueError):
-        Strategy.at_events([(1, "prec")])
-    with pytest.raises(ValueError):
-        Strategy.at_events([(0, "sam")])
-    with pytest.raises(ValueError):
-        Strategy.at_events([(0, "prec"), (5, "sam"), (5, "sam")])
-    with pytest.raises(ValueError):
-        Strategy.at_events([(0, "prec"), (3, "explode")])
-    with pytest.raises(ValueError):
-        Strategy("sam_every", events=((0, "prec"),))
+    # the retired events kind is an unknown kind: reuse_first takes the events
+    with pytest.raises(ValueError, match="unknown strategy kind 'events'"):
+        Strategy("events", ((0, "prec"),))
+    # the event rules are the same under every kind
+    for kind in ("recompute_every", "sam_every", "reuse_first"):
+        with pytest.raises(ValueError, match="nonnegative"):
+            Strategy(kind, ((-1, "prec"),))
+        with pytest.raises(ValueError, match="system 0 must recompute"):
+            Strategy(kind, ((0, "sam"),))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Strategy(kind, ((0, "prec"), (5, "sam"), (5, "sam")))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Strategy(kind, ((4, "sam"), (2, "sam")))
+        with pytest.raises(ValueError, match="unknown action"):
+            Strategy(kind, ((0, "prec"), (3, "explode")))
+        # no event, or a first event past system 0, is a schedule too
+        assert Strategy(kind).action(0) == Strategy(kind, ((1, "prec"),)).action(0) == "prec"
+    assert Strategy.at_events([]) == Strategy.reuse_first()
     # an index that is not an integer is refused, not truncated
     for bad in (1.5, 2.0, "1"):
         with pytest.raises(ValueError, match="integers"):
@@ -56,7 +63,12 @@ def test_strategy_actions():
     assert [Strategy.reuse_first().action(k) for k in range(3)] == ["prec", "reuse", "reuse"]
     assert [Strategy.sam_every().action(k) for k in range(3)] == ["prec", "sam", "sam"]
     ev = Strategy.at_events([(0, "prec"), (2, "sam")])
+    assert ev == Strategy("reuse_first", ((0, "prec"), (2, "sam")))
     assert [ev.action(k) for k in range(4)] == ["prec", "reuse", "sam", "reuse"]
+    # an event's action wins under every kind
+    events = ((2, "reuse"), (3, "prec"))
+    assert [Strategy("sam_every", events).action(k) for k in range(5)] == ["prec", "sam", "reuse", "prec", "sam"]
+    assert [Strategy("recompute_every", events).action(k) for k in range(4)] == ["prec", "prec", "reuse", "prec"]
 
 
 def test_resolve_pattern_forms(tmp_path):
@@ -212,6 +224,19 @@ def test_one_plan_serves_every_reference_of_one_structure(monkeypatch):
             assert r.sam_rel_residual == want.rel_residual
 
 
+def test_sam_every_with_prec_events_is_the_refresh_schedule():
+    # the benchmark's refresh arm names every system; sam_every needs only the refreshes
+    spec = small_sweep(count=11)
+    refresh = Strategy.at_events([(k, "prec" if k % 4 == 0 else "sam") for k in range(12)])
+    sparse = Strategy("sam_every", ((0, "prec"), (4, "prec"), (8, "prec")))
+    rows = [run_sequence(spec, s, MILD_ILUTP, "ref", FAST_GMRES).rows for s in (refresh, sparse)]
+    assert len(rows[0]) == len(rows[1]) == 12
+    for a, b in zip(*rows):
+        assert (a.prec_event, a.iterations, a.sam_rel_residual, a.final_rel_residual) == \
+               (b.prec_event, b.iterations, b.sam_rel_residual, b.final_rel_residual)
+    assert [r.prec_event for r in rows[1]] == ["prec", "sam", "sam", "sam"] * 3
+
+
 def test_pattern_that_changes_with_the_reference_plans_again(monkeypatch):
     # the sparsified pattern keeps only the diagonal of system 0 and the whole
     # stencil of system 20, whose diagonal is smaller
@@ -353,24 +378,27 @@ def test_parse_config_minimal_helmholtz(tmp_path):
 
 def test_parse_config_events_schedule(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "[sequence]\nkind = helmholtz_sweep\nnx = 4\nny = 4\ncount = 20\n"
-        "[strategy]\nkind = events\nevents = [0:prec, 15:sam]\n")
+    sweep = "[sequence]\nkind = helmholtz_sweep\nnx = 4\nny = 4\ncount = 20\n"
+    cfg.write_text(sweep + "[strategy]\nkind = reuse_first\nevents = [0:prec, 15:sam]\n")
     _, strategy, *_ = parse_config(cfg)
-    assert strategy.kind == "events"
-    assert strategy.events == ((0, "prec"), (15, "sam"))
+    assert strategy == Strategy.at_events([(0, "prec"), (15, "sam")])
+    # any kind takes events, and the kind still defaults to sam_every
+    for kind_line, kind in (("kind = recompute_every\n", "recompute_every"), ("", "sam_every")):
+        cfg.write_text(sweep + f"[strategy]\n{kind_line}events = [4:prec, 9:reuse]\n")
+        _, strategy, *_ = parse_config(cfg)
+        assert strategy == Strategy(kind, ((4, "prec"), (9, "reuse")))
 
 
 def test_parse_config_rejections(tmp_path):
     bad = {
-        "events_not_zero": ("[sequence]\nkind = helmholtz_sweep\n"
-                            "[strategy]\nkind = events\nevents = [1:prec]\n"),
+        "event_zero_not_prec": ("[sequence]\nkind = helmholtz_sweep\n"
+                                "[strategy]\nkind = reuse_first\nevents = [0:sam]\n"),
         "unknown_key": "[sequence]\nkind = helmholtz_sweep\nwibble = 3\n",
         "unknown_section": "[sequence]\nkind = helmholtz_sweep\n[turbo]\nx = 1\n",
         "missing_kind": "[sequence]\nnx = 4\n",
         "bad_kind": "[sequence]\nkind = warp_drive\n",
-        "conflicting_strategy": ("[sequence]\nkind = helmholtz_sweep\n"
-                                 "[strategy]\nkind = sam_every\nevents = [0:prec]\n"),
+        "unknown_event_action": ("[sequence]\nkind = helmholtz_sweep\n"
+                                 "[strategy]\nkind = sam_every\nevents = [0:prec, 3:map]\n"),
         "bad_pattern": "[sequence]\nkind = helmholtz_sweep\n[pattern]\nkind = fancy\n",
         "small_grid": "[sequence]\nkind = helmholtz_sweep\nnx = 1\n",
         "missing_k_file": ("[sequence]\nkind = shifted_pair\nk_file = nowhere/k.mtx\n"
@@ -438,6 +466,37 @@ def test_parse_config_rejections(tmp_path):
         path.write_text(small + f"[pattern]\nkind = power:2\n{key}\n")
         with pytest.raises(ConfigError, match=f"unknown key pattern.{key.split()[0]}$"):
             parse_config(path)
+
+
+def test_parse_config_refuses_what_its_kinds_do_not_read(tmp_path):
+    K, M = fem_pair_2d(2, 2)
+    matrix_market_write(K, tmp_path / "k.mtx")
+    matrix_market_write(M, tmp_path / "m.mtx")
+    pair_files = f"k_file = {tmp_path / 'k.mtx'}\nm_file = {tmp_path / 'm.mtx'}\nshifts = 1 0\n"
+    small = "[sequence]\nkind = helmholtz_sweep\nnx = 3\nny = 3\ncount = 2\n"
+    cases = {
+        # each was accepted and dropped what the kind does not read
+        "kind helmholtz_sweep does not read k_file, shifts$":
+            "[sequence]\nkind = helmholtz_sweep\nshifts = 5 0\nk_file = nowhere.mtx\n",
+        "kind helmholtz_sweep does not read rhs$": small + "rhs = ones\n",
+        "kind matrix_files does not read n_z$":
+            f"[sequence]\nkind = matrix_files\nfiles = {tmp_path / 'k.mtx'}\nn_z = 8\n",
+        "kind diag reads no path$": small + "[pattern]\nkind = diag\npath = nowhere.mtx\n",
+        "only one of nx/ny, k_file/m_file$": "[sequence]\nkind = shifted_pair\nnx = 5\n" + pair_files,
+        # the retired spellings
+        "unknown strategy kind 'events'$": small + "[strategy]\nkind = events\nevents = [0:prec]\n",
+        "'full'$": small + "[gmres]\nrestart = full\n",
+        # an empty file list is an empty sequence, not an IndexError
+        "at least one system$": "[sequence]\nkind = matrix_files\nfiles =\n",
+    }
+    cfg = tmp_path / "run.cfg"
+    for message, text in cases.items():
+        cfg.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            parse_config(cfg)
+    # the same files without nx read as before
+    cfg.write_text("[sequence]\nkind = shifted_pair\n" + pair_files)
+    assert parse_config(cfg)[0].pair[0].shape == (4, 4)
 
 
 SMALL_SWEEP = "[sequence]\nkind = helmholtz_sweep\nnx = 3\nny = 3\ncount = 2\n"
@@ -562,6 +621,18 @@ def test_cli_run_writes_file(tmp_path):
     assert out_path.read_text().startswith("index,")
 
 
+def test_cli_run_refuses_missing_out_directory_before_any_work(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[sequence]\nkind = helmholtz_sweep\nnx = 3\nny = 3\ncount = 1\n")
+    ran = []
+    monkeypatch.setattr(samkit.cli, "run_sequence", lambda *args: ran.append(args))
+    out_path = tmp_path / "missing" / "report.csv"
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"samkit: run: --out directory {out_path.parent} does not exist\n"
+    assert ran == [] and not out_path.parent.exists()
+
+
 def _gen(tmp_path, name, sequence):
     """Run ``samkit gen`` on a config holding the given [sequence] lines; the output directory."""
     cfg = tmp_path / f"{name}.cfg"
@@ -626,7 +697,7 @@ def test_cli_gen_output_runs(tmp_path):
 def test_cli_late_event_and_pairless_gen_exit_2(tmp_path, capsys):
     cfg = tmp_path / "late.cfg"
     cfg.write_text("[sequence]\nkind = helmholtz_sweep\nnx = 3\nny = 3\ncount = 2\n"
-                   "[strategy]\nkind = events\nevents = [0:prec, 50:sam]\n")
+                   "[strategy]\nkind = reuse_first\nevents = [0:prec, 50:sam]\n")
     assert cli_main(["run", "--config", str(cfg)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == ("samkit: strategy.events: event at index 50 lies past "
