@@ -11,12 +11,17 @@ from .problems import matrix_market_write
 
 
 def _cmd_run(args):
-    if args.out and not Path(args.out).parent.is_dir():  # refused before the run, not after it
-        raise ConfigError(f"run: --out directory {Path(args.out).parent} does not exist")
+    if args.out:  # an --out that cannot be written is refused before the run, not after it
+        out = Path(args.out)
+        if out.is_dir():
+            raise ConfigError(f"run: --out {out} is a directory")
+        if not out.parent.is_dir():
+            state = "is not a directory" if out.parent.exists() else "does not exist"
+            raise ConfigError(f"run: --out directory {out.parent} {state}")
     report = run_sequence(*parse_config(args.config))
     text = render_report(report, format=args.format)
     if args.out:
-        Path(args.out).write_text(text)
+        out.write_text(text)
         print(f"wrote {len(report.rows)} system rows to {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)
@@ -25,10 +30,13 @@ def _cmd_run(args):
 
 def _cmd_gen(args):
     """Write a config's pair, rhs and shifts as a ``shifted_pair`` config reads them."""
+    outdir = Path(args.out)  # made with its missing parents; the nearest existing one must be a directory
+    existing = next(p for p in (outdir, *outdir.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"gen: --out {outdir}: {existing} is not a directory")
     spec = parse_config(args.config)[0]
     if spec.pair is None:
         raise ConfigError(f"gen: a {spec.kind} sequence has no (K, M) pair to write")
-    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     matrix_market_write(spec.pair[0], outdir / "k.mtx")
     matrix_market_write(spec.pair[1], outdir / "m.mtx")

@@ -7,7 +7,6 @@ pair, so maps always target the most recently factored matrix.
 """
 
 import configparser
-import io
 import numbers
 import time
 from dataclasses import dataclass, field, replace
@@ -206,44 +205,27 @@ CSV_COLUMNS = ("index", "shift_re", "shift_im", "prec_event", "prec_seconds",
 
 
 def render_report(report: SequenceReport, format: str = "csv") -> str:
+    """The report table: the CSV_COLUMNS header, one row per system and a totals row.
+
+    ``csv`` joins the cells with commas and writes floats as ``repr``;
+    ``markdown`` writes the same cells as a pipe table, floats at four
+    significant digits.
+    """
+    num = {"csv": repr, "markdown": "{:.4g}".format}.get(format)
+    if num is None:
+        raise ValueError(f"unknown report format {format!r}")
+    rows = [CSV_COLUMNS]
+    for r in report.rows:
+        sam_res = "" if r.sam_rel_residual is None else num(r.sam_rel_residual)
+        rows.append((str(r.index), num(r.shift.real), num(r.shift.imag), r.prec_event,
+                     num(r.prec_seconds), sam_res, num(r.gmres_seconds), str(r.iterations),
+                     str(r.converged).lower(), num(r.final_rel_residual)))
+    rows.append(("totals", "", "", "", num(report.total_prec_seconds), "",
+                 num(report.total_gmres_seconds), str(report.total_iterations), "", ""))
     if format == "csv":
-        return _render_csv(report)
-    if format == "markdown":
-        return _render_markdown(report)
-    raise ValueError(f"unknown report format {format!r}")
-
-
-def _render_csv(report):
-    out = io.StringIO()
-    out.write(",".join(CSV_COLUMNS) + "\n")
-    for r in report.rows:
-        sam_res = "" if r.sam_rel_residual is None else repr(r.sam_rel_residual)
-        out.write(",".join([
-            str(r.index), repr(r.shift.real), repr(r.shift.imag), r.prec_event,
-            repr(r.prec_seconds), sam_res, repr(r.gmres_seconds),
-            str(r.iterations), str(r.converged).lower(), repr(r.final_rel_residual),
-        ]) + "\n")
-    out.write(",".join([
-        "totals", "", "", "", repr(report.total_prec_seconds), "",
-        repr(report.total_gmres_seconds), str(report.total_iterations), "", "",
-    ]) + "\n")
-    return out.getvalue()
-
-
-def _render_markdown(report):
-    head = ("| system | shift | event | prec (s) | map relres | gmres (s) | iter | converged |",
-            "|---|---|---|---|---|---|---|---|")
-    lines = list(head)
-    for r in report.rows:
-        shift = f"{r.shift.real:.4g}" if r.shift.imag == 0 else f"{r.shift.real:.4g}{r.shift.imag:+.4g}i"
-        sam_res = "" if r.sam_rel_residual is None else f"{r.sam_rel_residual:.3e}"
-        lines.append(
-            f"| {r.index} | {shift} | {r.prec_event} | {r.prec_seconds:.3f} | {sam_res} "
-            f"| {r.gmres_seconds:.3f} | {r.iterations} | {str(r.converged).lower()} |")
-    lines.append(
-        f"| totals |  |  | {report.total_prec_seconds:.3f} |  "
-        f"| {report.total_gmres_seconds:.3f} | {report.total_iterations} |  |")
-    return "\n".join(lines) + "\n"
+        return "".join(",".join(row) + "\n" for row in rows)
+    rows.insert(1, ("---",) * len(CSV_COLUMNS))
+    return "".join("| " + " | ".join(row) + " |\n" for row in rows)
 
 
 # --- config files -------------------------------------------------------

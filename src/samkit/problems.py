@@ -131,25 +131,21 @@ def talbot_shifts(n_z: int, t: float, constants=TALBOT_CONSTANTS) -> np.ndarray:
     return (n_z / t) * (-sigma + mu * theta / np.tan(alpha * theta) + 1j * nu * theta)
 
 
-# --- Matrix Market coordinate files ---------------------------------------
+# --- Matrix Market files ----------------------------------------------------
 
 
 def matrix_market_read(path):
-    """Read a coordinate-format Matrix Market file into a canonical CSC matrix.
+    """Read a Matrix Market file into a canonical CSC matrix.
 
-    Supports real/complex general/symmetric files (symmetric storage is
-    expanded); array format, pattern/integer fields and
-    skew-symmetric/hermitian storage raise ``ValueError``, as do malformed,
-    truncated and out-of-range files.
+    Reads what ``scipy.io.mmread`` reads: coordinate or array format, a
+    real, complex or integer field, and general, symmetric, skew-symmetric
+    or hermitian storage (expanded to the full matrix).  A pattern file
+    holds no values, so it raises ``ValueError`` rather than read as all
+    ones; so do malformed, truncated and out-of-range files.
     """
     try:
-        _, _, _, fmt, fieldkind, symmetry = scipy.io.mminfo(path)
-        if fmt != "coordinate":
-            raise ValueError(f"unsupported format {fmt!r}, only 'coordinate' is handled")
-        if fieldkind not in ("real", "complex"):
-            raise ValueError(f"unsupported field {fieldkind!r}, only real/complex are handled")
-        if symmetry not in ("general", "symmetric"):
-            raise ValueError(f"unsupported symmetry {symmetry!r}, only general/symmetric are handled")
+        if scipy.io.mminfo(path)[4] == "pattern":
+            raise ValueError("unsupported field 'pattern', a file must hold values")
         return as_csc(scipy.io.mmread(path))
     except ValueError as exc:
         # scipy's messages name the line but not the file

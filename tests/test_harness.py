@@ -3,6 +3,7 @@ import io
 
 import numpy as np
 import pytest
+import scipy.io
 import scipy.sparse as sp
 
 import samkit.cli
@@ -13,7 +14,7 @@ from samkit import (
     matrix_market_write, offset_pattern, parse_config, pattern_of, plan, render_report,
     resolve_pattern, run_sequence, sparsified_power, symbolic_power, talbot_shifts,
 )
-from samkit.harness import ConfigError
+from samkit.harness import CSV_COLUMNS, ConfigError
 from samkit.cli import main as cli_main
 from helpers import random_sparse, same_pattern
 
@@ -355,11 +356,23 @@ def test_render_csv_round_trip_values():
 
 
 def test_render_markdown():
-    text = render_report(_synthetic_report(), format="markdown")
-    assert text.startswith("| system |")
-    assert "| totals |" in text
-    assert "| 60 |" in text
-    with pytest.raises(ValueError):
+    # the markdown table holds the CSV's cells under the CSV's header, after a
+    # separator row, and writes each number at four significant digits
+    for rep in (_synthetic_report(), SequenceReport()):
+        csv_rows = list(csv.reader(io.StringIO(render_report(rep))))
+        md_rows = [[cell.strip() for cell in line.strip("|").split("|")]
+                   for line in render_report(rep, format="markdown").splitlines()]
+        assert md_rows[0] == list(CSV_COLUMNS) and md_rows[1] == ["---"] * len(CSV_COLUMNS)
+        assert len(md_rows) == len(csv_rows) + 1
+        for md_row, csv_row in zip(md_rows[2:], csv_rows[1:], strict=True):
+            for md, cell in zip(md_row, csv_row, strict=True):
+                try:
+                    assert md == format(float(cell), ".4g")
+                except ValueError:  # not a number
+                    assert md == cell
+    assert render_report(_synthetic_report(), format="markdown").splitlines()[-1] == (
+        "| totals |  |  |  | 2 |  | 1 | 60 |  |  |")
+    with pytest.raises(ValueError, match="unknown report format 'html'"):
         render_report(_synthetic_report(), format="html")
 
 
@@ -460,6 +473,23 @@ def test_parse_config_rejections(tmp_path):
         path.write_text(content)
         with pytest.raises(ConfigError):
             parse_config(path)
+    pair = "[sequence]\nkind = shifted_pair\nnx = 2\nny = 2\n"
+    with_message = {
+        "sequence.shifts: expected pairs of 're im' values$": pair + "shifts = 1 0 2\n",
+        "sequence.talbot_constants: four values required$": pair + "talbot_constants = 1 1 1\n",
+        "sequence.rhs: unknown source 'wave'$": pair + "shifts = 1 0\nrhs = wave\n",
+        r"strategy.events: expected a bracketed list like \[0:prec, 15:sam\]$":
+            small + "[strategy]\nevents = 0:prec\n",
+        "strategy.events: bad item 'x:sam'$": small + "[strategy]\nevents = [0:prec, x:sam]\n",
+        r"missing required section \[sequence\]$": "[ilutp]\nlfil = 5\n",
+    }
+    for message, content in with_message.items():
+        path = tmp_path / "message.cfg"
+        path.write_text(content)
+        with pytest.raises(ConfigError, match=message):
+            parse_config(path)
+    with pytest.raises(ConfigError, match="^cannot read config file .*absent.cfg$"):
+        parse_config(tmp_path / "absent.cfg")
     # the retired pattern keys are unknown keys: kind = power:2 spells them now
     for key in ("p = 2", "tau = 0.1", "offsets = 0,1"):
         path = tmp_path / "retired.cfg"
@@ -621,16 +651,27 @@ def test_cli_run_writes_file(tmp_path):
     assert out_path.read_text().startswith("index,")
 
 
-def test_cli_run_refuses_missing_out_directory_before_any_work(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command, out, message", [
+    ("run", "missing/report.csv", "run: --out directory {tmp}/missing does not exist"),
+    ("run", "adir", "run: --out {tmp}/adir is a directory"),
+    ("run", "afile/report.csv", "run: --out directory {tmp}/afile is not a directory"),
+    ("gen", "afile", "gen: --out {tmp}/afile: {tmp}/afile is not a directory"),
+    ("gen", "afile/sub", "gen: --out {tmp}/afile/sub: {tmp}/afile is not a directory"),
+], ids=["missing_directory", "run_into_directory", "run_under_file", "gen_into_file", "gen_under_file"])
+def test_cli_run_refuses_missing_out_directory_before_any_work(tmp_path, capsys, monkeypatch,
+                                                              command, out, message):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("[sequence]\nkind = helmholtz_sweep\nnx = 3\nny = 3\ncount = 1\n")
+    cfg.write_text("[sequence]\nkind = shifted_pair\nnx = 3\nny = 3\nshifts = 1 0\n")
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("kept\n")
     ran = []
+    monkeypatch.setattr(samkit.cli, "parse_config", lambda *args: ran.append(args))
     monkeypatch.setattr(samkit.cli, "run_sequence", lambda *args: ran.append(args))
-    out_path = tmp_path / "missing" / "report.csv"
-    assert cli_main(["run", "--config", str(cfg), "--out", str(out_path)]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err == f"samkit: run: --out directory {out_path.parent} does not exist\n"
-    assert ran == [] and not out_path.parent.exists()
+    assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err == f"samkit: {message.format(tmp=tmp_path)}\n"
+    assert ran == [] and not (tmp_path / "missing").exists()
+    assert (tmp_path / "afile").read_text() == "kept\n" and not any((tmp_path / "adir").iterdir())
 
 
 def _gen(tmp_path, name, sequence):
@@ -721,17 +762,26 @@ def test_parse_config_rhs_file(tmp_path):
     cfg.write_text(base + f"rhs = file:{vector}\n")
     spec, *_ = parse_config(cfg)
     assert np.array_equal(spec.rhs, [1.0, -2.5, 0.0, 0.3])
+    # the array format, as scipy writes a dense vector, reads the same
+    array = tmp_path / "array.mtx"
+    scipy.io.mmwrite(array, np.array([[1.0], [-2.5], [0.0], [0.3]]))
+    cfg.write_text(base + f"rhs = file:{array}\n")
+    spec, *_ = parse_config(cfg)
+    assert np.array_equal(spec.rhs, [1.0, -2.5, 0.0, 0.3])
+    # a matrix_files sequence takes its right-hand side from the file too
+    matrix_market_write(fem_pair_2d(2, 2)[0], tmp_path / "k.mtx")
+    cfg.write_text(f"[sequence]\nkind = matrix_files\nfiles = {tmp_path / 'k.mtx'}\nrhs = file:{vector}\n")
+    spec, *_ = parse_config(cfg)
+    assert np.array_equal(spec.rhs, [1.0, -2.5, 0.0, 0.3])
     short = tmp_path / "short.mtx"
     matrix_market_write(np.ones((3, 1)), short)
     # a row vector holds n entries too
     row = tmp_path / "row.mtx"
     matrix_market_write(np.ones((1, 4)), row)
-    bad_mm = tmp_path / "bad.mtx"
-    bad_mm.write_text("%%MatrixMarket matrix array real general\n4 1\n1\n2\n3\n4\n")
     # a matrix with n entries is not a vector
     square = tmp_path / "square.mtx"
     matrix_market_write(np.ones((2, 2)), square)
-    for path in (tmp_path / "missing.mtx", short, row, bad_mm, square):
+    for path in (tmp_path / "missing.mtx", short, row, square):
         cfg.write_text(base + f"rhs = file:{path}\n")
         with pytest.raises(ConfigError):
             parse_config(cfg)

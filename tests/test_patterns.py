@@ -202,6 +202,12 @@ def test_symbolic_power_rejects_bad_input():
         symbolic_power(Q, 0)
     with pytest.raises(ValueError):
         symbolic_power(Q, 6)
+    # above tau = 0, sparsified_power does not call symbolic_power and checks the same input itself
+    with pytest.raises(ValueError, match="^sparsified_power needs a square matrix$"):
+        sparsified_power(as_csc(np.ones((2, 3))), 2, 0.1)
+    for p in (0, 6):
+        with pytest.raises(ValueError, match="^power must be between 1 and 5$"):
+            sparsified_power(as_csc(np.eye(3)), p, 0.1)
 
 
 def test_sparsified_power_no_threshold_is_symbolic():

@@ -69,6 +69,10 @@ def test_laplace2d_matches_kron_construction(nx, ny, kron_stores_zeros):
 def test_laplace2d_rejects_small_grid():
     with pytest.raises(ValueError):
         laplace2d_dirichlet(1, 5)
+    # fem_pair_2d refuses the same grids
+    for nx, ny in ((1, 5), (5, 1)):
+        with pytest.raises(ValueError, match="^grid must be at least 2x2$"):
+            fem_pair_2d(nx, ny)
 
 
 def test_helmholtz_sequence_shifts_diagonal():
@@ -224,6 +228,9 @@ def test_talbot_conjugate_half_closes_contour():
 def test_talbot_rejects_odd_count():
     with pytest.raises(ValueError):
         talbot_shifts(7, 1.0)
+    for n_z, t in ((0, 1.0), (-2, 1.0), (8, 0.0), (8, -1.0)):
+        with pytest.raises(ValueError, match="^n_z and t must be positive$"):
+            talbot_shifts(n_z, t)
 
 
 def test_matrix_market_round_trip_real(tmp_path):
@@ -276,9 +283,6 @@ def test_matrix_market_hand_written(tmp_path):
 def test_matrix_market_errors(tmp_path):
     cases = {
         "malformed": "%%NotMatrixMarket\n1 1 0\n",
-        "pattern": "%%MatrixMarket matrix coordinate pattern general\n1 1 1\n1 1\n",
-        "skew": "%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 1\n2 1 1.0\n",
-        "array": "%%MatrixMarket matrix array real general\n2 2\n1.0\n2.0\n3.0\n4.0\n",
         "oob": "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n",
         "truncated": "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n",
     }
@@ -287,6 +291,28 @@ def test_matrix_market_errors(tmp_path):
         path.write_text(content)
         with pytest.raises(ValueError):
             matrix_market_read(path)
+    # a pattern file holds no values, and must not read as all ones
+    path = tmp_path / "pattern.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate pattern general\n1 1 1\n1 1\n")
+    with pytest.raises(ValueError, match="pattern.mtx: unsupported field 'pattern'"):
+        matrix_market_read(path)
+    # every other variant reads as scipy.io.mmread reads it
+    read = {
+        "skew": ("%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 1\n2 1 1.5\n",
+                 [[0.0, -1.5], [1.5, 0.0]]),
+        "array": ("%%MatrixMarket matrix array real general\n2 2\n1.0\n2.0\n3.0\n4.0\n",
+                  [[1.0, 3.0], [2.0, 4.0]]),
+        "integer": ("%%MatrixMarket matrix coordinate integer general\n2 2 2\n1 1 3\n2 1 -7\n",
+                    [[3.0, 0.0], [-7.0, 0.0]]),
+        "hermitian": ("%%MatrixMarket matrix coordinate complex hermitian\n2 2 2\n1 1 2.0 0.0\n2 1 1.0 2.0\n",
+                      [[2.0, 1.0 - 2.0j], [1.0 + 2.0j, 0.0]]),
+    }
+    for name, (content, dense) in read.items():
+        path = tmp_path / f"{name}.mtx"
+        path.write_text(content)
+        A = matrix_market_read(path)
+        assert A.dtype == np.asarray(dense).dtype and A.has_canonical_format
+        assert np.array_equal(A.toarray(), dense)
 
 
 def test_matrix_market_write_precision(tmp_path):
@@ -362,6 +388,10 @@ def test_sequence_spec_validation():
         SequenceSpec.shifted_pair(K, M, [])
     with pytest.raises(ValueError):
         SequenceSpec("shifted_pair", [K], np.zeros(1, dtype=complex), np.ones(5))
+    with pytest.raises(ValueError, match="^one shift per system required$"):
+        SequenceSpec("custom", [K, K], np.zeros(3), np.ones(9))
+    with pytest.raises(ValueError, match="^all systems must be square with one common size$"):
+        SequenceSpec("custom", [K, fem_pair_2d(2, 2)[0]], np.zeros(2), np.ones(9))
 
 
 def test_point_source_rhs():

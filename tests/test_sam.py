@@ -108,6 +108,13 @@ def test_plan_takes_any_sparse_matrix_as_pattern():
 def test_plan_dimension_mismatch():
     with pytest.raises(ValueError):
         plan(offset_pattern(3, [0]), sp.identity(4, format="csc"))
+    I3, I4 = sp.identity(3, format="csc"), sp.identity(4, format="csc")
+    with pytest.raises(ValueError, match=r"^plan: reference shape \(4, 4\) does not match matrix \(3, 3\)$"):
+        plan(offset_pattern(3, [0]), I3, A_ref=I4)
+    pl = plan(offset_pattern(3, [0]), I3)
+    for A, A_ref in ((I4, I3), (I3, I4)):
+        with pytest.raises(ValueError, match="^compute_map: matrices must be 3x3$"):
+            compute_map(A, A_ref, pl)
 
 
 def test_plan_rhs_rows_augmentation():
