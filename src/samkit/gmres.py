@@ -32,12 +32,13 @@ class GmresConfig:
     max_total_iters: int = 500
 
     def __post_init__(self):
-        if not isinstance(self.restart, numbers.Integral) or self.restart < 1:
-            raise ValueError("restart must be an integer of at least 1")
+        for name in ("restart", "max_total_iters"):
+            value = getattr(self, name)
+            # bool is an Integral, but True is not a count
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1")
         if not self.rel_tol > 0:  # NaN fails too
             raise ValueError("rel_tol must be positive")
-        if not isinstance(self.max_total_iters, numbers.Integral) or self.max_total_iters < 1:
-            raise ValueError("max_total_iters must be an integer of at least 1")
 
 
 @dataclass

@@ -42,7 +42,7 @@ class Strategy:
         if self.kind not in _DEFAULT_ACTION:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         idx = [i for i, _ in self.events]
-        if not all(isinstance(i, numbers.Integral) for i in idx):
+        if not all(isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in idx):
             raise ValueError("event indices must be integers")
         if any(b <= a for a, b in zip([-1] + idx, idx)):
             raise ValueError("event indices must be nonnegative and strictly increasing")
@@ -109,9 +109,9 @@ def resolve_pattern(choice, A_ref) -> sp.csc_matrix:
     """Turn a pattern choice into a concrete pattern for the reference matrix.
 
     Accepts a sparse matrix, whose stored positions are the pattern, or one
-    of the string forms ``ref``, ``diag``, ``tridiag``, ``power:P``,
-    ``sparsified:P:TAU``, ``offsets:o1,o2,...``.  A pattern file is any
-    Matrix Market matrix, passed as the matrix
+    of the string forms ``ref``, ``power:P``, ``sparsified:P:TAU``,
+    ``offsets:o1,o2,...`` (``offsets:0`` is the diagonal).  A pattern file
+    is any Matrix Market matrix, passed as the matrix
     :func:`samkit.problems.matrix_market_read` returns, as
     ``[pattern] kind = file`` does; ``[pattern] kind`` takes the string forms.
     """
@@ -119,23 +119,18 @@ def resolve_pattern(choice, A_ref) -> sp.csc_matrix:
         return patterns.pattern_of(choice)
     if not isinstance(choice, str):
         raise TypeError("pattern choice must be a sparse matrix or a string")
-    n = A_ref.shape[0]
     name, sep, arg = choice.partition(":")
-    if sep and name in ("ref", "diag", "tridiag"):
-        raise ValueError(f"pattern choice {choice!r}: {name} takes no argument")
     if name == "ref":
+        if sep:
+            raise ValueError(f"pattern choice {choice!r}: ref takes no argument")
         return patterns.pattern_of(A_ref)
-    if name == "diag":
-        return patterns.offset_pattern(n, [0])
-    if name == "tridiag":
-        return patterns.offset_pattern(n, [-1, 0, 1])
     if name == "power":
         return patterns.symbolic_power(A_ref, int(arg))
     if name == "sparsified":
         p, tau = arg.split(":")
         return patterns.sparsified_power(A_ref, int(p), float(tau))
     if name == "offsets":
-        return patterns.offset_pattern(n, [int(tok) for tok in arg.split(",")])
+        return patterns.offset_pattern(A_ref.shape[0], [int(tok) for tok in arg.split(",")])
     raise ValueError(f"unknown pattern choice {choice!r}")
 
 
@@ -234,7 +229,7 @@ def render_report(report: SequenceReport, format: str = "csv") -> str:
 _SEQUENCE_KEYS = {
     "helmholtz_sweep": {"nx", "ny", "delta_s", "count"},
     "shifted_pair": {"nx", "ny", "k_file", "m_file", "shifts", "shift_file",
-                     "n_z", "t", "talbot_constants", "rhs"},
+                     "n_z", "t", "rhs"},
     "matrix_files": {"files", "shifts", "shift_file", "rhs"},
 }
 _SECTION_KEYS = {
@@ -262,9 +257,9 @@ def _given(cfg, **convert):
 
 
 def _parse_shifts(seq):
-    contour = any(key in seq for key in ("n_z", "t", "talbot_constants"))
+    contour = "n_z" in seq or "t" in seq
     if ("shifts" in seq) + ("shift_file" in seq) + contour > 1:
-        raise ConfigError("sequence: give only one of shifts, shift_file, n_z/t/talbot_constants")
+        raise ConfigError("sequence: give only one of shifts, shift_file, n_z/t")
     if "shifts" in seq:
         pairs = np.array(seq["shifts"].replace(";", " ").split(), dtype=float)
         if pairs.size % 2 != 0:
@@ -275,22 +270,13 @@ def _parse_shifts(seq):
         if pairs.shape[0] == 0 or pairs.shape[1] != 2:
             raise ConfigError("sequence.shift_file: expected one 're im' pair per line")
         return pairs.view(np.complex128)[:, 0]
-    n_z = int(seq.get("n_z", "40"))
-    t = float(seq.get("t", "60"))
-    if "talbot_constants" not in seq:
-        return talbot_shifts(n_z, t)
-    consts = tuple(float(tok) for tok in seq["talbot_constants"].split())
-    if len(consts) != 4:
-        raise ConfigError("sequence.talbot_constants: four values required")
-    return talbot_shifts(n_z, t, consts)
+    return talbot_shifts(int(seq.get("n_z", "40")), float(seq.get("t", "60")))
 
 
 def _parse_rhs(seq, n):
     src = seq.get("rhs", "point")
     if src == "point":
         return point_source_rhs(n)
-    if src == "ones":
-        return np.ones(n) / np.sqrt(n)
     if src.startswith("file:"):
         # an n x 1 Matrix Market vector, as `samkit gen` writes
         vec = matrix_market_read(src[len("file:"):])

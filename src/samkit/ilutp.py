@@ -45,7 +45,7 @@ class IlutpParams:
     pivtol: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.lfil, numbers.Integral) or self.lfil < 0:
+        if isinstance(self.lfil, bool) or not isinstance(self.lfil, numbers.Integral) or self.lfil < 0:
             raise ValueError("lfil must be a nonnegative integer")
         if not self.droptol >= 0:  # NaN fails too
             raise ValueError("droptol must be nonnegative")

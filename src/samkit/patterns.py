@@ -30,16 +30,6 @@ def pattern_of(A) -> sp.csc_matrix:
     return sp.csc_matrix((np.ones(A.nnz), A.indices.copy(), A.indptr.copy()), shape=A.shape)
 
 
-def _from_positions(nrows, ncols, rows, cols) -> sp.csc_matrix:
-    """Pattern of (row, col) pairs in any order; duplicates collapse."""
-    nrows, ncols = _indices([nrows, ncols]).tolist()
-    rows, cols = _indices(rows), _indices(cols)
-    if rows.size:
-        if rows.min() < 0 or rows.max() >= nrows or cols.min() < 0 or cols.max() >= ncols:
-            raise ValueError("position out of range")
-    return pattern_of(sp.csc_matrix((np.ones(rows.size), (rows, cols)), shape=(nrows, ncols)))
-
-
 def offset_pattern(n: int, offsets) -> sp.csc_matrix:
     """Pattern with position (s + o, s) for every column s and offset o.
 
@@ -51,7 +41,8 @@ def offset_pattern(n: int, offsets) -> sp.csc_matrix:
         raise ValueError("n must be positive")
     rows = np.arange(n) + _indices(offsets)[:, None]
     keep = (rows >= 0) & (rows < n)
-    return _from_positions(n, n, rows[keep], np.nonzero(keep)[1])
+    cols = np.nonzero(keep)[1]
+    return pattern_of(sp.csc_matrix((np.ones(cols.size), (rows[keep], cols)), shape=(n, n)))
 
 
 def symbolic_power(P, p: int) -> sp.csc_matrix:
@@ -91,5 +82,5 @@ def sparsified_power(A, p: int, tau: float) -> sp.csc_matrix:
     mags = np.abs(Ap.data)
     keep = mags >= tau * (mags.max() if mags.size else 0.0)
     coo = Ap.tocoo()
-    return _from_positions(A.shape[0], A.shape[1], coo.row[keep], coo.col[keep])
+    return pattern_of(sp.csc_matrix((np.ones(keep.sum()), (coo.row[keep], coo.col[keep])), shape=A.shape))
 

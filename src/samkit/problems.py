@@ -13,10 +13,9 @@ import scipy.sparse as sp
 
 from .sparse import as_csc, shifted_family
 
-# Modified Talbot contour constants (sigma, mu, alpha, nu).  These defaults
-# come from the published optimized-contour literature, not from any property
-# of this package; override them to match whatever source your application
-# uses.
+# Modified Talbot contour constants (sigma, mu, alpha, nu), from the published
+# optimized-contour literature, not from any property of this package.  This is
+# the one contour; give a custom one as shifts (`shifts` or `shift_file`).
 TALBOT_CONSTANTS = (0.6122, 0.5017, 0.6407, 0.2645)
 
 
@@ -114,19 +113,19 @@ def _stiffness(kap):
     return K
 
 
-def talbot_shifts(n_z: int, t: float, constants=TALBOT_CONSTANTS) -> np.ndarray:
+def talbot_shifts(n_z: int, t: float) -> np.ndarray:
     """Upper-half shifts of a modified Talbot contour for time t.
 
     Evaluates z(theta) = (n_z / t) * (-sigma + mu * theta * cot(alpha * theta)
-    + i * nu * theta) at the n_z/2 midpoints of a uniform partition of
-    (0, pi).  The lower half of the contour is the conjugate of the returned
-    values and is omitted.
+    + i * nu * theta), with (sigma, mu, alpha, nu) = TALBOT_CONSTANTS, at
+    the n_z/2 midpoints of a uniform partition of (0, pi).  The lower half
+    of the contour is the conjugate of the returned values and is omitted.
     """
     if n_z % 2 != 0:
         raise ValueError("n_z must be even")
     if n_z <= 0 or t <= 0:
         raise ValueError("n_z and t must be positive")
-    sigma, mu, alpha, nu = constants
+    sigma, mu, alpha, nu = TALBOT_CONSTANTS
     theta = (2 * np.arange(n_z // 2) + 1) * np.pi / n_z
     return (n_z / t) * (-sigma + mu * theta / np.tan(alpha * theta) + 1j * nu * theta)
 

@@ -27,13 +27,18 @@ def random_sparse(n, rng, per_col=5, diag_boost=None, complex_values=False):
     return as_csc(A)
 
 
+def pattern_at(shape, rows, cols):
+    """Pattern of (row, col) pairs in any order, built as samkit's own builders build theirs."""
+    return pattern_of(sp.csc_matrix((np.ones(len(rows)), (rows, cols)), shape=shape))
+
+
 def random_pattern(n, rng, lo=3, hi=8):
     rows, cols = [], []
     for j in range(n):
         k = int(rng.integers(lo, hi))
         rows.extend(rng.choice(n, size=k, replace=False))
         cols.extend([j] * k)
-    return pattern_of(sp.csc_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)))
+    return pattern_at((n, n), rows, cols)
 
 
 def pattern_to_bool(P):

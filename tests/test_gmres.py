@@ -18,6 +18,11 @@ def test_config_validation():
         GmresConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         GmresConfig(max_total_iters=0)
+    # bool is an Integral, but True is not a count: it was taken as 1
+    with pytest.raises(ValueError, match="^restart must be an integer of at least 1$"):
+        GmresConfig(restart=True)
+    with pytest.raises(ValueError, match="^max_total_iters must be an integer of at least 1$"):
+        GmresConfig(max_total_iters=True)
     # a checked config stays checked: restart = 0 set afterwards made gmres loop forever
     with pytest.raises(dataclasses.FrozenInstanceError):
         GmresConfig(restart=5).restart = 0

@@ -56,6 +56,9 @@ def test_strategy_validation():
     for bad in (1.5, 2.0, "1"):
         with pytest.raises(ValueError, match="integers"):
             Strategy.at_events([(0, "prec"), (bad, "sam")])
+    # nor is a bool, which was taken as system 1
+    with pytest.raises(ValueError, match="^event indices must be integers$"):
+        Strategy("sam_every", ((0, "prec"), (True, "sam")))
     assert Strategy.at_events([(np.int64(0), "prec"), (np.int32(2), "sam")]).action(2) == "sam"
 
 
@@ -76,8 +79,6 @@ def test_resolve_pattern_forms(tmp_path):
     rng = np.random.default_rng(0)
     A = random_sparse(6, rng)
     assert same_pattern(resolve_pattern("ref", A), pattern_of(A))
-    assert same_pattern(resolve_pattern("diag", A), offset_pattern(6, [0]))
-    assert same_pattern(resolve_pattern("tridiag", A), offset_pattern(6, [-1, 0, 1]))
     assert same_pattern(resolve_pattern("offsets:-2,0,2", A), offset_pattern(6, [-2, 0, 2]))
     assert same_pattern(resolve_pattern("power:2", A), symbolic_power(pattern_of(A), 2))
     P = offset_pattern(6, [0, 1])
@@ -97,11 +98,32 @@ def test_resolve_pattern_forms(tmp_path):
     assert same_pattern(got, pattern_of(M)) and got.data.tolist() == [1.0] * 4
     assert np.array_equal(got.indptr, [0, 3, 3, 4, 4, 4, 4]) and np.array_equal(got.indices, [0, 3, 5, 1])
     assert same_pattern(resolve_pattern(P, A), P)
-    for bad in ("nope", "ref:junk", "diag:3", "tridiag:1"):
-        with pytest.raises(ValueError, match=bad):
+    with pytest.raises(ValueError, match="^pattern choice 'ref:junk': ref takes no argument$"):
+        resolve_pattern("ref:junk", A)
+    # the retired names: offsets:0 and offsets:-1,0,1 spell the same patterns
+    for bad in ("nope", "diag", "tridiag", "diag:3", "tridiag:1"):
+        with pytest.raises(ValueError, match=f"^unknown pattern choice '{bad}'$"):
             resolve_pattern(bad, A)
     with pytest.raises(TypeError):
         resolve_pattern(42, A)
+
+
+def test_run_sequence_resolves_the_pattern_once_per_new_reference(monkeypatch):
+    # a tracer times the pattern by patching samkit.harness.resolve_pattern,
+    # which works only while run_sequence looks the function up at call time
+    spec = small_sweep(count=11)
+    refs = []
+
+    def counting(choice, A_ref):
+        refs.append(A_ref)
+        return resolve_pattern(choice, A_ref)
+
+    monkeypatch.setattr(samkit.harness, "resolve_pattern", counting)
+    strategy = Strategy.at_events([(k, "prec" if k % 4 == 0 else "sam") for k in range(len(spec))])
+    report = run_sequence(spec, strategy, MILD_ILUTP, "ref", FAST_GMRES)
+    assert [r.prec_event for r in report.rows] == ["prec", "sam", "sam", "sam"] * 3
+    assert len(refs) == 3
+    assert all((A - spec.matrices[k]).nnz == 0 for A, k in zip(refs, (0, 4, 8)))
 
 
 def test_length_one_sequence_strategy_equivalence():
@@ -430,9 +452,8 @@ def test_parse_config_rejections(tmp_path):
     shift_file.write_text("1 0\n2 0\n")
     for name, extra in (("file_n_z", f"shift_file = {shift_file}\nn_z = 8\n"),
                         ("file_t", f"shift_file = {shift_file}\nt = 2\n"),
-                        ("file_constants", f"shift_file = {shift_file}\ntalbot_constants = 1 1 1 1\n"),
-                        ("inline_t", "shifts = 1 0\nt = 2\n"),
-                        ("inline_constants", "shifts = 1 0\ntalbot_constants = 1 1 1 1\n")):
+                        ("inline_n_z", "shifts = 1 0\nn_z = 8\n"),
+                        ("inline_t", "shifts = 1 0\nt = 2\n")):
         bad[name] = "[sequence]\nkind = shifted_pair\nnx = 2\nny = 2\n" + extra
     # bad values in the other sections fail here too, before anything is factored
     small = "[sequence]\nkind = helmholtz_sweep\nnx = 3\nny = 3\ncount = 2\n"
@@ -476,7 +497,7 @@ def test_parse_config_rejections(tmp_path):
     pair = "[sequence]\nkind = shifted_pair\nnx = 2\nny = 2\n"
     with_message = {
         "sequence.shifts: expected pairs of 're im' values$": pair + "shifts = 1 0 2\n",
-        "sequence.talbot_constants: four values required$": pair + "talbot_constants = 1 1 1\n",
+        "sequence: give only one of shifts, shift_file, n_z/t$": pair + "shifts = 1 0\nn_z = 8\n",
         "sequence.rhs: unknown source 'wave'$": pair + "shifts = 1 0\nrhs = wave\n",
         r"strategy.events: expected a bracketed list like \[0:prec, 15:sam\]$":
             small + "[strategy]\nevents = 0:prec\n",
@@ -508,10 +529,10 @@ def test_parse_config_refuses_what_its_kinds_do_not_read(tmp_path):
         # each was accepted and dropped what the kind does not read
         "kind helmholtz_sweep does not read k_file, shifts$":
             "[sequence]\nkind = helmholtz_sweep\nshifts = 5 0\nk_file = nowhere.mtx\n",
-        "kind helmholtz_sweep does not read rhs$": small + "rhs = ones\n",
+        "kind helmholtz_sweep does not read rhs$": small + "rhs = point\n",
         "kind matrix_files does not read n_z$":
             f"[sequence]\nkind = matrix_files\nfiles = {tmp_path / 'k.mtx'}\nn_z = 8\n",
-        "kind diag reads no path$": small + "[pattern]\nkind = diag\npath = nowhere.mtx\n",
+        "kind offsets:0 reads no path$": small + "[pattern]\nkind = offsets:0\npath = nowhere.mtx\n",
         "only one of nx/ny, k_file/m_file$": "[sequence]\nkind = shifted_pair\nnx = 5\n" + pair_files,
         # the retired spellings
         "unknown strategy kind 'events'$": small + "[strategy]\nkind = events\nevents = [0:prec]\n",
@@ -544,15 +565,14 @@ def _bits(x):
 
 
 @pytest.mark.parametrize("text, built, direct", [
-    (SMALL_PAIR + "shifts = 1 0\nrhs = ones\n", lambda c: c[0].rhs, lambda: np.ones(4) / np.sqrt(4)),
-    (SMALL_PAIR + "n_z = 8\nt = 2\ntalbot_constants = 0.61 0.51 0.62 0.31\n", lambda c: c[0].shifts,
-     lambda: talbot_shifts(8, 2.0, (0.61, 0.51, 0.62, 0.31))),
+    (SMALL_PAIR + "n_z = 8\nt = 2\n", lambda c: c[0].shifts, lambda: talbot_shifts(8, 2.0)),
     (SMALL_SWEEP + "delta_s = 0.3\n", lambda c: c[0].shifts, lambda: SequenceSpec.helmholtz(3, 3, 0.3, 2).shifts),
     (SMALL_SWEEP + "[strategy]\nkind = recompute_every\n", lambda c: c[1], Strategy.recompute_every),
     (SMALL_SWEEP + "[ilutp]\npivtol = 0.5\n", lambda c: c[2], lambda: IlutpParams(pivtol=0.5)),
-    (SMALL_SWEEP + "[pattern]\nkind = diag\n", lambda c: resolve_pattern(c[3], A_SMALL),
+    # the diagonal and tridiagonal patterns, spelled as offsets
+    (SMALL_SWEEP + "[pattern]\nkind = offsets:0\n", lambda c: resolve_pattern(c[3], A_SMALL),
      lambda: offset_pattern(9, [0])),
-    (SMALL_SWEEP + "[pattern]\nkind = tridiag\n", lambda c: resolve_pattern(c[3], A_SMALL),
+    (SMALL_SWEEP + "[pattern]\nkind = offsets:-1,0,1\n", lambda c: resolve_pattern(c[3], A_SMALL),
      lambda: offset_pattern(9, [-1, 0, 1])),
     (SMALL_SWEEP + "[pattern]\nkind = power:3\n", lambda c: resolve_pattern(c[3], A_SMALL),
      lambda: symbolic_power(A_SMALL, 3)),
@@ -560,7 +580,7 @@ def _bits(x):
      lambda c: resolve_pattern(c[3], A_SMALL), lambda: sparsified_power(A_SMALL, 2, 0.1)),
     (SMALL_SWEEP + "[pattern]\nkind = offsets:-1,0,2\n",
      lambda c: resolve_pattern(c[3], A_SMALL), lambda: offset_pattern(9, [-1, 0, 2])),
-], ids=["rhs_ones", "talbot_constants", "delta_s", "recompute_every", "pivtol",
+], ids=["talbot", "delta_s", "recompute_every", "pivtol",
         "diag", "tridiag", "power", "sparsified", "offsets"])
 def test_parse_config_values_build_their_objects(tmp_path, text, built, direct):
     cfg = tmp_path / "run.cfg"
@@ -638,6 +658,21 @@ def test_cli_run_reports_config_error_on_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("samkit: File contains no section headers.") and err.count("\n") == 1
     assert str(cfg) in err
+
+
+@pytest.mark.parametrize("text, message", [
+    (SMALL_SWEEP + "[pattern]\nkind = diag\n", "pattern: unknown pattern choice 'diag'"),
+    (SMALL_SWEEP + "[pattern]\nkind = tridiag\n", "pattern: unknown pattern choice 'tridiag'"),
+    (SMALL_PAIR + "shifts = 1 0\nrhs = ones\n", "sequence.rhs: unknown source 'ones'"),
+    (SMALL_PAIR + "n_z = 8\ntalbot_constants = 0.6 0.5 0.6 0.3\n", "unknown key sequence.talbot_constants"),
+], ids=["diag", "tridiag", "rhs_ones", "talbot_constants"])
+def test_cli_run_refuses_retired_spellings(tmp_path, capsys, text, message):
+    # each input has one spelling: offsets:0, offsets:-1,0,1, rhs = file:PATH,
+    # and a contour with other constants given as its shifts
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert cli_main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", f"samkit: {message}\n")
 
 
 def test_cli_run_writes_file(tmp_path):

@@ -30,6 +30,9 @@ def test_params_validation():
         IlutpParams(droptol=-0.5)
     with pytest.raises(ValueError):
         IlutpParams(pivtol=1.5)
+    # bool is an Integral, but True is not a count: it was taken as 1
+    with pytest.raises(ValueError, match="^lfil must be a nonnegative integer$"):
+        IlutpParams(lfil=True)
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -3,8 +3,9 @@ import pytest
 import scipy.sparse as sp
 
 from samkit import as_csc, offset_pattern, pattern_of, sparsified_power, symbolic_power
-from samkit.patterns import _from_positions
-from helpers import grid_laplacian_triplets, pattern_to_bool, random_pattern, random_sparse, same_pattern
+from helpers import (
+    grid_laplacian_triplets, pattern_at, pattern_to_bool, random_pattern, random_sparse, same_pattern,
+)
 
 
 def boolean_power_oracle(P, p):
@@ -68,38 +69,30 @@ def test_sparsified_power_refuses_malformed_index_arrays(tau):
         sparsified_power(bad, 2, tau)
 
 
-FRACTIONAL = [0.7, 1.2, 2.9]
-
-
 @pytest.mark.parametrize("build", [
-    lambda: _from_positions(3, 3, FRACTIONAL, [0, 1, 2]),
-    lambda: _from_positions(3, 3, [0, 1, 2], FRACTIONAL),
-    lambda: _from_positions(2.5, 1.9, [0, 1], [0, 0]),
-    lambda: _from_positions(3, 3.0, [0], [0]),
+    lambda: offset_pattern(4, [0, 0.5]),
+    lambda: offset_pattern(4, np.array([1.0])),
+    lambda: offset_pattern(True, [0]),
+    lambda: offset_pattern(4.0, [0]),
     lambda: offset_pattern(4, [0.9]),
     lambda: offset_pattern(4.5, [0]),
 ])
 def test_pattern_constructors_reject_non_integer_indices(build):
-    # float indices, sizes and offsets were truncated: [0.7, 1.2, 2.9] to
-    # [0, 1, 2], a 2.5x1.9 pattern to 2x1, offset 0.9 to the diagonal
+    # float sizes and offsets were truncated: offset 0.9 to the diagonal, size
+    # 4.5 to 4; a float or bool is refused even where its value is integral
     with pytest.raises(ValueError, match="indices must be integers"):
         build()
 
 
-@pytest.mark.parametrize("rows, cols", [([3], [0]), ([-1], [0]), ([0], [3]), ([0], [-1])])
-def test_pattern_positions_out_of_range(rows, cols):
-    with pytest.raises(ValueError, match="position out of range"):
-        _from_positions(3, 3, rows, cols)
-
-
 def test_pattern_constructors_accept_empty_index_lists():
-    assert _from_positions(3, 2, [], []).shape == (3, 2)
-    assert _from_positions(3, 3, [], []).nnz == 0
     assert offset_pattern(3, []).nnz == 0
+    # a matrix without entries keeps no position above tau = 0
+    empty = sparsified_power(sp.csc_matrix((3, 3)), 2, 0.5)
+    assert empty.shape == (3, 3) and empty.nnz == 0
 
 
 def test_pattern_constructor_allows_decrease_across_columns():
-    P = _from_positions(3, 3, [2, 0, 1], [0, 2, 0])
+    P = pattern_at((3, 3), [2, 0, 1], [0, 2, 0])
     assert np.array_equal(column(P, 0), [1, 2]) and np.array_equal(column(P, 2), [0])
 
 
@@ -194,7 +187,7 @@ def test_symbolic_power_matches_boolean_oracle():
 
 
 def test_symbolic_power_rejects_bad_input():
-    P = _from_positions(2, 3, [0], [1])
+    P = pattern_at((2, 3), [0], [1])
     with pytest.raises(ValueError):
         symbolic_power(P, 2)
     Q = offset_pattern(3, [0])

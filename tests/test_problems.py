@@ -231,6 +231,9 @@ def test_talbot_rejects_odd_count():
     for n_z, t in ((0, 1.0), (-2, 1.0), (8, 0.0), (8, -1.0)):
         with pytest.raises(ValueError, match="^n_z and t must be positive$"):
             talbot_shifts(n_z, t)
+    # the contour is fixed: a custom one is given as shifts
+    with pytest.raises(TypeError):
+        talbot_shifts(8, 1.0, (0.6, 0.5, 0.6, 0.3))
 
 
 def test_matrix_market_round_trip_real(tmp_path):

@@ -10,10 +10,11 @@ from samkit import (
     compute_map, factor,
     map_residual_norm, offset_pattern, pattern_of, plan, resolve_pattern,
 )
-from samkit.patterns import _from_positions
 from samkit.sam import RANK_TOL
 from samkit.sparse import matvec
-from helpers import grid_laplacian_triplets, pattern_to_bool, random_pattern, random_sparse, same_pattern
+from helpers import (
+    grid_laplacian_triplets, pattern_at, pattern_to_bool, random_pattern, random_sparse, same_pattern,
+)
 
 
 def column(S, j):
@@ -59,7 +60,7 @@ def test_plan_grid_corner_column_row_union():
 
 def test_plan_empty_column_degenerate():
     A = as_csc(np.diag([1.0, 2.0]))
-    S = _from_positions(2, 2, [0], [0])  # column 1 empty
+    S = pattern_at((2, 2), [0], [0])  # column 1 empty
     with pytest.warns(UserWarning):
         pl = plan(S, A)
     assert np.array_equal(pl.degenerate_columns, [1])
@@ -220,7 +221,7 @@ def test_compute_map_rank_deficient_minimum_norm():
     # column 1 of A is structurally empty, so its unknown must come out zero
     A = as_csc(np.array([[1.0, 0.0], [0.0, 0.0]]))
     ref = sp.identity(2, format="csc")
-    S = _from_positions(2, 2, [0, 1, 0, 1], [0, 0, 1, 1])
+    S = pattern_at((2, 2), [0, 1, 0, 1], [0, 0, 1, 1])
     pl = plan(S, A, A_ref=ref)
     m = compute_map(A, ref, pl)
     Nd = m.N.toarray()
@@ -231,7 +232,7 @@ def test_compute_map_rank_deficient_minimum_norm():
 
 def test_compute_map_empty_pattern_column():
     A = as_csc(np.diag([1.0, 2.0]))
-    S = _from_positions(2, 2, [0], [0])
+    S = pattern_at((2, 2), [0], [0])
     with pytest.warns(UserWarning):
         pl = plan(S, A)
     m = compute_map(A, A, pl)
@@ -304,7 +305,7 @@ def test_compute_map_nested_pattern_monotonicity():
     ref = random_sparse(20, rng, diag_boost=20.0)
     S1 = random_pattern(20, rng, lo=2, hi=4)
     extra = random_pattern(20, rng, lo=1, hi=3)
-    S2 = _from_positions(20, 20, *np.nonzero(pattern_to_bool(S1) | pattern_to_bool(extra)))
+    S2 = pattern_at((20, 20), *np.nonzero(pattern_to_bool(S1) | pattern_to_bool(extra)))
     res = []
     for S in (S1, S2):
         m = compute_map(A, ref, plan(S, A, A_ref=ref))
@@ -362,7 +363,7 @@ def gelsy_case(n, rng, complex_values, wide):
     coo = random_pattern(n, rng, lo, hi).tocoo()
     rows, cols = coo.row, coo.col
     keep = cols > 1
-    S = _from_positions(n, n, np.append(rows[keep], 3), np.append(cols[keep], 1))
+    S = pattern_at((n, n), np.append(rows[keep], 3), np.append(cols[keep], 1))
     return as_csc(A), as_csc(ref), S
 
 
