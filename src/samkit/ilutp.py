@@ -10,6 +10,12 @@ entry whenever that entry times pivtol exceeds the candidate in magnitude.
 
 The result approximates A P ~ L U for a column permutation P, with L unit
 lower triangular and U upper triangular with a nonzero diagonal.
+
+The working row is a dict keyed by original column.  The U-row updates and
+the magnitudes of the drop filter and lfil selection stay numpy vector
+operations, and the multiplier and pivot numpy scalars: on an AVX-512 build,
+numpy's complex vector product and vector abs differ from the scalar ones in
+the last bit for 44% and 35% of random inputs.
 """
 
 import heapq
@@ -127,10 +133,9 @@ def factor(A, params: IlutpParams = IlutpParams()) -> IlutpFactors:
     perm = np.arange(n, dtype=np.int64)   # original column -> permuted position
     iperm = np.arange(n, dtype=np.int64)  # permuted position -> original column
 
-    w = np.zeros(n, dtype=dtype)
-    present = np.zeros(n, dtype=bool)
     uinv = np.zeros(n, dtype=dtype)
     udiag = np.zeros(n, dtype=dtype)
+    zero = dtype.type(0).item()  # a fill-in starts at 0.0 or 0j: no mixed-type signs of zero
     # kept off-diagonal upper rows, original column indices, used by later eliminations
     urow_cols = [None] * n
     urow_vals = [None] * n
@@ -139,46 +144,35 @@ def factor(A, params: IlutpParams = IlutpParams()) -> IlutpFactors:
 
     for ii in range(n):
         j0, j1 = R.indptr[ii], R.indptr[ii + 1]
-        cols0 = R.indices[j0:j1]
-        vals0 = R.data[j0:j1]
         if j0 == j1:
             raise FactorizationError(ii, f"row {ii} of the matrix is empty")
-        tnorm = droptol * float(np.linalg.norm(vals0))
+        tnorm = droptol * float(np.linalg.norm(R.data[j0:j1]))
 
-        w[cols0] = vals0
-        present[cols0] = True
-        touched = list(cols0)
-        heap = [(int(perm[c]), int(c)) for c in cols0 if perm[c] < ii]
+        # the working row: original column -> value, in order of first appearance
+        row = dict(zip(R.indices[j0:j1].tolist(), R.data[j0:j1].tolist()))
+        heap = [(int(perm[c]), c) for c in row if perm[c] < ii]
         heapq.heapify(heap)
 
         lcols = []
         lvals = []
         while heap:
             p, c = heapq.heappop(heap)
-            fact = w[c] * uinv[p]
-            present[c] = False
-            w[c] = 0
+            fact = row.pop(c) * uinv[p]  # a numpy scalar
             if abs(fact) < tnorm or fact == 0:
                 continue
-            # row p < ii of U is already stored
-            ucols = urow_cols[p]
-            fresh = ucols[~present[ucols]]
-            w[ucols] -= fact * urow_vals[p]
-            if fresh.size:
-                present[fresh] = True
-                touched.extend(int(c2) for c2 in fresh)
-                for c2 in fresh:
-                    if perm[c2] < ii:
-                        heapq.heappush(heap, (int(perm[c2]), int(c2)))
+            # row p < ii of U is already stored; its update is one numpy vector product
+            for c2, t in zip(urow_cols[p].tolist(), (fact * urow_vals[p]).tolist()):
+                if c2 not in row and perm[c2] < ii:
+                    heapq.heappush(heap, (int(perm[c2]), c2))
+                row[c2] = row.get(c2, zero) - t
             lcols.append(c)
             lvals.append(fact)
 
-        # split the surviving entries into diagonal candidate and upper part;
-        # w is zero wherever no entry is present
-        diag_col = iperm[ii]
-        diag_val = w[diag_col]
-        upper = np.array([c for c in touched if present[c] and c != diag_col], dtype=np.int64)
-        upper_vals = w[upper]
+        # split the surviving entries into diagonal candidate and upper part
+        diag_col = int(iperm[ii])
+        diag_val = dtype.type(row.pop(diag_col, zero))
+        upper = np.fromiter(row.keys(), dtype=np.int64, count=len(row))
+        upper_vals = np.fromiter(row.values(), dtype=dtype, count=len(row))
         keep = np.abs(upper_vals) >= tnorm
         upper, upper_vals = upper[keep], upper_vals[keep]
 
@@ -215,10 +209,6 @@ def factor(A, params: IlutpParams = IlutpParams()) -> IlutpFactors:
         sel = _keep_largest(upper, upper_vals, lfil)
         urow_cols[ii] = upper[sel]
         urow_vals[ii] = upper_vals[sel]
-
-        reset = np.asarray(touched, dtype=np.int64)
-        w[reset] = 0
-        present[reset] = False
 
     L = _rows_to_csc(lrow_cols, lrow_vals, np.ones(n, dtype=dtype), perm)
     U = _rows_to_csc(urow_cols, urow_vals, udiag, perm)

@@ -8,7 +8,7 @@ products of patterns.
 import numpy as np
 import scipy.sparse as sp
 
-from .sparse import as_csc, check_indices
+from .sparse import as_csc, check_indices, check_integers
 
 
 def _indices(a) -> np.ndarray:
@@ -45,13 +45,18 @@ def offset_pattern(n: int, offsets) -> sp.csc_matrix:
     return pattern_of(sp.csc_matrix((np.ones(cols.size), (rows[keep], cols)), shape=(n, n)))
 
 
+def _check_power(p):
+    check_integers(p=p)
+    if not 1 <= p <= 5:
+        raise ValueError("power must be between 1 and 5")
+
+
 def symbolic_power(P, p: int) -> sp.csc_matrix:
     """Structural pattern of P^p, by repeated products of the pattern of P."""
     P = pattern_of(P)
     if P.shape[0] != P.shape[1]:
         raise ValueError("symbolic_power needs a square pattern")
-    if not 1 <= p <= 5:
-        raise ValueError("power must be between 1 and 5")
+    _check_power(p)
     acc = P
     for _ in range(p - 1):
         acc = pattern_of(acc @ P)  # keep counts from growing across repeated products
@@ -71,10 +76,9 @@ def sparsified_power(A, p: int, tau: float) -> sp.csc_matrix:
         raise ValueError("sparsified_power needs a square matrix")
     if not tau >= 0:  # NaN fails too
         raise ValueError("tau must be nonnegative")
+    _check_power(p)
     if tau == 0:
         return symbolic_power(A, p)
-    if not 1 <= p <= 5:
-        raise ValueError("power must be between 1 and 5")
     Ap = A.copy()
     for _ in range(p - 1):
         Ap = (Ap @ A).tocsc()

@@ -11,7 +11,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .sparse import as_csc, shifted_family
+from .sparse import as_csc, check_integers, shifted_family
 
 # Modified Talbot contour constants (sigma, mu, alpha, nu), from the published
 # optimized-contour literature, not from any property of this package.  This is
@@ -27,6 +27,7 @@ def laplace2d_dirichlet(nx: int, ny: int):
     contributions.  Coefficients are the raw stencil values (4 on the
     diagonal, -1 off it).  Unknowns are ordered lexicographically, x fastest.
     """
+    check_integers(nx=nx, ny=ny)
     if nx < 2 or ny < 2:
         raise ValueError("grid must be at least 2x2")
     b = np.zeros(nx * ny)
@@ -56,6 +57,7 @@ def fem_pair_2d(nx: int, ny: int, kappa=None):
     :func:`laplace2d_dirichlet`.  The mass matrix is diagonal with the cell
     area at every node.
     """
+    check_integers(nx=nx, ny=ny)
     if nx < 2 or ny < 2:
         raise ValueError("grid must be at least 2x2")
     hx = 1.0 / (nx + 1)
@@ -121,6 +123,7 @@ def talbot_shifts(n_z: int, t: float) -> np.ndarray:
     the n_z/2 midpoints of a uniform partition of (0, pi).  The lower half
     of the contour is the conjugate of the returned values and is omitted.
     """
+    check_integers(n_z=n_z)
     if n_z % 2 != 0:
         raise ValueError("n_z must be even")
     if n_z <= 0 or t <= 0:
@@ -209,6 +212,7 @@ class SequenceSpec:
     @classmethod
     def helmholtz(cls, nx=10, ny=10, delta_s=0.01, count=200):
         """Shifted pair (K0, -I) of the 2D Laplacian K0 at s = 0, delta_s, ..., count * delta_s."""
+        check_integers(count=count)
         if delta_s <= 0:
             raise ValueError("delta_s must be positive")
         K0, b = laplace2d_dirichlet(nx, ny)
@@ -243,6 +247,7 @@ class SequenceSpec:
 
 def point_source_rhs(n: int) -> np.ndarray:
     """Unit-norm vector with a single nonzero, at the centre index n // 2."""
+    check_integers(n=n)
     b = np.zeros(n)
     b[n // 2] = 1.0
     return b

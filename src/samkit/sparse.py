@@ -7,6 +7,7 @@ legal and are never pruned by the kernels here.
 """
 
 import copy
+import numbers
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,6 +20,16 @@ def scalar_dtype(*operands) -> np.dtype:
     """Working scalar field (float64 or complex128) for a set of operands."""
     dt = np.result_type(np.float64, *[getattr(op, "dtype", np.asarray(op).dtype) for op in operands])
     return COMPLEX if np.issubdtype(dt, np.complexfloating) else REAL
+
+
+def check_integers(**values):
+    """Raise ``ValueError`` naming the first of ``values`` that is not an integer.
+
+    numpy integers pass; ``bool`` is an ``Integral`` but not a size or a count.
+    """
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
 def as_csc(A) -> sp.csc_matrix:

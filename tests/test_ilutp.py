@@ -1,9 +1,12 @@
+import heapq
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
 from samkit import FactorizationError, IlutpParams, as_csc, factor
+from samkit.ilutp import PIVOT_FLOOR, _keep_largest, _rows_to_csc
 from helpers import random_sparse
 
 
@@ -220,3 +223,135 @@ def test_factor_refuses_malformed_index_arrays():
     bad.indices[1] = 1
     with pytest.raises(ValueError, match="non-decreasing"):
         factor(bad)
+
+
+def _dense_row_factor(A, params):
+    """The earlier factor loop, which kept its working row in a dense length-n array.
+
+    The reference for the dict row: a value array and a presence mask, a list
+    of touched columns and a reset after each row.  Returns the CSC factors
+    and the column permutation, or raises the same FactorizationError.
+    """
+    R = A.tocsr()
+    n, dtype = R.shape[0], R.dtype
+    lfil, droptol, pivtol = params.lfil, params.droptol, params.pivtol
+    perm = np.arange(n, dtype=np.int64)
+    iperm = np.arange(n, dtype=np.int64)
+    w = np.zeros(n, dtype=dtype)
+    present = np.zeros(n, dtype=bool)
+    uinv = np.zeros(n, dtype=dtype)
+    udiag = np.zeros(n, dtype=dtype)
+    urow_cols, urow_vals, lrow_cols, lrow_vals = ([None] * n for _ in range(4))
+    for ii in range(n):
+        j0, j1 = R.indptr[ii], R.indptr[ii + 1]
+        cols0, vals0 = R.indices[j0:j1], R.data[j0:j1]
+        if j0 == j1:
+            raise FactorizationError(ii, f"row {ii} of the matrix is empty")
+        tnorm = droptol * float(np.linalg.norm(vals0))
+        w[cols0] = vals0
+        present[cols0] = True
+        touched = list(cols0)
+        heap = [(int(perm[c]), int(c)) for c in cols0 if perm[c] < ii]
+        heapq.heapify(heap)
+        lcols, lvals = [], []
+        while heap:
+            p, c = heapq.heappop(heap)
+            fact = w[c] * uinv[p]
+            present[c] = False
+            w[c] = 0
+            if abs(fact) < tnorm or fact == 0:
+                continue
+            ucols = urow_cols[p]
+            fresh = ucols[~present[ucols]]
+            w[ucols] -= fact * urow_vals[p]
+            if fresh.size:
+                present[fresh] = True
+                touched.extend(int(c2) for c2 in fresh)
+                for c2 in fresh:
+                    if perm[c2] < ii:
+                        heapq.heappush(heap, (int(perm[c2]), int(c2)))
+            lcols.append(c)
+            lvals.append(fact)
+        diag_col = iperm[ii]
+        diag_val = w[diag_col]
+        upper = np.array([c for c in touched if present[c] and c != diag_col], dtype=np.int64)
+        upper_vals = w[upper]
+        keep = np.abs(upper_vals) >= tnorm
+        upper, upper_vals = upper[keep], upper_vals[keep]
+        if upper.size:
+            best = _keep_largest(upper, upper_vals, 1)[0]
+            if abs(upper_vals[best]) * pivtol > abs(diag_val):
+                swap_col = upper[best]
+                pos_swap = perm[swap_col]
+                perm[diag_col], perm[swap_col] = pos_swap, ii
+                iperm[ii] = swap_col
+                iperm[pos_swap] = diag_col
+                new_upper = np.delete(upper, best)
+                new_vals = np.delete(upper_vals, best)
+                if abs(diag_val) >= tnorm:
+                    new_upper = np.append(new_upper, diag_col)
+                    new_vals = np.append(new_vals, diag_val)
+                diag_val = upper_vals[best]
+                upper, upper_vals = new_upper, new_vals
+        if not PIVOT_FLOOR <= abs(diag_val) < np.inf:
+            raise FactorizationError(ii)
+        udiag[ii] = diag_val
+        uinv[ii] = 1.0 / diag_val
+        lc = np.asarray(lcols, dtype=np.int64)
+        lv = np.asarray(lvals, dtype=dtype)
+        sel = _keep_largest(lc, lv, lfil)
+        lrow_cols[ii], lrow_vals[ii] = lc[sel], lv[sel]
+        sel = _keep_largest(upper, upper_vals, lfil)
+        urow_cols[ii], urow_vals[ii] = upper[sel], upper_vals[sel]
+        reset = np.asarray(touched, dtype=np.int64)
+        w[reset] = 0
+        present[reset] = False
+    L = _rows_to_csc(lrow_cols, lrow_vals, np.ones(n, dtype=dtype), perm)
+    U = _rows_to_csc(urow_cols, urow_vals, udiag, perm)
+    return L, U, iperm.copy()
+
+
+REFERENCE_PARAMS = [IlutpParams(3, 1e-2, 1.0), IlutpParams(5, 0.0, 0.5), IlutpParams(40, 0.0, 1.0),
+                    IlutpParams(2, 0.3, 0.1), IlutpParams(8, 1e-3, 0.0)]
+
+
+def _reference_matrices(seed, count=40):
+    """Seeded random sparse matrices, n 2-39, real and complex; every third is
+    rounded to small integers, which gives exact cancellations and magnitude ties."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(2, 40))
+        A = random_sparse(n, rng, per_col=int(rng.integers(1, min(n, 6) + 1)),
+                          diag_boost=[None, 0.5, 3.0][k % 3], complex_values=k % 2 == 1)
+        if k % 3 == 2:
+            A.data = np.round(2 * A.data)
+        yield as_csc(A)
+
+
+def _factors_or_row(A, params):
+    try:
+        F = factor(A, params)
+    except FactorizationError as err:
+        return err.row
+    return F.L, F.U, F.colperm
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_dict_row_matches_dense_row_reference(seed):
+    outcomes = set()
+    for A in _reference_matrices(seed):
+        for params in REFERENCE_PARAMS:
+            got = _factors_or_row(A, params)
+            try:
+                want = _dense_row_factor(A, params)
+            except FactorizationError as err:
+                assert got == err.row
+                outcomes.add("failed")
+                continue
+            for T, T_ref in zip(got[:2], want[:2]):
+                for a, b in ((T.data, T_ref.data), (T.indices, T_ref.indices), (T.indptr, T_ref.indptr)):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert got[2].dtype == want[2].dtype and got[2].tobytes() == want[2].tobytes()
+            outcomes.add(A.dtype.kind + ("-pivoted" if np.any(want[2] != np.arange(A.shape[0])) else ""))
+    # both fields, pivoted and unpivoted runs and refused rows are all exercised
+    assert outcomes == {"f", "c", "f-pivoted", "c-pivoted", "failed"}

@@ -14,15 +14,20 @@ def test_map_digest_toy_run_is_complete_and_repeatable():
     assert runs[0] == runs[1]
     lines = runs[0].splitlines()
     assert lines[0] == "workload helmholtz-sweep seed 1 toy systems 7"
-    maps, solves, totals = {}, {}, {}
+    maps, factors, solves, totals = {}, {}, {}, {}
     for line in lines[1:]:
         arm, kind, key, *rest = line.split()
         if kind == "map":
             assert int(key) == maps.get(arm, 0) and re.fullmatch("[0-9a-f]{64}", rest[0])
             maps[arm] = int(key) + 1
+        elif kind == "factors":
+            # one digest of all the arm's factorizations, before its solves
+            assert arm not in factors and arm not in solves and not rest
+            assert re.fullmatch("[0-9a-f]{64}", key)
+            factors[arm] = key
         elif kind == "solves":
             # one digest of all the arm's solves, before its iteration total
-            assert arm not in solves and arm not in totals and not rest
+            assert arm in factors and arm not in solves and arm not in totals and not rest
             assert re.fullmatch("[0-9a-f]{64}", key)
             solves[arm] = key
         else:
@@ -30,9 +35,13 @@ def test_map_digest_toy_run_is_complete_and_repeatable():
             totals[arm] = int(key)
     # one line per map: every system but 0 maps in map and map2, and refresh
     # maps every system but 0 and 4, which it factors
-    assert list(totals) == list(solves) == ["recompute", "reuse", "map", "refresh", "map2"]
+    assert list(totals) == list(solves) == list(factors) == ["recompute", "reuse", "map", "refresh", "map2"]
     assert maps == {"map": 6, "refresh": 5, "map2": 6}
     # the arms solve with other preconditioners, so their digests differ;
     # map and map2 differ only in the map's thread count, which changes no bit
     assert solves["map"] == solves["map2"]
     assert len({solves[a] for a in ("recompute", "reuse", "map", "refresh")}) == 4
+    # reuse, map and map2 factor only system 0; recompute factors every system
+    # and refresh systems 0 and 4
+    assert factors["reuse"] == factors["map"] == factors["map2"]
+    assert len({factors[a] for a in ("recompute", "reuse", "refresh")}) == 3

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -201,6 +203,18 @@ def test_symbolic_power_rejects_bad_input():
     for p in (0, 6):
         with pytest.raises(ValueError, match="^power must be between 1 and 5$"):
             sparsified_power(as_csc(np.eye(3)), p, 0.1)
+    # p = True was taken as 1, and p = 2.0 failed inside range() with a TypeError
+    for p in (True, 2.0):
+        message = f"^p must be an integer, not {re.escape(repr(p))}$"
+        with pytest.raises(ValueError, match=message):
+            symbolic_power(Q, p)
+        for tau in (0.0, 0.1):
+            with pytest.raises(ValueError, match=message):
+                sparsified_power(as_csc(np.eye(3)), p, tau)
+    # numpy integers are integers
+    T = offset_pattern(4, [-1, 0, 1])
+    assert same_pattern(symbolic_power(T, np.int64(2)), symbolic_power(T, 2))
+    assert same_pattern(sparsified_power(T, np.int32(2), 0.1), sparsified_power(T, 2, 0.1))
 
 
 def test_sparsified_power_no_threshold_is_symbolic():

@@ -344,6 +344,34 @@ def test_sequence_spec_helmholtz():
         SequenceSpec.helmholtz(4, 4, 0.0, 3)
 
 
+@pytest.mark.parametrize("build, name, value", [
+    # count = 2.5 built 4 systems and count = True built 2
+    (lambda v: SequenceSpec.helmholtz(4, 4, 0.01, v), "count", 2.5),
+    (lambda v: SequenceSpec.helmholtz(4, 4, 0.01, v), "count", True),
+    (lambda v: SequenceSpec.helmholtz(v, 4, 0.01, 3), "nx", 4.0),
+    # n_z = 4.0 was accepted, and n_z = True was called odd
+    (lambda v: talbot_shifts(v, 1.0), "n_z", 4.0),
+    (lambda v: talbot_shifts(v, 1.0), "n_z", True),
+    # nx = 4.0 failed inside numpy with a TypeError
+    (lambda v: fem_pair_2d(v, 4), "nx", 4.0),
+    (lambda v: fem_pair_2d(4, v), "ny", True),
+    (lambda v: laplace2d_dirichlet(4, v), "ny", 4.0),
+    # n = 4.0 failed inside numpy with a TypeError
+    (point_source_rhs, "n", 4.0),
+])
+def test_builders_refuse_non_integer_sizes_and_counts(build, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, not {value!r}$"):
+        build(value)
+
+
+def test_builders_take_numpy_integers():
+    assert len(SequenceSpec.helmholtz(np.int64(4), np.int32(4), 0.01, np.int64(3))) == 4
+    assert np.array_equal(talbot_shifts(np.int64(8), 1.0), talbot_shifts(8, 1.0))
+    K, M = fem_pair_2d(np.int64(3), np.uint8(3))
+    assert K.shape == M.shape == (9, 9)
+    assert np.array_equal(point_source_rhs(np.int64(5)), point_source_rhs(5))
+
+
 def test_sequence_spec_shifted_pair():
     K, M = fem_pair_2d(3, 3)
     z = talbot_shifts(8, 1.0)

@@ -1,18 +1,20 @@
-"""Print a digest of every map, every arm's solves and iteration total of one benchmark workload.
+"""Print a digest of every map, every arm's factors and solves and iteration total of one benchmark workload.
 
     python3 tools/map_digest.py --workload helmholtz-sweep --seed 0 [--toy]
 
 Each arm of ``perfbench/workloads.py`` runs once through
-``samkit.harness.run_sequence``.  Wrappers around ``samkit.sam.compute_map``
-and ``samkit.harness.gmres``, set from outside the package, record each map
-and each solve.  The output has one line per map, the sha256 of its
-``N.data``, ``N.indices``, ``N.indptr``, ``column_residuals`` and
-``rel_residual`` bytes; one line per arm, the sha256 of every solve's ``x``,
+``samkit.harness.run_sequence``.  Wrappers around ``samkit.sam.compute_map``,
+``samkit.ilutp.factor`` and ``samkit.harness.gmres``, set from outside the
+package, record each map, each factorization and each solve.  The output has
+one line per map, the sha256 of its ``N.data``, ``N.indices``, ``N.indptr``,
+``column_residuals`` and ``rel_residual`` bytes; one line per arm, the sha256
+of every factorization's ``L`` and ``U`` (``data``, ``indices``, ``indptr``)
+and ``colperm`` bytes; one line per arm, the sha256 of every solve's ``x``,
 ``residual_history``, ``restart_checks``, ``iterations``, ``restarts``,
 ``converged`` and ``final_rel_residual``; and one line per arm with its GMRES
-iteration total.  Two source trees that compute the same maps and solves
-print the same text, so a refactor is checked by diffing the output of the
-old and the new tree.  ``--toy`` runs the workload's small test size.
+iteration total.  Two source trees that compute the same maps, factors and
+solves print the same text, so a refactor is checked by diffing the output of
+the old and the new tree.  ``--toy`` runs the workload's small test size.
 """
 
 import argparse
@@ -31,6 +33,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 import samkit.harness  # noqa: E402
+import samkit.ilutp  # noqa: E402
 import samkit.sam  # noqa: E402
 from workloads import ARMS, ILUTP, PATTERN, WORKLOADS, arm_strategy  # noqa: E402
 
@@ -40,6 +43,10 @@ def map_digest(m) -> str:
     for a in (m.N.data, m.N.indices, m.N.indptr, m.column_residuals, np.float64(m.rel_residual)):
         h.update(a.tobytes())
     return h.hexdigest()
+
+
+def factor_bytes(F) -> bytes:
+    return b"".join(a.tobytes() for T in (F.L, F.U) for a in (T.data, T.indices, T.indptr)) + F.colperm.tobytes()
 
 
 def solve_bytes(x, rep) -> bytes:
@@ -52,28 +59,35 @@ def solve_bytes(x, rep) -> bytes:
 def digest_lines(workload, seed, toy=False):
     wl = WORKLOADS[workload]
     spec = wl.build(seed, toy=toy)
-    compute_map, gmres = samkit.sam.compute_map, samkit.harness.gmres
+    compute_map, factor, gmres = samkit.sam.compute_map, samkit.ilutp.factor, samkit.harness.gmres
     lines = [f"workload {workload} seed {seed}{' toy' if toy else ''} systems {len(spec)}"]
     for arm in ARMS:
         strategy, workers = arm_strategy(arm, len(spec), os.cpu_count() or 1)
-        digests, solves = [], hashlib.sha256()
+        digests, factors, solves = [], hashlib.sha256(), hashlib.sha256()
 
         def recording_map(*args, **kwargs):
             m = compute_map(*args, **kwargs)
             digests.append(map_digest(m))
             return m
 
+        def recording_factor(*args, **kwargs):
+            F = factor(*args, **kwargs)
+            factors.update(factor_bytes(F))
+            return F
+
         def recording_solve(*args, **kwargs):
             x, rep = gmres(*args, **kwargs)
             solves.update(solve_bytes(x, rep))
             return x, rep
 
-        samkit.sam.compute_map, samkit.harness.gmres = recording_map, recording_solve
+        samkit.sam.compute_map, samkit.ilutp.factor, samkit.harness.gmres = (
+            recording_map, recording_factor, recording_solve)
         try:
             report = samkit.harness.run_sequence(spec, strategy, ILUTP, PATTERN, wl.gmres, sam_workers=workers)
         finally:
-            samkit.sam.compute_map, samkit.harness.gmres = compute_map, gmres
+            samkit.sam.compute_map, samkit.ilutp.factor, samkit.harness.gmres = compute_map, factor, gmres
         lines += [f"{arm} map {i} {d}" for i, d in enumerate(digests)]
+        lines.append(f"{arm} factors {factors.hexdigest()}")
         lines.append(f"{arm} solves {solves.hexdigest()}")
         lines.append(f"{arm} iterations {report.total_iterations}")
     return lines
