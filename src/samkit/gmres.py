@@ -8,7 +8,6 @@ equals the true residual, so reported iteration counts are comparable across
 preconditioners.
 """
 
-import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -16,7 +15,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .sparse import check_indices, scalar_dtype
+from .sparse import check_indices, check_integers, scalar_dtype
 
 HAPPY_BREAKDOWN = 1e-14
 # a second Gram-Schmidt pass runs when a pass leaves less than this share of
@@ -27,16 +26,17 @@ REORTH_RATIO = 0.7
 
 @dataclass(frozen=True)
 class GmresConfig:
-    restart: int = 50
-    rel_tol: float = 1e-8
-    max_total_iters: int = 500
+    restart: int | None = None  # None: one cycle of max_total_iters, resolved to that integer
+    rel_tol: float = 1e-10
+    max_total_iters: int = 100
 
     def __post_init__(self):
-        for name in ("restart", "max_total_iters"):
-            value = getattr(self, name)
-            # bool is an Integral, but True is not a count
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be an integer of at least 1")
+        if self.restart is None:
+            object.__setattr__(self, "restart", self.max_total_iters)
+        check_integers(max_total_iters=self.max_total_iters, restart=self.restart)
+        for name in ("max_total_iters", "restart"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if not self.rel_tol > 0:  # NaN fails too
             raise ValueError("rel_tol must be positive")
 

@@ -7,7 +7,6 @@ pair, so maps always target the most recently factored matrix.
 """
 
 import configparser
-import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -17,7 +16,7 @@ import scipy.sparse as sp
 from . import ilutp, patterns, sam
 from .gmres import GmresConfig, gmres
 from .problems import SequenceSpec, point_source_rhs, talbot_shifts, fem_pair_2d, matrix_market_read
-from .sparse import as_csc, check_indices
+from .sparse import as_csc, check_indices, check_integers
 
 RECOMPUTE = "prec"
 COMPUTE_SAM = "sam"
@@ -41,16 +40,17 @@ class Strategy:
     def __post_init__(self):
         if self.kind not in _DEFAULT_ACTION:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
-        idx = [i for i, _ in self.events]
-        if not all(isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in idx):
-            raise ValueError("event indices must be integers")
-        if any(b <= a for a, b in zip([-1] + idx, idx)):
-            raise ValueError("event indices must be nonnegative and strictly increasing")
+        # a tuple, so that the frozen strategy hashes and a caller's list cannot change it
+        object.__setattr__(self, "events", tuple((i, act) for i, act in self.events))
         for i, act in self.events:
+            check_integers(**{"event index": i})
             if act not in _DEFAULT_ACTION.values():
                 raise ValueError(f"unknown action {act!r}")
             if i == 0 and act != RECOMPUTE:
                 raise ValueError(f"system 0 must recompute the preconditioner, not {act!r}")
+        idx = [i for i, _ in self.events]
+        if any(b <= a for a, b in zip([-1] + idx, idx)):
+            raise ValueError("event indices must be nonnegative and strictly increasing")
         # built once, since action() runs for every system
         object.__setattr__(self, "_event_actions", {**dict(self.events), 0: RECOMPUTE})
 
@@ -364,11 +364,7 @@ def _parse_pattern(pt, n):
 
 
 def _parse_gmres(gm):
-    max_iters = int(gm.get("max_total_iters", "100"))
-    return GmresConfig(
-        restart=int(gm.get("restart", max_iters)),  # full restarts by default
-        rel_tol=float(gm.get("rel_tol", "1e-10")),
-        max_total_iters=max_iters)
+    return GmresConfig(**_given(gm, restart=int, rel_tol=float, max_total_iters=int))
 
 
 def _parse_section(cp, name, parse, *args):

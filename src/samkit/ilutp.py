@@ -19,14 +19,13 @@ the last bit for 44% and 35% of random inputs.
 """
 
 import heapq
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .sparse import as_csc, check_indices
+from .sparse import as_csc, check_indices, check_integers
 
 PIVOT_FLOOR = 1e-300
 
@@ -51,8 +50,9 @@ class IlutpParams:
     pivtol: float = 1.0
 
     def __post_init__(self):
-        if isinstance(self.lfil, bool) or not isinstance(self.lfil, numbers.Integral) or self.lfil < 0:
-            raise ValueError("lfil must be a nonnegative integer")
+        check_integers(lfil=self.lfil)
+        if self.lfil < 0:
+            raise ValueError("lfil must be nonnegative")
         if not self.droptol >= 0:  # NaN fails too
             raise ValueError("droptol must be nonnegative")
         if not 0.0 <= self.pivtol <= 1.0:
@@ -108,12 +108,12 @@ def _keep_largest(cols, vals, limit):
 
 def _rows_to_csc(cols, vals, diag, perm):
     """CSC factor from its kept rows: off-diagonal original columns and values, plus the diagonal."""
-    # positions of kept entries are final: later swaps only touch positions
-    # beyond the storing row
-    indptr = np.concatenate(([0], np.cumsum([c.size + 1 for c in cols])))
-    indices = np.concatenate([np.append(perm[c], i) for i, c in enumerate(cols)])
-    data = np.concatenate([np.append(v, d) for v, d in zip(vals, diag)])
-    return sp.csr_matrix((data, indices, indptr), shape=(len(cols), len(cols))).tocsc()
+    n = len(cols)
+    rows = np.concatenate([np.repeat(np.arange(n), [c.size for c in cols]), np.arange(n)])
+    # positions of kept entries are final: later swaps only touch positions beyond the storing row
+    positions = np.concatenate([perm[np.concatenate(cols)], np.arange(n)])
+    data = np.concatenate([np.concatenate(vals), diag])
+    return sp.csc_matrix((data, (rows, positions)), shape=(n, n))
 
 
 def factor(A, params: IlutpParams = IlutpParams()) -> IlutpFactors:

@@ -126,7 +126,7 @@ def talbot_shifts(n_z: int, t: float) -> np.ndarray:
     check_integers(n_z=n_z)
     if n_z % 2 != 0:
         raise ValueError("n_z must be even")
-    if n_z <= 0 or t <= 0:
+    if n_z <= 0 or not t > 0:  # NaN fails too
         raise ValueError("n_z and t must be positive")
     sigma, mu, alpha, nu = TALBOT_CONSTANTS
     theta = (2 * np.arange(n_z // 2) + 1) * np.pi / n_z
@@ -199,8 +199,8 @@ class SequenceSpec:
         n = self.matrices[0].shape[0]
         if {A.shape for A in self.matrices} != {(n, n)}:
             raise ValueError("all systems must be square with one common size")
-        if self.rhs.shape[0] != n:
-            raise ValueError("right-hand side length mismatch")
+        if self.rhs.shape != (n,):
+            raise ValueError(f"the right-hand side must be a vector of length {n}, not shape {self.rhs.shape}")
 
     def __len__(self):
         return len(self.matrices)
@@ -248,6 +248,8 @@ class SequenceSpec:
 def point_source_rhs(n: int) -> np.ndarray:
     """Unit-norm vector with a single nonzero, at the centre index n // 2."""
     check_integers(n=n)
+    if n < 1:
+        raise ValueError("n must be positive")
     b = np.zeros(n)
     b[n // 2] = 1.0
     return b

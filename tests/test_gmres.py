@@ -12,16 +12,16 @@ from helpers import random_sparse
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^restart must be at least 1$"):
         GmresConfig(restart=0)
     with pytest.raises(ValueError):
         GmresConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^max_total_iters must be at least 1$"):
         GmresConfig(max_total_iters=0)
     # bool is an Integral, but True is not a count: it was taken as 1
-    with pytest.raises(ValueError, match="^restart must be an integer of at least 1$"):
+    with pytest.raises(ValueError, match="^restart must be an integer, not True$"):
         GmresConfig(restart=True)
-    with pytest.raises(ValueError, match="^max_total_iters must be an integer of at least 1$"):
+    with pytest.raises(ValueError, match="^max_total_iters must be an integer, not True$"):
         GmresConfig(max_total_iters=True)
     # a checked config stays checked: restart = 0 set afterwards made gmres loop forever
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -35,6 +35,12 @@ def test_config_rejects_nan_and_non_integers(kwargs):
     # a NaN rel_tol never converged, and a fractional restart failed deep in the solve
     with pytest.raises(ValueError):
         GmresConfig(**kwargs)
+
+
+def test_config_defaults_are_one_cycle_of_max_total_iters():
+    assert GmresConfig() == GmresConfig(restart=100, rel_tol=1e-10, max_total_iters=100)
+    assert GmresConfig(max_total_iters=40).restart == 40
+    assert GmresConfig(max_total_iters=np.int64(7)).restart == 7
 
 
 def test_identity_converges_in_one_iteration():

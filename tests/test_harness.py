@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
@@ -54,11 +55,19 @@ def test_strategy_validation():
     assert Strategy.at_events([]) == Strategy.reuse_first()
     # an index that is not an integer is refused, not truncated
     for bad in (1.5, 2.0, "1"):
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match=f"^event index must be an integer, not {re.escape(repr(bad))}$"):
             Strategy.at_events([(0, "prec"), (bad, "sam")])
     # nor is a bool, which was taken as system 1
-    with pytest.raises(ValueError, match="^event indices must be integers$"):
+    with pytest.raises(ValueError, match="^event index must be an integer, not True$"):
         Strategy("sam_every", ((0, "prec"), (True, "sam")))
+    # a caller's list is kept as a tuple: the strategy hashes, and appending
+    # to the list afterwards changes nothing
+    ev = [(0, "prec"), (2, "sam")]
+    strategy = Strategy("reuse_first", ev)
+    ev.append((2, "bogus"))
+    assert strategy.events == ((0, "prec"), (2, "sam"))
+    assert hash(strategy) == hash(Strategy("reuse_first", ((0, "prec"), (2, "sam"))))
+    assert strategy.action(2) == "sam"
     assert Strategy.at_events([(np.int64(0), "prec"), (np.int32(2), "sam")]).action(2) == "sam"
 
 
@@ -652,7 +661,7 @@ def test_cli_run_reports_config_error_on_one_line(tmp_path, capsys):
     cfg.write_text("[sequence]\nkind = helmholtz_sweep\n[gmres]\nrestart = 0\n")
     assert cli_main(["run", "--config", str(cfg)]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err == "samkit: gmres: restart must be an integer of at least 1\n"
+    assert out == "" and err == "samkit: gmres: restart must be at least 1\n"
     cfg.write_text("kind = helmholtz_sweep\n")  # configparser's own message spans three lines
     assert cli_main(["run", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err

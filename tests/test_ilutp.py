@@ -27,14 +27,14 @@ def dense_lu_column_pivot(Ad, pivtol=1.0):
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^lfil must be nonnegative$"):
         IlutpParams(lfil=-1)
     with pytest.raises(ValueError):
         IlutpParams(droptol=-0.5)
     with pytest.raises(ValueError):
         IlutpParams(pivtol=1.5)
     # bool is an Integral, but True is not a count: it was taken as 1
-    with pytest.raises(ValueError, match="^lfil must be a nonnegative integer$"):
+    with pytest.raises(ValueError, match="^lfil must be an integer, not True$"):
         IlutpParams(lfil=True)
 
 

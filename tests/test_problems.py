@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -228,7 +230,8 @@ def test_talbot_conjugate_half_closes_contour():
 def test_talbot_rejects_odd_count():
     with pytest.raises(ValueError):
         talbot_shifts(7, 1.0)
-    for n_z, t in ((0, 1.0), (-2, 1.0), (8, 0.0), (8, -1.0)):
+    # a NaN time gave NaN shifts
+    for n_z, t in ((0, 1.0), (-2, 1.0), (8, 0.0), (8, -1.0), (4, np.nan)):
         with pytest.raises(ValueError, match="^n_z and t must be positive$"):
             talbot_shifts(n_z, t)
     # the contour is fixed: a custom one is given as shifts
@@ -419,6 +422,11 @@ def test_sequence_spec_validation():
         SequenceSpec.shifted_pair(K, M, [])
     with pytest.raises(ValueError):
         SequenceSpec("shifted_pair", [K], np.zeros(1, dtype=complex), np.ones(5))
+    # an (n, 2) right-hand side built, and the run then failed inside GMRES
+    for rhs in (np.ones((9, 2)), np.ones((9, 1))):
+        message = f"the right-hand side must be a vector of length 9, not shape {rhs.shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SequenceSpec.shifted_pair(K, M, [1.0], rhs=rhs)
     with pytest.raises(ValueError, match="^one shift per system required$"):
         SequenceSpec("custom", [K, K], np.zeros(3), np.ones(9))
     with pytest.raises(ValueError, match="^all systems must be square with one common size$"):
@@ -429,3 +437,6 @@ def test_point_source_rhs():
     b = point_source_rhs(9)
     assert b[4] == 1.0 and np.linalg.norm(b) == 1.0
     assert point_source_rhs(8)[4] == 1.0
+    # n = 0 raised IndexError
+    with pytest.raises(ValueError, match="^n must be positive$"):
+        point_source_rhs(0)
