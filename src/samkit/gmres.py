@@ -33,10 +33,7 @@ class GmresConfig:
     def __post_init__(self):
         if self.restart is None:
             object.__setattr__(self, "restart", self.max_total_iters)
-        check_integers(max_total_iters=self.max_total_iters, restart=self.restart)
-        for name in ("max_total_iters", "restart"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+        check_integers(minimum=1, max_total_iters=self.max_total_iters, restart=self.restart)
         if not self.rel_tol > 0:  # NaN fails too
             raise ValueError("rel_tol must be positive")
 
@@ -81,6 +78,8 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
     declares a complex ``dtype``; an operand that declares none and returns
     complex values on a real run raises ``TypeError`` rather than being cast,
     and malformed index arrays of a compressed ``A`` or ``M`` ``ValueError``.
+    ``b`` and ``x0`` are raveled, and lengths that differ (``x0``'s from ``b``'s,
+    ``b``'s from the rows of an ``A`` with a ``shape``) raise ``ValueError``.
     Returns (x, SolveReport).  Convergence means the explicit residual
     satisfies ||b - A x|| <= rel_tol * ||b||.  The recurrence residual ends
     each cycle; the explicit one at its end re-verifies it and starts the next.
@@ -91,8 +90,12 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
 
     b = np.asarray(b).ravel()
     n = b.shape[0]
+    if hasattr(A, "shape") and A.shape[0] != n:
+        raise ValueError(f"gmres: A has {A.shape[0]} rows, b has length {n}")
+    x0 = None if x0 is None else np.asarray(x0).ravel()
+    if x0 is not None and x0.shape[0] != n:
+        raise ValueError(f"gmres: x0 has length {x0.shape[0]}, b has length {n}")
     apply_A, apply_M = as_operator(A), as_operator(M)
-    x0 = None if x0 is None else np.asarray(x0)
     dtype = scalar_dtype(b, *(op for op in (A, M, x0) if getattr(op, "dtype", None) is not None))
 
     x = np.zeros(n, dtype=dtype) if x0 is None else x0.astype(dtype)

@@ -8,14 +8,14 @@ pair, so maps always target the most recently factored matrix.
 
 import configparser
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import ilutp, patterns, sam
 from .gmres import GmresConfig, gmres
-from .problems import SequenceSpec, point_source_rhs, talbot_shifts, fem_pair_2d, matrix_market_read
+from .problems import SequenceSpec, talbot_shifts, fem_pair_2d, matrix_market_read
 from .sparse import as_csc, check_indices, check_integers
 
 RECOMPUTE = "prec"
@@ -74,6 +74,12 @@ class Strategy:
     def action(self, k: int) -> str:
         return self._event_actions.get(k, _DEFAULT_ACTION[self.kind])
 
+    def check_length(self, n: int):
+        """Raise ``ValueError`` when an event names system ``n`` or later, for a sequence of ``n`` systems."""
+        last = self.events[-1][0] if self.events else -1  # indices increase
+        if last >= n:
+            raise ValueError(f"event at index {last} lies past the sequence of {n} systems")
+
 
 @dataclass
 class SystemRecord:
@@ -105,6 +111,17 @@ class SequenceReport:
         return sum(r.iterations for r in self.rows)
 
 
+# each string pattern choice: its form, the converters of its ':'-separated
+# arguments, and its builder from the reference matrix and those arguments
+_PATTERN_FORMS = {
+    "ref": ("ref", (), patterns.pattern_of),
+    "power": ("power:P", (int,), patterns.symbolic_power),
+    "sparsified": ("sparsified:P:TAU", (int, float), patterns.sparsified_power),
+    "offsets": ("offsets:o1,o2,...", (lambda text: [int(tok) for tok in text.split(",")],),
+                lambda A, offsets: patterns.offset_pattern(A.shape[0], offsets)),
+}
+
+
 def resolve_pattern(choice, A_ref) -> sp.csc_matrix:
     """Turn a pattern choice into a concrete pattern for the reference matrix.
 
@@ -113,25 +130,22 @@ def resolve_pattern(choice, A_ref) -> sp.csc_matrix:
     ``offsets:o1,o2,...`` (``offsets:0`` is the diagonal).  A pattern file
     is any Matrix Market matrix, passed as the matrix
     :func:`samkit.problems.matrix_market_read` returns, as
-    ``[pattern] kind = file`` does; ``[pattern] kind`` takes the string forms.
+    ``[pattern] kind = file`` does; ``[pattern] kind`` takes the string forms,
+    and one whose argument does not fit raises ``ValueError`` naming the form.
     """
     if sp.issparse(choice):
         return patterns.pattern_of(choice)
     if not isinstance(choice, str):
         raise TypeError("pattern choice must be a sparse matrix or a string")
     name, sep, arg = choice.partition(":")
-    if name == "ref":
-        if sep:
-            raise ValueError(f"pattern choice {choice!r}: ref takes no argument")
-        return patterns.pattern_of(A_ref)
-    if name == "power":
-        return patterns.symbolic_power(A_ref, int(arg))
-    if name == "sparsified":
-        p, tau = arg.split(":")
-        return patterns.sparsified_power(A_ref, int(p), float(tau))
-    if name == "offsets":
-        return patterns.offset_pattern(A_ref.shape[0], [int(tok) for tok in arg.split(",")])
-    raise ValueError(f"unknown pattern choice {choice!r}")
+    if name not in _PATTERN_FORMS:
+        raise ValueError(f"unknown pattern choice {choice!r}")
+    form, convert, build = _PATTERN_FORMS[name]
+    try:
+        args = [to(text) for to, text in zip(convert, arg.split(":") if sep else [], strict=True)]
+    except ValueError:
+        raise ValueError(f"pattern choice {choice!r}: expected the form {form}") from None
+    return build(A_ref, *args)
 
 
 def run_sequence(spec: SequenceSpec, strategy: Strategy, ilutp_params: ilutp.IlutpParams,
@@ -140,12 +154,11 @@ def run_sequence(spec: SequenceSpec, strategy: Strategy, ilutp_params: ilutp.Ilu
 
     A failed factorization of the first system raises.  Any later one is
     recorded as ``prec_failed`` and the previous operator is kept, so the run
-    continues.  An event past the last system, or a matrix with malformed
-    index arrays, raises before any work.
+    continues.  An event past the last system, a ``sam_workers`` below 1 or
+    a matrix with malformed index arrays raises before any work.
     """
-    late = [i for i, _ in strategy.events if i >= len(spec)]
-    if late:
-        raise ValueError(f"strategy event at index {late[0]} lies past the sequence of {len(spec)} systems")
+    strategy.check_length(len(spec))
+    check_integers(minimum=1, sam_workers=sam_workers)
     check_indices(*spec.matrices)
     b = spec.rhs
     report = SequenceReport()
@@ -273,15 +286,15 @@ def _parse_shifts(seq):
     return talbot_shifts(int(seq.get("n_z", "40")), float(seq.get("t", "60")))
 
 
-def _parse_rhs(seq, n):
+def _parse_rhs(seq):
     src = seq.get("rhs", "point")
     if src == "point":
-        return point_source_rhs(n)
+        return None  # SequenceSpec's point source
     if src.startswith("file:"):
-        # an n x 1 Matrix Market vector, as `samkit gen` writes
+        # an n x 1 Matrix Market vector, as `samkit gen` writes; SequenceSpec checks n
         vec = matrix_market_read(src[len("file:"):])
-        if vec.shape != (n, 1):
-            raise ConfigError(f"sequence.rhs: file holds shape {vec.shape}, systems need ({n}, 1)")
+        if vec.shape[1] != 1:
+            raise ConfigError(f"sequence.rhs: file holds shape {vec.shape}, not one column")
         return vec.toarray().ravel()
     raise ConfigError(f"sequence.rhs: unknown source {src!r}")
 
@@ -321,25 +334,15 @@ def _parse_sequence(seq):
             M = matrix_market_read(_require("sequence", "m_file", seq))
         else:
             K, M = fem_pair_2d(int(seq.get("nx", "32")), int(seq.get("ny", "32")))
-        return SequenceSpec.shifted_pair(K, M, _parse_shifts(seq), rhs=_parse_rhs(seq, K.shape[0]))
+        return SequenceSpec.shifted_pair(K, M, _parse_shifts(seq), rhs=_parse_rhs(seq))
     files = _require("sequence", "files", seq).split()  # matrix_files
-    shifts = None
-    if "shifts" in seq or "shift_file" in seq:
-        shifts = _parse_shifts(seq)
-        if len(shifts) != len(files):
-            raise ConfigError(f"sequence: {len(shifts)} shifts for {len(files)} files")
-    spec = SequenceSpec.matrix_files(files, shifts=shifts)
-    if "rhs" in seq:
-        spec = replace(spec, rhs=_parse_rhs(seq, spec.n))
-    return spec
+    shifts = _parse_shifts(seq) if "shifts" in seq or "shift_file" in seq else None
+    return SequenceSpec.matrix_files(files, shifts=shifts, rhs=_parse_rhs(seq))
 
 
 def _parse_strategy(st, n_systems):
     strategy = Strategy(st.get("kind", "sam_every"), _parse_events(st.get("events", "[]")))
-    last = strategy.events[-1][0] if strategy.events else -1  # indices increase
-    if last >= n_systems:
-        raise ConfigError(f"strategy.events: event at index {last} lies past "
-                          f"the sequence of {n_systems} systems")
+    strategy.check_length(n_systems)
     return strategy
 
 

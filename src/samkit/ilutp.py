@@ -50,9 +50,7 @@ class IlutpParams:
     pivtol: float = 1.0
 
     def __post_init__(self):
-        check_integers(lfil=self.lfil)
-        if self.lfil < 0:
-            raise ValueError("lfil must be nonnegative")
+        check_integers(minimum=0, lfil=self.lfil)
         if not self.droptol >= 0:  # NaN fails too
             raise ValueError("droptol must be nonnegative")
         if not 0.0 <= self.pivtol <= 1.0:

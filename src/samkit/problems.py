@@ -27,9 +27,7 @@ def laplace2d_dirichlet(nx: int, ny: int):
     contributions.  Coefficients are the raw stencil values (4 on the
     diagonal, -1 off it).  Unknowns are ordered lexicographically, x fastest.
     """
-    check_integers(nx=nx, ny=ny)
-    if nx < 2 or ny < 2:
-        raise ValueError("grid must be at least 2x2")
+    check_integers(minimum=2, nx=nx, ny=ny)
     b = np.zeros(nx * ny)
     b[:nx] += 1.0       # south edge, u = 1
     b[0::nx] += 1.0     # west edge, u = 1
@@ -57,9 +55,7 @@ def fem_pair_2d(nx: int, ny: int, kappa=None):
     :func:`laplace2d_dirichlet`.  The mass matrix is diagonal with the cell
     area at every node.
     """
-    check_integers(nx=nx, ny=ny)
-    if nx < 2 or ny < 2:
-        raise ValueError("grid must be at least 2x2")
+    check_integers(minimum=2, nx=nx, ny=ny)
     hx = 1.0 / (nx + 1)
     hy = 1.0 / (ny + 1)
     xs = (np.arange(nx) + 1) * hx
@@ -123,11 +119,11 @@ def talbot_shifts(n_z: int, t: float) -> np.ndarray:
     the n_z/2 midpoints of a uniform partition of (0, pi).  The lower half
     of the contour is the conjugate of the returned values and is omitted.
     """
-    check_integers(n_z=n_z)
+    check_integers(minimum=2, n_z=n_z)
     if n_z % 2 != 0:
         raise ValueError("n_z must be even")
-    if n_z <= 0 or not t > 0:  # NaN fails too
-        raise ValueError("n_z and t must be positive")
+    if not 0 < t < np.inf:  # NaN fails too
+        raise ValueError(f"t must be 0 < t < inf, not {t!r}")
     sigma, mu, alpha, nu = TALBOT_CONSTANTS
     theta = (2 * np.arange(n_z // 2) + 1) * np.pi / n_z
     return (n_z / t) * (-sigma + mu * theta / np.tan(alpha * theta) + 1j * nu * theta)
@@ -180,25 +176,28 @@ def matrix_market_write(A, path):
 class SequenceSpec:
     """A fully materialized sequence of systems sharing one right-hand side.
 
-    ``shifts[k]`` is the scalar reported for system k (0 for file-based
-    sequences without shift data); ``pair`` is the ``(K, M)`` of a
-    :meth:`shifted_pair` sequence, and ``None`` for any other.
+    ``shifts[k]``, complex, is the scalar reported for system k (0 for
+    file-based sequences without shift data); ``rhs``, left out, is the point
+    source; ``pair`` is the ``(K, M)`` of a :meth:`shifted_pair` sequence.
     """
 
     kind: str
     matrices: list = field(repr=False)
     shifts: np.ndarray = field(repr=False)
-    rhs: np.ndarray = field(repr=False)
+    rhs: np.ndarray = field(default=None, repr=False)
     pair: tuple = field(default=None, repr=False)
 
     def __post_init__(self):
-        if len(self.matrices) == 0:
+        if len(self) == 0:
             raise ValueError("a sequence needs at least one system")
-        if len(self.shifts) != len(self.matrices):
-            raise ValueError("one shift per system required")
+        self.shifts = np.asarray(self.shifts, dtype=complex)
+        if self.shifts.shape != (len(self),):
+            got = f"{self.shifts.size} shifts" if self.shifts.ndim == 1 else f"shifts of shape {self.shifts.shape}"
+            raise ValueError(f"one shift per system required: {got} for {len(self)} systems")
         n = self.matrices[0].shape[0]
         if {A.shape for A in self.matrices} != {(n, n)}:
             raise ValueError("all systems must be square with one common size")
+        self.rhs = point_source_rhs(n) if self.rhs is None else np.asarray(self.rhs)
         if self.rhs.shape != (n,):
             raise ValueError(f"the right-hand side must be a vector of length {n}, not shape {self.rhs.shape}")
 
@@ -212,9 +211,9 @@ class SequenceSpec:
     @classmethod
     def helmholtz(cls, nx=10, ny=10, delta_s=0.01, count=200):
         """Shifted pair (K0, -I) of the 2D Laplacian K0 at s = 0, delta_s, ..., count * delta_s."""
-        check_integers(count=count)
-        if delta_s <= 0:
-            raise ValueError("delta_s must be positive")
+        check_integers(minimum=0, count=count)
+        if not 0 < delta_s < np.inf:  # NaN fails too
+            raise ValueError(f"delta_s must be 0 < delta_s < inf, not {delta_s!r}")
         K0, b = laplace2d_dirichlet(nx, ny)
         spec = cls.shifted_pair(K0, _diagonal(np.full(K0.shape[0], -1.0)), delta_s * np.arange(count + 1), rhs=b)
         spec.kind = "helmholtz_sweep"
@@ -222,34 +221,26 @@ class SequenceSpec:
 
     @classmethod
     def shifted_pair(cls, K, M, shifts, rhs=None):
-        """Systems K + z M for each shift z, with a point-source default rhs.
+        """Systems K + z M for each shift z.
 
         The systems are real when K, M and every shift are; ``shifts`` stays complex.
         """
         K = as_csc(K)
         M = as_csc(M)
         shifts = np.asarray(shifts, dtype=complex)
-        if shifts.size == 0:
-            raise ValueError("shift list must be nonempty")
         mats = shifted_family(shifts if shifts.imag.any() else shifts.real, M, K)
-        if rhs is None:
-            rhs = point_source_rhs(K.shape[0])
-        return cls("shifted_pair", mats, shifts, np.asarray(rhs), pair=(K, M))
+        return cls("shifted_pair", mats, shifts, rhs, pair=(K, M))
 
     @classmethod
-    def matrix_files(cls, paths, shifts=None):
-        """Sequence read from Matrix Market files, in the given order, with a point-source rhs."""
+    def matrix_files(cls, paths, shifts=None, rhs=None):
+        """Sequence read from Matrix Market files, in the given order; shifts default to 0."""
         mats = [matrix_market_read(p) for p in paths]
-        shifts = np.asarray(np.zeros(len(mats)) if shifts is None else shifts, dtype=complex)
-        rhs = point_source_rhs(mats[0].shape[0]) if mats else np.zeros(0)  # no files: the constructor refuses
-        return cls("matrix_files", mats, shifts, rhs)
+        return cls("matrix_files", mats, np.zeros(len(mats)) if shifts is None else shifts, rhs)
 
 
 def point_source_rhs(n: int) -> np.ndarray:
     """Unit-norm vector with a single nonzero, at the centre index n // 2."""
-    check_integers(n=n)
-    if n < 1:
-        raise ValueError("n must be positive")
+    check_integers(minimum=1, n=n)
     b = np.zeros(n)
     b[n // 2] = 1.0
     return b

@@ -21,7 +21,7 @@ import scipy.sparse.linalg as spla
 
 from .gmres import as_operator
 from .patterns import pattern_of
-from .sparse import REAL, as_csc, check_indices, matvec, scalar_dtype
+from .sparse import REAL, as_csc, check_indices, check_integers, matvec, scalar_dtype
 
 # Singular-value cutoff of the block pseudoinverse, relative to each block's
 # largest singular value; smaller ones count as zero, so rank-deficient blocks
@@ -167,12 +167,13 @@ def compute_map(A, A_ref, pl: SamPlan, workers: int = 1) -> SamMap:
     or reference values are not all finite gets NaN unknowns and a NaN
     residual.  ``A`` and ``A_ref`` must have the structures the plan was made
     for; otherwise ``ValueError`` names which of the two differs and its
-    first offending column.  Up to ``workers`` threads take whole groups,
+    first offending column.  Up to ``workers >= 1`` threads take whole groups,
     each filling its own preassigned positions of ``N.data``, so the result
     is bit-identical for any ``workers`` count.  ``N`` stores its values on
     the plan's read-only pattern arrays, so writing its pattern in place
     raises ``ValueError``; ``N.copy()`` gives it a writeable pattern.
     """
+    check_integers(minimum=1, workers=workers)
     A, A_ref = as_csc(A), as_csc(A_ref)
     if A.shape != (pl.n, pl.n) or A_ref.shape != (pl.n, pl.n):
         raise ValueError(f"compute_map: matrices must be {pl.n}x{pl.n}")

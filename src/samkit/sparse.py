@@ -22,14 +22,16 @@ def scalar_dtype(*operands) -> np.dtype:
     return COMPLEX if np.issubdtype(dt, np.complexfloating) else REAL
 
 
-def check_integers(**values):
-    """Raise ``ValueError`` naming the first of ``values`` that is not an integer.
+def check_integers(minimum=None, **values):
+    """Raise ``ValueError`` naming the first of ``values`` that is not an integer, or is below ``minimum``.
 
     numpy integers pass; ``bool`` is an ``Integral`` but not a size or a count.
     """
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, not {value!r}")
+        if minimum is not None and value < minimum:
+            raise ValueError(f"{name} must be at least {minimum}, not {value}")
 
 
 def as_csc(A) -> sp.csc_matrix:

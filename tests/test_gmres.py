@@ -12,11 +12,11 @@ from helpers import random_sparse
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="^restart must be at least 1$"):
+    with pytest.raises(ValueError, match="^restart must be at least 1, not 0$"):
         GmresConfig(restart=0)
     with pytest.raises(ValueError):
         GmresConfig(rel_tol=0.0)
-    with pytest.raises(ValueError, match="^max_total_iters must be at least 1$"):
+    with pytest.raises(ValueError, match="^max_total_iters must be at least 1, not 0$"):
         GmresConfig(max_total_iters=0)
     # bool is an Integral, but True is not a count: it was taken as 1
     with pytest.raises(ValueError, match="^restart must be an integer, not True$"):
@@ -117,6 +117,19 @@ def test_gmres_refuses_malformed_index_arrays():
     for A, M in ((bad, None), (sp.identity(3, format="csc"), bad)):
         with pytest.raises(ValueError, match="indices must be < 3"):
             gmres(A, np.ones(3), M=M)
+
+
+def test_gmres_checks_vector_lengths():
+    # each failed inside numpy with "matmul: dimension mismatch"; an (n, 2) b
+    # was raveled to length 2n
+    A = as_csc(np.diag(np.arange(1.0, 10.0)))
+    with pytest.raises(ValueError, match="^gmres: x0 has length 3, b has length 9$"):
+        gmres(A, np.ones(9), x0=np.ones(3))
+    with pytest.raises(ValueError, match="^gmres: A has 9 rows, b has length 18$"):
+        gmres(A, np.ones((9, 2)))
+    # x0 is raveled as b is, and an operand without a shape is not checked
+    x, rep = gmres(A.dot, np.ones((9, 1)), x0=np.zeros((9, 1)))
+    assert rep.converged and x.shape == (9,)
 
 
 def test_residual_history_monotone_within_cycles():

@@ -107,8 +107,16 @@ def test_resolve_pattern_forms(tmp_path):
     assert same_pattern(got, pattern_of(M)) and got.data.tolist() == [1.0] * 4
     assert np.array_equal(got.indptr, [0, 3, 3, 4, 4, 4, 4]) and np.array_equal(got.indices, [0, 3, 5, 1])
     assert same_pattern(resolve_pattern(P, A), P)
-    with pytest.raises(ValueError, match="^pattern choice 'ref:junk': ref takes no argument$"):
-        resolve_pattern("ref:junk", A)
+    # a malformed argument names the choice and its form; most raised int()'s
+    # "invalid literal" and sparsified:2 "not enough values to unpack"
+    malformed = {"ref": ["ref:junk", "ref:"],
+                 "power:P": ["power", "power:", "power:2.5", "power:2:3"],
+                 "sparsified:P:TAU": ["sparsified:2", "sparsified:2.5:0.1", "sparsified:2:x", "sparsified:2:0.1:3"],
+                 "offsets:o1,o2,...": ["offsets", "offsets:", "offsets:1,,2", "offsets:0.9", "offsets:1:2"]}
+    for form, choices in malformed.items():
+        for bad in choices:
+            with pytest.raises(ValueError, match=f"^{re.escape(f'pattern choice {bad!r}: expected the form {form}')}$"):
+                resolve_pattern(bad, A)
     # the retired names: offsets:0 and offsets:-1,0,1 spell the same patterns
     for bad in ("nope", "diag", "tridiag", "diag:3", "tridiag:1"):
         with pytest.raises(ValueError, match=f"^unknown pattern choice '{bad}'$"):
@@ -179,8 +187,14 @@ def test_event_past_the_end_raises_before_any_factorization(monkeypatch):
         raise AssertionError("factored before the events were checked")
     monkeypatch.setattr(samkit.harness.ilutp, "factor", no_factor)
     for events in ([(0, "prec"), (2, "sam"), (50, "sam")], [(0, "prec"), (5, "sam")]):
-        with pytest.raises(ValueError, match=rf"index {events[-1][0]} .* 5 systems"):
+        message = f"event at index {events[-1][0]} lies past the sequence of 5 systems"
+        with pytest.raises(ValueError, match=f"^{message}$"):
             run_sequence(spec, Strategy.at_events(events), MILD_ILUTP, "ref", FAST_GMRES)
+    # so is a thread count that is not one; each ran to the end
+    for workers, message in ((0, "at least 1, not 0"), (-1, "at least 1, not -1"),
+                             (2.5, "an integer, not 2.5"), (True, "an integer, not True")):
+        with pytest.raises(ValueError, match=f"^sam_workers must be {message}$"):
+            run_sequence(spec, Strategy.sam_every(), MILD_ILUTP, "ref", FAST_GMRES, sam_workers=workers)
 
 
 def test_run_determinism():
@@ -416,8 +430,8 @@ def test_parse_config_minimal_helmholtz(tmp_path):
     assert strategy.kind == "sam_every"
     assert (params.lfil, params.droptol, params.pivtol) == (20, 1e-3, 1.0)
     assert pattern_choice == "ref"
-    assert gc.rel_tol == 1e-10
-    assert gc.restart == gc.max_total_iters  # full restarts by default
+    # one cycle of GmresConfig's 100 iterations, as a run that spells them out
+    assert gc == GmresConfig(restart=100, rel_tol=1e-10, max_total_iters=100)
 
 
 def test_parse_config_events_schedule(tmp_path):
@@ -597,6 +611,21 @@ def test_parse_config_values_build_their_objects(tmp_path, text, built, direct):
     assert _bits(built(parse_config(cfg))) == _bits(direct())
 
 
+@pytest.mark.parametrize("extra, events", [
+    # restart = 2: every system crosses restart boundaries
+    ("[gmres]\nrestart = 2\n", ["prec", "sam", "sam", "sam"]),
+    ("[pattern]\nkind = power:2\n", ["prec", "sam", "sam", "sam"]),
+    # a prec event wins under sam_every
+    ("[strategy]\nkind = sam_every\nevents = [2:prec]\n", ["prec", "sam", "prec", "sam"]),
+], ids=["restart_2", "power_2", "prec_event"])
+def test_parse_config_runs_converge(tmp_path, extra, events):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[sequence]\nkind = shifted_pair\nnx = 6\nny = 6\nn_z = 8\n" + extra)
+    report = run_sequence(*parse_config(cfg))
+    assert [r.prec_event for r in report.rows] == events
+    assert all(r.converged for r in report.rows)
+
+
 def test_parse_config_shifted_pair_inline_shifts(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -639,7 +668,7 @@ def test_parse_config_matrix_files_keeps_shifts(tmp_path):
         spec, *_ = parse_config(cfg)
         assert np.array_equal(spec.shifts, want)
     cfg.write_text(f"[sequence]\nkind = matrix_files\nfiles = {' '.join(files)}\nshifts = 1 0\n")
-    with pytest.raises(ConfigError, match="1 shifts for 2 files"):
+    with pytest.raises(ConfigError, match="^sequence: one shift per system required: 1 shifts for 2 systems$"):
         parse_config(cfg)
 
 
@@ -661,7 +690,7 @@ def test_cli_run_reports_config_error_on_one_line(tmp_path, capsys):
     cfg.write_text("[sequence]\nkind = helmholtz_sweep\n[gmres]\nrestart = 0\n")
     assert cli_main(["run", "--config", str(cfg)]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err == "samkit: gmres: restart must be at least 1\n"
+    assert out == "" and err == "samkit: gmres: restart must be at least 1, not 0\n"
     cfg.write_text("kind = helmholtz_sweep\n")  # configparser's own message spans three lines
     assert cli_main(["run", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
@@ -785,8 +814,7 @@ def test_cli_late_event_and_pairless_gen_exit_2(tmp_path, capsys):
                    "[strategy]\nkind = reuse_first\nevents = [0:prec, 50:sam]\n")
     assert cli_main(["run", "--config", str(cfg)]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err == ("samkit: strategy.events: event at index 50 lies past "
-                                 "the sequence of 3 systems\n")
+    assert out == "" and err == "samkit: strategy: event at index 50 lies past the sequence of 3 systems\n"
     # a matrix_files sequence has no (K, M) pair for gen to write
     K, _ = fem_pair_2d(2, 2)
     matrix_market_write(K, tmp_path / "a.mtx")

@@ -27,7 +27,7 @@ def dense_lu_column_pivot(Ad, pivtol=1.0):
 
 
 def test_params_validation():
-    with pytest.raises(ValueError, match="^lfil must be nonnegative$"):
+    with pytest.raises(ValueError, match="^lfil must be at least 0, not -1$"):
         IlutpParams(lfil=-1)
     with pytest.raises(ValueError):
         IlutpParams(droptol=-0.5)

@@ -72,8 +72,8 @@ def test_laplace2d_rejects_small_grid():
     with pytest.raises(ValueError):
         laplace2d_dirichlet(1, 5)
     # fem_pair_2d refuses the same grids
-    for nx, ny in ((1, 5), (5, 1)):
-        with pytest.raises(ValueError, match="^grid must be at least 2x2$"):
+    for nx, ny, name in ((1, 5, "nx"), (5, 1, "ny")):
+        with pytest.raises(ValueError, match=f"^{name} must be at least 2, not 1$"):
             fem_pair_2d(nx, ny)
 
 
@@ -231,9 +231,13 @@ def test_talbot_rejects_odd_count():
     with pytest.raises(ValueError):
         talbot_shifts(7, 1.0)
     # a NaN time gave NaN shifts
-    for n_z, t in ((0, 1.0), (-2, 1.0), (8, 0.0), (8, -1.0), (4, np.nan)):
-        with pytest.raises(ValueError, match="^n_z and t must be positive$"):
-            talbot_shifts(n_z, t)
+    for n_z in (0, -2):
+        with pytest.raises(ValueError, match=f"^n_z must be at least 2, not {n_z}$"):
+            talbot_shifts(n_z, 1.0)
+    # an infinite time gave the shifts [0, -0]
+    for t in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"^t must be 0 < t < inf, not {t!r}$"):
+            talbot_shifts(4, t)
     # the contour is fixed: a custom one is given as shifts
     with pytest.raises(TypeError):
         talbot_shifts(8, 1.0, (0.6, 0.5, 0.6, 0.3))
@@ -343,8 +347,13 @@ def test_sequence_spec_helmholtz():
     for arr in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(spec.matrices[0], arr), getattr(K0, arr))
     assert all(A.dtype == np.float64 for A in spec.matrices)
-    with pytest.raises(ValueError):
-        SequenceSpec.helmholtz(4, 4, 0.0, 3)
+    # NaN passed the old check and Inf overflowed; both then failed in shifted_family
+    for delta_s in (0.0, -0.01, np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"^delta_s must be 0 < delta_s < inf, not {delta_s!r}$"):
+            SequenceSpec.helmholtz(4, 4, delta_s, 3)
+    # a negative count was refused as an empty sequence
+    with pytest.raises(ValueError, match="^count must be at least 0, not -1$"):
+        SequenceSpec.helmholtz(4, 4, 0.01, -1)
 
 
 @pytest.mark.parametrize("build, name, value", [
@@ -398,6 +407,16 @@ def test_sequence_spec_shifted_pair():
     assert all(A.dtype == np.complex128 for A in spec.matrices)
     # only shifted_pair keeps a pair
     assert SequenceSpec("custom", [K], np.zeros(1), np.ones(K.shape[0])).pair is None
+    # the spec converts its inputs: lists of shifts and right-hand side values
+    # (a list rhs raised AttributeError), and no rhs is the point source
+    spec = SequenceSpec("custom", [K], [0.0], [1.0] * 9)
+    assert isinstance(spec.rhs, np.ndarray) and np.array_equal(spec.rhs, np.ones(9))
+    assert spec.shifts.dtype == np.complex128
+    assert np.array_equal(SequenceSpec("custom", [K], [0.0]).rhs, point_source_rhs(9))
+    # an array of the right dtype is kept, not copied
+    z, b = np.zeros(1, dtype=complex), np.ones(9)
+    spec = SequenceSpec("custom", [K], z, b)
+    assert spec.shifts is z and spec.rhs is b
 
 
 def test_sequence_spec_matrix_files(tmp_path):
@@ -418,7 +437,7 @@ def test_sequence_spec_matrix_files(tmp_path):
 
 def test_sequence_spec_validation():
     K, M = fem_pair_2d(3, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^a sequence needs at least one system$"):
         SequenceSpec.shifted_pair(K, M, [])
     with pytest.raises(ValueError):
         SequenceSpec("shifted_pair", [K], np.zeros(1, dtype=complex), np.ones(5))
@@ -427,8 +446,13 @@ def test_sequence_spec_validation():
         message = f"the right-hand side must be a vector of length 9, not shape {rhs.shape}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SequenceSpec.shifted_pair(K, M, [1.0], rhs=rhs)
-    with pytest.raises(ValueError, match="^one shift per system required$"):
-        SequenceSpec("custom", [K, K], np.zeros(3), np.ones(9))
+    for shifts, got in ((np.zeros(3), "3 shifts"), ([1.0], "1 shifts"), (np.zeros((2, 1)), "shifts of shape (2, 1)")):
+        message = f"one shift per system required: {got} for 2 systems"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SequenceSpec("custom", [K, K], shifts, np.ones(9))
+    # a scalar shift raised TypeError
+    with pytest.raises(ValueError, match=r"^one shift per system required: shifts of shape \(\) for 1 systems$"):
+        SequenceSpec("custom", [K], 0.0, np.ones(9))
     with pytest.raises(ValueError, match="^all systems must be square with one common size$"):
         SequenceSpec("custom", [K, fem_pair_2d(2, 2)[0]], np.zeros(2), np.ones(9))
 
@@ -438,5 +462,5 @@ def test_point_source_rhs():
     assert b[4] == 1.0 and np.linalg.norm(b) == 1.0
     assert point_source_rhs(8)[4] == 1.0
     # n = 0 raised IndexError
-    with pytest.raises(ValueError, match="^n must be positive$"):
+    with pytest.raises(ValueError, match="^n must be at least 1, not 0$"):
         point_source_rhs(0)

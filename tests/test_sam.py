@@ -438,6 +438,11 @@ def test_worker_determinism():
     m5 = compute_map(A, ref, pl, workers=5)
     assert m1.N.data.tobytes() == m5.N.data.tobytes()
     assert np.array_equal(m1.N.indices, m5.N.indices)
+    # 0 and -1 ran serially, and 2.5 reached ThreadPoolExecutor
+    for workers, message in ((0, "at least 1, not 0"), (-1, "at least 1, not -1"),
+                             (2.5, "an integer, not 2.5"), (True, "an integer, not True")):
+        with pytest.raises(ValueError, match=f"^workers must be {message}$"):
+            compute_map(A, ref, pl, workers=workers)
 
 
 def test_maps_share_the_plans_read_only_pattern():
