@@ -14,8 +14,7 @@ from .harness import (
 from .ilutp import FactorizationError, IlutpFactors, IlutpParams, factor
 from .patterns import offset_pattern, pattern_of, sparsified_power, symbolic_power
 from .problems import (
-    SequenceSpec, fem_pair_2d, laplace2d_dirichlet,
-    matrix_market_read, matrix_market_write, point_source_rhs, talbot_shifts,
+    SequenceSpec, fem_pair_2d, matrix_market_read, matrix_market_write, point_source_rhs, talbot_shifts,
 )
 from .sam import (
     PreconditionerChain, SamMap, SamPlan, compute_map, map_residual_norm, plan,

@@ -155,7 +155,9 @@ def run_sequence(spec: SequenceSpec, strategy: Strategy, ilutp_params: ilutp.Ilu
     A failed factorization of the first system raises.  Any later one is
     recorded as ``prec_failed`` and the previous operator is kept, so the run
     continues.  An event past the last system, a ``sam_workers`` below 1 or
-    a matrix with malformed index arrays raises before any work.
+    a matrix with malformed index arrays raises before any work.  Each
+    record's ``prec_seconds`` and ``gmres_seconds`` are two consecutive
+    intervals of one clock: the system's action, then its ``gmres`` call.
     """
     strategy.check_length(len(spec))
     check_integers(minimum=1, sam_workers=sam_workers)
@@ -190,16 +192,16 @@ def run_sequence(spec: SequenceSpec, strategy: Strategy, ilutp_params: ilutp.Ilu
             mapped = sam.compute_map(A_k, A_ref, current_plan, workers=sam_workers)
             current = sam.PreconditionerChain(mapped.N, P_ref)
             sam_rel = mapped.rel_residual
-        prec_seconds = time.perf_counter() - t0
-
+        t1 = time.perf_counter()
         x, solve = gmres(A_k, b, M=current, config=gmres_config)
+        t2 = time.perf_counter()
         report.rows.append(SystemRecord(
             index=k,
             shift=complex(spec.shifts[k]),
             prec_event=event,
-            prec_seconds=prec_seconds,
+            prec_seconds=t1 - t0,
             sam_rel_residual=sam_rel,
-            gmres_seconds=solve.wall_seconds,
+            gmres_seconds=t2 - t1,
             iterations=solve.iterations,
             converged=solve.converged,
             final_rel_residual=solve.final_rel_residual,

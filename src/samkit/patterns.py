@@ -11,14 +11,6 @@ import scipy.sparse as sp
 from .sparse import as_csc, check_indices, check_integers
 
 
-def _indices(a) -> np.ndarray:
-    """``a`` as int64 sizes or indices; non-integer values raise instead of truncating."""
-    a = np.asarray(a)
-    if a.size and a.dtype.kind not in "iu":
-        raise ValueError(f"sizes and indices must be integers, not {a.dtype}")
-    return a.astype(np.int64, copy=False)
-
-
 def pattern_of(A) -> sp.csc_matrix:
     """Pattern of the stored entries of A, stored zeros included.
 
@@ -36,10 +28,11 @@ def offset_pattern(n: int, offsets) -> sp.csc_matrix:
     Out-of-range offsets are clipped at the boundaries, so offset 0 gives the
     diagonal and offsets (-1, 0, 1) the tridiagonal pattern.
     """
-    n = int(_indices(n))
-    if n <= 0:
-        raise ValueError("n must be positive")
-    rows = np.arange(n) + _indices(offsets)[:, None]
+    check_integers(minimum=1, n=n)
+    offsets = np.asarray(offsets)
+    if offsets.size and offsets.dtype.kind not in "iu":
+        raise ValueError(f"offsets must be integers, not {offsets.dtype}")
+    rows = np.arange(n) + offsets[:, None]
     keep = (rows >= 0) & (rows < n)
     cols = np.nonzero(keep)[1]
     return pattern_of(sp.csc_matrix((np.ones(cols.size), (rows[keep], cols)), shape=(n, n)))

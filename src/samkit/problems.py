@@ -19,21 +19,6 @@ from .sparse import as_csc, check_integers, shifted_family
 TALBOT_CONSTANTS = (0.6122, 0.5017, 0.6407, 0.2645)
 
 
-def laplace2d_dirichlet(nx: int, ny: int):
-    """Unscaled 5-point Laplacian on an nx-by-ny interior grid of the unit square.
-
-    Dirichlet data is 1 on the south and west boundaries and 0 on the north
-    and east boundaries; the returned right-hand side carries those boundary
-    contributions.  Coefficients are the raw stencil values (4 on the
-    diagonal, -1 off it).  Unknowns are ordered lexicographically, x fastest.
-    """
-    check_integers(minimum=2, nx=nx, ny=ny)
-    b = np.zeros(nx * ny)
-    b[:nx] += 1.0       # south edge, u = 1
-    b[0::nx] += 1.0     # west edge, u = 1
-    return _stiffness(np.ones((ny, nx))), b
-
-
 def _diagonal(d) -> sp.csc_matrix:
     """The diagonal matrix of the values ``d``, built directly in canonical CSC."""
     n = d.size
@@ -51,9 +36,11 @@ def fem_pair_2d(nx: int, ny: int, kappa=None):
     callable, and every value must be positive and finite.  Edge coefficients
     between neighbors are harmonic means of the two node values, and edges
     meeting the (zero Dirichlet) boundary use the node's own value.  With
-    kappa constant 1 (the default) the stiffness equals
-    :func:`laplace2d_dirichlet`.  The mass matrix is diagonal with the cell
-    area at every node.
+    kappa constant 1 (the default) the stiffness is the unscaled 5-point
+    Laplacian: 4 on the diagonal, -1 off it, unknowns ordered
+    lexicographically, x fastest.  A kappa so large that the stiffness would
+    overflow raises ``ValueError``.  The mass matrix is diagonal with the
+    cell area at every node.
     """
     check_integers(minimum=2, nx=nx, ny=ny)
     hx = 1.0 / (nx + 1)
@@ -85,16 +72,21 @@ def _stiffness(kap):
     def hmean(a, b):
         return 2.0 * a * b / (a + b)
 
-    cx = hmean(kap[:, :-1], kap[:, 1:])     # edge between nodes (j, i) and (j, i + 1)
-    cy = hmean(kap[:-1], kap[1:])           # edge between nodes (j, i) and (j + 1, i)
-    west = np.hstack([kap[:, :1], cx])
-    east = np.hstack([cx, kap[:, -1:]])
-    south = np.vstack([kap[:1], cy])
-    north = np.vstack([cy, kap[-1:]])
+    # every edge value enters a diagonal entry, where an overflow is refused by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        cx = hmean(kap[:, :-1], kap[:, 1:])     # edge between nodes (j, i) and (j, i + 1)
+        cy = hmean(kap[:-1], kap[1:])           # edge between nodes (j, i) and (j + 1, i)
+        west = np.hstack([kap[:, :1], cx])
+        east = np.hstack([cx, kap[:, -1:]])
+        south = np.vstack([kap[:1], cy])
+        north = np.vstack([cy, kap[-1:]])
+        diag = ((west + east) + south) + north  # one fixed summation order, reproducible bit for bit
+    if not diag.max() < np.inf:  # NaN fails too
+        raise ValueError(f"kappa must be small enough for a finite stiffness, not as large as {float(kap.max())!r}")
     vals = np.empty((ny, nx, 5))
     vals[1:, :, 0] = -cy
     vals[:, 1:, 1] = -cx
-    vals[..., 2] = ((west + east) + south) + north  # one fixed summation order, reproducible bit for bit
+    vals[..., 2] = diag
     vals[:, :-1, 3] = -cx
     vals[:-1, :, 4] = -cy
     keep = np.ones((ny, nx, 5), dtype=bool)
@@ -126,7 +118,11 @@ def talbot_shifts(n_z: int, t: float) -> np.ndarray:
         raise ValueError(f"t must be 0 < t < inf, not {t!r}")
     sigma, mu, alpha, nu = TALBOT_CONSTANTS
     theta = (2 * np.arange(n_z // 2) + 1) * np.pi / n_z
-    return (n_z / t) * (-sigma + mu * theta / np.tan(alpha * theta) + 1j * nu * theta)
+    with np.errstate(over="ignore", invalid="ignore"):  # a tiny t overflows; refused below, by name
+        z = (n_z / t) * (-sigma + mu * theta / np.tan(alpha * theta) + 1j * nu * theta)
+    if not np.isfinite(z).all():
+        raise ValueError(f"t must be large enough for finite shifts with n_z = {n_z}, not {t!r}")
+    return z
 
 
 # --- Matrix Market files ----------------------------------------------------
@@ -210,12 +206,22 @@ class SequenceSpec:
 
     @classmethod
     def helmholtz(cls, nx=10, ny=10, delta_s=0.01, count=200):
-        """Shifted pair (K0, -I) of the 2D Laplacian K0 at s = 0, delta_s, ..., count * delta_s."""
+        """Shifted pair (K0, -I) of the 2D Laplacian K0 at s = 0, delta_s, ..., count * delta_s.
+
+        K0 is the unit-conductivity stiffness of :func:`fem_pair_2d`; the
+        right-hand side carries Dirichlet data 1 on the south and west edges.
+        """
+        check_integers(minimum=2, nx=nx, ny=ny)
         check_integers(minimum=0, count=count)
         if not 0 < delta_s < np.inf:  # NaN fails too
             raise ValueError(f"delta_s must be 0 < delta_s < inf, not {delta_s!r}")
-        K0, b = laplace2d_dirichlet(nx, ny)
-        spec = cls.shifted_pair(K0, _diagonal(np.full(K0.shape[0], -1.0)), delta_s * np.arange(count + 1), rhs=b)
+        if not float(delta_s) * float(count) < np.inf:  # the last shift below; Python floats overflow without a warning
+            raise ValueError(f"delta_s must be small enough for finite shifts with count = {count}, not {delta_s!r}")
+        b = np.zeros(nx * ny)
+        b[:nx] += 1.0       # south edge, u = 1
+        b[0::nx] += 1.0     # west edge, u = 1
+        spec = cls.shifted_pair(_stiffness(np.ones((ny, nx))), _diagonal(np.full(nx * ny, -1.0)),
+                                delta_s * np.arange(count + 1), rhs=b)
         spec.kind = "helmholtz_sweep"
         return spec
 

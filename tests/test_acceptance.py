@@ -13,7 +13,7 @@ import scipy.sparse.linalg as spla
 from samkit import (
     GmresConfig, IlutpParams, SequenceSpec, Strategy, as_csc, compute_map,
     factor, fem_pair_2d, gmres,
-    laplace2d_dirichlet, offset_pattern, pattern_of, plan, run_sequence,
+    offset_pattern, pattern_of, plan, run_sequence,
     shifted_family, symbolic_power, talbot_shifts,
 )
 from helpers import random_pattern, random_sparse
@@ -73,7 +73,7 @@ def test_criterion_2_least_squares_oracle_equivalence():
 
 def test_criterion_3_nested_pattern_monotonicity():
     t0 = time.perf_counter()
-    K0, _ = laplace2d_dirichlet(10, 10)
+    K0 = fem_pair_2d(10, 10)[0]
     A_k = SequenceSpec.helmholtz(10, 10, 0.01, 150).matrices[150]
     ref_norm = spla.norm(K0)
     chain = [
@@ -219,7 +219,7 @@ def test_criterion_7_strategy_trend_shifted_pair():
 
 def test_criterion_8_parallel_determinism():
     t0 = time.perf_counter()
-    K0, _ = laplace2d_dirichlet(10, 10)
+    K0 = fem_pair_2d(10, 10)[0]
     A_k = SequenceSpec.helmholtz(10, 10, 0.01, 150).matrices[150]
     pl = plan(pattern_of(K0), A_k, A_ref=K0)
     maps = [compute_map(A_k, K0, pl, workers=w) for w in (1, 8)]

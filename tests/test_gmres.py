@@ -16,6 +16,9 @@ def test_config_validation():
         GmresConfig(restart=0)
     with pytest.raises(ValueError):
         GmresConfig(rel_tol=0.0)
+    # an infinite rel_tol reported every system converged after 0 iterations
+    with pytest.raises(ValueError, match="^rel_tol must be 0 < rel_tol < inf, not inf$"):
+        GmresConfig(rel_tol=np.inf)
     with pytest.raises(ValueError, match="^max_total_iters must be at least 1, not 0$"):
         GmresConfig(max_total_iters=0)
     # bool is an Integral, but True is not a count: it was taken as 1

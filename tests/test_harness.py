@@ -1,6 +1,7 @@
 import csv
 import io
 import re
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import samkit.cli
 import samkit.harness
 from samkit import (
     FactorizationError, GmresConfig, IlutpParams, SequenceReport, SequenceSpec,
-    Strategy, SystemRecord, as_csc, compute_map, fem_pair_2d, laplace2d_dirichlet,
+    Strategy, SystemRecord, as_csc, compute_map, fem_pair_2d,
     matrix_market_write, offset_pattern, parse_config, pattern_of, plan, render_report,
     resolve_pattern, run_sequence, sparsified_power, symbolic_power, talbot_shifts,
 )
@@ -143,6 +144,21 @@ def test_run_sequence_resolves_the_pattern_once_per_new_reference(monkeypatch):
     assert all((A - spec.matrices[k]).nnz == 0 for A, k in zip(refs, (0, 4, 8)))
 
 
+def test_gmres_seconds_is_the_interval_around_the_gmres_call(monkeypatch):
+    # run_sequence reads one clock around the call; gmres timed only its own
+    # body, so a wrapper's time (a tracer's, say) lay in no record
+    sleep = 0.01
+    gmres0 = samkit.harness.gmres
+
+    def slow_gmres(*args, **kwargs):
+        time.sleep(sleep)
+        return gmres0(*args, **kwargs)
+
+    monkeypatch.setattr(samkit.harness, "gmres", slow_gmres)
+    report = run_sequence(small_sweep(count=2), Strategy.sam_every(), MILD_ILUTP, "ref", FAST_GMRES)
+    assert all(r.gmres_seconds >= sleep for r in report.rows)
+
+
 def test_length_one_sequence_strategy_equivalence():
     spec = small_sweep(count=0)
     assert len(spec) == 1
@@ -226,7 +242,7 @@ def test_reference_switch_resets_map_target():
 
 
 def test_matrix_files_changing_structure_plans_again(tmp_path):
-    K, _ = laplace2d_dirichlet(4, 4)
+    K = fem_pair_2d(4, 4)[0]
     wider = K.tolil()
     wider[0, 15] = -0.5
     files = []
@@ -691,6 +707,10 @@ def test_cli_run_reports_config_error_on_one_line(tmp_path, capsys):
     assert cli_main(["run", "--config", str(cfg)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "samkit: gmres: restart must be at least 1, not 0\n"
+    # rel_tol = inf exited 0, every system converged after 0 iterations
+    cfg.write_text("[sequence]\nkind = helmholtz_sweep\n[gmres]\nrel_tol = inf\n")
+    assert cli_main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", "samkit: gmres: rel_tol must be 0 < rel_tol < inf, not inf\n")
     cfg.write_text("kind = helmholtz_sweep\n")  # configparser's own message spans three lines
     assert cli_main(["run", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err

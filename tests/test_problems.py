@@ -6,15 +6,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from samkit import (
-    SequenceSpec, as_csc, fem_pair_2d,
-    laplace2d_dirichlet, matrix_market_read, matrix_market_write,
+    SequenceSpec, as_csc, fem_pair_2d, matrix_market_read, matrix_market_write,
     point_source_rhs, talbot_shifts,
 )
 from helpers import random_sparse
 
 
 def test_laplace2d_size_and_stencil():
-    K, b = laplace2d_dirichlet(10, 10)
+    K, b = fem_pair_2d(10, 10)[0], SequenceSpec.helmholtz(10, 10, count=0).rhs
     assert K.shape == (100, 100)
     Kd = K.toarray()
     # interior unknown: full stencil, no boundary contribution
@@ -26,7 +25,7 @@ def test_laplace2d_size_and_stencil():
 
 def test_laplace2d_boundary_rhs():
     nx, ny = 6, 5
-    K, b = laplace2d_dirichlet(nx, ny)
+    b = SequenceSpec.helmholtz(nx, ny, count=0).rhs
     assert b[0] == 2.0                      # southwest corner: south + west
     assert b[nx - 1] == 1.0                 # southeast: south only (east is zero)
     assert b[(ny - 1) * nx] == 1.0          # northwest: west only
@@ -35,7 +34,7 @@ def test_laplace2d_boundary_rhs():
 
 
 def test_laplace2d_symmetric_positive_definite():
-    K, _ = laplace2d_dirichlet(8, 7)
+    K = fem_pair_2d(8, 7)[0]
     assert spla.norm(K - K.T) == 0.0
     evals = np.linalg.eigvalsh(K.toarray())
     assert evals[0] > 0.0
@@ -57,7 +56,7 @@ def _same_bytes(X, Y):
     (2, 2, True), (10, 10, False), (3, 7, True), (7, 3, False), (32, 32, False),
 ])
 def test_laplace2d_matches_kron_construction(nx, ny, kron_stores_zeros):
-    K, _ = laplace2d_dirichlet(nx, ny)
+    K = fem_pair_2d(nx, ny)[0]
     old = kron_laplacian(nx, ny)
     # on small grids scipy's kron builds dense blocks and stores their zeros;
     # the stencil stores exactly the 5-point pattern with the same values
@@ -69,16 +68,15 @@ def test_laplace2d_matches_kron_construction(nx, ny, kron_stores_zeros):
 
 
 def test_laplace2d_rejects_small_grid():
-    with pytest.raises(ValueError):
-        laplace2d_dirichlet(1, 5)
-    # fem_pair_2d refuses the same grids
+    # the Helmholtz sweep and fem_pair_2d refuse the same grids
     for nx, ny, name in ((1, 5, "nx"), (5, 1, "ny")):
-        with pytest.raises(ValueError, match=f"^{name} must be at least 2, not 1$"):
-            fem_pair_2d(nx, ny)
+        for build in (fem_pair_2d, SequenceSpec.helmholtz):
+            with pytest.raises(ValueError, match=f"^{name} must be at least 2, not 1$"):
+                build(nx, ny)
 
 
 def test_helmholtz_sequence_shifts_diagonal():
-    K0, _ = laplace2d_dirichlet(4, 4)
+    K0 = fem_pair_2d(4, 4)[0]
     seq = SequenceSpec.helmholtz(4, 4, 0.01, 200).matrices
     assert len(seq) == 201
     d0 = K0.diagonal()
@@ -93,7 +91,7 @@ def test_helmholtz_sequence_shifts_diagonal():
 
 
 def test_helmholtz_twentieth_shift_indefinite():
-    K0, _ = laplace2d_dirichlet(10, 10)
+    K0 = fem_pair_2d(10, 10)[0]
     evals = np.linalg.eigvalsh(K0.toarray())
     assert abs(evals[0] - 8 * np.sin(np.pi / 22) ** 2) <= 1e-12
     K20 = SequenceSpec.helmholtz(10, 10, 0.01, 20).matrices[20]
@@ -102,9 +100,8 @@ def test_helmholtz_twentieth_shift_indefinite():
 
 
 def test_fem_pair_constant_kappa_matches_laplacian():
+    # the stiffness is the 5-point Laplacian (test_laplace2d_matches_kron_construction)
     K, M = fem_pair_2d(5, 4)
-    L, _ = laplace2d_dirichlet(5, 4)
-    assert spla.norm(K - L) <= 1e-14
     hx, hy = 1.0 / 6.0, 1.0 / 5.0
     assert M.nnz == 20
     assert np.allclose(M.diagonal(), hx * hy)
@@ -203,6 +200,11 @@ def test_fem_pair_rejects_bad_kappa():
     for nodes in (-np.ones((3, 4)), np.full((3, 4), np.inf), np.ones((4, 3)), np.ones(12), 2.0):
         with pytest.raises(ValueError):
             fem_pair_2d(4, 3, nodes)
+    # a finite kappa whose harmonic means overflowed gave a stiffness with
+    # infinite and NaN entries, after RuntimeWarnings; 1e153 stays finite
+    with pytest.raises(ValueError, match="^kappa must be small enough for a finite stiffness, not as large as 1e[+]154$"):
+        fem_pair_2d(3, 3, lambda x, y: 1e154)
+    assert np.isfinite(fem_pair_2d(3, 3, lambda x, y: 1e153)[0].data).all()
 
 
 def test_fem_pair_shifted_system_nonsingular():
@@ -238,6 +240,9 @@ def test_talbot_rejects_odd_count():
     for t in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match=f"^t must be 0 < t < inf, not {t!r}$"):
             talbot_shifts(4, t)
+    # a tiny t gave the shifts [inf+infj, -inf+infj]
+    with pytest.raises(ValueError, match="^t must be large enough for finite shifts with n_z = 4, not 1e-320$"):
+        talbot_shifts(4, 1e-320)
     # the contour is fixed: a custom one is given as shifts
     with pytest.raises(TypeError):
         talbot_shifts(8, 1.0, (0.6, 0.5, 0.6, 0.3))
@@ -340,7 +345,10 @@ def test_sequence_spec_helmholtz():
     assert spec.shifts[10] == pytest.approx(0.1)
     assert spec.kind == "helmholtz_sweep"
     # the sweep is the real shifted pair (K0, -I), and system 0 is K0 itself
-    K0, b = laplace2d_dirichlet(4, 4)
+    K0 = fem_pair_2d(4, 4)[0]
+    b = np.zeros(16)
+    b[:4] += 1.0    # Dirichlet data 1 on the south edge
+    b[0::4] += 1.0  # and on the west edge
     K, M = spec.pair
     assert np.array_equal(K.toarray(), K0.toarray()) and np.array_equal(M.toarray(), -np.eye(16))
     assert np.array_equal(spec.rhs, b)
@@ -354,6 +362,10 @@ def test_sequence_spec_helmholtz():
     # a negative count was refused as an empty sequence
     with pytest.raises(ValueError, match="^count must be at least 0, not -1$"):
         SequenceSpec.helmholtz(4, 4, 0.01, -1)
+    # a last shift count * delta_s that overflowed warned, then failed in
+    # shifted_family with a message that named neither input
+    with pytest.raises(ValueError, match="^delta_s must be small enough for finite shifts with count = 2, not 1e[+]308$"):
+        SequenceSpec.helmholtz(3, 3, 1e308, 2)
 
 
 @pytest.mark.parametrize("build, name, value", [
@@ -367,7 +379,7 @@ def test_sequence_spec_helmholtz():
     # nx = 4.0 failed inside numpy with a TypeError
     (lambda v: fem_pair_2d(v, 4), "nx", 4.0),
     (lambda v: fem_pair_2d(4, v), "ny", True),
-    (lambda v: laplace2d_dirichlet(4, v), "ny", 4.0),
+    (lambda v: SequenceSpec.helmholtz(4, v, 0.01, 3), "ny", 4.0),
     # n = 4.0 failed inside numpy with a TypeError
     (point_source_rhs, "n", 4.0),
 ])

@@ -62,7 +62,7 @@ def digest_lines(workload, seed, toy=False):
     compute_map, factor, gmres = samkit.sam.compute_map, samkit.ilutp.factor, samkit.harness.gmres
     lines = [f"workload {workload} seed {seed}{' toy' if toy else ''} systems {len(spec)}"]
     for arm in ARMS:
-        strategy, workers = arm_strategy(arm, len(spec), os.cpu_count() or 1)
+        strategy, workers = arm_strategy(arm, len(spec), len(os.sched_getaffinity(0)))
         digests, factors, solves = [], hashlib.sha256(), hashlib.sha256()
 
         def recording_map(*args, **kwargs):
