@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from . import ilutp, patterns, sam
 from .gmres import GmresConfig, gmres
 from .problems import SequenceSpec, talbot_shifts, fem_pair_2d, matrix_market_read
-from .sparse import as_csc, check_indices, check_integers
+from .sparse import check_integers, checked_csc
 
 RECOMPUTE = "prec"
 COMPUTE_SAM = "sam"
@@ -161,14 +161,12 @@ def run_sequence(spec: SequenceSpec, strategy: Strategy, ilutp_params: ilutp.Ilu
     """
     strategy.check_length(len(spec))
     check_integers(minimum=1, sam_workers=sam_workers)
-    check_indices(*spec.matrices)
     b = spec.rhs
     report = SequenceReport()
 
     A_ref = P_ref = current = S = current_plan = None
 
-    for k, A_k in enumerate(spec.matrices):
-        A_k = as_csc(A_k)
+    for k, A_k in enumerate(checked_csc(*spec.matrices)):
         act = strategy.action(k)
         event = act
         sam_rel = None

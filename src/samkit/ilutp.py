@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .sparse import as_csc, check_indices, check_integers
+from .sparse import check_integers, checked_csc
 
 PIVOT_FLOOR = 1e-300
 
@@ -116,8 +116,7 @@ def _rows_to_csc(cols, vals, diag, perm):
 
 def factor(A, params: IlutpParams = IlutpParams()) -> IlutpFactors:
     """Dual-threshold pivoted incomplete factorization of a square sparse matrix."""
-    check_indices(A)
-    A = as_csc(A)
+    [A] = checked_csc(A)
     n, m = A.shape
     if n != m:
         raise ValueError("factor: matrix must be square")

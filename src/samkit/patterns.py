@@ -8,17 +8,16 @@ products of patterns.
 import numpy as np
 import scipy.sparse as sp
 
-from .sparse import as_csc, check_indices, check_integers
+from .sparse import check_integers, checked_csc
 
 
 def pattern_of(A) -> sp.csc_matrix:
     """Pattern of the stored entries of A, stored zeros included.
 
     Malformed compressed index arrays raise ``ValueError`` (see
-    :func:`samkit.sparse.check_indices`).
+    :func:`samkit.sparse.checked_csc`).
     """
-    check_indices(A)
-    A = as_csc(A)
+    [A] = checked_csc(A)
     return sp.csc_matrix((np.ones(A.nnz), A.indices.copy(), A.indptr.copy()), shape=A.shape)
 
 
@@ -30,6 +29,8 @@ def offset_pattern(n: int, offsets) -> sp.csc_matrix:
     """
     check_integers(minimum=1, n=n)
     offsets = np.asarray(offsets)
+    if offsets.ndim != 1:
+        raise ValueError(f"offsets must be a 1-D sequence, not a {offsets.ndim}-D array")
     if offsets.size and offsets.dtype.kind not in "iu":
         raise ValueError(f"offsets must be integers, not {offsets.dtype}")
     rows = np.arange(n) + offsets[:, None]
@@ -63,8 +64,7 @@ def sparsified_power(A, p: int, tau: float) -> sp.csc_matrix:
     comparing against tau, so tau is scale-free.  tau = 0 keeps the full
     structural pattern of A^p.  Malformed index arrays raise ``ValueError``.
     """
-    check_indices(A)
-    A = as_csc(A)
+    [A] = checked_csc(A)
     if A.shape[0] != A.shape[1]:
         raise ValueError("sparsified_power needs a square matrix")
     if not tau >= 0:  # NaN fails too

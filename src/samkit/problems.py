@@ -11,7 +11,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .sparse import as_csc, check_integers, shifted_family
+from .sparse import as_csc, check_integers, checked_csc, shifted_family
 
 # Modified Talbot contour constants (sigma, mu, alpha, nu), from the published
 # optimized-contour literature, not from any property of this package.  This is
@@ -151,8 +151,9 @@ def matrix_market_write(A, path):
 
     Values are written in their shortest round-trip form, so reading the
     file back reproduces every stored value exactly, stored zeros included.
+    Malformed index arrays raise ``ValueError``.
     """
-    A = as_csc(A)
+    [A] = checked_csc(A)
     # a file object, because given a name without extension mmwrite appends
     # ".mtx"; symmetry is explicit, because by default mmwrite detects it and
     # stores a symmetric matrix as its lower triangle only

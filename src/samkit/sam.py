@@ -21,7 +21,7 @@ import scipy.sparse.linalg as spla
 
 from .gmres import as_operator
 from .patterns import pattern_of
-from .sparse import REAL, as_csc, check_indices, check_integers, matvec, scalar_dtype
+from .sparse import REAL, check_indices, check_integers, checked_csc, matvec, scalar_dtype
 
 # Singular-value cutoff of the block pseudoinverse, relative to each block's
 # largest singular value; smaller ones count as zero, so rank-deficient blocks
@@ -165,16 +165,17 @@ def compute_map(A, A_ref, pl: SamPlan, workers: int = 1) -> SamMap:
     the float range keep finite unknowns.  A column with an empty pattern
     stays zero, with its reference column's norm as residual; one whose block
     or reference values are not all finite gets NaN unknowns and a NaN
-    residual.  ``A`` and ``A_ref`` must have the structures the plan was made
-    for; otherwise ``ValueError`` names which of the two differs and its
-    first offending column.  Up to ``workers >= 1`` threads take whole groups,
-    each filling its own preassigned positions of ``N.data``, so the result
-    is bit-identical for any ``workers`` count.  ``N`` stores its values on
-    the plan's read-only pattern arrays, so writing its pattern in place
-    raises ``ValueError``; ``N.copy()`` gives it a writeable pattern.
+    residual.  Malformed index arrays raise ``ValueError``, and so does a
+    structure other than the plan's, naming whether ``A`` or ``A_ref``
+    differs and its first offending column.  Up to ``workers >= 1`` threads
+    take whole groups, each filling its own preassigned positions of
+    ``N.data``, so the result is bit-identical for any ``workers`` count.
+    ``N`` stores its values on the plan's read-only pattern arrays, so
+    writing its pattern in place raises ``ValueError``; ``N.copy()`` gives
+    it a writeable pattern.
     """
     check_integers(minimum=1, workers=workers)
-    A, A_ref = as_csc(A), as_csc(A_ref)
+    A, A_ref = checked_csc(A, A_ref)
     if A.shape != (pl.n, pl.n) or A_ref.shape != (pl.n, pl.n):
         raise ValueError(f"compute_map: matrices must be {pl.n}x{pl.n}")
     for name, M, P in zip(("matrix", "reference"), (A, A_ref), pl.structures[1:]):
@@ -223,22 +224,19 @@ def compute_map(A, A_ref, pl: SamPlan, workers: int = 1) -> SamMap:
 def map_residual_norm(A, N, A_ref) -> float:
     """||A N - A_ref||_F / ||A_ref||_F computed from the full sparse product.
 
-    Independent of the running residual accumulation in :func:`compute_map`;
-    intended as the expensive cross-check.  Malformed index arrays raise
-    ``ValueError``.
+    Independent of the running residual accumulation in :func:`compute_map`,
+    whose rule for a zero reference it shares; intended as the expensive
+    cross-check.  Malformed index arrays raise ``ValueError``.
     """
-    check_indices(A, N, A_ref)
+    A, N, A_ref = checked_csc(A, N, A_ref)
     if A.shape[1] != N.shape[0] or A.shape[0] != A_ref.shape[0] or N.shape[1] != A_ref.shape[1]:
         raise ValueError("map_residual_norm: incompatible dimensions")
     # A and A_ref on the power-of-two scale of their largest real or imaginary
     # part: the ratio keeps every bit, and neither norm overflows or underflows
-    A, A_ref = as_csc(A), as_csc(A_ref)
     e = np.frexp(max(np.abs(M.data.view(REAL)).max(initial=0) for M in (A, A_ref)))[1]
     A, A_ref = (sp.csc_matrix((_ldexp(M.data, -e), M.indices, M.indptr), shape=M.shape) for M in (A, A_ref))
-    ref_norm = spla.norm(A_ref)
-    if ref_norm == 0:
-        raise ValueError("reference matrix has zero norm, relative residual undefined")
-    return spla.norm(A @ as_csc(N) - A_ref) / ref_norm
+    ref_norm, res = spla.norm(A_ref), spla.norm(A @ N - A_ref)
+    return res / ref_norm if ref_norm > 0 else (0.0 if res == 0 else math.inf)
 
 
 class PreconditionerChain:
@@ -255,8 +253,8 @@ class PreconditionerChain:
     """
 
     def __init__(self, N, P):
-        check_indices(N, P)
-        self.N = as_csc(N)
+        [self.N] = checked_csc(N)
+        check_indices(P)
         pshape = getattr(P, "shape", None)
         if pshape is not None and self.N.shape[1] != pshape[0]:
             raise ValueError(f"chain: map shape {self.N.shape} incompatible with operator shape {pshape}")

@@ -64,6 +64,12 @@ def check_indices(*matrices):
         copy.copy(M).check_format(full_check=True)
 
 
+def checked_csc(*matrices) -> list:
+    """:func:`check_indices` over all ``matrices``, then each one as :func:`as_csc` returns it."""
+    check_indices(*matrices)
+    return [as_csc(M) for M in matrices]
+
+
 def matvec(A, x: np.ndarray) -> np.ndarray:
     """y = A x, computed by scipy's ``A.dot`` after a length check.
 

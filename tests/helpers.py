@@ -1,8 +1,15 @@
-"""Random sparse matrices and patterns shared by the test modules."""
+"""Random sparse matrices and patterns, and a crash-proof call runner, shared by the test modules."""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
+import samkit
 from samkit import as_csc, pattern_of
 
 
@@ -64,3 +71,29 @@ def grid_laplacian_triplets(nx, ny):
                 if 0 <= ii < nx and 0 <= jj < ny:
                     rows.append(k); cols.append(jj * nx + ii); vals.append(-1.0)
     return rows, cols, vals
+
+
+def refusal_in_child(call):
+    """Run ``call`` in a new Python process on ``bad``, a CSC matrix whose ``indptr`` decreases.
+
+    ``bad`` is 50x50 with ``indptr[25] = 10**8``, which scipy's constructor
+    accepts and its kernels read past their arrays; ``good`` is the 50x50
+    identity.  A child process, because a crash takes its process down.
+    Returns the child's exit status and the message of the ``ValueError``
+    that ``call`` raised, or None if it raised none.
+    """
+    script = textwrap.dedent("""
+        import numpy as np, scipy.sparse as sp, samkit
+        indptr = np.arange(51)
+        indptr[25] = 10**8
+        bad = sp.csc_matrix((np.ones(50), np.arange(50), indptr))
+        good = sp.identity(50, format="csc")
+        try:
+            {call}
+        except ValueError as exc:
+            print(exc)
+    """).format(call=call)
+    src = str(Path(samkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout.strip() or None

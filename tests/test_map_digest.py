@@ -14,8 +14,10 @@ def test_map_digest_toy_run_is_complete_and_repeatable():
     assert runs[0] == runs[1]
     lines = runs[0].splitlines()
     assert lines[0] == "workload helmholtz-sweep seed 1 toy systems 7"
+    # one digest of the built sequence's matrices, right-hand side and shifts
+    assert re.fullmatch("spec [0-9a-f]{64}", lines[1])
     maps, factors, solves, totals = {}, {}, {}, {}
-    for line in lines[1:]:
+    for line in lines[2:]:
         arm, kind, key, *rest = line.split()
         if kind == "map":
             assert int(key) == maps.get(arm, 0) and re.fullmatch("[0-9a-f]{64}", rest[0])

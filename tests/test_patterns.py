@@ -78,11 +78,14 @@ def test_sparsified_power_refuses_malformed_index_arrays(tau):
     lambda: offset_pattern(4.0, [0]),
     lambda: offset_pattern(4, [0.9]),
     lambda: offset_pattern(4.5, [0]),
+    lambda: offset_pattern(4, 0),
+    lambda: offset_pattern(4, [[0, 1]]),
 ])
 def test_pattern_constructors_reject_non_integer_indices(build):
     # float sizes and offsets were truncated: offset 0.9 to the diagonal, size
-    # 4.5 to 4; a float or bool is refused even where its value is integral
-    with pytest.raises(ValueError, match="^(n must be an integer|offsets must be integers), not "):
+    # 4.5 to 4; a float or bool is refused even where its value is integral;
+    # a scalar or 2-D offsets failed in numpy's indexing and broadcasting
+    with pytest.raises(ValueError, match="^(n must be an integer|offsets must be (integers|a 1-D sequence)), not "):
         build()
 
 

@@ -9,7 +9,7 @@ from samkit import (
     SequenceSpec, as_csc, fem_pair_2d, matrix_market_read, matrix_market_write,
     point_source_rhs, talbot_shifts,
 )
-from helpers import random_sparse
+from helpers import random_sparse, refusal_in_child
 
 
 def test_laplace2d_size_and_stencil():
@@ -336,6 +336,15 @@ def test_matrix_market_write_precision(tmp_path):
     matrix_market_write(A, path)
     B = matrix_market_read(path)
     assert B[0, 0] == A[0, 0]
+
+
+def test_matrix_market_write_refuses_decreasing_column_pointers(tmp_path):
+    # scipy's constructor accepts this indptr; the writer canonicalized the
+    # matrix unchecked, and the process died with SIGSEGV
+    path = tmp_path / "bad.mtx"
+    status, refusal = refusal_in_child(f"samkit.matrix_market_write(bad, {str(path)!r})")
+    assert (status, refusal) == (0, "indptr must be a non-decreasing sequence")
+    assert not path.exists()
 
 
 def test_sequence_spec_helmholtz():

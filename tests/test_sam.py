@@ -13,7 +13,8 @@ from samkit import (
 from samkit.sam import RANK_TOL
 from samkit.sparse import matvec
 from helpers import (
-    grid_laplacian_triplets, pattern_at, pattern_to_bool, random_pattern, random_sparse, same_pattern,
+    grid_laplacian_triplets, pattern_at, pattern_to_bool, random_pattern, random_sparse, refusal_in_child,
+    same_pattern,
 )
 
 
@@ -252,6 +253,8 @@ def test_compute_map_empty_pattern_column():
     empty = as_csc(sp.csc_matrix((2, 2)))
     m = compute_map(A, empty, plan(pattern_of(A), A, A_ref=empty))
     assert m.rel_residual == 0.0
+    # the cross-check follows compute_map's rule: A N is zero, so 0.0 too
+    assert map_residual_norm(A, m.N, empty) == 0.0
 
 
 def test_compute_map_matches_dense_oracle_random():
@@ -485,6 +488,13 @@ def test_map_residual_norm_refuses_malformed_index_arrays():
             map_residual_norm(*operands)
 
 
+def test_compute_map_refuses_decreasing_column_pointers():
+    # scipy's constructor accepts this indptr; compute_map canonicalized the
+    # matrix unchecked, and the process died with SIGSEGV
+    status, refusal = refusal_in_child("samkit.compute_map(bad, good, samkit.plan(good, good))")
+    assert (status, refusal) == (0, "indptr must be a non-decreasing sequence")
+
+
 def test_map_residual_norm_trivial_cases():
     A = as_csc(np.diag([2.0, 4.0]))
     ref = as_csc(np.diag([1.0, 2.0]))
@@ -492,8 +502,8 @@ def test_map_residual_norm_trivial_cases():
     assert map_residual_norm(A, N, ref) <= 1e-15
     Z = as_csc(np.zeros((2, 2)))
     assert map_residual_norm(A, Z, ref) == 1.0
-    with pytest.raises(ValueError):
-        map_residual_norm(A, N, Z)
+    # a zero reference and a nonzero A N: compute_map's rule gives inf
+    assert map_residual_norm(A, N, Z) == np.inf
     with pytest.raises(ValueError):
         map_residual_norm(A, N, sp.identity(3, format="csc"))
 

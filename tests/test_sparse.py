@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from samkit import as_csc, map_residual_norm, shifted_family
-from samkit.sparse import check_indices, matvec
+from samkit.sparse import check_indices, checked_csc, matvec
 from helpers import random_sparse
 
 
@@ -232,4 +232,10 @@ def test_check_indices_once_per_pattern(monkeypatch):
     own = family[0].copy()
     full_checks.clear()
     check_indices(*family, own, np.eye(4), None)
+    assert full_checks == [True, True]
+    # checked_csc checks as check_indices does, and returns canonical
+    # matrices as they are
+    other = sp.identity(4, format="csc")
+    full_checks.clear()
+    assert all(M is N for M, N in zip(checked_csc(*family, other), [*family, other], strict=True))
     assert full_checks == [True, True]

@@ -5,7 +5,9 @@
 Each arm of ``perfbench/workloads.py`` runs once through
 ``samkit.harness.run_sequence``.  Wrappers around ``samkit.sam.compute_map``,
 ``samkit.ilutp.factor`` and ``samkit.harness.gmres``, set from outside the
-package, record each map, each factorization and each solve.  The output has
+package, record each map, each factorization and each solve.  After its
+header, the output has one ``spec`` line, the sha256 of every built matrix's
+``data``, ``indices`` and ``indptr`` bytes, then of ``rhs`` and ``shifts``;
 one line per map, the sha256 of its ``N.data``, ``N.indices``, ``N.indptr``,
 ``column_residuals`` and ``rel_residual`` bytes; one line per arm, the sha256
 of every factorization's ``L`` and ``U`` (``data``, ``indices``, ``indptr``)
@@ -13,8 +15,9 @@ and ``colperm`` bytes; one line per arm, the sha256 of every solve's ``x``,
 ``residual_history``, ``restart_checks``, ``iterations``, ``restarts``,
 ``converged`` and ``final_rel_residual``; and one line per arm with its GMRES
 iteration total.  Two source trees that compute the same maps, factors and
-solves print the same text, so a refactor is checked by diffing the output of
-the old and the new tree.  ``--toy`` runs the workload's small test size.
+solves from the same built sequence print the same text, so a refactor,
+of the build path too, is checked by diffing the output of the old and the
+new tree.  ``--toy`` runs the workload's small test size.
 """
 
 import argparse
@@ -45,6 +48,13 @@ def map_digest(m) -> str:
     return h.hexdigest()
 
 
+def spec_digest(spec) -> str:
+    h = hashlib.sha256()
+    for a in [a for M in spec.matrices for a in (M.data, M.indices, M.indptr)] + [spec.rhs, spec.shifts]:
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
 def factor_bytes(F) -> bytes:
     return b"".join(a.tobytes() for T in (F.L, F.U) for a in (T.data, T.indices, T.indptr)) + F.colperm.tobytes()
 
@@ -60,7 +70,8 @@ def digest_lines(workload, seed, toy=False):
     wl = WORKLOADS[workload]
     spec = wl.build(seed, toy=toy)
     compute_map, factor, gmres = samkit.sam.compute_map, samkit.ilutp.factor, samkit.harness.gmres
-    lines = [f"workload {workload} seed {seed}{' toy' if toy else ''} systems {len(spec)}"]
+    lines = [f"workload {workload} seed {seed}{' toy' if toy else ''} systems {len(spec)}",
+             f"spec {spec_digest(spec)}"]
     for arm in ARMS:
         strategy, workers = arm_strategy(arm, len(spec), len(os.sched_getaffinity(0)))
         digests, factors, solves = [], hashlib.sha256(), hashlib.sha256()
