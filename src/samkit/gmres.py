@@ -16,6 +16,7 @@ import scipy.sparse as sp
 
 from .sparse import check_indices, check_integers, scalar_dtype
 
+# a breakdown leaves at most this share of the vector's own norm, so no scaling of b or A changes the test
 HAPPY_BREAKDOWN = 1e-14
 # a second Gram-Schmidt pass runs when a pass leaves less than this share of
 # the vector's norm (Kahan-Parlett); two passes keep the basis orthogonal to
@@ -144,7 +145,7 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
                 # built so far, and no further cycle repeats the failure
                 nonfinite = True
                 break
-            breakdown = hnext <= HAPPY_BREAKDOWN * beta
+            breakdown = hnext <= HAPPY_BREAKDOWN * wnorm
             if not breakdown:
                 V[:, j + 1] = w / hnext
 

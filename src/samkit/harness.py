@@ -21,30 +21,29 @@ from .sparse import check_integers, checked_csc
 RECOMPUTE = "prec"
 COMPUTE_SAM = "sam"
 REUSE = "reuse"
-# per strategy kind, the action of every system after 0 that no event names
-_DEFAULT_ACTION = {"recompute_every": RECOMPUTE, "sam_every": COMPUTE_SAM, "reuse_first": REUSE}
+_ACTIONS = (RECOMPUTE, COMPUTE_SAM, REUSE)
 
 
 @dataclass(frozen=True)
 class Strategy:
     """Per-system preconditioner policy.
 
-    System 0 recomputes, since a sequence has to start from a real
-    preconditioner; under every kind, an event's action wins, and every
-    other system takes the kind's default action.
+    ``kind`` is one of the three actions, the one every system takes that
+    no event names.  System 0 recomputes, since a sequence has to start
+    from a real preconditioner, and an event's action wins.
     """
 
     kind: str
     events: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in _DEFAULT_ACTION:
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
+        if self.kind not in _ACTIONS:
+            raise ValueError(f"unknown strategy kind {self.kind!r}, expected one of {', '.join(_ACTIONS)}")
         # a tuple, so that the frozen strategy hashes and a caller's list cannot change it
         object.__setattr__(self, "events", tuple((i, act) for i, act in self.events))
         for i, act in self.events:
             check_integers(**{"event index": i})
-            if act not in _DEFAULT_ACTION.values():
+            if act not in _ACTIONS:
                 raise ValueError(f"unknown action {act!r}")
             if i == 0 and act != RECOMPUTE:
                 raise ValueError(f"system 0 must recompute the preconditioner, not {act!r}")
@@ -56,23 +55,23 @@ class Strategy:
 
     @classmethod
     def recompute_every(cls):
-        return cls("recompute_every")
+        return cls(RECOMPUTE)
 
     @classmethod
     def reuse_first(cls):
-        return cls("reuse_first")
+        return cls(REUSE)
 
     @classmethod
     def sam_every(cls):
-        return cls("sam_every")
+        return cls(COMPUTE_SAM)
 
     @classmethod
     def at_events(cls, events):
-        """The ``reuse_first`` kind with the given events."""
-        return cls("reuse_first", tuple((i, str(a)) for i, a in events))
+        """The ``reuse`` kind with the given events."""
+        return cls(REUSE, tuple((i, str(a)) for i, a in events))
 
     def action(self, k: int) -> str:
-        return self._event_actions.get(k, _DEFAULT_ACTION[self.kind])
+        return self._event_actions.get(k, self.kind)
 
     def check_length(self, n: int):
         """Raise ``ValueError`` when an event names system ``n`` or later, for a sequence of ``n`` systems."""
@@ -341,7 +340,7 @@ def _parse_sequence(seq):
 
 
 def _parse_strategy(st, n_systems):
-    strategy = Strategy(st.get("kind", "sam_every"), _parse_events(st.get("events", "[]")))
+    strategy = Strategy(st.get("kind", COMPUTE_SAM), _parse_events(st.get("events", "[]")))
     strategy.check_length(n_systems)
     return strategy
 

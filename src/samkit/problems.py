@@ -33,7 +33,7 @@ def fem_pair_2d(nx: int, ny: int, kappa=None):
     of node values, row ``j`` at ``y = (j + 1) * hy`` and column ``i`` at
     ``x = (i + 1) * hx`` with ``hx = 1 / (nx + 1)`` and ``hy = 1 / (ny + 1)``;
     an array sampled there gives the same matrices bit for bit as the
-    callable, and every value must be positive and finite.  Edge coefficients
+    callable, and every value must be real, positive and finite.  Edge coefficients
     between neighbors are harmonic means of the two node values, and edges
     meeting the (zero Dirichlet) boundary use the node's own value.  With
     kappa constant 1 (the default) the stiffness is the unscaled 5-point
@@ -50,9 +50,12 @@ def fem_pair_2d(nx: int, ny: int, kappa=None):
     if kappa is None:
         kap = np.ones((ny, nx))
     elif callable(kappa):
-        kap = np.array([[kappa(x, y) for x in xs] for y in ys], dtype=float)
+        kap = np.array([[kappa(x, y) for x in xs] for y in ys])
     else:
-        kap = np.asarray(kappa, dtype=float)
+        kap = np.asarray(kappa)
+    if kap.dtype.kind not in "iuf":  # a cast to float would drop an imaginary part and read strings and bools as numbers
+        raise ValueError(f"kappa must be real, not of dtype {kap.dtype}")
+    kap = np.asarray(kap, dtype=float)
     if kap.shape != (ny, nx):
         raise ValueError(f"kappa must have one value per node, shape {(ny, nx)}, not {kap.shape}")
     if np.any(kap <= 0) or not np.all(np.isfinite(kap)):
@@ -197,6 +200,8 @@ class SequenceSpec:
         self.rhs = point_source_rhs(n) if self.rhs is None else np.asarray(self.rhs)
         if self.rhs.shape != (n,):
             raise ValueError(f"the right-hand side must be a vector of length {n}, not shape {self.rhs.shape}")
+        if self.rhs.dtype.kind not in "iufc" or not np.isfinite(self.rhs).all():
+            raise ValueError("the right-hand side must hold finite integer, real or complex values")
 
     def __len__(self):
         return len(self.matrices)

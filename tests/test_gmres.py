@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from samkit import GmresConfig, PreconditionerChain, as_csc, gmres
+from samkit import GmresConfig, IlutpParams, PreconditionerChain, SequenceSpec, as_csc, factor, gmres
 from samkit.gmres import HAPPY_BREAKDOWN, REORTH_RATIO, as_operator
 from samkit.sparse import scalar_dtype
 from helpers import random_sparse
@@ -257,6 +257,19 @@ def test_graded_diagonal_converges_through_invariant_subspace():
     assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
 
 
+def test_breakdown_test_does_not_depend_on_scale():
+    # the Arnoldi remainder is measured against the vector's own norm; measured
+    # against the residual, a large b or a small A read every step as a
+    # breakdown, and the solve restarted after each one and did not converge
+    spec = SequenceSpec.helmholtz(10, 10, 0.01, 100)
+    A, b = spec.matrices[100], spec.rhs
+    P = factor(spec.matrices[0], IlutpParams(lfil=20, droptol=1e-3, pivtol=1.0))
+    cfg = GmresConfig(restart=100, rel_tol=1e-10, max_total_iters=100)
+    reports = [gmres(A_s, b_s, M=P, config=cfg)[1]
+               for A_s, b_s in ((A, b), (A, 1e16 * b), (A, 1e-30 * b), (1e-16 * A, b))]
+    assert [(r.iterations, r.restarts, r.converged) for r in reports] == [(reports[0].iterations, 0, True)] * 4
+
+
 def test_solve_report_converged_implies_tolerance():
     rng = np.random.default_rng(8)
     for trial in range(4):
@@ -330,7 +343,7 @@ def _array_gmres(A, b, M, cfg):
                 hnext = float(np.linalg.norm(w))
             H[:j + 1, j] = h
             H[j + 1, j] = hnext
-            breakdown = hnext <= HAPPY_BREAKDOWN * beta
+            breakdown = hnext <= HAPPY_BREAKDOWN * wnorm
             if not breakdown:
                 V[:, j + 1] = w / hnext
             for i in range(j):

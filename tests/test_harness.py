@@ -36,11 +36,11 @@ def constant_sequence(n_systems=4):
 def test_strategy_validation():
     with pytest.raises(ValueError, match="unknown strategy kind"):
         Strategy("bogus")
-    # the retired events kind is an unknown kind: reuse_first takes the events
+    # the retired events kind is an unknown kind: reuse takes the events
     with pytest.raises(ValueError, match="unknown strategy kind 'events'"):
         Strategy("events", ((0, "prec"),))
     # the event rules are the same under every kind
-    for kind in ("recompute_every", "sam_every", "reuse_first"):
+    for kind in ("prec", "sam", "reuse"):
         with pytest.raises(ValueError, match="nonnegative"):
             Strategy(kind, ((-1, "prec"),))
         with pytest.raises(ValueError, match="system 0 must recompute"):
@@ -60,14 +60,14 @@ def test_strategy_validation():
             Strategy.at_events([(0, "prec"), (bad, "sam")])
     # nor is a bool, which was taken as system 1
     with pytest.raises(ValueError, match="^event index must be an integer, not True$"):
-        Strategy("sam_every", ((0, "prec"), (True, "sam")))
+        Strategy("sam", ((0, "prec"), (True, "sam")))
     # a caller's list is kept as a tuple: the strategy hashes, and appending
     # to the list afterwards changes nothing
     ev = [(0, "prec"), (2, "sam")]
-    strategy = Strategy("reuse_first", ev)
+    strategy = Strategy("reuse", ev)
     ev.append((2, "bogus"))
     assert strategy.events == ((0, "prec"), (2, "sam"))
-    assert hash(strategy) == hash(Strategy("reuse_first", ((0, "prec"), (2, "sam"))))
+    assert hash(strategy) == hash(Strategy("reuse", ((0, "prec"), (2, "sam"))))
     assert strategy.action(2) == "sam"
     assert Strategy.at_events([(np.int64(0), "prec"), (np.int32(2), "sam")]).action(2) == "sam"
 
@@ -77,12 +77,12 @@ def test_strategy_actions():
     assert [Strategy.reuse_first().action(k) for k in range(3)] == ["prec", "reuse", "reuse"]
     assert [Strategy.sam_every().action(k) for k in range(3)] == ["prec", "sam", "sam"]
     ev = Strategy.at_events([(0, "prec"), (2, "sam")])
-    assert ev == Strategy("reuse_first", ((0, "prec"), (2, "sam")))
+    assert ev == Strategy("reuse", ((0, "prec"), (2, "sam")))
     assert [ev.action(k) for k in range(4)] == ["prec", "reuse", "sam", "reuse"]
     # an event's action wins under every kind
     events = ((2, "reuse"), (3, "prec"))
-    assert [Strategy("sam_every", events).action(k) for k in range(5)] == ["prec", "sam", "reuse", "prec", "sam"]
-    assert [Strategy("recompute_every", events).action(k) for k in range(4)] == ["prec", "prec", "reuse", "prec"]
+    assert [Strategy("sam", events).action(k) for k in range(5)] == ["prec", "sam", "reuse", "prec", "sam"]
+    assert [Strategy("prec", events).action(k) for k in range(4)] == ["prec", "prec", "reuse", "prec"]
 
 
 def test_resolve_pattern_forms(tmp_path):
@@ -287,10 +287,10 @@ def test_one_plan_serves_every_reference_of_one_structure(monkeypatch):
 
 
 def test_sam_every_with_prec_events_is_the_refresh_schedule():
-    # the benchmark's refresh arm names every system; sam_every needs only the refreshes
+    # the benchmark's refresh arm names every system; the sam kind needs only the refreshes
     spec = small_sweep(count=11)
     refresh = Strategy.at_events([(k, "prec" if k % 4 == 0 else "sam") for k in range(12)])
-    sparse = Strategy("sam_every", ((0, "prec"), (4, "prec"), (8, "prec")))
+    sparse = Strategy("sam", ((0, "prec"), (4, "prec"), (8, "prec")))
     rows = [run_sequence(spec, s, MILD_ILUTP, "ref", FAST_GMRES).rows for s in (refresh, sparse)]
     assert len(rows[0]) == len(rows[1]) == 12
     for a, b in zip(*rows):
@@ -443,7 +443,7 @@ def test_parse_config_minimal_helmholtz(tmp_path):
     spec, strategy, params, pattern_choice, gc = parse_config(cfg)
     assert spec.kind == "helmholtz_sweep"
     assert len(spec) == 201
-    assert strategy.kind == "sam_every"
+    assert strategy.kind == "sam"
     assert (params.lfil, params.droptol, params.pivtol) == (20, 1e-3, 1.0)
     assert pattern_choice == "ref"
     # one cycle of GmresConfig's 100 iterations, as a run that spells them out
@@ -453,11 +453,11 @@ def test_parse_config_minimal_helmholtz(tmp_path):
 def test_parse_config_events_schedule(tmp_path):
     cfg = tmp_path / "run.cfg"
     sweep = "[sequence]\nkind = helmholtz_sweep\nnx = 4\nny = 4\ncount = 20\n"
-    cfg.write_text(sweep + "[strategy]\nkind = reuse_first\nevents = [0:prec, 15:sam]\n")
+    cfg.write_text(sweep + "[strategy]\nkind = reuse\nevents = [0:prec, 15:sam]\n")
     _, strategy, *_ = parse_config(cfg)
     assert strategy == Strategy.at_events([(0, "prec"), (15, "sam")])
-    # any kind takes events, and the kind still defaults to sam_every
-    for kind_line, kind in (("kind = recompute_every\n", "recompute_every"), ("", "sam_every")):
+    # any kind takes events, and the kind still defaults to sam
+    for kind_line, kind in (("kind = prec\n", "prec"), ("", "sam")):
         cfg.write_text(sweep + f"[strategy]\n{kind_line}events = [4:prec, 9:reuse]\n")
         _, strategy, *_ = parse_config(cfg)
         assert strategy == Strategy(kind, ((4, "prec"), (9, "reuse")))
@@ -466,13 +466,13 @@ def test_parse_config_events_schedule(tmp_path):
 def test_parse_config_rejections(tmp_path):
     bad = {
         "event_zero_not_prec": ("[sequence]\nkind = helmholtz_sweep\n"
-                                "[strategy]\nkind = reuse_first\nevents = [0:sam]\n"),
+                                "[strategy]\nkind = reuse\nevents = [0:sam]\n"),
         "unknown_key": "[sequence]\nkind = helmholtz_sweep\nwibble = 3\n",
         "unknown_section": "[sequence]\nkind = helmholtz_sweep\n[turbo]\nx = 1\n",
         "missing_kind": "[sequence]\nnx = 4\n",
         "bad_kind": "[sequence]\nkind = warp_drive\n",
         "unknown_event_action": ("[sequence]\nkind = helmholtz_sweep\n"
-                                 "[strategy]\nkind = sam_every\nevents = [0:prec, 3:map]\n"),
+                                 "[strategy]\nkind = sam\nevents = [0:prec, 3:map]\n"),
         "bad_pattern": "[sequence]\nkind = helmholtz_sweep\n[pattern]\nkind = fancy\n",
         "small_grid": "[sequence]\nkind = helmholtz_sweep\nnx = 1\n",
         "missing_k_file": ("[sequence]\nkind = shifted_pair\nk_file = nowhere/k.mtx\n"
@@ -574,7 +574,8 @@ def test_parse_config_refuses_what_its_kinds_do_not_read(tmp_path):
         "kind offsets:0 reads no path$": small + "[pattern]\nkind = offsets:0\npath = nowhere.mtx\n",
         "only one of nx/ny, k_file/m_file$": "[sequence]\nkind = shifted_pair\nnx = 5\n" + pair_files,
         # the retired spellings
-        "unknown strategy kind 'events'$": small + "[strategy]\nkind = events\nevents = [0:prec]\n",
+        "unknown strategy kind 'events', expected one of prec, sam, reuse$":
+            small + "[strategy]\nkind = events\nevents = [0:prec]\n",
         "'full'$": small + "[gmres]\nrestart = full\n",
         # an empty file list is an empty sequence, not an IndexError
         "at least one system$": "[sequence]\nkind = matrix_files\nfiles =\n",
@@ -606,7 +607,7 @@ def _bits(x):
 @pytest.mark.parametrize("text, built, direct", [
     (SMALL_PAIR + "n_z = 8\nt = 2\n", lambda c: c[0].shifts, lambda: talbot_shifts(8, 2.0)),
     (SMALL_SWEEP + "delta_s = 0.3\n", lambda c: c[0].shifts, lambda: SequenceSpec.helmholtz(3, 3, 0.3, 2).shifts),
-    (SMALL_SWEEP + "[strategy]\nkind = recompute_every\n", lambda c: c[1], Strategy.recompute_every),
+    (SMALL_SWEEP + "[strategy]\nkind = prec\n", lambda c: c[1], Strategy.recompute_every),
     (SMALL_SWEEP + "[ilutp]\npivtol = 0.5\n", lambda c: c[2], lambda: IlutpParams(pivtol=0.5)),
     # the diagonal and tridiagonal patterns, spelled as offsets
     (SMALL_SWEEP + "[pattern]\nkind = offsets:0\n", lambda c: resolve_pattern(c[3], A_SMALL),
@@ -631,8 +632,8 @@ def test_parse_config_values_build_their_objects(tmp_path, text, built, direct):
     # restart = 2: every system crosses restart boundaries
     ("[gmres]\nrestart = 2\n", ["prec", "sam", "sam", "sam"]),
     ("[pattern]\nkind = power:2\n", ["prec", "sam", "sam", "sam"]),
-    # a prec event wins under sam_every
-    ("[strategy]\nkind = sam_every\nevents = [2:prec]\n", ["prec", "sam", "prec", "sam"]),
+    # a prec event wins under sam
+    ("[strategy]\nkind = sam\nevents = [2:prec]\n", ["prec", "sam", "prec", "sam"]),
 ], ids=["restart_2", "power_2", "prec_event"])
 def test_parse_config_runs_converge(tmp_path, extra, events):
     cfg = tmp_path / "run.cfg"
@@ -723,10 +724,14 @@ def test_cli_run_reports_config_error_on_one_line(tmp_path, capsys):
     (SMALL_SWEEP + "[pattern]\nkind = tridiag\n", "pattern: unknown pattern choice 'tridiag'"),
     (SMALL_PAIR + "shifts = 1 0\nrhs = ones\n", "sequence.rhs: unknown source 'ones'"),
     (SMALL_PAIR + "n_z = 8\ntalbot_constants = 0.6 0.5 0.6 0.3\n", "unknown key sequence.talbot_constants"),
-], ids=["diag", "tridiag", "rhs_ones", "talbot_constants"])
+    *((SMALL_SWEEP + f"[strategy]\nkind = {kind}\n",
+       f"strategy: unknown strategy kind '{kind}', expected one of prec, sam, reuse")
+      for kind in ("recompute_every", "sam_every", "reuse_first")),
+], ids=["diag", "tridiag", "rhs_ones", "talbot_constants", "recompute_every", "sam_every", "reuse_first"])
 def test_cli_run_refuses_retired_spellings(tmp_path, capsys, text, message):
     # each input has one spelling: offsets:0, offsets:-1,0,1, rhs = file:PATH,
-    # and a contour with other constants given as its shifts
+    # a contour with other constants given as its shifts, and a strategy
+    # kind as the action of every system that no event names
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     assert cli_main(["run", "--config", str(cfg)]) == 2
@@ -737,7 +742,7 @@ def test_cli_run_writes_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         "[sequence]\nkind = helmholtz_sweep\nnx = 4\nny = 4\ncount = 1\n"
-        "[strategy]\nkind = reuse_first\n")
+        "[strategy]\nkind = reuse\n")
     out_path = tmp_path / "report.csv"
     assert cli_main(["run", "--config", str(cfg), "--out", str(out_path)]) == 0
     assert out_path.exists()
@@ -831,7 +836,7 @@ def test_cli_gen_output_runs(tmp_path):
 def test_cli_late_event_and_pairless_gen_exit_2(tmp_path, capsys):
     cfg = tmp_path / "late.cfg"
     cfg.write_text("[sequence]\nkind = helmholtz_sweep\nnx = 3\nny = 3\ncount = 2\n"
-                   "[strategy]\nkind = reuse_first\nevents = [0:prec, 50:sam]\n")
+                   "[strategy]\nkind = reuse\nevents = [0:prec, 50:sam]\n")
     assert cli_main(["run", "--config", str(cfg)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "samkit: strategy: event at index 50 lies past the sequence of 3 systems\n"
@@ -877,6 +882,12 @@ def test_parse_config_rhs_file(tmp_path):
         cfg.write_text(base + f"rhs = file:{path}\n")
         with pytest.raises(ConfigError):
             parse_config(cfg)
+    # a file's values pass SequenceSpec's check, which refuses a NaN
+    nan_vector = tmp_path / "nan.mtx"
+    matrix_market_write(np.array([[1.0], [np.nan], [0.0], [0.3]]), nan_vector)
+    cfg.write_text(base + f"rhs = file:{nan_vector}\n")
+    with pytest.raises(ConfigError, match="^sequence: the right-hand side must hold finite integer, real or complex values$"):
+        parse_config(cfg)
 
 
 @pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")

@@ -207,6 +207,17 @@ def test_fem_pair_rejects_bad_kappa():
     assert np.isfinite(fem_pair_2d(3, 3, lambda x, y: 1e153)[0].data).all()
 
 
+def test_fem_pair_refuses_kappa_that_is_not_real():
+    # an array's imaginary part was dropped with a ComplexWarning, a
+    # callable's complex values raised numpy's TypeError, and strings and
+    # bools were read as the numbers they spell
+    for kappa, dtype in ((np.full((3, 3), 1 + 1j), "complex128"), (lambda x, y: 1 + 1j, "complex128"),
+                         (np.full((3, 3), 1 + 0j), "complex128"), (np.full((3, 3), "2"), "<U1"),
+                         (lambda x, y: "2", "<U1"), (np.full((3, 3), True), "bool")):
+        with pytest.raises(ValueError, match=f"^kappa must be real, not of dtype {dtype}$"):
+            fem_pair_2d(3, 3, kappa)
+
+
 def test_fem_pair_shifted_system_nonsingular():
     K, M = fem_pair_2d(4, 4)
     z = 0.3 + 1.2j
@@ -476,6 +487,18 @@ def test_sequence_spec_validation():
         SequenceSpec("custom", [K], 0.0, np.ones(9))
     with pytest.raises(ValueError, match="^all systems must be square with one common size$"):
         SequenceSpec("custom", [K, fem_pair_2d(2, 2)[0]], np.zeros(2), np.ones(9))
+
+
+@pytest.mark.parametrize("rhs", [
+    ["a", "b", "c", "d"], [np.nan, 0, 0, 0], [np.inf, 0, 0, 0], [0, 0, 0, -np.inf],
+    [complex(0, np.nan), 0, 0, 0], [True, False, False, False], [None, 1, 1, 1],
+], ids=["strings", "nan", "inf", "minus_inf", "complex_nan", "bool", "object"])
+def test_sequence_spec_refuses_non_numeric_or_nonfinite_rhs(rhs):
+    # strings built, and the run then failed inside GMRES; a NaN or an
+    # infinity ran every system to an unconverged NaN residual
+    K, M = fem_pair_2d(2, 2)
+    with pytest.raises(ValueError, match="^the right-hand side must hold finite integer, real or complex values$"):
+        SequenceSpec.shifted_pair(K, M, [1.0], rhs=rhs)
 
 
 def test_point_source_rhs():
