@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .sparse import check_indices, check_integers, scalar_dtype
+from .sparse import check_indices, check_integers, ldexp, scalar_dtype, scale_exponent
 
 # a breakdown leaves at most this share of the vector's own norm, so no scaling of b or A changes the test
 HAPPY_BREAKDOWN = 1e-14
@@ -82,11 +82,13 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
     Returns (x, SolveReport).  Convergence means the explicit residual
     satisfies ||b - A x|| <= rel_tol * ||b||.  The recurrence residual ends
     each cycle; the explicit one at its end re-verifies it and starts the next.
+    The solve runs on ``b``'s power-of-two scale, which is exact: ``2**k b``
+    gives ``2**k x`` bit for bit, and no norm of ``b`` or a residual overflows.
     """
     check_indices(A, M)
     cfg = config if config is not None else GmresConfig()
 
-    b = np.asarray(b).ravel()
+    b = np.asarray(b).ravel().astype(scalar_dtype(b), copy=False)
     n = b.shape[0]
     if hasattr(A, "shape") and A.shape[0] != n:
         raise ValueError(f"gmres: A has {A.shape[0]} rows, b has length {n}")
@@ -96,7 +98,9 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
     apply_A, apply_M = as_operator(A), as_operator(M)
     dtype = scalar_dtype(b, *(op for op in (A, M, x0) if getattr(op, "dtype", None) is not None))
 
-    x = np.zeros(n, dtype=dtype) if x0 is None else x0.astype(dtype)
+    e = scale_exponent(b)
+    b = ldexp(b, -e)
+    x = np.zeros(n, dtype=dtype) if x0 is None else ldexp(x0.astype(dtype), -e)
 
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
@@ -188,7 +192,7 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
             history[-1] = beta / bnorm
         restart_checks.append((float(history[-1]), beta / bnorm))
 
-    return x, SolveReport(
+    return ldexp(x, e), SolveReport(
         iterations=total_iters,
         restarts=max(len(restart_checks) - 1, 0),
         converged=beta / bnorm <= cfg.rel_tol,

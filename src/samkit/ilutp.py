@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .sparse import check_integers, checked_csc
+from .sparse import check_integers, checked_csc, ldexp, scale_exponent
 
 PIVOT_FLOOR = 1e-300
 
@@ -124,8 +124,12 @@ def factor(A, params: IlutpParams = IlutpParams()) -> IlutpFactors:
     dtype = R.dtype
 
     lfil = params.lfil
-    droptol = params.droptol
     pivtol = params.pivtol
+    # droptol times each row's norm, taken on the row's power-of-two scale so that it neither overflows nor underflows
+    e = scale_exponent(R.data, indptr=R.indptr)
+    scaled = ldexp(R.data, -np.repeat(e, np.diff(R.indptr)))
+    norms = [np.linalg.norm(scaled[j0:j1]) for j0, j1 in zip(R.indptr[:-1], R.indptr[1:])]
+    thresholds = ldexp(params.droptol * np.array(norms), e).tolist()
 
     perm = np.arange(n, dtype=np.int64)   # original column -> permuted position
     iperm = np.arange(n, dtype=np.int64)  # permuted position -> original column
@@ -143,7 +147,7 @@ def factor(A, params: IlutpParams = IlutpParams()) -> IlutpFactors:
         j0, j1 = R.indptr[ii], R.indptr[ii + 1]
         if j0 == j1:
             raise FactorizationError(ii, f"row {ii} of the matrix is empty")
-        tnorm = droptol * float(np.linalg.norm(R.data[j0:j1]))
+        tnorm = thresholds[ii]
 
         # the working row: original column -> value, in order of first appearance
         row = dict(zip(R.indices[j0:j1].tolist(), R.data[j0:j1].tolist()))

@@ -9,7 +9,6 @@ with the reference preconditioner (apply the preconditioner, then multiply by
 N) recycles it for the new matrix.
 """
 
-import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -21,7 +20,8 @@ import scipy.sparse.linalg as spla
 
 from .gmres import as_operator
 from .patterns import pattern_of
-from .sparse import REAL, check_indices, check_integers, checked_csc, matvec, scalar_dtype
+from .sparse import (check_indices, check_integers, checked_csc, ldexp, matvec, norm_ratio, scalar_dtype,
+                     scale_exponent)
 
 # Singular-value cutoff of the block pseudoinverse, relative to each block's
 # largest singular value; smaller ones count as zero, so rank-deficient blocks
@@ -148,31 +148,24 @@ def plan(S, A, A_ref=None) -> SamPlan:
     return SamPlan(n=n, degenerate_columns=degenerate, rows=rows, groups=groups, structures=(S, A, ref))
 
 
-def _ldexp(x, e):
-    """x times 2**e[i] at each leading index i, exactly; a complex x scales both parts."""
-    return np.ldexp(x.view(REAL), e.reshape((-1,) + (1,) * (x.ndim - 1))).view(x.dtype)
-
-
 def compute_map(A, A_ref, pl: SamPlan, workers: int = 1) -> SamMap:
     """Minimize ||A N - A_ref||_F over the plan's pattern, column by column.
 
     Each column is an independent dense least-squares problem on the plan's
     index sets.  The stacked blocks of one shape group are solved at once
     through their pseudoinverse, which gives the minimum-norm solution on
-    full-rank, rank-deficient and underdetermined blocks alike.  Each block
-    and its reference are first scaled by the power of two that brings their
-    largest entry into [0.5, 1), which is exact, so blocks near either end of
-    the float range keep finite unknowns.  A column with an empty pattern
-    stays zero, with its reference column's norm as residual; one whose block
-    or reference values are not all finite gets NaN unknowns and a NaN
+    full-rank, rank-deficient and underdetermined blocks alike.  Each block and
+    its reference are solved on their exact power-of-two scale, so blocks near
+    either end of the float range keep finite unknowns.  A column with an empty
+    pattern stays zero, with its reference column's norm as residual; one whose
+    block or reference values are not all finite gets NaN unknowns and a NaN
     residual.  Malformed index arrays raise ``ValueError``, and so does a
-    structure other than the plan's, naming whether ``A`` or ``A_ref``
-    differs and its first offending column.  Up to ``workers >= 1`` threads
-    take whole groups, each filling its own preassigned positions of
-    ``N.data``, so the result is bit-identical for any ``workers`` count.
-    ``N`` stores its values on the plan's read-only pattern arrays, so
-    writing its pattern in place raises ``ValueError``; ``N.copy()`` gives
-    it a writeable pattern.
+    structure other than the plan's, naming whether ``A`` or ``A_ref`` differs
+    and its first offending column.  Up to ``workers >= 1`` threads take whole
+    groups, each filling its own preassigned positions of ``N.data``, so the
+    result is bit-identical for any ``workers`` count.  ``N`` stores its values
+    on the plan's read-only pattern arrays, so writing its pattern in place
+    raises ``ValueError``; ``N.copy()`` gives it a writeable pattern.
     """
     check_integers(minimum=1, workers=workers)
     A, A_ref = checked_csc(A, A_ref)
@@ -191,17 +184,15 @@ def compute_map(A, A_ref, pl: SamPlan, workers: int = 1) -> SamMap:
 
     def solve(g: ShapeGroup):
         B, f = a[g.blocks], ref[g.refs]
-        # the largest real or imaginary part of each block and its reference:
-        # the SVD fails on non-finite values, so those columns stay NaN, and its
-        # exponent scales the rest, so that no magnitude overflows
-        top = np.maximum(np.abs(B.view(REAL)).max(axis=(1, 2), initial=0),
-                         np.abs(f.view(REAL)).max(axis=1, initial=0))
-        finite, e = np.isfinite(top), np.frexp(top)[1]
-        B, f = _ldexp(B, -e), _ldexp(f, -e)
+        # [B | f]: the SVD fails on non-finite values, so those columns stay NaN,
+        # and the rest go to their power-of-two scale, where nothing overflows
+        Bf = np.concatenate([B, f[..., None]], axis=2)
+        finite, e = np.isfinite(Bf).all(axis=(1, 2)), scale_exponent(Bf, axis=(1, 2))
+        B, f = ldexp(B, -e), ldexp(f, -e)
         z = np.full(g.unknowns.shape, np.nan, dtype=a.dtype)
         z[finite] = (np.linalg.pinv(B[finite], rcond=RANK_TOL) @ f[finite, :, None])[..., 0]
         valN[g.unknowns] = z
-        col_res[g.columns] = np.ldexp(np.linalg.norm((B @ z[..., None])[..., 0] - f, axis=1), e)
+        col_res[g.columns] = ldexp(np.linalg.norm((B @ z[..., None])[..., 0] - f, axis=1), e)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -212,12 +203,9 @@ def compute_map(A, A_ref, pl: SamPlan, workers: int = 1) -> SamMap:
 
     N = sp.csc_matrix((valN, S.indices, S.indptr), shape=S.shape)
 
-    # both norms on the reference's power-of-two scale: their ratio keeps every
-    # bit, and neither overflows nor underflows
-    e = np.frexp(np.abs(A_ref.data.view(REAL)).max(initial=0))[1]
-    ref_norm = float(np.linalg.norm(_ldexp(A_ref.data, -e)))
-    total = float(np.linalg.norm(np.ldexp(col_res, -e)))
-    rel = total / ref_norm if ref_norm > 0 else (0.0 if total == 0 else math.inf)
+    # both norms on the reference's power-of-two scale: exact, and neither overflows nor underflows
+    e = scale_exponent(A_ref.data)
+    rel = norm_ratio(float(np.linalg.norm(ldexp(col_res, -e))), float(np.linalg.norm(ldexp(A_ref.data, -e))))
     return SamMap(N=N, rel_residual=rel, column_residuals=col_res)
 
 
@@ -231,12 +219,10 @@ def map_residual_norm(A, N, A_ref) -> float:
     A, N, A_ref = checked_csc(A, N, A_ref)
     if A.shape[1] != N.shape[0] or A.shape[0] != A_ref.shape[0] or N.shape[1] != A_ref.shape[1]:
         raise ValueError("map_residual_norm: incompatible dimensions")
-    # A and A_ref on the power-of-two scale of their largest real or imaginary
-    # part: the ratio keeps every bit, and neither norm overflows or underflows
-    e = np.frexp(max(np.abs(M.data.view(REAL)).max(initial=0) for M in (A, A_ref)))[1]
-    A, A_ref = (sp.csc_matrix((_ldexp(M.data, -e), M.indices, M.indptr), shape=M.shape) for M in (A, A_ref))
-    ref_norm, res = spla.norm(A_ref), spla.norm(A @ N - A_ref)
-    return res / ref_norm if ref_norm > 0 else (0.0 if res == 0 else math.inf)
+    # A and A_ref on one power-of-two scale: the ratio keeps every bit, and neither norm overflows or underflows
+    e = scale_exponent(np.concatenate([A.data, A_ref.data]))
+    A, A_ref = (sp.csc_matrix((ldexp(M.data, -e), M.indices, M.indptr), shape=M.shape) for M in (A, A_ref))
+    return norm_ratio(spla.norm(A @ N - A_ref), spla.norm(A_ref))
 
 
 class PreconditionerChain:

@@ -3,7 +3,8 @@
 Matrices are ``scipy.sparse.csc_matrix`` values in double precision, real or
 complex.  The canonical form used throughout the package has sorted row
 indices within each column and summed duplicates; explicitly stored zeros are
-legal and are never pruned by the kernels here.
+legal and are never pruned by the kernels here.  The package's one range
+rule lives here too: exact power-of-two scaling, so that no norm overflows.
 """
 
 import copy
@@ -20,6 +21,34 @@ def scalar_dtype(*operands) -> np.dtype:
     """Working scalar field (float64 or complex128) for a set of operands."""
     dt = np.result_type(np.float64, *[getattr(op, "dtype", np.asarray(op).dtype) for op in operands])
     return COMPLEX if np.issubdtype(dt, np.complexfloating) else REAL
+
+
+def scale_exponent(x, axis=None, indptr=None):
+    """The exponent e that puts the largest real or imaginary part of float array x times 2**-e in [0.5, 1).
+
+    e is 0 where that part is zero, NaN or Inf, or x is empty.  ``axis``
+    reduces as ``np.max`` does, all of x by default; ``indptr`` gives a 1-D x
+    one e per segment ``x[indptr[i]:indptr[i + 1]]``, as per row of CSR data.
+    """
+    top = np.abs(x.view(REAL))
+    if indptr is None:
+        top = top.max(axis=axis, initial=0)
+    else:  # reduceat gives an empty segment the value at its start (the next one's or the appended 0): reset
+        top = np.maximum.reduceat(np.append(top, 0), np.asarray(indptr[:-1]) * (x.itemsize // REAL.itemsize))
+        top[np.diff(indptr) == 0] = 0
+    return np.frexp(top)[1]
+
+
+def ldexp(x, e):
+    """Float array x times 2**e exactly, both parts of a complex x alike; an array e scales x per leading index."""
+    parts = x.view(REAL).reshape(x.shape + (x.itemsize // REAL.itemsize,))
+    e = np.reshape(e, np.shape(e) + (1,) * (parts.ndim - np.ndim(e)))
+    return np.ldexp(parts, e).view(x.dtype).reshape(x.shape)
+
+
+def norm_ratio(num, den) -> float:
+    """num / den of two norms; against a zero den, 0.0 when num is zero too and inf otherwise."""
+    return num / den if den > 0 else (0.0 if num == 0 else np.inf)
 
 
 def check_integers(minimum=None, **values):

@@ -268,6 +268,21 @@ def test_breakdown_test_does_not_depend_on_scale():
     reports = [gmres(A_s, b_s, M=P, config=cfg)[1]
                for A_s, b_s in ((A, b), (A, 1e16 * b), (A, 1e-30 * b), (1e-16 * A, b))]
     assert [(r.iterations, r.restarts, r.converged) for r in reports] == [(reports[0].iterations, 0, True)] * 4
+    # the solve runs on b's power-of-two scale, so 2**k b is the same solve and
+    # x scales by 2**k bit for bit: unscaled, the norm of 2**-600 b underflowed
+    # to 0 and gave x = 0 as converged, and that of 2**600 b overflowed to NaN
+    for A_s, b_s in ((A, b), (A, (1 - 2j) * b), (A.astype(complex), b)):
+        x, report = gmres(A_s, b_s, M=P, config=cfg)
+        for k in (-1000, -600, 600, 1000):
+            x_k, report_k = gmres(A_s, _times_power_of_two(b_s, k), M=P, config=cfg)
+            assert (report_k.iterations, report_k.converged) == (report.iterations, True)
+            assert np.array_equal(report_k.residual_history, report.residual_history)
+            assert x_k.dtype == x.dtype and np.array_equal(x_k, _times_power_of_two(x, k))
+
+
+def _times_power_of_two(v, k):
+    """v times 2**k, real and imaginary parts alike, rounded as ldexp rounds it."""
+    return np.ldexp(v.view(float), k).view(v.dtype)
 
 
 def test_solve_report_converged_implies_tolerance():

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from samkit import FactorizationError, IlutpParams, as_csc, factor
+from samkit import FactorizationError, IlutpParams, as_csc, factor, fem_pair_2d
 from samkit.ilutp import PIVOT_FLOOR, _keep_largest, _rows_to_csc
 from helpers import random_sparse
 
@@ -82,6 +82,18 @@ def test_empty_row_fails_with_row_number():
     with pytest.raises(FactorizationError) as err:
         factor(A, IlutpParams())
     assert err.value.row == 1
+
+
+def test_row_norm_does_not_overflow():
+    # each row's norm is taken on the row's power-of-two scale; at 2**600 its
+    # squares overflowed, with a warning, and every off-diagonal entry of U fell
+    # below an infinite drop threshold.  At that scale every multiplier, which
+    # does not scale with A, falls below the threshold, which does, so L = I
+    K = fem_pair_2d(4, 4)[0]
+    F = factor(2.0**600 * K, IlutpParams())
+    assert np.array_equal(F.L.toarray(), np.eye(16))
+    assert np.array_equal(F.U.toarray(), np.ldexp(np.triu(K.toarray()), 600))
+    assert np.array_equal(F.colperm, np.arange(16))
 
 
 def test_non_finite_pivot_fails_with_row_number():

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from samkit import as_csc, map_residual_norm, shifted_family
-from samkit.sparse import check_indices, checked_csc, matvec
+from samkit.sparse import check_indices, checked_csc, ldexp, matvec, norm_ratio, scale_exponent
 from helpers import random_sparse
 
 
@@ -184,6 +184,40 @@ def test_shifted_family_empty():
 def test_shifted_family_rejects_alphas_not_finite_1d(alphas):
     with pytest.raises(ValueError, match="1-D sequence of finite values"):
         shifted_family(alphas, sp.identity(3, format="csc"), sp.identity(3, format="csc"))
+
+
+@pytest.mark.parametrize("x, e", [
+    ([0.0, -0.0], 0), ([5e-324, 0.0], -1073), ([-(2.0**-1000)], -999), ([2.0**1000, -1.0], 1001),
+    ([3.0, np.inf], 0), ([np.nan, 3.0], 0), ([1.0, -np.inf + 1j], 0), ([], 0),
+    # the largest part is 7 (exponent 3), though |5 + 7j| is above 8
+    ([0.5, 5.0 + 7.0j], 3),
+])
+def test_scale_exponent_and_ldexp(x, e):
+    x = np.array(x)
+    assert scale_exponent(x) == e
+    scaled = ldexp(x, -e)
+    assert scaled.dtype == x.dtype
+    if x.size and np.all(np.isfinite(x)) and np.any(x):
+        assert 0.5 <= np.abs(scaled.view(float)).max() < 1
+    # exact: scaling back gives x bit for bit, NaN and Inf included
+    assert np.array_equal(ldexp(scaled, e), x, equal_nan=True)
+
+
+def test_scale_exponent_per_axis_and_per_segment():
+    x = np.array([[1.0, 0.0], [0.0, 0.0], [3.0, np.nan], [2.0**-600, 0.0]])
+    assert scale_exponent(x, axis=1).tolist() == [1, 0, 0, -599]
+    assert ldexp(x, -scale_exponent(x, axis=1))[3, 0] == 0.5
+    # segments as the rows of a CSR matrix, empty ones anywhere
+    data = np.array([1.0, 2.0**-600, 3.0, 5.0j])
+    assert scale_exponent(data, indptr=[0, 0, 2, 2, 3, 4, 4]).tolist() == [0, 1, 0, 2, 3, 0]
+    assert scale_exponent(data[:0], indptr=[0, 0]).tolist() == [0]
+
+
+def test_norm_ratio():
+    assert norm_ratio(3.0, 4.0) == 0.75
+    # against a zero reference
+    assert norm_ratio(0.0, 0.0) == 0.0
+    assert norm_ratio(1e-300, 0.0) == np.inf
 
 
 # the Frobenius norms samkit takes are scipy's, in map_residual_norm
