@@ -19,6 +19,6 @@ from .problems import (
 from .sam import (
     PreconditionerChain, SamMap, SamPlan, compute_map, map_residual_norm, plan,
 )
-from .sparse import as_csc, shifted_family
+from .sparse import as_csc
 
 __version__ = "0.1.0"

@@ -11,7 +11,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .sparse import as_csc, check_integers, checked_csc, shifted_family
+from .sparse import as_csc, check_integers, checked_csc, scalar_dtype
 
 # Modified Talbot contour constants (sigma, mu, alpha, nu), from the published
 # optimized-contour literature, not from any property of this package.  This is
@@ -99,9 +99,8 @@ def _stiffness(kap):
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(keep.sum(axis=2, dtype=np.int32), axis=None, out=indptr[1:])
     K = sp.csc_matrix((vals[keep], rows[keep], indptr), shape=(n, n))
-    # as for shifted_family's template: the index checks run once, and
-    # sum_duplicates finds the matrix canonical and caches its flags
-    K.check_format(full_check=True)
+    # built here, so its index arrays need no check; sum_duplicates finds the
+    # matrix canonical and caches its flags, as for a shifted sequence's template
     K.sum_duplicates()
     return K
 
@@ -194,6 +193,7 @@ class SequenceSpec:
         if self.shifts.shape != (len(self),):
             got = f"{self.shifts.size} shifts" if self.shifts.ndim == 1 else f"shifts of shape {self.shifts.shape}"
             raise ValueError(f"one shift per system required: {got} for {len(self)} systems")
+        _check_shifts(self.shifts)
         n = self.matrices[0].shape[0]
         if {A.shape for A in self.matrices} != {(n, n)}:
             raise ValueError("all systems must be square with one common size")
@@ -233,14 +233,48 @@ class SequenceSpec:
 
     @classmethod
     def shifted_pair(cls, K, M, shifts, rhs=None):
-        """Systems K + z M for each shift z.
+        """Systems K + z M for each shift z, every one on one shared, read-only pattern.
 
-        The systems are real when K, M and every shift are; ``shifts`` stays complex.
+        ``K`` and ``M`` pass :func:`~samkit.sparse.checked_csc`; ``shifts``
+        must be 1-D and finite.  The systems are real when K, M and every
+        shift are; ``spec.shifts`` stays complex.  The pattern is the union of
+        K's and M's, built once as a template whose ``indices``/``indptr``
+        pair every system holds, read-only and sharing no memory with K or M
+        (``copy()`` gives a system its own).  System ``k``'s ``data`` is row
+        ``k`` of one stacked value block, so rows do not overlap.  A sum that
+        cancels stays a stored zero, and each value is exactly ``z * m + k``.
         """
-        K = as_csc(K)
-        M = as_csc(M)
-        shifts = np.asarray(shifts, dtype=complex)
-        mats = shifted_family(shifts if shifts.imag.any() else shifts.real, M, K)
+        K, M = checked_csc(K, M)
+        if K.shape != M.shape:
+            raise ValueError(f"K and M must have one shape, not {K.shape} and {M.shape}")
+        shifts = _check_shifts(shifts)
+        z = shifts if shifts.imag.any() else shifts.real
+        dt = scalar_dtype(z, K, M)
+        # tag M's entries 1 and K's entries 2; their sum stores the union
+        # pattern in canonical order, and the bits of each tag say who covers
+        # the position
+        tags = (sp.csc_matrix((np.ones(M.nnz, np.int8), M.indices, M.indptr), shape=M.shape)
+                + sp.csc_matrix((np.full(K.nnz, 2, np.int8), K.indices, K.indptr), shape=K.shape))
+        m_pos = np.flatnonzero(tags.data & 1)
+        # -0.0 is the additive identity: positions only M covers get z * m
+        # exactly, sign of zero included
+        base = -np.zeros(tags.nnz, dtype=dt)
+        base[np.flatnonzero(tags.data & 2)] = K.data
+        # scipy's sum of two checked operands needs no index check;
+        # sum_duplicates finds it canonical and caches the flags that every
+        # system inherits
+        template = sp.csc_matrix((base, tags.indices, tags.indptr), shape=K.shape)
+        template.sum_duplicates()
+        template.indices.flags.writeable = False
+        template.indptr.flags.writeable = False
+        # row k is system k's values: base, plus z[k] * m at M's positions
+        data = np.repeat(base[None], z.size, axis=0)
+        data[:, m_pos] = base[m_pos] + np.multiply.outer(z.astype(dt), M.data.astype(dt))
+        mats = []
+        for row in data:
+            A = sp.csc_matrix.__new__(sp.csc_matrix)
+            A.__dict__.update(template.__dict__, data=row)
+            mats.append(A)
         return cls("shifted_pair", mats, shifts, rhs, pair=(K, M))
 
     @classmethod
@@ -248,6 +282,14 @@ class SequenceSpec:
         """Sequence read from Matrix Market files, in the given order; shifts default to 0."""
         mats = [matrix_market_read(p) for p in paths]
         return cls("matrix_files", mats, np.zeros(len(mats)) if shifts is None else shifts, rhs)
+
+
+def _check_shifts(shifts) -> np.ndarray:
+    """``shifts`` as a complex array; ``ValueError`` unless it is 1-D and finite."""
+    shifts = np.asarray(shifts, dtype=complex)
+    if shifts.ndim != 1 or not np.isfinite(shifts).all():
+        raise ValueError("shifts must be a 1-D sequence of finite values")
+    return shifts
 
 
 def point_source_rhs(n: int) -> np.ndarray:

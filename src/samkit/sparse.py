@@ -67,7 +67,9 @@ def as_csc(A) -> sp.csc_matrix:
     """Coerce ``A`` (sparse or dense) to a canonical CSC matrix.
 
     Canonical means: per-column row indices sorted and strictly increasing,
-    duplicates summed.  Stored zeros are preserved.
+    duplicates summed.  Stored zeros are preserved.  ``A``'s index arrays
+    are read unchecked, and malformed ones can crash the process; a
+    caller's matrix goes through :func:`checked_csc` instead.
     """
     if sp.issparse(A):
         M = A.tocsc(copy=False)
@@ -112,58 +114,3 @@ def matvec(A, x: np.ndarray) -> np.ndarray:
     if A.shape[1] != x.shape[0]:
         raise ValueError(f"matvec: matrix has {A.shape[1]} columns, vector has length {x.shape[0]}")
     return A.dot(x)
-
-
-def shifted_family(alphas, E, A) -> list:
-    """[alpha * E + A for alpha in alphas], every member on one shared pattern.
-
-    ``alphas`` must be a 1-D sequence of finite scalars; anything else raises
-    ``ValueError``.  The pattern is the union of the patterns of ``E`` and
-    ``A``; it is built and validated once, as a template matrix.  The values
-    of all members are computed in one pass, as a stacked block with one row
-    per member, and member ``k`` holds row ``k`` of it as its ``data``: value
-    rows do not overlap, and the block is freed only when every member
-    holding one of its rows is.  All members hold the template's one
-    ``indices``/``indptr`` pair, which shares no memory with ``E`` or ``A``
-    and is read-only, so writing a member's pattern in place raises
-    ``ValueError`` instead of changing its siblings; ``copy()`` gives a
-    member a writeable pattern of its own.  A position where the sum cancels
-    (including alpha = 0) stays as a stored zero.  Every position sums at
-    most two terms, so each value is exactly ``alpha * e + a``, and all
-    members share one dtype, the scalar field of ``alphas``, ``E`` and ``A``.
-    """
-    if E.shape != A.shape:
-        raise ValueError(f"shifted_family: shape mismatch {E.shape} vs {A.shape}")
-    alphas = np.asarray(alphas)
-    if alphas.ndim != 1 or not np.all(np.isfinite(alphas)):
-        raise ValueError("shifted_family: alphas must be a 1-D sequence of finite values")
-    E = as_csc(E)
-    A = as_csc(A)
-    dt = scalar_dtype(alphas, E, A)
-    # tag E's entries 1 and A's entries 2; their sum stores the union pattern
-    # in canonical order, and the bits of each tag say who covers the position
-    tags = (sp.csc_matrix((np.ones(E.nnz, np.int8), E.indices, E.indptr), shape=E.shape)
-            + sp.csc_matrix((np.full(A.nnz, 2, np.int8), A.indices, A.indptr), shape=A.shape))
-    e_pos = np.flatnonzero(tags.data & 1)
-    # -0.0 is the additive identity: positions only E covers get alpha * e
-    # exactly, sign of zero included
-    base = -np.zeros(tags.nnz, dtype=dt)
-    base[np.flatnonzero(tags.data & 2)] = A.data
-    # the index checks run once, on the template; sum_duplicates finds it
-    # canonical and caches the flags that every member inherits
-    template = sp.csc_matrix((base, tags.indices, tags.indptr), shape=A.shape)
-    template.check_format(full_check=True)
-    template.sum_duplicates()
-    template.indices.flags.writeable = False
-    template.indptr.flags.writeable = False
-    # row k is member k's values: base, plus alphas[k] * e at E's positions
-    data = np.repeat(base[None], alphas.size, axis=0)
-    data[:, e_pos] = base[e_pos] + np.multiply.outer(alphas.astype(dt), E.data.astype(dt))
-    cls = type(template)
-    family = []
-    for row in data:
-        member = cls.__new__(cls)
-        member.__dict__.update(template.__dict__, data=row)
-        family.append(member)
-    return family
-

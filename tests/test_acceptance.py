@@ -14,7 +14,7 @@ from samkit import (
     GmresConfig, IlutpParams, SequenceSpec, Strategy, as_csc, compute_map,
     factor, fem_pair_2d, gmres,
     offset_pattern, pattern_of, plan, run_sequence,
-    shifted_family, symbolic_power, talbot_shifts,
+    symbolic_power, talbot_shifts,
 )
 from helpers import random_pattern, random_sparse
 
@@ -228,7 +228,7 @@ def test_criterion_8_parallel_determinism():
 
     K, M = fem_pair_2d(32, 32)
     z = talbot_shifts(40, 0.01)
-    A0, A9 = shifted_family(z[[0, 9]], M, K)
+    A0, A9 = SequenceSpec.shifted_pair(K, M, z[[0, 9]]).matrices
     pl2 = plan(pattern_of(A0), A9, A_ref=A0)
     maps2 = [compute_map(A9, A0, pl2, workers=w) for w in (1, 6)]
     fem_same = maps2[0].N.data.tobytes() == maps2[1].N.data.tobytes()

@@ -358,6 +358,13 @@ def test_matrix_market_write_refuses_decreasing_column_pointers(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("pair", ["good, bad", "bad, good"])
+def test_shifted_pair_refuses_decreasing_column_pointers(pair):
+    # the pair was canonicalized and summed unchecked, and the process died with SIGSEGV
+    status, refusal = refusal_in_child(f"samkit.SequenceSpec.shifted_pair({pair}, [0.0, 1.0])")
+    assert (status, refusal) == (0, "indptr must be a non-decreasing sequence")
+
+
 def test_sequence_spec_helmholtz():
     spec = SequenceSpec.helmholtz(4, 4, 0.01, 10)
     assert len(spec) == 11
@@ -487,6 +494,18 @@ def test_sequence_spec_validation():
         SequenceSpec("custom", [K], 0.0, np.ones(9))
     with pytest.raises(ValueError, match="^all systems must be square with one common size$"):
         SequenceSpec("custom", [K, fem_pair_2d(2, 2)[0]], np.zeros(2), np.ones(9))
+
+
+def test_sequence_spec_refuses_nonfinite_shifts(tmp_path):
+    # a file-based sequence took a NaN or infinite shift and reported it
+    K = fem_pair_2d(3, 3)[0]
+    path = tmp_path / "k.mtx"
+    matrix_market_write(K, path)
+    for shift in (np.nan, np.inf, complex(0.0, -np.inf)):
+        with pytest.raises(ValueError, match="^shifts must be a 1-D sequence of finite values$"):
+            SequenceSpec("matrix_files", [K], [shift])
+        with pytest.raises(ValueError, match="^shifts must be a 1-D sequence of finite values$"):
+            SequenceSpec.matrix_files([path], shifts=[shift])
 
 
 @pytest.mark.parametrize("rhs", [

@@ -10,8 +10,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from samkit import (
-    compute_map, map_residual_norm, matrix_market_read,
-    matrix_market_write, pattern_of, plan, shifted_family,
+    SequenceSpec, compute_map, map_residual_norm, matrix_market_read,
+    matrix_market_write, pattern_of, plan,
 )
 from helpers import pattern_to_bool, same_pattern
 
@@ -87,15 +87,19 @@ def stored_values(M, dtype):
 @EXAMPLES
 @given(data=st.data())
 def test_shifted_family_members_are_exact_on_the_union_pattern(data):
-    shape = (data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6)))
-    E = data.draw(csc_matrices(shape, FINITE_VALUES))
-    A = data.draw(csc_matrices(shape, FINITE_VALUES))
+    # a sequence's systems are square
+    n = data.draw(st.integers(1, 6))
+    E = data.draw(csc_matrices((n, n), FINITE_VALUES))
+    A = data.draw(csc_matrices((n, n), FINITE_VALUES))
     # both zero shifts in every family: they decide the sign of a zero product
     alphas = np.array([0.0, -0.0] + data.draw(st.lists(FINITE_VALUES, max_size=3)))
     if data.draw(st.booleans()):
         alphas = alphas.astype(np.complex128)
         alphas.imag = data.draw(st.lists(FINITE_VALUES, min_size=alphas.size, max_size=alphas.size))
-    family = shifted_family(alphas, E, A)
+    family = SequenceSpec.shifted_pair(A, E, alphas).matrices
+    # shifts without a nonzero imaginary part are taken as real
+    if not alphas.imag.any():
+        alphas = alphas.real
     assert len(family) == alphas.size
     e_mask, a_mask = pattern_to_bool(pattern_of(E)), pattern_to_bool(pattern_of(A))
     union = pattern_of(sp.csc_matrix(e_mask | a_mask))

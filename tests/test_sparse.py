@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from samkit import as_csc, map_residual_norm, shifted_family
+from samkit import SequenceSpec, as_csc, map_residual_norm
 from samkit.sparse import check_indices, checked_csc, ldexp, matvec, norm_ratio, scale_exponent
 from helpers import random_sparse
 
@@ -48,6 +48,11 @@ def test_matvec_associativity():
     assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(np.linalg.norm(rhs), 1.0)
 
 
+def shifted_family(alphas, E, A):
+    """[alpha * E + A for alpha in alphas], the systems of ``SequenceSpec.shifted_pair(A, E, alphas)``."""
+    return SequenceSpec.shifted_pair(A, E, alphas).matrices
+
+
 # one-member families: alpha * E + A alone
 
 def test_shifted_combine_zero_shift():
@@ -78,7 +83,7 @@ def test_shifted_combine_complex_shift_exact():
 
 
 def test_shifted_combine_dimension_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^K and M must have one shape, not \(3, 3\) and \(2, 2\)$"):
         shifted_family([1.0], sp.identity(2, format="csc"), sp.identity(3, format="csc"))
 
 
@@ -173,17 +178,14 @@ def test_shifted_members_are_valid_matrices_on_a_read_only_pattern(build):
         assert np.array_equal(X.indptr, indptr)
 
 
-def test_shifted_family_empty():
-    assert shifted_family([], sp.identity(3, format="csc"), sp.identity(3, format="csc")) == []
-
-
 @pytest.mark.parametrize("alphas", [
     1.0, np.float64(2.0), [[1.0, 2.0]], np.ones((2, 1)),
     [1.0, np.nan], [np.inf], [1j, complex(0.0, np.nan)],
 ])
 def test_shifted_family_rejects_alphas_not_finite_1d(alphas):
-    with pytest.raises(ValueError, match="1-D sequence of finite values"):
-        shifted_family(alphas, sp.identity(3, format="csc"), sp.identity(3, format="csc"))
+    # the message named shifted_family's alphas, not the caller's shifts
+    with pytest.raises(ValueError, match="^shifts must be a 1-D sequence of finite values$"):
+        SequenceSpec.shifted_pair(sp.identity(3, format="csc"), sp.identity(3, format="csc"), alphas)
 
 
 @pytest.mark.parametrize("x, e", [
