@@ -237,20 +237,8 @@ def render_report(report: SequenceReport, format: str = "csv") -> str:
 
 # --- config files -------------------------------------------------------
 
-# the [sequence] keys each kind reads besides ``kind``
-_SEQUENCE_KEYS = {
-    "helmholtz_sweep": {"nx", "ny", "delta_s", "count"},
-    "shifted_pair": {"nx", "ny", "k_file", "m_file", "shifts", "shift_file",
-                     "n_z", "t", "rhs"},
-    "matrix_files": {"files", "shifts", "shift_file", "rhs"},
-}
-_SECTION_KEYS = {
-    "sequence": {"kind"}.union(*_SEQUENCE_KEYS.values()),
-    "strategy": {"kind", "events"},
-    "ilutp": {"lfil", "droptol", "pivtol"},
-    "pattern": {"kind", "path"},
-    "gmres": {"restart", "rel_tol", "max_total_iters"},
-}
+# each section's parser takes out (pops) every key it reads; _parse_section refuses the rest
+_SECTIONS = ("sequence", "strategy", "ilutp", "pattern", "gmres")
 
 
 class ConfigError(ValueError):
@@ -260,12 +248,12 @@ class ConfigError(ValueError):
 def _require(section, key, cfg):
     if key not in cfg:
         raise ConfigError(f"missing required key {section}.{key}")
-    return cfg[key]
+    return cfg.pop(key)
 
 
 def _given(cfg, **convert):
     """The keys of ``convert`` that the section sets, converted; the constructor's defaults fill the rest."""
-    return {key: to(cfg[key]) for key, to in convert.items() if key in cfg}
+    return {key: to(cfg.pop(key)) for key, to in convert.items() if key in cfg}
 
 
 def _parse_shifts(seq):
@@ -273,20 +261,20 @@ def _parse_shifts(seq):
     if ("shifts" in seq) + ("shift_file" in seq) + contour > 1:
         raise ConfigError("sequence: give only one of shifts, shift_file, n_z/t")
     if "shifts" in seq:
-        pairs = np.array(seq["shifts"].replace(";", " ").split(), dtype=float)
+        pairs = np.array(seq.pop("shifts").replace(";", " ").split(), dtype=float)
         if pairs.size % 2 != 0:
             raise ConfigError("sequence.shifts: expected pairs of 're im' values")
         return pairs.view(np.complex128)  # each (re, im) pair, bit for bit
     if "shift_file" in seq:
-        pairs = np.loadtxt(seq["shift_file"], ndmin=2)
+        pairs = np.loadtxt(seq.pop("shift_file"), ndmin=2)
         if pairs.shape[0] == 0 or pairs.shape[1] != 2:
             raise ConfigError("sequence.shift_file: expected one 're im' pair per line")
         return pairs.view(np.complex128)[:, 0]
-    return talbot_shifts(int(seq.get("n_z", "40")), float(seq.get("t", "60")))
+    return talbot_shifts(int(seq.pop("n_z", "40")), float(seq.pop("t", "60")))
 
 
 def _parse_rhs(seq):
-    src = seq.get("rhs", "point")
+    src = seq.pop("rhs", "point")
     if src == "point":
         return None  # SequenceSpec's point source
     if src.startswith("file:"):
@@ -318,11 +306,6 @@ def _parse_events(text):
 def _parse_sequence(seq):
     """The SequenceSpec a [sequence] section describes."""
     kind = _require("sequence", "kind", seq)
-    if kind not in _SEQUENCE_KEYS:
-        raise ConfigError(f"sequence.kind: unknown kind {kind!r}")
-    unread = set(seq) - _SEQUENCE_KEYS[kind] - {"kind"}
-    if unread:
-        raise ConfigError(f"sequence: kind {kind} does not read {', '.join(sorted(unread))}")
     if kind == "helmholtz_sweep":
         return SequenceSpec.helmholtz(**_given(seq, nx=int, ny=int, delta_s=float, count=int))
     if kind == "shifted_pair":
@@ -332,15 +315,17 @@ def _parse_sequence(seq):
             K = matrix_market_read(_require("sequence", "k_file", seq))
             M = matrix_market_read(_require("sequence", "m_file", seq))
         else:
-            K, M = fem_pair_2d(int(seq.get("nx", "32")), int(seq.get("ny", "32")))
+            K, M = fem_pair_2d(int(seq.pop("nx", "32")), int(seq.pop("ny", "32")))
         return SequenceSpec.shifted_pair(K, M, _parse_shifts(seq), rhs=_parse_rhs(seq))
-    files = _require("sequence", "files", seq).split()  # matrix_files
+    if kind != "matrix_files":
+        raise ConfigError(f"sequence.kind: unknown kind {kind!r}")
+    files = _require("sequence", "files", seq).split()
     shifts = _parse_shifts(seq) if "shifts" in seq or "shift_file" in seq else None
     return SequenceSpec.matrix_files(files, shifts=shifts, rhs=_parse_rhs(seq))
 
 
 def _parse_strategy(st, n_systems):
-    strategy = Strategy(st.get("kind", COMPUTE_SAM), _parse_events(st.get("events", "[]")))
+    strategy = Strategy(st.pop("kind", COMPUTE_SAM), _parse_events(st.pop("events", "[]")))
     strategy.check_length(n_systems)
     return strategy
 
@@ -351,14 +336,12 @@ def _parse_ilutp(il):
 
 def _parse_pattern(pt, n):
     """A pattern choice for resolve_pattern; a pattern file, any Matrix Market matrix, is read here."""
-    choice = pt.get("kind", "ref")
+    choice = pt.pop("kind", "ref")
     if choice == "file":
         P = matrix_market_read(_require("pattern", "path", pt))
         if P.shape != (n, n):
             raise ConfigError(f"pattern.path: pattern is {P.shape[0]}x{P.shape[1]}, systems have size {n}")
         return P
-    if "path" in pt:
-        raise ConfigError(f"pattern.path: kind {choice} reads no path")
     # resolving on a 1x1 stand-in parses the choice and runs the builders'
     # range checks; the run's reference matrix is not known yet
     resolve_pattern(choice, sp.identity(1, format="csc"))
@@ -370,21 +353,32 @@ def _parse_gmres(gm):
 
 
 def _parse_section(cp, name, parse, *args):
-    """parse(cp[name], *args); a malformed value or unreadable file raises ConfigError."""
+    """parse(a dict of section ``name``'s keys, *args), which pops each key it reads.
+
+    A malformed value, an unreadable file or a key left over raises ConfigError.
+    """
     try:
-        return parse(cp[name], *args)
+        keys = dict(cp[name])  # interpolates every value, so a stray % raises here
+        kind = keys.get("kind")
+        parsed = parse(keys, *args)
     except ConfigError:
         raise
     except (OSError, ValueError, configparser.Error) as exc:
         raise ConfigError(f"{name}: {exc}") from None
+    if keys:
+        where = f"[{name}] kind {kind}" if kind else f"[{name}]"
+        raise ConfigError(f"{where} does not read {', '.join(sorted(keys))}")
+    return parsed
 
 
 def parse_config(path):
     """Read a run description: (spec, strategy, ilutp params, pattern, gmres config).
 
     Matrix, right-hand side and pattern files are Matrix Market; shift files
-    hold "re im" lines.  Malformed INI, unknown keys, bad values and files that
-    cannot be read or do not fit raise :class:`ConfigError` before any factoring.
+    hold "re im" lines.  Malformed INI and unknown sections raise
+    :class:`ConfigError`; then each section, in the order returned, raises it
+    for a bad value or a file that cannot be read or does not fit, and then for
+    the keys that it or its kind did not read.  All come before any factoring.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
@@ -394,14 +388,11 @@ def parse_config(path):
     if not found:
         raise ConfigError(f"cannot read config file {path}")
     for section in cp.sections():
-        if section not in _SECTION_KEYS:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
-        for key in cp[section]:
-            if key not in _SECTION_KEYS[section]:
-                raise ConfigError(f"unknown key {section}.{key}")
     if "sequence" not in cp:
         raise ConfigError("missing required section [sequence]")
-    cp.read_dict({name: {} for name in _SECTION_KEYS})  # absent sections read as empty
+    cp.read_dict({name: {} for name in _SECTIONS})  # absent sections read as empty
 
     spec = _parse_section(cp, "sequence", _parse_sequence)
     return (spec,

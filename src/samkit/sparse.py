@@ -64,22 +64,8 @@ def check_integers(minimum=None, **values):
 
 
 def as_csc(A) -> sp.csc_matrix:
-    """Coerce ``A`` (sparse or dense) to a canonical CSC matrix.
-
-    Canonical means: per-column row indices sorted and strictly increasing,
-    duplicates summed.  Stored zeros are preserved.  ``A``'s index arrays
-    are read unchecked, and malformed ones can crash the process; a
-    caller's matrix goes through :func:`checked_csc` instead.
-    """
-    if sp.issparse(A):
-        M = A.tocsc(copy=False)
-    else:
-        M = sp.csc_matrix(np.atleast_2d(np.asarray(A)))
-    M = M.astype(scalar_dtype(M), copy=False)
-    if not M.has_canonical_format:
-        M = M.copy()
-        M.sum_duplicates()
-    return M
+    """``A`` (sparse or dense) as :func:`checked_csc` returns it: malformed index arrays raise ``ValueError``."""
+    return checked_csc(A)[0]
 
 
 def check_indices(*matrices):
@@ -96,9 +82,26 @@ def check_indices(*matrices):
 
 
 def checked_csc(*matrices) -> list:
-    """:func:`check_indices` over all ``matrices``, then each one as :func:`as_csc` returns it."""
+    """:func:`check_indices` over all ``matrices``, then each one as a canonical CSC matrix.
+
+    Canonical means: per-column row indices sorted and strictly increasing,
+    duplicates summed.  Stored zeros are preserved.
+    """
     check_indices(*matrices)
-    return [as_csc(M) for M in matrices]
+    return [_canonical(M) for M in matrices]
+
+
+def _canonical(A) -> sp.csc_matrix:
+    """``A`` as a canonical CSC matrix of its working scalar field, its index arrays read unchecked."""
+    if sp.issparse(A):
+        M = A.tocsc(copy=False)
+    else:
+        M = sp.csc_matrix(np.atleast_2d(np.asarray(A)))
+    M = M.astype(scalar_dtype(M), copy=False)
+    if not M.has_canonical_format:
+        M = M.copy()
+        M.sum_duplicates()
+    return M
 
 
 def matvec(A, x: np.ndarray) -> np.ndarray:

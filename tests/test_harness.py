@@ -550,11 +550,11 @@ def test_parse_config_rejections(tmp_path):
             parse_config(path)
     with pytest.raises(ConfigError, match="^cannot read config file .*absent.cfg$"):
         parse_config(tmp_path / "absent.cfg")
-    # the retired pattern keys are unknown keys: kind = power:2 spells them now
+    # the retired pattern keys are keys no kind reads: kind = power:2 spells them now
     for key in ("p = 2", "tau = 0.1", "offsets = 0,1"):
         path = tmp_path / "retired.cfg"
         path.write_text(small + f"[pattern]\nkind = power:2\n{key}\n")
-        with pytest.raises(ConfigError, match=f"unknown key pattern.{key.split()[0]}$"):
+        with pytest.raises(ConfigError, match=rf"^\[pattern\] kind power:2 does not read {key.split()[0]}$"):
             parse_config(path)
 
 
@@ -566,12 +566,12 @@ def test_parse_config_refuses_what_its_kinds_do_not_read(tmp_path):
     small = "[sequence]\nkind = helmholtz_sweep\nnx = 3\nny = 3\ncount = 2\n"
     cases = {
         # each was accepted and dropped what the kind does not read
-        "kind helmholtz_sweep does not read k_file, shifts$":
+        r"^\[sequence\] kind helmholtz_sweep does not read k_file, shifts$":
             "[sequence]\nkind = helmholtz_sweep\nshifts = 5 0\nk_file = nowhere.mtx\n",
-        "kind helmholtz_sweep does not read rhs$": small + "rhs = point\n",
-        "kind matrix_files does not read n_z$":
+        r"^\[sequence\] kind helmholtz_sweep does not read rhs$": small + "rhs = point\n",
+        r"^\[sequence\] kind matrix_files does not read n_z$":
             f"[sequence]\nkind = matrix_files\nfiles = {tmp_path / 'k.mtx'}\nn_z = 8\n",
-        "kind offsets:0 reads no path$": small + "[pattern]\nkind = offsets:0\npath = nowhere.mtx\n",
+        r"^\[pattern\] kind offsets:0 does not read path$": small + "[pattern]\nkind = offsets:0\npath = nowhere.mtx\n",
         "only one of nx/ny, k_file/m_file$": "[sequence]\nkind = shifted_pair\nnx = 5\n" + pair_files,
         # the retired spellings
         "unknown strategy kind 'events', expected one of prec, sam, reuse$":
@@ -602,6 +602,91 @@ def _bits(x):
     if isinstance(x, np.ndarray):
         return x.dtype, x.shape, x.tobytes()
     return x
+
+
+def _problem_files(tmp_path):
+    """Write a 4x4 FEM pair, its right-hand side, two shifts and the tridiagonal pattern; their paths."""
+    K, M = fem_pair_2d(2, 2)
+    paths = {name: tmp_path / f"{name}.mtx" for name in ("k", "m", "rhs", "tri")}
+    for name, A in (("k", K), ("m", M), ("rhs", np.ones((4, 1))), ("tri", offset_pattern(4, [-1, 0, 1]))):
+        matrix_market_write(A, paths[name])
+    paths["shifts"] = tmp_path / "shifts.txt"
+    paths["shifts"].write_text("1 0\n2 0.5\n")
+    return paths
+
+
+# every key each [sequence] kind reads, one config per exclusive source
+# (nx/ny against k_file/m_file; shifts, shift_file and n_z/t)
+EVERY_SEQUENCE_KEY = {
+    "helmholtz_sweep": "kind = helmholtz_sweep\nnx = 3\nny = 3\ndelta_s = 0.1\ncount = 2\n",
+    "shifted_pair_grid_shifts": "kind = shifted_pair\nnx = 2\nny = 2\nshifts = 1 0 2 0\nrhs = file:{rhs}\n",
+    "shifted_pair_files_shift_file": ("kind = shifted_pair\nk_file = {k}\nm_file = {m}\n"
+                                      "shift_file = {shifts}\nrhs = file:{rhs}\n"),
+    "shifted_pair_contour": "kind = shifted_pair\nnx = 2\nny = 2\nn_z = 4\nt = 2\nrhs = point\n",
+    "matrix_files_shifts": "kind = matrix_files\nfiles = {k} {m}\nshifts = 1 0 2 0\nrhs = file:{rhs}\n",
+    "matrix_files_shift_file": "kind = matrix_files\nfiles = {k} {m}\nshift_file = {shifts}\nrhs = point\n",
+}
+# every key of the other four sections
+EVERY_OTHER_KEY = ("[strategy]\nkind = reuse\nevents = [0:prec, 1:sam]\n"
+                   "[ilutp]\nlfil = 5\ndroptol = 1e-2\npivtol = 0.5\n"
+                   "[pattern]\nkind = file\npath = {tri}\n"
+                   "[gmres]\nrestart = 5\nrel_tol = 1e-8\nmax_total_iters = 20\n")
+
+
+@pytest.mark.parametrize("sequence", EVERY_SEQUENCE_KEY.values(), ids=EVERY_SEQUENCE_KEY.keys())
+def test_parse_config_takes_every_key_it_reads(tmp_path, sequence):
+    # a parser that tests a key but never takes it out would refuse these
+    paths = _problem_files(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(("[sequence]\n" + sequence).format(**paths))
+    spec, *_ = parse_config(cfg)
+    if spec.n == 4:  # the pattern file fits these systems
+        cfg.write_text(("[sequence]\n" + sequence + EVERY_OTHER_KEY).format(**paths))
+        spec, strategy, params, pattern, gc = parse_config(cfg)
+        assert strategy == Strategy.at_events([(0, "prec"), (1, "sam")])
+        assert (params.lfil, params.droptol, params.pivtol) == (5, 1e-2, 0.5)
+        assert same_pattern(pattern, offset_pattern(4, [-1, 0, 1]))
+        assert gc == GmresConfig(restart=5, rel_tol=1e-8, max_total_iters=20)
+
+
+PAIR_4 = "[sequence]\n" + EVERY_SEQUENCE_KEY["shifted_pair_grid_shifts"]  # 4x4 systems
+
+
+@pytest.mark.parametrize("text, where", [
+    *(("[sequence]\n" + sequence, f"[sequence] kind {sequence.split()[2]}") for sequence in EVERY_SEQUENCE_KEY.values()),
+    (PAIR_4 + "[strategy]\n", "[strategy]"),
+    (PAIR_4 + "[strategy]\nkind = prec\n", "[strategy] kind prec"),
+    (PAIR_4 + "[ilutp]\nlfil = 5\n", "[ilutp]"),
+    (PAIR_4 + "[pattern]\n", "[pattern]"),
+    (PAIR_4 + "[pattern]\nkind = offsets:0\n", "[pattern] kind offsets:0"),
+    (PAIR_4 + "[pattern]\nkind = file\npath = {tri}\n", "[pattern] kind file"),
+    (PAIR_4 + "[gmres]\n", "[gmres]"),
+], ids=[*EVERY_SEQUENCE_KEY, "strategy", "strategy_prec", "ilutp", "pattern", "pattern_offsets",
+        "pattern_file", "gmres"])
+def test_parse_config_refuses_a_key_its_section_does_not_read(tmp_path, capsys, text, where):
+    # the last section of text gets two keys that no parser reads; the message
+    # names the section, its kind where it sets one, and both keys in order
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text((text + "zebra = 2\nwibble = 1\n").format(**_problem_files(tmp_path)))
+    with pytest.raises(ConfigError, match=f"^{re.escape(where)} does not read wibble, zebra$"):
+        parse_config(cfg)
+    assert cli_main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", f"samkit: {where} does not read wibble, zebra\n")
+
+
+def test_parse_config_reports_a_section_after_its_values_and_the_sections_before_it(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    # a bad value of the same section comes first
+    cfg.write_text("[sequence]\nkind = helmholtz_sweep\nnx = 1\nwibble = 1\n")
+    with pytest.raises(ConfigError, match="^sequence: nx must be at least 2"):
+        parse_config(cfg)
+    # a later section's bad value comes after
+    cfg.write_text(SMALL_SWEEP + "wibble = 1\n[gmres]\nrestart = 0\n")
+    with pytest.raises(ConfigError, match=r"^\[sequence\] kind helmholtz_sweep does not read wibble$"):
+        parse_config(cfg)
+    cfg.write_text(SMALL_SWEEP + "[ilutp]\nlfil = -1\n[gmres]\nwibble = 1\n")
+    with pytest.raises(ConfigError, match="^ilutp: "):
+        parse_config(cfg)
 
 
 @pytest.mark.parametrize("text, built, direct", [
@@ -723,7 +808,7 @@ def test_cli_run_reports_config_error_on_one_line(tmp_path, capsys):
     (SMALL_SWEEP + "[pattern]\nkind = diag\n", "pattern: unknown pattern choice 'diag'"),
     (SMALL_SWEEP + "[pattern]\nkind = tridiag\n", "pattern: unknown pattern choice 'tridiag'"),
     (SMALL_PAIR + "shifts = 1 0\nrhs = ones\n", "sequence.rhs: unknown source 'ones'"),
-    (SMALL_PAIR + "n_z = 8\ntalbot_constants = 0.6 0.5 0.6 0.3\n", "unknown key sequence.talbot_constants"),
+    (SMALL_PAIR + "n_z = 8\ntalbot_constants = 0.6 0.5 0.6 0.3\n", "[sequence] kind shifted_pair does not read talbot_constants"),
     *((SMALL_SWEEP + f"[strategy]\nkind = {kind}\n",
        f"strategy: unknown strategy kind '{kind}', expected one of prec, sam, reuse")
       for kind in ("recompute_every", "sam_every", "reuse_first")),

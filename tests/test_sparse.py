@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from samkit import SequenceSpec, as_csc, map_residual_norm
 from samkit.sparse import check_indices, checked_csc, ldexp, matvec, norm_ratio, scale_exponent
-from helpers import random_sparse
+from helpers import random_sparse, refusal_in_child
 
 
 def test_matvec_identity_and_diagonal():
@@ -248,6 +248,11 @@ def test_frobenius_norm_dimension_mismatch():
     with pytest.raises(ValueError):
         map_residual_norm(sp.identity(2, format="csc"), sp.identity(3, format="csc"), sp.identity(3, format="csc"))
 
+
+
+def test_as_csc_refuses_decreasing_column_pointers():
+    # as_csc canonicalized a caller's matrix unchecked, and the process died with SIGSEGV
+    assert refusal_in_child("samkit.as_csc(bad)") == (0, "indptr must be a non-decreasing sequence")
 
 
 def test_check_indices_once_per_pattern(monkeypatch):
