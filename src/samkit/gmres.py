@@ -26,6 +26,14 @@ REORTH_RATIO = 0.7
 
 @dataclass(frozen=True)
 class GmresConfig:
+    """Restart length, tolerance and iteration budget of one :func:`gmres` solve.
+
+    A solve allocates one ``n x (min(restart, max_total_iters) + 1)`` basis,
+    so a one-cycle config asks for ``n x (max_total_iters + 1)``; only the
+    triangle of a cycle's least-squares problem grows with the square of the
+    steps that cycle ran, not of the restart length.
+    """
+
     restart: int | None = None  # None: one cycle of max_total_iters, resolved to that integer
     rel_tol: float = 1e-10
     max_total_iters: int = 100
@@ -106,7 +114,9 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
     if bnorm == 0.0:
         return np.zeros(n, dtype=dtype), SolveReport(0, 0, True, 0.0, np.zeros(0))
 
-    m = cfg.restart
+    m = min(cfg.restart, cfg.max_total_iters)  # no cycle runs past the iteration budget
+    # one basis for every cycle; a cycle reads only the columns it has written
+    V = np.zeros((n, m + 1), dtype=dtype)
     # [c s; -conj(s) c] with c real, the convention the rotation loop below applies
     lartg = sla.get_lapack_funcs("lartg", dtype=dtype)
     history = []
@@ -119,13 +129,13 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
 
     # the one convergence test; a NaN residual runs a cycle, which records it
     while not (beta / bnorm <= cfg.rel_tol or singular or nonfinite) and total_iters < cfg.max_total_iters:
-        V = np.zeros((n, m + 1), dtype=dtype)
-        H = np.zeros((m + 1, m), dtype=dtype)
         V[:, 0] = r / beta
-        # the rotations (c, s) and the least-squares right-hand side g are
-        # Python scalars: each step reads and writes them one at a time, which
-        # numpy scalar indexing made the larger part of GMRES's own time
+        # the rotations (c, s), the rotated Hessenberg columns and the
+        # least-squares right-hand side g are Python scalars: each step reads
+        # and writes them one at a time, which numpy scalar indexing made the
+        # larger part of GMRES's own time
         rotations = []
+        columns = []
         g = [beta]
         history.append(beta / bnorm)
 
@@ -158,7 +168,7 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
                 col[i], col[i + 1] = c * col[i] + s * col[i + 1], -s.conjugate() * col[i] + c * col[i + 1]
             c, s, col[j] = lartg(col[j], hnext)
             rotations.append((c, s))
-            H[:j + 1, j] = col  # H[j + 1, j], which the rotation annihilates, stays 0
+            columns.append(col)  # j + 1 entries: the rotation annihilates the one at row j + 1
             g.append(-s.conjugate() * g[j])
             g[j] = c * g[j]
 
@@ -171,12 +181,14 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
 
         # an exactly zero pivot (breakdown on a singular operator) leaves only
         # the leading block solvable; the update stops there and x stays finite
-        zero_pivots = np.flatnonzero(np.diagonal(H[:j, :j]) == 0)
-        p = int(zero_pivots[0]) if zero_pivots.size else j
+        p = next((i for i, col in enumerate(columns) if col[i] == 0), j)
         singular = p < j
         if p > 0:
-            # the Givens rotations left H[:p, :p] upper triangular
-            dx = apply_M(V[:, :p] @ sla.solve_triangular(H[:p, :p], np.array(g[:p], dtype=dtype)))
+            # the Givens rotations left the Hessenberg matrix upper triangular
+            R = np.zeros((p, p), dtype=dtype)
+            for i, col in enumerate(columns[:p]):
+                R[:i + 1, i] = col
+            dx = apply_M(V[:, :p] @ sla.solve_triangular(R, np.array(g[:p], dtype=dtype)))
             if np.all(np.isfinite(dx)):
                 x = x + dx
             else:

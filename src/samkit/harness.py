@@ -132,6 +132,11 @@ def resolve_pattern(choice, A_ref) -> sp.csc_matrix:
     ``[pattern] kind = file`` does; ``[pattern] kind`` takes the string forms,
     and one whose argument does not fit raises ``ValueError`` naming the form.
     """
+    return _resolve(choice, A_ref)
+
+
+def _resolve(choice, A_ref):
+    """resolve_pattern's work; the pre-flight calls it here, so a wrapper of the public name sees a run's only."""
     if sp.issparse(choice):
         return patterns.pattern_of(choice)
     if not isinstance(choice, str):
@@ -147,19 +152,35 @@ def resolve_pattern(choice, A_ref) -> sp.csc_matrix:
     return build(A_ref, *args)
 
 
+def _check_pattern(choice, n):
+    """Raise where ``choice`` cannot give a pattern for ``n x n`` systems, before the reference is known.
+
+    A sparse choice must be ``n x n``; a string is built on a 1x1 stand-in,
+    which parses it and runs its builder's range checks.
+    """
+    if sp.issparse(choice):
+        if choice.shape != (n, n):
+            raise ValueError(f"pattern is {choice.shape[0]}x{choice.shape[1]}, systems have size {n}")
+    else:
+        _resolve(choice, sp.identity(1, format="csc"))
+
+
 def run_sequence(spec: SequenceSpec, strategy: Strategy, ilutp_params: ilutp.IlutpParams,
                  pattern_choice, gmres_config: GmresConfig, sam_workers: int = 1) -> SequenceReport:
     """Solve every system of the sequence in order under the given strategy.
 
     A failed factorization of the first system raises.  Any later one is
     recorded as ``prec_failed`` and the previous operator is kept, so the run
-    continues.  An event past the last system, a ``sam_workers`` below 1 or
-    a matrix with malformed index arrays raises before any work.  Each
-    record's ``prec_seconds`` and ``gmres_seconds`` are two consecutive
-    intervals of one clock: the system's action, then its ``gmres`` call.
+    continues.  An event past the last system, a ``sam_workers`` below 1, a
+    pattern choice that cannot give a pattern for the systems (see
+    :func:`resolve_pattern`) or a matrix with malformed index arrays raises
+    before any work.  Each record's ``prec_seconds`` and ``gmres_seconds``
+    are two consecutive intervals of one clock: the system's action, then its
+    ``gmres`` call.
     """
     strategy.check_length(len(spec))
     check_integers(minimum=1, sam_workers=sam_workers)
+    _check_pattern(pattern_choice, spec.n)
     b = spec.rhs
     report = SequenceReport()
 
@@ -256,10 +277,15 @@ def _given(cfg, **convert):
     return {key: to(cfg.pop(key)) for key, to in convert.items() if key in cfg}
 
 
-def _parse_shifts(seq):
-    contour = "n_z" in seq or "t" in seq
-    if ("shifts" in seq) + ("shift_file" in seq) + contour > 1:
-        raise ConfigError("sequence: give only one of shifts, shift_file, n_z/t")
+def _parse_shifts(seq, contour):
+    """The shifts given inline or in a file; else Talbot's from n_z/t under ``contour``, and None without.
+
+    n_z and t are a shift source only under ``contour``; elsewhere they are
+    left for the section's refusal of the keys it does not read.
+    """
+    sources = ["shifts", "shift_file"] + (["n_z/t"] if contour else [])
+    if ("shifts" in seq) + ("shift_file" in seq) + (contour and ("n_z" in seq or "t" in seq)) > 1:
+        raise ConfigError(f"sequence: give only one of {', '.join(sources)}")
     if "shifts" in seq:
         pairs = np.array(seq.pop("shifts").replace(";", " ").split(), dtype=float)
         if pairs.size % 2 != 0:
@@ -270,7 +296,7 @@ def _parse_shifts(seq):
         if pairs.shape[0] == 0 or pairs.shape[1] != 2:
             raise ConfigError("sequence.shift_file: expected one 're im' pair per line")
         return pairs.view(np.complex128)[:, 0]
-    return talbot_shifts(int(seq.pop("n_z", "40")), float(seq.pop("t", "60")))
+    return talbot_shifts(int(seq.pop("n_z", "40")), float(seq.pop("t", "60"))) if contour else None
 
 
 def _parse_rhs(seq):
@@ -316,12 +342,11 @@ def _parse_sequence(seq):
             M = matrix_market_read(_require("sequence", "m_file", seq))
         else:
             K, M = fem_pair_2d(int(seq.pop("nx", "32")), int(seq.pop("ny", "32")))
-        return SequenceSpec.shifted_pair(K, M, _parse_shifts(seq), rhs=_parse_rhs(seq))
+        return SequenceSpec.shifted_pair(K, M, _parse_shifts(seq, contour=True), rhs=_parse_rhs(seq))
     if kind != "matrix_files":
         raise ConfigError(f"sequence.kind: unknown kind {kind!r}")
     files = _require("sequence", "files", seq).split()
-    shifts = _parse_shifts(seq) if "shifts" in seq or "shift_file" in seq else None
-    return SequenceSpec.matrix_files(files, shifts=shifts, rhs=_parse_rhs(seq))
+    return SequenceSpec.matrix_files(files, shifts=_parse_shifts(seq, contour=False), rhs=_parse_rhs(seq))
 
 
 def _parse_strategy(st, n_systems):
@@ -338,13 +363,8 @@ def _parse_pattern(pt, n):
     """A pattern choice for resolve_pattern; a pattern file, any Matrix Market matrix, is read here."""
     choice = pt.pop("kind", "ref")
     if choice == "file":
-        P = matrix_market_read(_require("pattern", "path", pt))
-        if P.shape != (n, n):
-            raise ConfigError(f"pattern.path: pattern is {P.shape[0]}x{P.shape[1]}, systems have size {n}")
-        return P
-    # resolving on a 1x1 stand-in parses the choice and runs the builders'
-    # range checks; the run's reference matrix is not known yet
-    resolve_pattern(choice, sp.identity(1, format="csc"))
+        choice = matrix_market_read(_require("pattern", "path", pt))
+    _check_pattern(choice, n)
     return choice
 
 

@@ -54,6 +54,29 @@ def test_identity_converges_in_one_iteration():
     assert np.allclose(x, b, atol=1e-14)
 
 
+def test_one_long_cycle_allocates_nothing_quadratic():
+    # the (m + 1) x m Hessenberg array of one 100000-step cycle asked for 74.5 GiB
+    x, rep = gmres(sp.identity(4, format="csc"), np.ones(4), config=GmresConfig(max_total_iters=100000))
+    assert rep.iterations == 1
+    assert rep.converged
+    assert np.allclose(x, 1.0, atol=1e-14)
+
+
+def test_restart_past_the_budget_is_a_restart_of_the_budget():
+    # no cycle runs past max_total_iters, so a longer restart changes no bit;
+    # the breakdown after four steps restarts the solve
+    A = as_csc(np.diag(np.tile([1.0, 2.0, 3.0, 5.0], 10)))
+    b = np.random.default_rng(21).standard_normal(40)
+    k = 12
+    x, rep = gmres(A, b, config=GmresConfig(restart=10**6, rel_tol=1e-300, max_total_iters=k))
+    x_k, rep_k = gmres(A, b, config=GmresConfig(restart=k, rel_tol=1e-300, max_total_iters=k))
+    assert rep.restarts >= 1
+    assert x.tobytes() == x_k.tobytes()
+    assert rep.residual_history.tobytes() == rep_k.residual_history.tobytes()
+    assert (rep.iterations, rep.restarts, rep.converged, rep.final_rel_residual, rep.restart_checks) == \
+        (rep_k.iterations, rep_k.restarts, rep_k.converged, rep_k.final_rel_residual, rep_k.restart_checks)
+
+
 def test_small_direct_solve():
     A = as_csc(np.array([[4.0, 1.0], [1.0, 3.0]]))
     b = np.array([1.0, 2.0])

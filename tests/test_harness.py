@@ -213,6 +213,24 @@ def test_event_past_the_end_raises_before_any_factorization(monkeypatch):
             run_sequence(spec, Strategy.sam_every(), MILD_ILUTP, "ref", FAST_GMRES, sam_workers=workers)
 
 
+def test_bad_pattern_choice_raises_before_any_factorization(monkeypatch):
+    # each was refused at the first map, after every system before it was solved
+    spec = small_sweep(count=4)
+
+    def no_factor(*args, **kwargs):
+        raise AssertionError("factored before the pattern choice was checked")
+    monkeypatch.setattr(samkit.harness.ilutp, "factor", no_factor)
+    strategy = Strategy.at_events([(0, "prec"), (3, "sam")])
+    for choice, error, message in (
+            ("power:9", ValueError, "^power must be between 1 and 5$"),
+            ("offsets:x", ValueError, r"^pattern choice 'offsets:x': expected the form offsets:o1,o2,\.\.\.$"),
+            ("nope", ValueError, "^unknown pattern choice 'nope'$"),
+            (offset_pattern(4, [0]), ValueError, "^pattern is 4x4, systems have size 16$"),
+            (None, TypeError, "^pattern choice must be a sparse matrix or a string$")):
+        with pytest.raises(error, match=message):
+            run_sequence(spec, strategy, MILD_ILUTP, choice, FAST_GMRES)
+
+
 def test_run_determinism():
     spec = small_sweep(count=5)
     kw = dict(strategy=Strategy.sam_every(), ilutp_params=MILD_ILUTP,
@@ -585,6 +603,11 @@ def test_parse_config_refuses_what_its_kinds_do_not_read(tmp_path):
         cfg.write_text(text)
         with pytest.raises(ConfigError, match=message):
             parse_config(cfg)
+    # n_z and t are a shift source only for shifted_pair; with inline shifts
+    # this was refused as two sources
+    cfg.write_text(f"[sequence]\nkind = matrix_files\nfiles = {tmp_path / 'k.mtx'}\nshifts = 1 0\nn_z = 8\n")
+    with pytest.raises(ConfigError, match=r"^\[sequence\] kind matrix_files does not read n_z$"):
+        parse_config(cfg)
     # the same files without nx read as before
     cfg.write_text("[sequence]\nkind = shifted_pair\n" + pair_files)
     assert parse_config(cfg)[0].pair[0].shape == (4, 4)

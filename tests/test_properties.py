@@ -86,7 +86,7 @@ def stored_values(M, dtype):
 
 @EXAMPLES
 @given(data=st.data())
-def test_shifted_family_members_are_exact_on_the_union_pattern(data):
+def test_shifted_pair_members_are_exact_on_the_union_pattern(data):
     # a sequence's systems are square
     n = data.draw(st.integers(1, 6))
     E = data.draw(csc_matrices((n, n), FINITE_VALUES))

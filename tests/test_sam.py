@@ -522,6 +522,33 @@ def test_map_residual_norm_finite_near_the_ends_of_the_float_range(scale):
         assert abs(got - m.rel_residual) <= 1e-14
 
 
+# the Frobenius norms samkit takes are scipy's, in map_residual_norm
+
+def test_frobenius_norm_cases():
+    A = as_csc(np.diag([3.0, 4.0]))
+    assert map_residual_norm(sp.identity(2, format="csc"), A, A) == 0.0
+    assert map_residual_norm(sp.identity(2, format="csc"), as_csc(np.zeros((2, 2))), A) == 1.0
+    assert map_residual_norm(sp.identity(2, format="csc"), 3 * A, A) == 2.0
+
+
+def test_frobenius_norm_against_dense():
+    rng = np.random.default_rng(9)
+    A = random_sparse(12, rng)
+    N = random_sparse(12, rng)
+    ref = random_sparse(12, rng)
+    # a reference with duplicate entries counts each position once, summed
+    dup = sp.csc_matrix((np.repeat(ref.data / 2, 2), np.repeat(ref.indices, 2), 2 * ref.indptr), shape=ref.shape)
+    assert not dup.has_canonical_format
+    want = np.linalg.norm(A.toarray() @ N.toarray() - ref.toarray()) / np.linalg.norm(ref.toarray())
+    for R in (ref, dup):
+        assert abs(map_residual_norm(A, N, R) - want) <= 1e-14 * want
+
+
+def test_frobenius_norm_dimension_mismatch():
+    with pytest.raises(ValueError):
+        map_residual_norm(sp.identity(2, format="csc"), sp.identity(3, format="csc"), sp.identity(3, format="csc"))
+
+
 def test_compose_identity_map_behaves_like_p():
     rng = np.random.default_rng(9)
     P = random_sparse(10, rng)

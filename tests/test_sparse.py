@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from samkit import SequenceSpec, as_csc, map_residual_norm
+from samkit import SequenceSpec, as_csc
 from samkit.sparse import check_indices, checked_csc, ldexp, matvec, norm_ratio, scale_exponent
 from helpers import random_sparse, refusal_in_child
 
@@ -220,34 +220,6 @@ def test_norm_ratio():
     # against a zero reference
     assert norm_ratio(0.0, 0.0) == 0.0
     assert norm_ratio(1e-300, 0.0) == np.inf
-
-
-# the Frobenius norms samkit takes are scipy's, in map_residual_norm
-
-def test_frobenius_norm_cases():
-    A = as_csc(np.diag([3.0, 4.0]))
-    assert map_residual_norm(sp.identity(2, format="csc"), A, A) == 0.0
-    assert map_residual_norm(sp.identity(2, format="csc"), as_csc(np.zeros((2, 2))), A) == 1.0
-    assert map_residual_norm(sp.identity(2, format="csc"), 3 * A, A) == 2.0
-
-
-def test_frobenius_norm_against_dense():
-    rng = np.random.default_rng(9)
-    A = random_sparse(12, rng)
-    N = random_sparse(12, rng)
-    ref = random_sparse(12, rng)
-    # a reference with duplicate entries counts each position once, summed
-    dup = sp.csc_matrix((np.repeat(ref.data / 2, 2), np.repeat(ref.indices, 2), 2 * ref.indptr), shape=ref.shape)
-    assert not dup.has_canonical_format
-    want = np.linalg.norm(A.toarray() @ N.toarray() - ref.toarray()) / np.linalg.norm(ref.toarray())
-    for R in (ref, dup):
-        assert abs(map_residual_norm(A, N, R) - want) <= 1e-14 * want
-
-
-def test_frobenius_norm_dimension_mismatch():
-    with pytest.raises(ValueError):
-        map_residual_norm(sp.identity(2, format="csc"), sp.identity(3, format="csc"), sp.identity(3, format="csc"))
-
 
 
 def test_as_csc_refuses_decreasing_column_pointers():
