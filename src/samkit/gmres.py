@@ -91,7 +91,9 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
     satisfies ||b - A x|| <= rel_tol * ||b||.  The recurrence residual ends
     each cycle; the explicit one at its end re-verifies it and starts the next.
     The solve runs on ``b``'s power-of-two scale, which is exact: ``2**k b``
-    gives ``2**k x`` bit for bit, and no norm of ``b`` or a residual overflows.
+    gives ``2**k x`` bit for bit.  Every other norm is BLAS ``nrm2``, which
+    scales internally, so the Arnoldi and residual norms of an operator as far
+    from 1 as ``2**±600 A`` neither overflow nor underflow.
     """
     check_indices(A, M)
     cfg = config if config is not None else GmresConfig()
@@ -114,6 +116,7 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
     if bnorm == 0.0:
         return np.zeros(n, dtype=dtype), SolveReport(0, 0, True, 0.0, np.zeros(0))
 
+    nrm2 = sla.get_blas_funcs("nrm2", dtype=dtype)
     m = min(cfg.restart, cfg.max_total_iters)  # no cycle runs past the iteration budget
     # one basis for every cycle; a cycle reads only the columns it has written
     V = np.zeros((n, m + 1), dtype=dtype)
@@ -125,7 +128,7 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
     singular = False
     nonfinite = False
     r = _in_field(b - apply_A(x), dtype)
-    beta = float(np.linalg.norm(r))
+    beta = nrm2(r)
 
     # the one convergence test; a NaN residual runs a cycle, which records it
     while not (beta / bnorm <= cfg.rel_tol or singular or nonfinite) and total_iters < cfg.max_total_iters:
@@ -143,17 +146,17 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
         breakdown = False
         while j < m and total_iters < cfg.max_total_iters:
             w = _in_field(apply_A(apply_M(V[:, j])), dtype)
-            wnorm = float(np.linalg.norm(w))
+            wnorm = nrm2(w)
             Vj = V[:, :j + 1]
             # (w^H Vj)^H rather than Vj^H w, which would copy the block
             h = (w.conj() @ Vj).conj()
             w -= Vj @ h
-            hnext = float(np.linalg.norm(w))
+            hnext = nrm2(w)
             if hnext < REORTH_RATIO * wnorm:
                 h2 = (w.conj() @ Vj).conj()
                 w -= Vj @ h2
                 h += h2
-                hnext = float(np.linalg.norm(w))
+                hnext = nrm2(w)
             if not np.isfinite(hnext):
                 # NaN or Inf from an operator: the cycle ends with the columns
                 # built so far, and no further cycle repeats the failure
@@ -195,7 +198,7 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
                 nonfinite = True
         # the explicit residual checks this cycle and starts the next one
         r = _in_field(b - apply_A(x), dtype)
-        beta = float(np.linalg.norm(r))
+        beta = nrm2(r)
         if breakdown or nonfinite:
             # after a breakdown or a non-finite operator value the recurrence
             # no longer tracks x; record the explicit residual.  Only a

@@ -22,10 +22,11 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .sparse import check_integers, checked_csc, ldexp, scale_exponent
+from .sparse import check_integers, checked_csc
 
 PIVOT_FLOOR = 1e-300
 
@@ -125,11 +126,9 @@ def factor(A, params: IlutpParams = IlutpParams()) -> IlutpFactors:
 
     lfil = params.lfil
     pivtol = params.pivtol
-    # droptol times each row's norm, taken on the row's power-of-two scale so that it neither overflows nor underflows
-    e = scale_exponent(R.data, indptr=R.indptr)
-    scaled = ldexp(R.data, -np.repeat(e, np.diff(R.indptr)))
-    norms = [np.linalg.norm(scaled[j0:j1]) for j0, j1 in zip(R.indptr[:-1], R.indptr[1:])]
-    thresholds = ldexp(params.droptol * np.array(norms), e).tolist()
+    # each row's drop threshold is droptol times its 2-norm; BLAS nrm2 scales internally, so the norm neither
+    # overflows nor underflows, and it raises on an empty vector, so it is taken after the empty-row refusal
+    nrm2 = sla.get_blas_funcs("nrm2", dtype=dtype)
 
     perm = np.arange(n, dtype=np.int64)   # original column -> permuted position
     iperm = np.arange(n, dtype=np.int64)  # permuted position -> original column
@@ -147,7 +146,7 @@ def factor(A, params: IlutpParams = IlutpParams()) -> IlutpFactors:
         j0, j1 = R.indptr[ii], R.indptr[ii + 1]
         if j0 == j1:
             raise FactorizationError(ii, f"row {ii} of the matrix is empty")
-        tnorm = thresholds[ii]
+        tnorm = params.droptol * nrm2(R.data[j0:j1])
 
         # the working row: original column -> value, in order of first appearance
         row = dict(zip(R.indices[j0:j1].tolist(), R.data[j0:j1].tolist()))

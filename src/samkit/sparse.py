@@ -4,7 +4,9 @@ Matrices are ``scipy.sparse.csc_matrix`` values in double precision, real or
 complex.  The canonical form used throughout the package has sorted row
 indices within each column and summed duplicates; explicitly stored zeros are
 legal and are never pruned by the kernels here.  The package's one range
-rule lives here too: exact power-of-two scaling, so that no norm overflows.
+rule lives here too: exact power-of-two scaling of the values the map and
+GMRES work on, so that no norm of them overflows.  A norm alone comes from
+BLAS ``nrm2``, which scales internally.
 """
 
 import copy
@@ -23,20 +25,13 @@ def scalar_dtype(*operands) -> np.dtype:
     return COMPLEX if np.issubdtype(dt, np.complexfloating) else REAL
 
 
-def scale_exponent(x, axis=None, indptr=None):
+def scale_exponent(x, axis=None):
     """The exponent e that puts the largest real or imaginary part of float array x times 2**-e in [0.5, 1).
 
     e is 0 where that part is zero, NaN or Inf, or x is empty.  ``axis``
-    reduces as ``np.max`` does, all of x by default; ``indptr`` gives a 1-D x
-    one e per segment ``x[indptr[i]:indptr[i + 1]]``, as per row of CSR data.
+    reduces as ``np.max`` does, all of x by default.
     """
-    top = np.abs(x.view(REAL))
-    if indptr is None:
-        top = top.max(axis=axis, initial=0)
-    else:  # reduceat gives an empty segment the value at its start (the next one's or the appended 0): reset
-        top = np.maximum.reduceat(np.append(top, 0), np.asarray(indptr[:-1]) * (x.itemsize // REAL.itemsize))
-        top[np.diff(indptr) == 0] = 0
-    return np.frexp(top)[1]
+    return np.frexp(np.abs(x.view(REAL)).max(axis=axis, initial=0))[1]
 
 
 def ldexp(x, e):

@@ -303,6 +303,22 @@ def test_breakdown_test_does_not_depend_on_scale():
             assert x_k.dtype == x.dtype and np.array_equal(x_k, _times_power_of_two(x, k))
 
 
+def test_operator_far_from_one_takes_the_same_iterations():
+    # every norm past b's is BLAS nrm2, which scales internally: unscaled, the
+    # Arnoldi norms of 2**600 A overflowed (0 iterations and an overflow
+    # warning), and those of 2**-600 A underflowed (100 iterations and 99
+    # restarts, unconverged at 0.61) where A converges in 33
+    spec = SequenceSpec.helmholtz(10, 10, 0.01, 20)
+    A, b = spec.matrices[20], spec.rhs
+    for A_f in (A, A.astype(complex)):
+        report = gmres(A_f, b)[1]
+        assert report.converged
+        for k in (-600, 600):
+            report_k = gmres(2.0**k * A_f, b)[1]
+            assert report_k.converged
+            assert (report_k.iterations, report_k.restarts) == (report.iterations, report.restarts)
+
+
 def _times_power_of_two(v, k):
     """v times 2**k, real and imaginary parts alike, rounded as ldexp rounds it."""
     return np.ldexp(v.view(float), k).view(v.dtype)
@@ -350,11 +366,12 @@ def _array_gmres(A, b, M, cfg):
     dtype = scalar_dtype(b, *(op for op in (A, M) if op is not None))
     n, m = b.shape[0], cfg.restart
     bnorm = float(np.linalg.norm(b))
+    nrm2 = sla.get_blas_funcs("nrm2", dtype=dtype)
     lartg = sla.get_lapack_funcs("lartg", dtype=dtype)
     x = np.zeros(n, dtype=dtype)
     history, restart_checks, total_iters, cycles, singular = [], [], 0, 0, False
     r = b - apply_A(x)
-    beta = float(np.linalg.norm(r))
+    beta = nrm2(r)
     while not (beta / bnorm <= cfg.rel_tol or singular) and total_iters < cfg.max_total_iters:
         cycles += 1
         V = np.zeros((n, m + 1), dtype=dtype)
@@ -369,16 +386,16 @@ def _array_gmres(A, b, M, cfg):
         breakdown = False
         while j < m and total_iters < cfg.max_total_iters:
             w = apply_A(apply_M(V[:, j]))
-            wnorm = float(np.linalg.norm(w))
+            wnorm = nrm2(w)
             Vj = V[:, :j + 1]
             h = (w.conj() @ Vj).conj()
             w -= Vj @ h
-            hnext = float(np.linalg.norm(w))
+            hnext = nrm2(w)
             if hnext < REORTH_RATIO * wnorm:
                 h2 = (w.conj() @ Vj).conj()
                 w -= Vj @ h2
                 h += h2
-                hnext = float(np.linalg.norm(w))
+                hnext = nrm2(w)
             H[:j + 1, j] = h
             H[j + 1, j] = hnext
             breakdown = hnext <= HAPPY_BREAKDOWN * wnorm
@@ -404,7 +421,7 @@ def _array_gmres(A, b, M, cfg):
         if p > 0:
             x = x + apply_M(V[:, :p] @ sla.solve_triangular(H[:p, :p], g[:p]))
         r = b - apply_A(x)
-        beta = float(np.linalg.norm(r))
+        beta = nrm2(r)
         if breakdown:
             history[-1] = beta / bnorm
         restart_checks.append((float(history[-1]), beta / bnorm))

@@ -85,10 +85,11 @@ def test_empty_row_fails_with_row_number():
 
 
 def test_row_norm_does_not_overflow():
-    # each row's norm is taken on the row's power-of-two scale; at 2**600 its
-    # squares overflowed, with a warning, and every off-diagonal entry of U fell
-    # below an infinite drop threshold.  At that scale every multiplier, which
-    # does not scale with A, falls below the threshold, which does, so L = I
+    # each row's norm comes from BLAS nrm2, which scales internally; at 2**600
+    # the squares of a plain norm overflowed, with a warning, and every
+    # off-diagonal entry of U fell below an infinite drop threshold.  At that
+    # scale every multiplier, which does not scale with A, falls below the
+    # threshold, which does, so L = I
     K = fem_pair_2d(4, 4)[0]
     F = factor(2.0**600 * K, IlutpParams())
     assert np.array_equal(F.L.toarray(), np.eye(16))

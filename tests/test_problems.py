@@ -12,7 +12,7 @@ from samkit import (
 from helpers import random_sparse, refusal_in_child
 
 
-def test_laplace2d_size_and_stencil():
+def test_fem_pair_unit_stiffness_size_and_stencil():
     K, b = fem_pair_2d(10, 10)[0], SequenceSpec.helmholtz(10, 10, count=0).rhs
     assert K.shape == (100, 100)
     Kd = K.toarray()
@@ -23,7 +23,7 @@ def test_laplace2d_size_and_stencil():
     assert b[k] == 0.0
 
 
-def test_laplace2d_boundary_rhs():
+def test_helmholtz_sweep_boundary_rhs():
     nx, ny = 6, 5
     b = SequenceSpec.helmholtz(nx, ny, count=0).rhs
     assert b[0] == 2.0                      # southwest corner: south + west
@@ -67,7 +67,7 @@ def test_laplace2d_matches_kron_construction(nx, ny, kron_stores_zeros):
     assert np.count_nonzero(K.data) == K.nnz == 5 * nx * ny - 2 * (nx + ny)
 
 
-def test_laplace2d_rejects_small_grid():
+def test_fem_pair_and_helmholtz_sweep_reject_small_grid():
     # the Helmholtz sweep and fem_pair_2d refuse the same grids
     for nx, ny, name in ((1, 5, "nx"), (5, 1, "ny")):
         for build in (fem_pair_2d, SequenceSpec.helmholtz):

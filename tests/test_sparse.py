@@ -205,14 +205,10 @@ def test_scale_exponent_and_ldexp(x, e):
     assert np.array_equal(ldexp(scaled, e), x, equal_nan=True)
 
 
-def test_scale_exponent_per_axis_and_per_segment():
+def test_scale_exponent_per_axis():
     x = np.array([[1.0, 0.0], [0.0, 0.0], [3.0, np.nan], [2.0**-600, 0.0]])
     assert scale_exponent(x, axis=1).tolist() == [1, 0, 0, -599]
     assert ldexp(x, -scale_exponent(x, axis=1))[3, 0] == 0.5
-    # segments as the rows of a CSR matrix, empty ones anywhere
-    data = np.array([1.0, 2.0**-600, 3.0, 5.0j])
-    assert scale_exponent(data, indptr=[0, 0, 2, 2, 3, 4, 4]).tolist() == [0, 1, 0, 2, 3, 0]
-    assert scale_exponent(data[:0], indptr=[0, 0]).tolist() == [0]
 
 
 def test_norm_ratio():
