@@ -86,7 +86,8 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
     complex values on a real run raises ``TypeError`` rather than being cast,
     and malformed index arrays of a compressed ``A`` or ``M`` ``ValueError``.
     ``b`` and ``x0`` are raveled, and lengths that differ (``x0``'s from ``b``'s,
-    ``b``'s from the rows of an ``A`` with a ``shape``) raise ``ValueError``.
+    ``b``'s from the rows of an ``A`` with a ``shape``) raise ``ValueError``,
+    as a NaN or infinite entry of either does.
     Returns (x, SolveReport).  Convergence means the explicit residual
     satisfies ||b - A x|| <= rel_tol * ||b||.  The recurrence residual ends
     each cycle; the explicit one at its end re-verifies it and starts the next.
@@ -105,6 +106,9 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
     x0 = None if x0 is None else np.asarray(x0).ravel()
     if x0 is not None and x0.shape[0] != n:
         raise ValueError(f"gmres: x0 has length {x0.shape[0]}, b has length {n}")
+    for name, v in (("b", b), ("x0", x0)):
+        if v is not None and not np.isfinite(v).all():
+            raise ValueError(f"gmres: {name} has a non-finite entry")
     apply_A, apply_M = as_operator(A), as_operator(M)
     dtype = scalar_dtype(b, *(op for op in (A, M, x0) if getattr(op, "dtype", None) is not None))
 

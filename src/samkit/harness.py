@@ -11,10 +11,10 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
-from . import ilutp, patterns, sam
+from . import ilutp, sam
 from .gmres import GmresConfig, gmres
+from .patterns import resolve_pattern
 from .problems import SequenceSpec, talbot_shifts, fem_pair_2d, matrix_market_read
 from .sparse import check_integers, checked_csc
 
@@ -110,61 +110,6 @@ class SequenceReport:
         return sum(r.iterations for r in self.rows)
 
 
-# each string pattern choice: its form, the converters of its ':'-separated
-# arguments, and its builder from the reference matrix and those arguments
-_PATTERN_FORMS = {
-    "ref": ("ref", (), patterns.pattern_of),
-    "power": ("power:P", (int,), patterns.symbolic_power),
-    "sparsified": ("sparsified:P:TAU", (int, float), patterns.sparsified_power),
-    "offsets": ("offsets:o1,o2,...", (lambda text: [int(tok) for tok in text.split(",")],),
-                lambda A, offsets: patterns.offset_pattern(A.shape[0], offsets)),
-}
-
-
-def resolve_pattern(choice, A_ref) -> sp.csc_matrix:
-    """Turn a pattern choice into a concrete pattern for the reference matrix.
-
-    Accepts a sparse matrix, whose stored positions are the pattern, or one
-    of the string forms ``ref``, ``power:P``, ``sparsified:P:TAU``,
-    ``offsets:o1,o2,...`` (``offsets:0`` is the diagonal).  A pattern file
-    is any Matrix Market matrix, passed as the matrix
-    :func:`samkit.problems.matrix_market_read` returns, as
-    ``[pattern] kind = file`` does; ``[pattern] kind`` takes the string forms,
-    and one whose argument does not fit raises ``ValueError`` naming the form.
-    """
-    return _resolve(choice, A_ref)
-
-
-def _resolve(choice, A_ref):
-    """resolve_pattern's work; the pre-flight calls it here, so a wrapper of the public name sees a run's only."""
-    if sp.issparse(choice):
-        return patterns.pattern_of(choice)
-    if not isinstance(choice, str):
-        raise TypeError("pattern choice must be a sparse matrix or a string")
-    name, sep, arg = choice.partition(":")
-    if name not in _PATTERN_FORMS:
-        raise ValueError(f"unknown pattern choice {choice!r}")
-    form, convert, build = _PATTERN_FORMS[name]
-    try:
-        args = [to(text) for to, text in zip(convert, arg.split(":") if sep else [], strict=True)]
-    except ValueError:
-        raise ValueError(f"pattern choice {choice!r}: expected the form {form}") from None
-    return build(A_ref, *args)
-
-
-def _check_pattern(choice, n):
-    """Raise where ``choice`` cannot give a pattern for ``n x n`` systems, before the reference is known.
-
-    A sparse choice must be ``n x n``; a string is built on a 1x1 stand-in,
-    which parses it and runs its builder's range checks.
-    """
-    if sp.issparse(choice):
-        if choice.shape != (n, n):
-            raise ValueError(f"pattern is {choice.shape[0]}x{choice.shape[1]}, systems have size {n}")
-    else:
-        _resolve(choice, sp.identity(1, format="csc"))
-
-
 def run_sequence(spec: SequenceSpec, strategy: Strategy, ilutp_params: ilutp.IlutpParams,
                  pattern_choice, gmres_config: GmresConfig, sam_workers: int = 1) -> SequenceReport:
     """Solve every system of the sequence in order under the given strategy.
@@ -172,19 +117,20 @@ def run_sequence(spec: SequenceSpec, strategy: Strategy, ilutp_params: ilutp.Ilu
     A failed factorization of the first system raises.  Any later one is
     recorded as ``prec_failed`` and the previous operator is kept, so the run
     continues.  An event past the last system, a ``sam_workers`` below 1, a
-    pattern choice that cannot give a pattern for the systems (see
-    :func:`resolve_pattern`) or a matrix with malformed index arrays raises
-    before any work.  Each record's ``prec_seconds`` and ``gmres_seconds``
-    are two consecutive intervals of one clock: the system's action, then its
-    ``gmres`` call.
+    pattern choice that :func:`resolve_pattern` refuses for system 0 (always
+    the first reference) or a matrix with malformed index arrays raises
+    before any work.  The first map uses that pattern; the first map after a
+    later recompute resolves it again for the new reference.  Each record's
+    ``prec_seconds`` and ``gmres_seconds`` are two consecutive intervals of
+    one clock: the system's action, then its ``gmres`` call.
     """
     strategy.check_length(len(spec))
     check_integers(minimum=1, sam_workers=sam_workers)
-    _check_pattern(pattern_choice, spec.n)
+    S = resolve_pattern(pattern_choice, spec.matrices[0])  # system 0 is the first reference
     b = spec.rhs
     report = SequenceReport()
 
-    A_ref = P_ref = current = S = current_plan = None
+    A_ref = P_ref = current = current_plan = None
 
     for k, A_k in enumerate(checked_csc(*spec.matrices)):
         act = strategy.action(k)
@@ -195,7 +141,8 @@ def run_sequence(spec: SequenceSpec, strategy: Strategy, ilutp_params: ilutp.Ilu
             try:
                 P_ref = ilutp.factor(A_k, ilutp_params)
                 A_ref, current = A_k, P_ref
-                S = None  # the pattern is resolved again for the new reference
+                if k > 0:
+                    S = None  # the pattern is resolved again for the new reference
             except ilutp.FactorizationError:
                 if k == 0:
                     raise
@@ -359,12 +306,12 @@ def _parse_ilutp(il):
     return ilutp.IlutpParams(**_given(il, lfil=int, droptol=float, pivtol=float))
 
 
-def _parse_pattern(pt, n):
-    """A pattern choice for resolve_pattern; a pattern file, any Matrix Market matrix, is read here."""
+def _parse_pattern(pt, A0):
+    """A pattern choice, checked by resolving it for system 0; a pattern file is read here."""
     choice = pt.pop("kind", "ref")
     if choice == "file":
         choice = matrix_market_read(_require("pattern", "path", pt))
-    _check_pattern(choice, n)
+    resolve_pattern(choice, A0)
     return choice
 
 
@@ -418,5 +365,5 @@ def parse_config(path):
     return (spec,
             _parse_section(cp, "strategy", _parse_strategy, len(spec)),
             _parse_section(cp, "ilutp", _parse_ilutp),
-            _parse_section(cp, "pattern", _parse_pattern, spec.n),
+            _parse_section(cp, "pattern", _parse_pattern, spec.matrices[0]),
             _parse_section(cp, "gmres", _parse_gmres))

@@ -116,11 +116,11 @@ def _rows_to_csc(cols, vals, diag, perm):
 
 
 def factor(A, params: IlutpParams = IlutpParams()) -> IlutpFactors:
-    """Dual-threshold pivoted incomplete factorization of a square sparse matrix."""
+    """Dual-threshold pivoted incomplete factorization of a square, nonempty sparse matrix."""
     [A] = checked_csc(A)
     n, m = A.shape
-    if n != m:
-        raise ValueError("factor: matrix must be square")
+    if n != m or n == 0:
+        raise ValueError(f"factor: matrix must be square and nonempty, not {n}x{m}")
     R = A.tocsr()  # one-time transposition of the column layout for row access
     dtype = R.dtype
 

@@ -81,3 +81,45 @@ def sparsified_power(A, p: int, tau: float) -> sp.csc_matrix:
     coo = Ap.tocoo()
     return pattern_of(sp.csc_matrix((np.ones(keep.sum()), (coo.row[keep], coo.col[keep])), shape=A.shape))
 
+
+
+# each string pattern choice: its form, the converters of its ':'-separated
+# arguments, and its builder from the reference matrix and those arguments
+_PATTERN_FORMS = {
+    "ref": ("ref", (), pattern_of),
+    "power": ("power:P", (int,), symbolic_power),
+    "sparsified": ("sparsified:P:TAU", (int, float), sparsified_power),
+    "offsets": ("offsets:o1,o2,...", (lambda text: [int(tok) for tok in text.split(",")],),
+                lambda A, offsets: offset_pattern(A.shape[0], offsets)),
+}
+
+
+def resolve_pattern(choice, A_ref) -> sp.csc_matrix:
+    """Turn a pattern choice into a concrete pattern for the reference matrix.
+
+    Accepts a sparse matrix, whose stored positions are the pattern, or one
+    of the string forms ``ref``, ``power:P``, ``sparsified:P:TAU``,
+    ``offsets:o1,o2,...`` (``offsets:0`` is the diagonal).  A pattern file
+    is any Matrix Market matrix, passed as the matrix
+    :func:`samkit.problems.matrix_market_read` returns, as
+    ``[pattern] kind = file`` does; ``[pattern] kind`` takes the string forms,
+    and one whose argument does not fit raises ``ValueError`` naming the form,
+    as a builder's range check does.  A sparse choice whose shape is not
+    ``A_ref``'s raises ``ValueError``, and anything else ``TypeError``.
+    """
+    if sp.issparse(choice):
+        n = A_ref.shape[0]
+        if choice.shape != (n, n):
+            raise ValueError(f"pattern is {choice.shape[0]}x{choice.shape[1]}, systems have size {n}")
+        return pattern_of(choice)
+    if not isinstance(choice, str):
+        raise TypeError("pattern choice must be a sparse matrix or a string")
+    name, sep, arg = choice.partition(":")
+    if name not in _PATTERN_FORMS:
+        raise ValueError(f"unknown pattern choice {choice!r}")
+    form, convert, build = _PATTERN_FORMS[name]
+    try:
+        args = [to(text) for to, text in zip(convert, arg.split(":") if sep else [], strict=True)]
+    except ValueError:
+        raise ValueError(f"pattern choice {choice!r}: expected the form {form}") from None
+    return build(A_ref, *args)

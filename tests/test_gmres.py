@@ -158,6 +158,17 @@ def test_gmres_checks_vector_lengths():
     assert rep.converged and x.shape == (9,)
 
 
+
+@pytest.mark.parametrize("name, bad", [("b", np.nan), ("b", np.inf), ("x0", np.inf), ("x0", np.nan)])
+def test_gmres_refuses_non_finite_vectors(name, bad):
+    # a NaN b gave an unconverged NaN report, an infinite b or x0 "invalid
+    # value encountered in divide", and a NaN x0 a NaN x without a warning
+    spec = SequenceSpec.helmholtz(4, 4, 0.01, 3)
+    vectors = {"b": spec.rhs.copy(), "x0": np.zeros(spec.n)}
+    vectors[name][3] = bad
+    with pytest.raises(ValueError, match=f"^gmres: {name} has a non-finite entry$"):
+        gmres(spec.matrices[2], vectors["b"], x0=vectors["x0"])
+
 def test_residual_history_monotone_within_cycles():
     rng = np.random.default_rng(3)
     A = random_sparse(20, rng, diag_boost=8.0)

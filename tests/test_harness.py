@@ -108,6 +108,9 @@ def test_resolve_pattern_forms(tmp_path):
     assert same_pattern(got, pattern_of(M)) and got.data.tolist() == [1.0] * 4
     assert np.array_equal(got.indptr, [0, 3, 3, 4, 4, 4, 4]) and np.array_equal(got.indices, [0, 3, 5, 1])
     assert same_pattern(resolve_pattern(P, A), P)
+    # a sparse choice must fit the reference; it was returned as it stood
+    with pytest.raises(ValueError, match="^pattern is 4x4, systems have size 6$"):
+        resolve_pattern(offset_pattern(4, [0]), A)
     # a malformed argument names the choice and its form; most raised int()'s
     # "invalid literal" and sparsified:2 "not enough values to unpack"
     malformed = {"ref": ["ref:junk", "ref:"],
@@ -214,21 +217,23 @@ def test_event_past_the_end_raises_before_any_factorization(monkeypatch):
 
 
 def test_bad_pattern_choice_raises_before_any_factorization(monkeypatch):
-    # each was refused at the first map, after every system before it was solved
+    # each was refused at the first map, after every system before it was
+    # solved; a strategy that never maps refuses it all the same
     spec = small_sweep(count=4)
 
     def no_factor(*args, **kwargs):
         raise AssertionError("factored before the pattern choice was checked")
     monkeypatch.setattr(samkit.harness.ilutp, "factor", no_factor)
-    strategy = Strategy.at_events([(0, "prec"), (3, "sam")])
-    for choice, error, message in (
-            ("power:9", ValueError, "^power must be between 1 and 5$"),
-            ("offsets:x", ValueError, r"^pattern choice 'offsets:x': expected the form offsets:o1,o2,\.\.\.$"),
-            ("nope", ValueError, "^unknown pattern choice 'nope'$"),
-            (offset_pattern(4, [0]), ValueError, "^pattern is 4x4, systems have size 16$"),
-            (None, TypeError, "^pattern choice must be a sparse matrix or a string$")):
-        with pytest.raises(error, match=message):
-            run_sequence(spec, strategy, MILD_ILUTP, choice, FAST_GMRES)
+    refusals = (
+        ("power:9", ValueError, "^power must be between 1 and 5$"),
+        ("offsets:x", ValueError, r"^pattern choice 'offsets:x': expected the form offsets:o1,o2,\.\.\.$"),
+        ("nope", ValueError, "^unknown pattern choice 'nope'$"),
+        (offset_pattern(4, [0]), ValueError, "^pattern is 4x4, systems have size 16$"),
+        (None, TypeError, "^pattern choice must be a sparse matrix or a string$"))
+    for strategy in (Strategy.at_events([(0, "prec"), (3, "sam")]), Strategy.reuse_first()):
+        for choice, error, message in refusals:
+            with pytest.raises(error, match=message):
+                run_sequence(spec, strategy, MILD_ILUTP, choice, FAST_GMRES)
 
 
 def test_run_determinism():

@@ -33,7 +33,7 @@ def test_helmholtz_sweep_boundary_rhs():
     assert np.all(b[1:nx - 1] == 1.0)
 
 
-def test_laplace2d_symmetric_positive_definite():
+def test_fem_pair_unit_stiffness_symmetric_positive_definite():
     K = fem_pair_2d(8, 7)[0]
     assert spla.norm(K - K.T) == 0.0
     evals = np.linalg.eigvalsh(K.toarray())
@@ -55,7 +55,7 @@ def _same_bytes(X, Y):
 @pytest.mark.parametrize("nx, ny, kron_stores_zeros", [
     (2, 2, True), (10, 10, False), (3, 7, True), (7, 3, False), (32, 32, False),
 ])
-def test_laplace2d_matches_kron_construction(nx, ny, kron_stores_zeros):
+def test_fem_pair_unit_stiffness_matches_kron_construction(nx, ny, kron_stores_zeros):
     K = fem_pair_2d(nx, ny)[0]
     old = kron_laplacian(nx, ny)
     # on small grids scipy's kron builds dense blocks and stores their zeros;
@@ -100,7 +100,7 @@ def test_helmholtz_twentieth_shift_indefinite():
 
 
 def test_fem_pair_constant_kappa_matches_laplacian():
-    # the stiffness is the 5-point Laplacian (test_laplace2d_matches_kron_construction)
+    # the stiffness is the 5-point Laplacian (test_fem_pair_unit_stiffness_matches_kron_construction)
     K, M = fem_pair_2d(5, 4)
     hx, hy = 1.0 / 6.0, 1.0 / 5.0
     assert M.nnz == 20
