@@ -4,8 +4,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .harness import ConfigError, parse_config, render_report, run_sequence
 from .problems import matrix_market_write
 
@@ -29,7 +27,7 @@ def _cmd_run(args):
 
 
 def _cmd_gen(args):
-    """Write a config's pair, rhs and shifts as a ``shifted_pair`` config reads them."""
+    """Write a config's pair, rhs and shifts as the Matrix Market files a ``shifted_pair`` config reads."""
     outdir = Path(args.out)  # made with its missing parents; the nearest existing one must be a directory
     existing = next(p for p in (outdir, *outdir.parents) if p.exists())
     if not existing.is_dir():
@@ -38,10 +36,9 @@ def _cmd_gen(args):
     if spec.pair is None:
         raise ConfigError(f"gen: a {spec.kind} sequence has no (K, M) pair to write")
     outdir.mkdir(parents=True, exist_ok=True)
-    matrix_market_write(spec.pair[0], outdir / "k.mtx")
-    matrix_market_write(spec.pair[1], outdir / "m.mtx")
-    matrix_market_write(spec.rhs.reshape(-1, 1), outdir / "rhs.mtx")
-    np.savetxt(outdir / "shifts.txt", spec.shifts.view(float).reshape(-1, 2), fmt="%.17g")
+    for name, A in (("k", spec.pair[0]), ("m", spec.pair[1]),
+                    ("rhs", spec.rhs.reshape(-1, 1)), ("shifts", spec.shifts.reshape(-1, 1))):
+        matrix_market_write(A, outdir / f"{name}.mtx")
     print(f"wrote {spec.kind} problem files to {outdir}", file=sys.stderr)
     return 0
 

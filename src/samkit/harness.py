@@ -239,24 +239,21 @@ def _parse_shifts(seq, contour):
             raise ConfigError("sequence.shifts: expected pairs of 're im' values")
         return pairs.view(np.complex128)  # each (re, im) pair, bit for bit
     if "shift_file" in seq:
-        pairs = np.loadtxt(seq.pop("shift_file"), ndmin=2)
-        if pairs.shape[0] == 0 or pairs.shape[1] != 2:
-            raise ConfigError("sequence.shift_file: expected one 're im' pair per line")
-        return pairs.view(np.complex128)[:, 0]
+        return _vector_file(seq, "shift_file")
     return talbot_shifts(int(seq.pop("n_z", "40")), float(seq.pop("t", "60"))) if contour else None
 
 
-def _parse_rhs(seq):
-    src = seq.pop("rhs", "point")
-    if src == "point":
-        return None  # SequenceSpec's point source
-    if src.startswith("file:"):
-        # an n x 1 Matrix Market vector, as `samkit gen` writes; SequenceSpec checks n
-        vec = matrix_market_read(src[len("file:"):])
-        if vec.shape[1] != 1:
-            raise ConfigError(f"sequence.rhs: file holds shape {vec.shape}, not one column")
-        return vec.toarray().ravel()
-    raise ConfigError(f"sequence.rhs: unknown source {src!r}")
+def _vector_file(seq, key):
+    """The values of the m x 1 Matrix Market vector that ``key`` names, or None without ``key``.
+
+    `samkit gen` writes its rhs and shifts so; SequenceSpec checks their length and values.
+    """
+    if key not in seq:
+        return None
+    vec = matrix_market_read(seq.pop(key))
+    if vec.shape[1] != 1:
+        raise ConfigError(f"sequence.{key}: file holds shape {vec.shape}, not one column")
+    return vec.toarray().ravel()
 
 
 def _parse_events(text):
@@ -289,11 +286,13 @@ def _parse_sequence(seq):
             M = matrix_market_read(_require("sequence", "m_file", seq))
         else:
             K, M = fem_pair_2d(int(seq.pop("nx", "32")), int(seq.pop("ny", "32")))
-        return SequenceSpec.shifted_pair(K, M, _parse_shifts(seq, contour=True), rhs=_parse_rhs(seq))
+        return SequenceSpec.shifted_pair(K, M, _parse_shifts(seq, contour=True),
+                                         rhs=_vector_file(seq, "rhs_file"))
     if kind != "matrix_files":
         raise ConfigError(f"sequence.kind: unknown kind {kind!r}")
     files = _require("sequence", "files", seq).split()
-    return SequenceSpec.matrix_files(files, shifts=_parse_shifts(seq, contour=False), rhs=_parse_rhs(seq))
+    return SequenceSpec.matrix_files(files, shifts=_parse_shifts(seq, contour=False),
+                                     rhs=_vector_file(seq, "rhs_file"))
 
 
 def _parse_strategy(st, n_systems):
@@ -341,11 +340,12 @@ def _parse_section(cp, name, parse, *args):
 def parse_config(path):
     """Read a run description: (spec, strategy, ilutp params, pattern, gmres config).
 
-    Matrix, right-hand side and pattern files are Matrix Market; shift files
-    hold "re im" lines.  Malformed INI and unknown sections raise
-    :class:`ConfigError`; then each section, in the order returned, raises it
-    for a bad value or a file that cannot be read or does not fit, and then for
-    the keys that it or its kind did not read.  All come before any factoring.
+    Every file it names is Matrix Market: matrices, patterns, and the
+    right-hand side and shifts as one-column vectors.  Malformed INI and
+    unknown sections raise :class:`ConfigError`; then each section, in the
+    order returned, raises it for a bad value or a file that cannot be read or
+    does not fit, and then for the keys that it or its kind did not read.  All
+    come before any factoring.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:

@@ -61,14 +61,15 @@ def sparsified_power(A, p: int, tau: float) -> sp.csc_matrix:
     """Pattern of A^p thresholded at tau.
 
     The threshold is relative: A^p is scaled to unit maximum magnitude before
-    comparing against tau, so tau is scale-free.  tau = 0 keeps the full
-    structural pattern of A^p.  Malformed index arrays raise ``ValueError``.
+    comparing against tau, so tau is scale-free and lies in [0, 1].  tau = 0
+    keeps the full structural pattern of A^p, and tau = 1 its largest
+    entries.  Malformed index arrays raise ``ValueError``.
     """
     [A] = checked_csc(A)
     if A.shape[0] != A.shape[1]:
         raise ValueError("sparsified_power needs a square matrix")
-    if not tau >= 0:  # NaN fails too
-        raise ValueError("tau must be nonnegative")
+    if not 0 <= tau <= 1:  # NaN fails too; above 1 nothing would be kept
+        raise ValueError(f"tau must lie in [0, 1], not {tau}")
     _check_power(p)
     if tau == 0:
         return symbolic_power(A, p)

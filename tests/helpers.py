@@ -10,7 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 
 import samkit
-from samkit import as_csc, pattern_of
+from samkit import SequenceSpec, as_csc, pattern_of
 
 
 def random_sparse(n, rng, per_col=5, diag_boost=None, complex_values=False):
@@ -97,3 +97,8 @@ def refusal_in_child(call):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     return proc.returncode, proc.stdout.strip() or None
+
+
+def shifted_family(alphas, E, A):
+    """[alpha * E + A for alpha in alphas], the systems of ``SequenceSpec.shifted_pair(A, E, alphas)``."""
+    return SequenceSpec.shifted_pair(A, E, alphas).matrices

@@ -510,8 +510,8 @@ def test_parse_config_rejections(tmp_path):
         "bad_interpolation": "[sequence]\nkind = helmholtz_sweep\ndelta_s = 1%\n",
     }
     # inline shifts, a shift file and the contour keys are three exclusive sources
-    shift_file = tmp_path / "shifts.txt"
-    shift_file.write_text("1 0\n2 0\n")
+    shift_file = tmp_path / "shifts.mtx"
+    matrix_market_write(np.array([[1.0], [2.0]]), shift_file)
     for name, extra in (("file_n_z", f"shift_file = {shift_file}\nn_z = 8\n"),
                         ("file_t", f"shift_file = {shift_file}\nt = 2\n"),
                         ("inline_n_z", "shifts = 1 0\nn_z = 8\n"),
@@ -537,6 +537,7 @@ def test_parse_config_rejections(tmp_path):
         "power_out_of_range": small + "[pattern]\nkind = power:9\n",
         "bad_tau": small + "[pattern]\nkind = sparsified:2:x\n",
         "nan_tau": small + "[pattern]\nkind = sparsified:2:nan\n",
+        "tau_above_one": small + "[pattern]\nkind = sparsified:2:2\n",
         "sparsified_without_tau": small + "[pattern]\nkind = sparsified:2\n",
         "power_without_p": small + "[pattern]\nkind = power\n",
         "nan_droptol": small + "[ilutp]\ndroptol = nan\n",
@@ -549,7 +550,7 @@ def test_parse_config_rejections(tmp_path):
         "pattern_file_wrong_size": small + f"[pattern]\nkind = file\npath = {wrong_size}\n",
         "text_pattern_file": small + f"[pattern]\nkind = file\npath = {text_pattern}\n",
         "text_rhs_file": ("[sequence]\nkind = shifted_pair\nnx = 3\nny = 3\nshifts = 1 0\n"
-                          f"rhs = file:{text_rhs}\n"),
+                          f"rhs_file = {text_rhs}\n"),
     })
     for name, content in bad.items():
         path = tmp_path / f"{name}.cfg"
@@ -560,7 +561,7 @@ def test_parse_config_rejections(tmp_path):
     with_message = {
         "sequence.shifts: expected pairs of 're im' values$": pair + "shifts = 1 0 2\n",
         "sequence: give only one of shifts, shift_file, n_z/t$": pair + "shifts = 1 0\nn_z = 8\n",
-        "sequence.rhs: unknown source 'wave'$": pair + "shifts = 1 0\nrhs = wave\n",
+        r"^\[sequence\] kind shifted_pair does not read rhs$": pair + "shifts = 1 0\nrhs = wave\n",
         r"strategy.events: expected a bracketed list like \[0:prec, 15:sam\]$":
             small + "[strategy]\nevents = 0:prec\n",
         "strategy.events: bad item 'x:sam'$": small + "[strategy]\nevents = [0:prec, x:sam]\n",
@@ -591,7 +592,7 @@ def test_parse_config_refuses_what_its_kinds_do_not_read(tmp_path):
         # each was accepted and dropped what the kind does not read
         r"^\[sequence\] kind helmholtz_sweep does not read k_file, shifts$":
             "[sequence]\nkind = helmholtz_sweep\nshifts = 5 0\nk_file = nowhere.mtx\n",
-        r"^\[sequence\] kind helmholtz_sweep does not read rhs$": small + "rhs = point\n",
+        r"^\[sequence\] kind helmholtz_sweep does not read rhs_file$": small + "rhs_file = nowhere.mtx\n",
         r"^\[sequence\] kind matrix_files does not read n_z$":
             f"[sequence]\nkind = matrix_files\nfiles = {tmp_path / 'k.mtx'}\nn_z = 8\n",
         r"^\[pattern\] kind offsets:0 does not read path$": small + "[pattern]\nkind = offsets:0\npath = nowhere.mtx\n",
@@ -600,6 +601,8 @@ def test_parse_config_refuses_what_its_kinds_do_not_read(tmp_path):
         "unknown strategy kind 'events', expected one of prec, sam, reuse$":
             small + "[strategy]\nkind = events\nevents = [0:prec]\n",
         "'full'$": small + "[gmres]\nrestart = full\n",
+        r"^\[sequence\] kind matrix_files does not read rhs$":
+            f"[sequence]\nkind = matrix_files\nfiles = {tmp_path / 'k.mtx'}\nrhs = file:{tmp_path / 'k.mtx'}\n",
         # an empty file list is an empty sequence, not an IndexError
         "at least one system$": "[sequence]\nkind = matrix_files\nfiles =\n",
     }
@@ -635,11 +638,11 @@ def _bits(x):
 def _problem_files(tmp_path):
     """Write a 4x4 FEM pair, its right-hand side, two shifts and the tridiagonal pattern; their paths."""
     K, M = fem_pair_2d(2, 2)
-    paths = {name: tmp_path / f"{name}.mtx" for name in ("k", "m", "rhs", "tri")}
-    for name, A in (("k", K), ("m", M), ("rhs", np.ones((4, 1))), ("tri", offset_pattern(4, [-1, 0, 1]))):
+    files = {"k": K, "m": M, "rhs": np.ones((4, 1)), "shifts": np.array([[1], [2 + 0.5j]]),
+             "tri": offset_pattern(4, [-1, 0, 1])}
+    paths = {name: tmp_path / f"{name}.mtx" for name in files}
+    for name, A in files.items():
         matrix_market_write(A, paths[name])
-    paths["shifts"] = tmp_path / "shifts.txt"
-    paths["shifts"].write_text("1 0\n2 0.5\n")
     return paths
 
 
@@ -647,12 +650,12 @@ def _problem_files(tmp_path):
 # (nx/ny against k_file/m_file; shifts, shift_file and n_z/t)
 EVERY_SEQUENCE_KEY = {
     "helmholtz_sweep": "kind = helmholtz_sweep\nnx = 3\nny = 3\ndelta_s = 0.1\ncount = 2\n",
-    "shifted_pair_grid_shifts": "kind = shifted_pair\nnx = 2\nny = 2\nshifts = 1 0 2 0\nrhs = file:{rhs}\n",
+    "shifted_pair_grid_shifts": "kind = shifted_pair\nnx = 2\nny = 2\nshifts = 1 0 2 0\nrhs_file = {rhs}\n",
     "shifted_pair_files_shift_file": ("kind = shifted_pair\nk_file = {k}\nm_file = {m}\n"
-                                      "shift_file = {shifts}\nrhs = file:{rhs}\n"),
-    "shifted_pair_contour": "kind = shifted_pair\nnx = 2\nny = 2\nn_z = 4\nt = 2\nrhs = point\n",
-    "matrix_files_shifts": "kind = matrix_files\nfiles = {k} {m}\nshifts = 1 0 2 0\nrhs = file:{rhs}\n",
-    "matrix_files_shift_file": "kind = matrix_files\nfiles = {k} {m}\nshift_file = {shifts}\nrhs = point\n",
+                                      "shift_file = {shifts}\nrhs_file = {rhs}\n"),
+    "shifted_pair_contour": "kind = shifted_pair\nnx = 2\nny = 2\nn_z = 4\nt = 2\n",
+    "matrix_files_shifts": "kind = matrix_files\nfiles = {k} {m}\nshifts = 1 0 2 0\nrhs_file = {rhs}\n",
+    "matrix_files_shift_file": "kind = matrix_files\nfiles = {k} {m}\nshift_file = {shifts}\n",
 }
 # every key of the other four sections
 EVERY_OTHER_KEY = ("[strategy]\nkind = reuse\nevents = [0:prec, 1:sam]\n"
@@ -773,8 +776,8 @@ def test_parse_config_shifted_pair_inline_shifts(tmp_path):
 
 
 def test_parse_config_shift_file(tmp_path):
-    shifts = tmp_path / "shifts.txt"
-    shifts.write_text("1.0 0.5\n2.0 -0.5\n")
+    shifts = tmp_path / "shifts.mtx"
+    matrix_market_write(np.array([[1.0 + 0.5j], [2.0 - 0.5j]]), shifts)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         f"[sequence]\nkind = shifted_pair\nnx = 3\nny = 3\nshift_file = {shifts}\n")
@@ -788,8 +791,8 @@ def test_parse_config_matrix_files_keeps_shifts(tmp_path):
     for name, A in (("a.mtx", K), ("b.mtx", K + M)):
         matrix_market_write(A, tmp_path / name)
         files.append(str(tmp_path / name))
-    shift_file = tmp_path / "shifts.txt"
-    shift_file.write_text("3 0\n4 -1\n")
+    shift_file = tmp_path / "shifts.mtx"
+    matrix_market_write(np.array([[3.0], [4.0 - 1j]]), shift_file)
     cases = {"shifts = 1 0 2 0.5": [1.0, 2.0 + 0.5j], f"shift_file = {shift_file}": [3.0, 4.0 - 1j],
              "": [0.0, 0.0]}
     cfg = tmp_path / "run.cfg"
@@ -835,20 +838,25 @@ def test_cli_run_reports_config_error_on_one_line(tmp_path, capsys):
 @pytest.mark.parametrize("text, message", [
     (SMALL_SWEEP + "[pattern]\nkind = diag\n", "pattern: unknown pattern choice 'diag'"),
     (SMALL_SWEEP + "[pattern]\nkind = tridiag\n", "pattern: unknown pattern choice 'tridiag'"),
-    (SMALL_PAIR + "shifts = 1 0\nrhs = ones\n", "sequence.rhs: unknown source 'ones'"),
+    (SMALL_PAIR + "shifts = 1 0\nrhs = ones\n", "[sequence] kind shifted_pair does not read rhs"),
+    (SMALL_PAIR + "shifts = 1 0\nrhs = file:{tmp}/rhs.mtx\n", "[sequence] kind shifted_pair does not read rhs"),
+    (SMALL_PAIR + "shift_file = {tmp}/shifts.txt\n",
+     "sequence: {tmp}/shifts.txt: Line 1: Not a Matrix Market file. Missing banner."),
     (SMALL_PAIR + "n_z = 8\ntalbot_constants = 0.6 0.5 0.6 0.3\n", "[sequence] kind shifted_pair does not read talbot_constants"),
     *((SMALL_SWEEP + f"[strategy]\nkind = {kind}\n",
        f"strategy: unknown strategy kind '{kind}', expected one of prec, sam, reuse")
       for kind in ("recompute_every", "sam_every", "reuse_first")),
-], ids=["diag", "tridiag", "rhs_ones", "talbot_constants", "recompute_every", "sam_every", "reuse_first"])
+], ids=["diag", "tridiag", "rhs_ones", "rhs_file_prefix", "shift_text", "talbot_constants", "recompute_every", "sam_every", "reuse_first"])
 def test_cli_run_refuses_retired_spellings(tmp_path, capsys, text, message):
-    # each input has one spelling: offsets:0, offsets:-1,0,1, rhs = file:PATH,
+    # each input has one spelling: offsets:0, offsets:-1,0,1, rhs_file = PATH
+    # (no rhs_file is the point source), shift_file = a Matrix Market vector,
     # a contour with other constants given as its shifts, and a strategy
     # kind as the action of every system that no event names
+    (tmp_path / "shifts.txt").write_text("1 0\n")
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(text)
+    cfg.write_text(text.format(tmp=tmp_path))
     assert cli_main(["run", "--config", str(cfg)]) == 2
-    assert capsys.readouterr() == ("", f"samkit: {message}\n")
+    assert capsys.readouterr() == ("", f"samkit: {message.format(tmp=tmp_path)}\n")
 
 
 def test_cli_run_writes_file(tmp_path):
@@ -901,8 +909,9 @@ def test_cli_gen_helmholtz(tmp_path):
     assert matrix_market_read(outdir / "m.mtx").shape == (16, 16)
     rhs = matrix_market_read(outdir / "rhs.mtx")
     assert rhs.shape == (16, 1)
-    lines = (outdir / "shifts.txt").read_text().strip().split("\n")
-    assert len(lines) == 6  # the base system and five shifted ones
+    # the base system and five shifted ones
+    assert matrix_market_read(outdir / "shifts.mtx").shape == (6, 1)
+    assert sorted(p.name for p in outdir.iterdir()) == ["k.mtx", "m.mtx", "rhs.mtx", "shifts.mtx"]
 
 
 def test_cli_gen_fem_pair(tmp_path):
@@ -910,12 +919,11 @@ def test_cli_gen_fem_pair(tmp_path):
     from samkit import matrix_market_read
     assert matrix_market_read(outdir / "k.mtx").shape == (9, 9)
     assert matrix_market_read(outdir / "m.mtx").shape == (9, 9)
-    lines = (outdir / "shifts.txt").read_text().strip().split("\n")
-    assert len(lines) == 4
+    assert matrix_market_read(outdir / "shifts.mtx").shape == (4, 1)
     # gen takes the config's own defaults: a 32x32 grid and n_z = 40, which gives 20 shifts
     outdir = _gen(tmp_path, "gen3", "kind = shifted_pair\n")
     assert matrix_market_read(outdir / "k.mtx").shape == (1024, 1024)
-    assert len((outdir / "shifts.txt").read_text().strip().split("\n")) == 20
+    assert matrix_market_read(outdir / "shifts.mtx").shape == (20, 1)
 
 
 def test_cli_gen_output_runs(tmp_path):
@@ -931,8 +939,8 @@ def test_cli_gen_output_runs(tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
             f"[sequence]\nkind = shifted_pair\nk_file = {outdir / 'k.mtx'}\n"
-            f"m_file = {outdir / 'm.mtx'}\nshift_file = {outdir / 'shifts.txt'}\n"
-            f"rhs = file:{outdir / 'rhs.mtx'}\n")
+            f"m_file = {outdir / 'm.mtx'}\nshift_file = {outdir / 'shifts.mtx'}\n"
+            f"rhs_file = {outdir / 'rhs.mtx'}\n")
         spec, strategy, params, pattern, gc = parse_config(cfg)
         assert np.array_equal(spec.rhs, direct.rhs)
         assert np.array_equal(spec.shifts, direct.shifts)
@@ -969,18 +977,18 @@ def test_parse_config_rhs_file(tmp_path):
     base = "[sequence]\nkind = shifted_pair\nnx = 2\nny = 2\nshifts = 1 0\n"
     vector = tmp_path / "rhs.mtx"
     matrix_market_write(np.array([[1.0], [-2.5], [0.0], [0.3]]), vector)
-    cfg.write_text(base + f"rhs = file:{vector}\n")
+    cfg.write_text(base + f"rhs_file = {vector}\n")
     spec, *_ = parse_config(cfg)
     assert np.array_equal(spec.rhs, [1.0, -2.5, 0.0, 0.3])
     # the array format, as scipy writes a dense vector, reads the same
     array = tmp_path / "array.mtx"
     scipy.io.mmwrite(array, np.array([[1.0], [-2.5], [0.0], [0.3]]))
-    cfg.write_text(base + f"rhs = file:{array}\n")
+    cfg.write_text(base + f"rhs_file = {array}\n")
     spec, *_ = parse_config(cfg)
     assert np.array_equal(spec.rhs, [1.0, -2.5, 0.0, 0.3])
     # a matrix_files sequence takes its right-hand side from the file too
     matrix_market_write(fem_pair_2d(2, 2)[0], tmp_path / "k.mtx")
-    cfg.write_text(f"[sequence]\nkind = matrix_files\nfiles = {tmp_path / 'k.mtx'}\nrhs = file:{vector}\n")
+    cfg.write_text(f"[sequence]\nkind = matrix_files\nfiles = {tmp_path / 'k.mtx'}\nrhs_file = {vector}\n")
     spec, *_ = parse_config(cfg)
     assert np.array_equal(spec.rhs, [1.0, -2.5, 0.0, 0.3])
     short = tmp_path / "short.mtx"
@@ -992,31 +1000,43 @@ def test_parse_config_rhs_file(tmp_path):
     square = tmp_path / "square.mtx"
     matrix_market_write(np.ones((2, 2)), square)
     for path in (tmp_path / "missing.mtx", short, row, square):
-        cfg.write_text(base + f"rhs = file:{path}\n")
+        cfg.write_text(base + f"rhs_file = {path}\n")
         with pytest.raises(ConfigError):
             parse_config(cfg)
+    cfg.write_text(base + f"rhs_file = {square}\n")
+    with pytest.raises(ConfigError, match=r"^sequence.rhs_file: file holds shape \(2, 2\), not one column$"):
+        parse_config(cfg)
     # a file's values pass SequenceSpec's check, which refuses a NaN
     nan_vector = tmp_path / "nan.mtx"
     matrix_market_write(np.array([[1.0], [np.nan], [0.0], [0.3]]), nan_vector)
-    cfg.write_text(base + f"rhs = file:{nan_vector}\n")
+    cfg.write_text(base + f"rhs_file = {nan_vector}\n")
     with pytest.raises(ConfigError, match="^sequence: the right-hand side must hold finite integer, real or complex values$"):
         parse_config(cfg)
 
 
-@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
 def test_parse_config_shift_file_faults(tmp_path):
     cfg = tmp_path / "run.cfg"
-    for name, content in (("three.txt", "1 2 3\n"), ("one.txt", "1\n2\n"), ("empty.txt", ""),
-                          ("ragged.txt", "1 2\n3\n"), ("word.txt", "1 x\n")):
-        path = tmp_path / name
-        path.write_text(content)
-        cfg.write_text(f"[sequence]\nkind = shifted_pair\nnx = 2\nny = 2\nshift_file = {path}\n")
-        with pytest.raises(ConfigError):
+    base = "[sequence]\nkind = shifted_pair\nnx = 2\nny = 2\n"
+    text = tmp_path / "text.txt"
+    text.write_text("1 0\n2 0\n")
+    empty = tmp_path / "empty.mtx"
+    empty.write_text("%%MatrixMarket matrix coordinate real general\n0 1 0\n")
+    nan = tmp_path / "nan.mtx"
+    matrix_market_write(np.array([[1.0], [np.nan]]), nan)
+    for name, A in (("row.mtx", np.ones((1, 2))), ("square.mtx", np.ones((2, 2)))):
+        matrix_market_write(A, tmp_path / name)
+    cases = {
+        text: f"^sequence: {re.escape(str(text))}: Line 1: Not a Matrix Market file. Missing banner.$",
+        tmp_path / "row.mtx": r"^sequence.shift_file: file holds shape \(1, 2\), not one column$",
+        tmp_path / "square.mtx": r"^sequence.shift_file: file holds shape \(2, 2\), not one column$",
+        empty: "^sequence: a sequence needs at least one system$",
+        nan: "^sequence: shifts must be a 1-D sequence of finite values$",
+        tmp_path / "missing.mtx": "missing.mtx",
+    }
+    for path, message in cases.items():
+        cfg.write_text(base + f"shift_file = {path}\n")
+        with pytest.raises(ConfigError, match=message):
             parse_config(cfg)
-    cfg.write_text(f"[sequence]\nkind = shifted_pair\nnx = 2\nny = 2\n"
-                   f"shift_file = {tmp_path / 'missing.txt'}\n")
-    with pytest.raises(ConfigError):
-        parse_config(cfg)
 
 
 def test_run_sequence_refuses_malformed_index_arrays(monkeypatch):

@@ -227,17 +227,20 @@ def test_sparsified_power_no_threshold_is_symbolic():
         assert same_pattern(sparsified_power(A, p, 0.0), symbolic_power(pattern_of(A), p))
 
 
-@pytest.mark.parametrize("tau", [-1e-3, np.nan])
+@pytest.mark.parametrize("tau", [-1e-3, np.nan, 1.5, np.inf])
 def test_sparsified_power_rejects_bad_tau(tau):
-    # a NaN tau returned an empty pattern
-    with pytest.raises(ValueError, match="tau"):
+    # a NaN tau, and any tau above 1, returned an empty pattern
+    with pytest.raises(ValueError, match=r"^tau must lie in \[0, 1\], not "):
         sparsified_power(as_csc(np.eye(3)), 2, tau)
 
 
-def test_sparsified_power_above_one_empties():
+def test_sparsified_power_tau_one_keeps_the_largest():
     rng = np.random.default_rng(3)
     A = random_sparse(10, rng)
-    assert sparsified_power(A, 2, 2.0).nnz == 0
+    mags = abs(A @ A).tocsc()
+    mags.eliminate_zeros()
+    largest = mags == mags.max()
+    assert largest.nnz >= 1 and same_pattern(sparsified_power(A, 2, 1.0), largest)
 
 
 def test_sparsified_power_against_dense_oracle():

@@ -9,7 +9,7 @@ from samkit import (
     SequenceSpec, as_csc, fem_pair_2d, matrix_market_read, matrix_market_write,
     point_source_rhs, talbot_shifts,
 )
-from helpers import random_sparse, refusal_in_child
+from helpers import random_sparse, refusal_in_child, shifted_family
 
 
 def test_fem_pair_unit_stiffness_size_and_stencil():
@@ -527,3 +527,37 @@ def test_point_source_rhs():
     # n = 0 raised IndexError
     with pytest.raises(ValueError, match="^n must be at least 1, not 0$"):
         point_source_rhs(0)
+
+
+# one-member families: alpha * E + A alone
+
+def test_shifted_pair_single_shift_zero():
+    rng = np.random.default_rng(7)
+    A = random_sparse(6, rng)
+    E = sp.identity(6, format="csc")
+    C = shifted_family([0.0], E, A)[0]
+    assert np.array_equal(C.toarray(), A.toarray())
+    # union pattern: the diagonal positions of E are now stored
+    assert C.nnz >= A.nnz
+    assert np.all(np.isin(np.arange(6), C.tocoo().row[C.tocoo().row == C.tocoo().col]))
+
+
+def test_shifted_pair_single_shift_identity():
+    Z = as_csc(np.zeros((2, 2)))
+    C = shifted_family([1.0], sp.identity(2, format="csc"), Z)[0]
+    assert np.array_equal(C.toarray(), np.eye(2))
+
+
+def test_shifted_pair_single_shift_complex_exact():
+    rng = np.random.default_rng(8)
+    K = random_sparse(6, rng)
+    M = random_sparse(6, rng)
+    z = 2 + 3j
+    C = shifted_family([z], M, K)[0]
+    assert C.dtype == np.complex128
+    assert np.array_equal(C.toarray(), z * M.toarray() + K.toarray())
+
+
+def test_shifted_pair_single_shift_dimension_mismatch():
+    with pytest.raises(ValueError, match=r"^K and M must have one shape, not \(3, 3\) and \(2, 2\)$"):
+        shifted_family([1.0], sp.identity(2, format="csc"), sp.identity(3, format="csc"))

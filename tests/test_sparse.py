@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from samkit import SequenceSpec, as_csc
 from samkit.sparse import check_indices, checked_csc, ldexp, matvec, norm_ratio, scale_exponent
-from helpers import random_sparse, refusal_in_child
+from helpers import random_sparse, refusal_in_child, shifted_family
 
 
 def test_matvec_identity_and_diagonal():
@@ -46,45 +46,6 @@ def test_matvec_associativity():
     lhs = matvec(A @ B, x)
     rhs = matvec(A, matvec(B, x))
     assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(np.linalg.norm(rhs), 1.0)
-
-
-def shifted_family(alphas, E, A):
-    """[alpha * E + A for alpha in alphas], the systems of ``SequenceSpec.shifted_pair(A, E, alphas)``."""
-    return SequenceSpec.shifted_pair(A, E, alphas).matrices
-
-
-# one-member families: alpha * E + A alone
-
-def test_shifted_combine_zero_shift():
-    rng = np.random.default_rng(7)
-    A = random_sparse(6, rng)
-    E = sp.identity(6, format="csc")
-    C = shifted_family([0.0], E, A)[0]
-    assert np.array_equal(C.toarray(), A.toarray())
-    # union pattern: the diagonal positions of E are now stored
-    assert C.nnz >= A.nnz
-    assert np.all(np.isin(np.arange(6), C.tocoo().row[C.tocoo().row == C.tocoo().col]))
-
-
-def test_shifted_combine_identity():
-    Z = as_csc(np.zeros((2, 2)))
-    C = shifted_family([1.0], sp.identity(2, format="csc"), Z)[0]
-    assert np.array_equal(C.toarray(), np.eye(2))
-
-
-def test_shifted_combine_complex_shift_exact():
-    rng = np.random.default_rng(8)
-    K = random_sparse(6, rng)
-    M = random_sparse(6, rng)
-    z = 2 + 3j
-    C = shifted_family([z], M, K)[0]
-    assert C.dtype == np.complex128
-    assert np.array_equal(C.toarray(), z * M.toarray() + K.toarray())
-
-
-def test_shifted_combine_dimension_mismatch():
-    with pytest.raises(ValueError, match=r"^K and M must have one shape, not \(3, 3\) and \(2, 2\)$"):
-        shifted_family([1.0], sp.identity(2, format="csc"), sp.identity(3, format="csc"))
 
 
 def _positions(M):
