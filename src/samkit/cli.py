@@ -5,21 +5,18 @@ import sys
 from pathlib import Path
 
 from .harness import ConfigError, parse_config, render_report, run_sequence
+from .ilutp import FactorizationError
 from .problems import matrix_market_write
 
 
 def _cmd_run(args):
-    if args.out:  # an --out that cannot be written is refused before the run, not after it
-        out = Path(args.out)
-        if out.is_dir():
-            raise ConfigError(f"run: --out {out} is a directory")
-        if not out.parent.is_dir():
-            state = "is not a directory" if out.parent.exists() else "does not exist"
-            raise ConfigError(f"run: --out directory {out.parent} {state}")
-    report = run_sequence(*parse_config(args.config))
+    config = parse_config(args.config)
+    if args.out:  # the system judges --out before any work; appending keeps an existing file until the run is done
+        open(args.out, "a").close()
+    report = run_sequence(*config)
     text = render_report(report, format=args.format)
     if args.out:
-        out.write_text(text)
+        Path(args.out).write_text(text)
         print(f"wrote {len(report.rows)} system rows to {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)
@@ -28,13 +25,10 @@ def _cmd_run(args):
 
 def _cmd_gen(args):
     """Write a config's pair, rhs and shifts as the Matrix Market files a ``shifted_pair`` config reads."""
-    outdir = Path(args.out)  # made with its missing parents; the nearest existing one must be a directory
-    existing = next(p for p in (outdir, *outdir.parents) if p.exists())
-    if not existing.is_dir():
-        raise ConfigError(f"gen: --out {outdir}: {existing} is not a directory")
     spec = parse_config(args.config)[0]
     if spec.pair is None:
         raise ConfigError(f"gen: a {spec.kind} sequence has no (K, M) pair to write")
+    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, A in (("k", spec.pair[0]), ("m", spec.pair[1]),
                     ("rhs", spec.rhs.reshape(-1, 1)), ("shifts", spec.shifts.reshape(-1, 1))):
@@ -62,9 +56,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError, FactorizationError) as exc:  # run_sequence does no I/O: an OSError is from a named file
         print(f"samkit: {exc}", file=sys.stderr)
-        return 2  # the status argparse gives a malformed command line
+        return 1 if isinstance(exc, FactorizationError) else 2  # a failed run, or a refusal with argparse's status
 
 
 if __name__ == "__main__":

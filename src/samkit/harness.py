@@ -341,19 +341,20 @@ def parse_config(path):
     """Read a run description: (spec, strategy, ilutp params, pattern, gmres config).
 
     Every file it names is Matrix Market: matrices, patterns, and the
-    right-hand side and shifts as one-column vectors.  Malformed INI and
-    unknown sections raise :class:`ConfigError`; then each section, in the
-    order returned, raises it for a bad value or a file that cannot be read or
-    does not fit, and then for the keys that it or its kind did not read.  All
-    come before any factoring.
+    right-hand side and shifts as one-column vectors.  A config file the
+    system cannot open, malformed INI and unknown sections raise
+    :class:`ConfigError`; then each section, in the order returned, raises it
+    for a bad value or a file that cannot be read or does not fit, and then
+    for the keys that it or its kind did not read.  All come before any factoring.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
-        found = cp.read(path)
+        with open(path) as fh:
+            cp.read_file(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     except configparser.Error as exc:  # its message names the file, over several lines
         raise ConfigError(" ".join(str(exc).split())) from None
-    if not found:
-        raise ConfigError(f"cannot read config file {path}")
     for section in cp.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")

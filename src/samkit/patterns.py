@@ -106,21 +106,26 @@ def resolve_pattern(choice, A_ref) -> sp.csc_matrix:
     ``[pattern] kind = file`` does; ``[pattern] kind`` takes the string forms,
     and one whose argument does not fit raises ``ValueError`` naming the form,
     as a builder's range check does.  A sparse choice whose shape is not
-    ``A_ref``'s raises ``ValueError``, and anything else ``TypeError``.
+    ``A_ref``'s raises ``ValueError``, and anything else ``TypeError``.  A
+    pattern with no positions, on which every map is zero, raises ``ValueError``.
     """
+    n = A_ref.shape[0]
     if sp.issparse(choice):
-        n = A_ref.shape[0]
         if choice.shape != (n, n):
             raise ValueError(f"pattern is {choice.shape[0]}x{choice.shape[1]}, systems have size {n}")
-        return pattern_of(choice)
-    if not isinstance(choice, str):
+        P, what = pattern_of(choice), "pattern"
+    elif not isinstance(choice, str):
         raise TypeError("pattern choice must be a sparse matrix or a string")
-    name, sep, arg = choice.partition(":")
-    if name not in _PATTERN_FORMS:
-        raise ValueError(f"unknown pattern choice {choice!r}")
-    form, convert, build = _PATTERN_FORMS[name]
-    try:
-        args = [to(text) for to, text in zip(convert, arg.split(":") if sep else [], strict=True)]
-    except ValueError:
-        raise ValueError(f"pattern choice {choice!r}: expected the form {form}") from None
-    return build(A_ref, *args)
+    else:
+        name, sep, arg = choice.partition(":")
+        if name not in _PATTERN_FORMS:
+            raise ValueError(f"unknown pattern choice {choice!r}")
+        form, convert, build = _PATTERN_FORMS[name]
+        try:
+            args = [to(text) for to, text in zip(convert, arg.split(":") if sep else [], strict=True)]
+        except ValueError:
+            raise ValueError(f"pattern choice {choice!r}: expected the form {form}") from None
+        P, what = build(A_ref, *args), f"pattern choice {choice!r}"
+    if P.nnz == 0:
+        raise ValueError(f"{what} has no positions for a {n}x{n} reference")
+    return P

@@ -1,5 +1,7 @@
 import csv
+import errno
 import io
+import os
 import re
 import time
 
@@ -229,6 +231,7 @@ def test_bad_pattern_choice_raises_before_any_factorization(monkeypatch):
         ("offsets:x", ValueError, r"^pattern choice 'offsets:x': expected the form offsets:o1,o2,\.\.\.$"),
         ("nope", ValueError, "^unknown pattern choice 'nope'$"),
         (offset_pattern(4, [0]), ValueError, "^pattern is 4x4, systems have size 16$"),
+        ("offsets:100", ValueError, "^pattern choice 'offsets:100' has no positions for a 16x16 reference$"),
         (None, TypeError, "^pattern choice must be a sparse matrix or a string$"))
     for strategy in (Strategy.at_events([(0, "prec"), (3, "sam")]), Strategy.reuse_first()):
         for choice, error, message in refusals:
@@ -529,6 +532,8 @@ def test_parse_config_rejections(tmp_path):
     text_pattern.write_text("9 9 1\n0 0\n")
     text_rhs = tmp_path / "rhs.txt"
     text_rhs.write_text("\n".join(["1"] * 9) + "\n")
+    no_entries = tmp_path / "p_empty.mtx"
+    no_entries.write_text("%%MatrixMarket matrix coordinate real general\n9 9 0\n")
     bad.update({
         "negative_lfil": small + "[ilutp]\nlfil = -1\n",
         "bad_droptol": small + "[ilutp]\ndroptol = abc\n",
@@ -566,14 +571,23 @@ def test_parse_config_rejections(tmp_path):
             small + "[strategy]\nevents = 0:prec\n",
         "strategy.events: bad item 'x:sam'$": small + "[strategy]\nevents = [0:prec, x:sam]\n",
         r"missing required section \[sequence\]$": "[ilutp]\nlfil = 5\n",
+        # a pattern with no positions passed, and every map was zero: each system
+        # after the first stopped unconverged after one iteration at residual 1
+        "^pattern: pattern choice 'offsets:100' has no positions for a 9x9 reference$":
+            small + "[pattern]\nkind = offsets:100\n",
+        "^pattern: pattern has no positions for a 9x9 reference$":
+            small + f"[pattern]\nkind = file\npath = {no_entries}\n",
     }
     for message, content in with_message.items():
         path = tmp_path / "message.cfg"
         path.write_text(content)
         with pytest.raises(ConfigError, match=message):
             parse_config(path)
-    with pytest.raises(ConfigError, match="^cannot read config file .*absent.cfg$"):
+    # the system's reason: configparser skipped a file it could not open, and the refusal gave none
+    with pytest.raises(ConfigError, match="^cannot read config file .*absent.cfg: No such file or directory$"):
         parse_config(tmp_path / "absent.cfg")
+    with pytest.raises(ConfigError, match=f"^cannot read config file {re.escape(str(tmp_path))}: Is a directory$"):
+        parse_config(tmp_path)
     # the retired pattern keys are keys no kind reads: kind = power:2 spells them now
     for key in ("p = 2", "tau = 0.1", "offsets = 0,1"):
         path = tmp_path / "retired.cfg"
@@ -870,27 +884,65 @@ def test_cli_run_writes_file(tmp_path):
     assert out_path.read_text().startswith("index,")
 
 
-@pytest.mark.parametrize("command, out, message", [
-    ("run", "missing/report.csv", "run: --out directory {tmp}/missing does not exist"),
-    ("run", "adir", "run: --out {tmp}/adir is a directory"),
-    ("run", "afile/report.csv", "run: --out directory {tmp}/afile is not a directory"),
-    ("gen", "afile", "gen: --out {tmp}/afile: {tmp}/afile is not a directory"),
-    ("gen", "afile/sub", "gen: --out {tmp}/afile/sub: {tmp}/afile is not a directory"),
-], ids=["missing_directory", "run_into_directory", "run_under_file", "gen_into_file", "gen_under_file"])
+def _tree(root):
+    """Every path under root with the content of each file."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+LONG_NAME = "a" * 300  # longer than any file name the system allows
+
+
+@pytest.mark.parametrize("command, out, code", [
+    ("run", "missing/report.csv", errno.ENOENT),
+    ("run", "adir", errno.EISDIR),
+    ("run", "afile/report.csv", errno.ENOTDIR),
+    ("gen", "afile", errno.EEXIST),
+    ("gen", "afile/sub", errno.ENOTDIR),
+    ("run", LONG_NAME + ".csv", errno.ENAMETOOLONG),
+    ("gen", LONG_NAME, errno.ENAMETOOLONG),
+], ids=["missing_directory", "run_into_directory", "run_under_file", "gen_into_file", "gen_under_file",
+        "run_long_name", "gen_long_name"])
 def test_cli_run_refuses_missing_out_directory_before_any_work(tmp_path, capsys, monkeypatch,
-                                                              command, out, message):
+                                                              command, out, code):
+    # the system judges --out, and its refusal is one line with its reason; a
+    # 300-character name solved every system, then lost the report to a traceback
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[sequence]\nkind = shifted_pair\nnx = 3\nny = 3\nshifts = 1 0\n")
     (tmp_path / "adir").mkdir()
     (tmp_path / "afile").write_text("kept\n")
+    before = _tree(tmp_path)
     ran = []
-    monkeypatch.setattr(samkit.cli, "parse_config", lambda *args: ran.append(args))
     monkeypatch.setattr(samkit.cli, "run_sequence", lambda *args: ran.append(args))
     assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / out)]) == 2
     stdout, err = capsys.readouterr()
-    assert stdout == "" and err == f"samkit: {message.format(tmp=tmp_path)}\n"
-    assert ran == [] and not (tmp_path / "missing").exists()
-    assert (tmp_path / "afile").read_text() == "kept\n" and not any((tmp_path / "adir").iterdir())
+    assert stdout == "" and err == f"samkit: {OSError(code, os.strerror(code), str(tmp_path / out))}\n"
+    assert ran == [] and _tree(tmp_path) == before
+
+
+def test_cli_run_failing_after_opening_out_leaves_it_as_it_was(tmp_path, capsys, monkeypatch):
+    # --out is opened for appending before the run: a run that fails leaves a
+    # new file empty and an existing one with its content
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[sequence]\nkind = shifted_pair\nnx = 3\nny = 3\nshifts = 1 0\n")
+
+    def failing(*args):
+        raise FactorizationError(0)
+    monkeypatch.setattr(samkit.cli, "run_sequence", failing)
+    kept = tmp_path / "kept.csv"
+    kept.write_text("an earlier report\n")
+    for out, content in ((kept, "an earlier report\n"), (tmp_path / "new.csv", "")):
+        assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", "samkit: factorization failed at row 0: no admissible pivot\n")
+        assert out.read_text() == content
+
+
+def test_cli_run_reports_a_failed_first_factorization_on_one_line(tmp_path, capsys):
+    # it exited 1 with a traceback; a run that fails keeps status 1, and 2 is for refusals
+    matrix_market_write(np.array([[0.0, 1.0], [1.0, 0.0]]), tmp_path / "swap.mtx")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[sequence]\nkind = matrix_files\nfiles = {tmp_path / 'swap.mtx'}\n[ilutp]\npivtol = 0\n")
+    assert cli_main(["run", "--config", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", "samkit: factorization failed at row 0: no admissible pivot\n")
 
 
 def _gen(tmp_path, name, sequence):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from samkit import as_csc, offset_pattern, pattern_of, sparsified_power, symbolic_power
+from samkit import as_csc, offset_pattern, pattern_of, resolve_pattern, sparsified_power, symbolic_power
 from helpers import (
     grid_laplacian_triplets, pattern_at, pattern_to_bool, random_pattern, random_sparse, same_pattern,
 )
@@ -94,6 +94,19 @@ def test_pattern_constructors_accept_empty_index_lists():
     # a matrix without entries keeps no position above tau = 0
     empty = sparsified_power(sp.csc_matrix((3, 3)), 2, 0.5)
     assert empty.shape == (3, 3) and empty.nnz == 0
+
+
+def test_resolve_pattern_refuses_a_pattern_with_no_positions():
+    # the builders stay total, but a map on no positions is zero: each such
+    # choice passed, and every mapped system stopped unconverged
+    A = as_csc(np.diag([1.0, 2.0, 3.0, 4.0]))
+    for choice, what in (("offsets:100", "pattern choice 'offsets:100'"),
+                         (sp.csc_matrix((4, 4)), "pattern"), (offset_pattern(4, [9]), "pattern")):
+        with pytest.raises(ValueError, match=f"^{re.escape(what)} has no positions for a 4x4 reference$"):
+            resolve_pattern(choice, A)
+    # some positions, some empty columns: returned, for plan to warn about
+    assert resolve_pattern("offsets:2", A).nnz == 2
+    assert resolve_pattern(offset_pattern(4, [-3]), A).nnz == 1
 
 
 def test_pattern_constructor_allows_decrease_across_columns():

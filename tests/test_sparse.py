@@ -48,57 +48,6 @@ def test_matvec_associativity():
     assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(np.linalg.norm(rhs), 1.0)
 
 
-def _positions(M):
-    coo = M.tocoo()
-    return set(zip(coo.row.tolist(), coo.col.tolist()))
-
-
-def test_shifted_family_members_exact_on_union_pattern():
-    rng = np.random.default_rng(10)
-    E = random_sparse(7, rng)
-    A = random_sparse(7, rng)
-    for alphas in ([0.5, -3.0, 1e-3], [2 + 3j, -1j, 0.25]):
-        family = shifted_family(alphas, E, A)
-        assert len(family) == 3
-        for alpha, C in zip(alphas, family):
-            assert C.dtype == np.result_type(np.float64, np.asarray(alphas).dtype)
-            assert np.array_equal(C.toarray(), alpha * E.toarray() + A.toarray())
-            assert _positions(C) == _positions(E) | _positions(A)
-
-
-def test_shifted_family_union_pattern_keeps_cancelled_sums():
-    E = as_csc(np.array([[1.0, 0.0], [-2.0, 0.0]]))
-    A = as_csc(np.array([[1.0, 0.0], [0.0, 5.0]]))
-    C, C0 = shifted_family([-1.0, 0.0], E, A)
-    # (0,0) cancels to a stored zero; (1,0) is E's alone, (1,1) A's alone
-    for X in (C, C0):
-        assert np.array_equal(X.indptr, [0, 2, 3])
-        assert np.array_equal(X.indices, [0, 1, 1])
-        assert X.has_canonical_format
-    assert np.array_equal(C.data, [0.0, 2.0, 5.0])
-    # 0 * -2 is -0.0, and a value E alone contributes is stored as computed
-    assert np.array_equal(C0.data, [1.0, 0.0, 5.0]) and np.signbit(C0.data[1])
-
-
-def test_shifted_family_members_share_one_read_only_pattern():
-    rng = np.random.default_rng(11)
-    E = random_sparse(6, rng)
-    A = random_sparse(6, rng)
-    family = shifted_family([1.0, 2.0, 3.0], E, A)
-    for X in family:
-        for name in ("indices", "indptr"):
-            assert getattr(X, name) is getattr(family[0], name)
-            assert not getattr(X, name).flags.writeable
-    # value rows are independent: writing one member's values leaves the others
-    for i, X in enumerate(family):
-        for Y in family[i + 1:]:
-            assert not np.shares_memory(X.data, Y.data)
-    before = [X.data.copy() for X in family]
-    family[0].data[:] = 7.0
-    for X, data in zip(family[1:], before[1:]):
-        assert np.array_equal(X.data, data)
-
-
 def _by_combine(alphas, E, A):
     return [shifted_family([alpha], E, A)[0] for alpha in alphas]
 
