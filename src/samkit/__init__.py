@@ -7,12 +7,9 @@ serve a whole family of systems.
 """
 
 from .gmres import GmresConfig, SolveReport, gmres
-from .harness import (
-    SequenceReport, Strategy, SystemRecord, parse_config, render_report,
-    resolve_pattern, run_sequence,
-)
+from .harness import SequenceReport, Strategy, SystemRecord, parse_config, render_report, run_sequence
 from .ilutp import FactorizationError, IlutpFactors, IlutpParams, factor
-from .patterns import offset_pattern, pattern_of, sparsified_power, symbolic_power
+from .patterns import offset_pattern, pattern_of, resolve_pattern, sparsified_power
 from .problems import (
     SequenceSpec, fem_pair_2d, matrix_market_read, matrix_market_write, point_source_rhs, talbot_shifts,
 )

@@ -261,14 +261,12 @@ def _parse_events(text):
     if not (body.startswith("[") and body.endswith("]")):
         raise ConfigError("strategy.events: expected a bracketed list like [0:prec, 15:sam]")
     events = []
-    for item in body[1:-1].split(","):
+    for item in body[1:-1].split(",") if body[1:-1].strip() else []:  # [] is no events
         item = item.strip()
-        if not item:
-            continue
         idx, _, act = item.partition(":")
         try:
             events.append((int(idx), act.strip()))
-        except ValueError:
+        except ValueError:  # an empty item too
             raise ConfigError(f"strategy.events: bad item {item!r}") from None
     return tuple(events)
 
@@ -341,18 +339,21 @@ def parse_config(path):
     """Read a run description: (spec, strategy, ilutp params, pattern, gmres config).
 
     Every file it names is Matrix Market: matrices, patterns, and the
-    right-hand side and shifts as one-column vectors.  A config file the
-    system cannot open, malformed INI and unknown sections raise
+    right-hand side and shifts as one-column vectors.  The config is UTF-8
+    text, a byte-order mark allowed.  A config file the system cannot open
+    or that is not UTF-8, malformed INI and unknown sections raise
     :class:`ConfigError`; then each section, in the order returned, raises it
     for a bad value or a file that cannot be read or does not fit, and then
     for the keys that it or its kind did not read.  All come before any factoring.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is allowed
             cp.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config file {path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     except configparser.Error as exc:  # its message names the file, over several lines
         raise ConfigError(" ".join(str(exc).split())) from None
     for section in cp.sections():

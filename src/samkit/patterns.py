@@ -8,7 +8,7 @@ products of patterns.
 import numpy as np
 import scipy.sparse as sp
 
-from .sparse import check_integers, checked_csc
+from .sparse import check_integers, checked_csc, ldexp, scale_exponent
 
 
 def pattern_of(A) -> sp.csc_matrix:
@@ -39,56 +39,41 @@ def offset_pattern(n: int, offsets) -> sp.csc_matrix:
     return pattern_of(sp.csc_matrix((np.ones(cols.size), (rows[keep], cols)), shape=(n, n)))
 
 
-def _check_power(p):
-    check_integers(p=p)
-    if not 1 <= p <= 5:
-        raise ValueError("power must be between 1 and 5")
+def sparsified_power(A, p: int, tau: float = 0.0) -> sp.csc_matrix:
+    """Pattern of A^p, thresholded at tau in [0, 1].
 
-
-def symbolic_power(P, p: int) -> sp.csc_matrix:
-    """Structural pattern of P^p, by repeated products of the pattern of P."""
-    P = pattern_of(P)
-    if P.shape[0] != P.shape[1]:
-        raise ValueError("symbolic_power needs a square pattern")
-    _check_power(p)
-    acc = P
-    for _ in range(p - 1):
-        acc = pattern_of(acc @ P)  # keep counts from growing across repeated products
-    return acc
-
-
-def sparsified_power(A, p: int, tau: float) -> sp.csc_matrix:
-    """Pattern of A^p thresholded at tau.
-
-    The threshold is relative: A^p is scaled to unit maximum magnitude before
-    comparing against tau, so tau is scale-free and lies in [0, 1].  tau = 0
-    keeps the full structural pattern of A^p, and tau = 1 its largest
-    entries.  Malformed index arrays raise ``ValueError``.
+    tau = 0 keeps the structural pattern of A^p, from repeated products of
+    the pattern of A.  Above 0 a position is kept where its magnitude in A^p
+    is at least tau times the largest, so tau = 1 keeps the largest entries.
+    A is first put on its power-of-two scale, so the largest entries of A^p
+    stay in range and the threshold is scale-free: multiplying A by a power
+    of two keeps the same positions.  Malformed index arrays raise ``ValueError``.
     """
     [A] = checked_csc(A)
     if A.shape[0] != A.shape[1]:
         raise ValueError("sparsified_power needs a square matrix")
     if not 0 <= tau <= 1:  # NaN fails too; above 1 nothing would be kept
         raise ValueError(f"tau must lie in [0, 1], not {tau}")
-    _check_power(p)
-    if tau == 0:
-        return symbolic_power(A, p)
-    Ap = A.copy()
+    check_integers(p=p)
+    if not 1 <= p <= 5:
+        raise ValueError("power must be between 1 and 5")
+    # at tau = 0 the entries count paths, which are positive and never cancel
+    data = np.ones(A.nnz) if tau == 0 else ldexp(A.data, -scale_exponent(A.data))
+    A = sp.csc_matrix((data, A.indices, A.indptr), shape=A.shape)
+    Ap = A
     for _ in range(p - 1):
-        Ap = (Ap @ A).tocsc()
-    Ap.sum_duplicates()
+        Ap = Ap @ A
+    Ap = Ap.tocoo()
     mags = np.abs(Ap.data)
-    keep = mags >= tau * (mags.max() if mags.size else 0.0)
-    coo = Ap.tocoo()
-    return pattern_of(sp.csc_matrix((np.ones(keep.sum()), (coo.row[keep], coo.col[keep])), shape=A.shape))
-
+    keep = mags >= tau * mags.max(initial=0.0)
+    return pattern_of(sp.csc_matrix((np.ones(keep.sum()), (Ap.row[keep], Ap.col[keep])), shape=A.shape))
 
 
 # each string pattern choice: its form, the converters of its ':'-separated
 # arguments, and its builder from the reference matrix and those arguments
 _PATTERN_FORMS = {
     "ref": ("ref", (), pattern_of),
-    "power": ("power:P", (int,), symbolic_power),
+    "power": ("power:P", (int,), sparsified_power),
     "sparsified": ("sparsified:P:TAU", (int, float), sparsified_power),
     "offsets": ("offsets:o1,o2,...", (lambda text: [int(tok) for tok in text.split(",")],),
                 lambda A, offsets: offset_pattern(A.shape[0], offsets)),

@@ -14,7 +14,7 @@ from samkit import (
     GmresConfig, IlutpParams, SequenceSpec, Strategy, as_csc, compute_map,
     factor, fem_pair_2d, gmres,
     offset_pattern, pattern_of, plan, run_sequence,
-    symbolic_power, talbot_shifts,
+    sparsified_power, talbot_shifts,
 )
 from helpers import random_pattern, random_sparse
 
@@ -80,7 +80,7 @@ def test_criterion_3_nested_pattern_monotonicity():
         offset_pattern(100, [0]),
         offset_pattern(100, [-1, 0, 1]),
         pattern_of(K0),
-        symbolic_power(pattern_of(K0), 2),
+        sparsified_power(pattern_of(K0), 2),
     ]
     residuals = []
     for S in chain:

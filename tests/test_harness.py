@@ -16,7 +16,7 @@ from samkit import (
     FactorizationError, GmresConfig, IlutpParams, SequenceReport, SequenceSpec,
     Strategy, SystemRecord, as_csc, compute_map, fem_pair_2d,
     matrix_market_write, offset_pattern, parse_config, pattern_of, plan, render_report,
-    resolve_pattern, run_sequence, sparsified_power, symbolic_power, talbot_shifts,
+    resolve_pattern, run_sequence, sparsified_power, talbot_shifts,
 )
 from samkit.harness import CSV_COLUMNS, ConfigError
 from samkit.cli import main as cli_main
@@ -85,50 +85,6 @@ def test_strategy_actions():
     events = ((2, "reuse"), (3, "prec"))
     assert [Strategy("sam", events).action(k) for k in range(5)] == ["prec", "sam", "reuse", "prec", "sam"]
     assert [Strategy("prec", events).action(k) for k in range(4)] == ["prec", "prec", "reuse", "prec"]
-
-
-def test_resolve_pattern_forms(tmp_path):
-    rng = np.random.default_rng(0)
-    A = random_sparse(6, rng)
-    assert same_pattern(resolve_pattern("ref", A), pattern_of(A))
-    assert same_pattern(resolve_pattern("offsets:-2,0,2", A), offset_pattern(6, [-2, 0, 2]))
-    assert same_pattern(resolve_pattern("power:2", A), symbolic_power(pattern_of(A), 2))
-    P = offset_pattern(6, [0, 1])
-    path = tmp_path / "p.mtx"
-    matrix_market_write(P, path)
-    with pytest.raises(ValueError, match="unknown pattern choice"):
-        resolve_pattern(f"file:{path}", A)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("[sequence]\nkind = helmholtz_sweep\nnx = 2\nny = 3\ncount = 1\n"
-                   f"[pattern]\nkind = file\npath = {path}\n")
-    assert same_pattern(parse_config(cfg)[3], P)
-    # any sparse matrix is a pattern: a valued one with a stored zero, rows
-    # out of order and a duplicated position gives the pattern of its stored entries
-    M = sp.csc_matrix(([2.0, 0.0, -1.0, 4.0, 4.0], [3, 0, 5, 1, 1], [0, 3, 3, 5, 5, 5, 5]), shape=(6, 6))
-    assert not M.has_canonical_format
-    got = resolve_pattern(M, A)
-    assert same_pattern(got, pattern_of(M)) and got.data.tolist() == [1.0] * 4
-    assert np.array_equal(got.indptr, [0, 3, 3, 4, 4, 4, 4]) and np.array_equal(got.indices, [0, 3, 5, 1])
-    assert same_pattern(resolve_pattern(P, A), P)
-    # a sparse choice must fit the reference; it was returned as it stood
-    with pytest.raises(ValueError, match="^pattern is 4x4, systems have size 6$"):
-        resolve_pattern(offset_pattern(4, [0]), A)
-    # a malformed argument names the choice and its form; most raised int()'s
-    # "invalid literal" and sparsified:2 "not enough values to unpack"
-    malformed = {"ref": ["ref:junk", "ref:"],
-                 "power:P": ["power", "power:", "power:2.5", "power:2:3"],
-                 "sparsified:P:TAU": ["sparsified:2", "sparsified:2.5:0.1", "sparsified:2:x", "sparsified:2:0.1:3"],
-                 "offsets:o1,o2,...": ["offsets", "offsets:", "offsets:1,,2", "offsets:0.9", "offsets:1:2"]}
-    for form, choices in malformed.items():
-        for bad in choices:
-            with pytest.raises(ValueError, match=f"^{re.escape(f'pattern choice {bad!r}: expected the form {form}')}$"):
-                resolve_pattern(bad, A)
-    # the retired names: offsets:0 and offsets:-1,0,1 spell the same patterns
-    for bad in ("nope", "diag", "tridiag", "diag:3", "tridiag:1"):
-        with pytest.raises(ValueError, match=f"^unknown pattern choice '{bad}'$"):
-            resolve_pattern(bad, A)
-    with pytest.raises(TypeError):
-        resolve_pattern(42, A)
 
 
 def test_run_sequence_resolves_the_pattern_once_per_new_reference(monkeypatch):
@@ -588,6 +544,16 @@ def test_parse_config_rejections(tmp_path):
         parse_config(tmp_path / "absent.cfg")
     with pytest.raises(ConfigError, match=f"^cannot read config file {re.escape(str(tmp_path))}: Is a directory$"):
         parse_config(tmp_path)
+    # bytes that are not UTF-8 raised UnicodeDecodeError
+    path = tmp_path / "latin.cfg"
+    path.write_bytes(small.encode() + b"# \xff\xfe\n")
+    with pytest.raises(ConfigError, match=f"^cannot read config file {re.escape(str(path))}: not UTF-8 text "):
+        parse_config(path)
+    # an empty event item was skipped: the first two read as [0:prec, 1:sam], [,] as no events
+    for events in ("[0:prec,,1:sam]", "[0:prec, 1:sam,]", "[,]"):
+        path.write_text(small + f"[strategy]\nevents = {events}\n")
+        with pytest.raises(ConfigError, match="^strategy.events: bad item ''$"):
+            parse_config(path)
     # the retired pattern keys are keys no kind reads: kind = power:2 spells them now
     for key in ("p = 2", "tau = 0.1", "offsets = 0,1"):
         path = tmp_path / "retired.cfg"
@@ -745,7 +711,7 @@ def test_parse_config_reports_a_section_after_its_values_and_the_sections_before
     (SMALL_SWEEP + "[pattern]\nkind = offsets:-1,0,1\n", lambda c: resolve_pattern(c[3], A_SMALL),
      lambda: offset_pattern(9, [-1, 0, 1])),
     (SMALL_SWEEP + "[pattern]\nkind = power:3\n", lambda c: resolve_pattern(c[3], A_SMALL),
-     lambda: symbolic_power(A_SMALL, 3)),
+     lambda: sparsified_power(A_SMALL, 3)),
     (SMALL_SWEEP + "[pattern]\nkind = sparsified:2:0.1\n",
      lambda c: resolve_pattern(c[3], A_SMALL), lambda: sparsified_power(A_SMALL, 2, 0.1)),
     (SMALL_SWEEP + "[pattern]\nkind = offsets:-1,0,2\n",
@@ -847,6 +813,24 @@ def test_cli_run_reports_config_error_on_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("samkit: File contains no section headers.") and err.count("\n") == 1
     assert str(cfg) in err
+
+
+def test_cli_run_reads_the_config_as_utf8_text(tmp_path, capsys):
+    # a byte-order mark was refused as "File contains no section headers",
+    # and a byte that is not UTF-8 exited 1 with a UnicodeDecodeError traceback
+    plain, bom, latin = (tmp_path / f"{name}.cfg" for name in ("plain", "bom", "latin"))
+    plain.write_text(SMALL_SWEEP, encoding="utf-8")
+    bom.write_bytes(b"\xef\xbb\xbf" + SMALL_SWEEP.encode())
+    latin.write_bytes(b"# caf\xe9\n" + SMALL_SWEEP.encode())
+    (spec, *rest), (bom_spec, *bom_rest) = parse_config(plain), parse_config(bom)
+    assert bom_rest == rest and _bits(bom_spec.rhs) == _bits(spec.rhs) and _bits(bom_spec.shifts) == _bits(spec.shifts)
+    assert [_bits(A) for A in bom_spec.matrices] == [_bits(A) for A in spec.matrices]
+    assert cli_main(["run", "--config", str(bom)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 5  # header, three systems, totals
+    assert cli_main(["run", "--config", str(latin)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"samkit: cannot read config file {latin}: not UTF-8 text ")
 
 
 @pytest.mark.parametrize("text, message", [

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from samkit import as_csc, offset_pattern, pattern_of, resolve_pattern, sparsified_power, symbolic_power
+from samkit import (
+    SequenceSpec, as_csc, matrix_market_write, offset_pattern, parse_config, pattern_of, resolve_pattern,
+    sparsified_power,
+)
 from helpers import (
     grid_laplacian_triplets, pattern_at, pattern_to_bool, random_pattern, random_sparse, same_pattern,
 )
@@ -96,6 +99,50 @@ def test_pattern_constructors_accept_empty_index_lists():
     assert empty.shape == (3, 3) and empty.nnz == 0
 
 
+def test_resolve_pattern_forms(tmp_path):
+    rng = np.random.default_rng(0)
+    A = random_sparse(6, rng)
+    assert same_pattern(resolve_pattern("ref", A), pattern_of(A))
+    assert same_pattern(resolve_pattern("offsets:-2,0,2", A), offset_pattern(6, [-2, 0, 2]))
+    assert same_pattern(resolve_pattern("power:2", A), sparsified_power(pattern_of(A), 2))
+    P = offset_pattern(6, [0, 1])
+    path = tmp_path / "p.mtx"
+    matrix_market_write(P, path)
+    with pytest.raises(ValueError, match="unknown pattern choice"):
+        resolve_pattern(f"file:{path}", A)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[sequence]\nkind = helmholtz_sweep\nnx = 2\nny = 3\ncount = 1\n"
+                   f"[pattern]\nkind = file\npath = {path}\n")
+    assert same_pattern(parse_config(cfg)[3], P)
+    # any sparse matrix is a pattern: a valued one with a stored zero, rows
+    # out of order and a duplicated position gives the pattern of its stored entries
+    M = sp.csc_matrix(([2.0, 0.0, -1.0, 4.0, 4.0], [3, 0, 5, 1, 1], [0, 3, 3, 5, 5, 5, 5]), shape=(6, 6))
+    assert not M.has_canonical_format
+    got = resolve_pattern(M, A)
+    assert same_pattern(got, pattern_of(M)) and got.data.tolist() == [1.0] * 4
+    assert np.array_equal(got.indptr, [0, 3, 3, 4, 4, 4, 4]) and np.array_equal(got.indices, [0, 3, 5, 1])
+    assert same_pattern(resolve_pattern(P, A), P)
+    # a sparse choice must fit the reference; it was returned as it stood
+    with pytest.raises(ValueError, match="^pattern is 4x4, systems have size 6$"):
+        resolve_pattern(offset_pattern(4, [0]), A)
+    # a malformed argument names the choice and its form; most raised int()'s
+    # "invalid literal" and sparsified:2 "not enough values to unpack"
+    malformed = {"ref": ["ref:junk", "ref:"],
+                 "power:P": ["power", "power:", "power:2.5", "power:2:3"],
+                 "sparsified:P:TAU": ["sparsified:2", "sparsified:2.5:0.1", "sparsified:2:x", "sparsified:2:0.1:3"],
+                 "offsets:o1,o2,...": ["offsets", "offsets:", "offsets:1,,2", "offsets:0.9", "offsets:1:2"]}
+    for form, choices in malformed.items():
+        for bad in choices:
+            with pytest.raises(ValueError, match=f"^{re.escape(f'pattern choice {bad!r}: expected the form {form}')}$"):
+                resolve_pattern(bad, A)
+    # the retired names: offsets:0 and offsets:-1,0,1 spell the same patterns
+    for bad in ("nope", "diag", "tridiag", "diag:3", "tridiag:1"):
+        with pytest.raises(ValueError, match=f"^unknown pattern choice '{bad}'$"):
+            resolve_pattern(bad, A)
+    with pytest.raises(TypeError):
+        resolve_pattern(42, A)
+
+
 def test_resolve_pattern_refuses_a_pattern_with_no_positions():
     # the builders stay total, but a map on no positions is zero: each such
     # choice passed, and every mapped system stopped unconverged
@@ -179,41 +226,40 @@ def test_offset_pattern_rejects_bad_n():
         offset_pattern(0, [0])
 
 
-def test_symbolic_power_identity_case():
+def test_sparsified_power_structural_identity_case():
     P = random_pattern(10, np.random.default_rng(0))
-    assert same_pattern(symbolic_power(P, 1), P)
+    assert same_pattern(sparsified_power(P, 1), P)
 
 
-def test_symbolic_power_tridiag_gives_pentadiag():
+def test_sparsified_power_structural_tridiag_gives_pentadiag():
     P = offset_pattern(8, [-1, 0, 1])
-    assert same_pattern(symbolic_power(P, 2), offset_pattern(8, [-2, -1, 0, 1, 2]))
+    assert same_pattern(sparsified_power(P, 2), offset_pattern(8, [-2, -1, 0, 1, 2]))
 
 
-def test_symbolic_power_diagonal_fixed_point():
+def test_sparsified_power_structural_diagonal_fixed_point():
     P = offset_pattern(5, [0])
     for p in (1, 2, 3, 4, 5):
-        assert same_pattern(symbolic_power(P, p), P)
+        assert same_pattern(sparsified_power(P, p), P)
 
 
-def test_symbolic_power_matches_boolean_oracle():
+def test_sparsified_power_structural_matches_boolean_oracle():
     rng = np.random.default_rng(1)
     for n in (7, 19, 30):
         P = random_pattern(n, rng, lo=1, hi=5)
         for p in (2, 3):
-            got = pattern_to_bool(symbolic_power(P, p))
+            got = pattern_to_bool(sparsified_power(P, p))
             assert np.array_equal(got, boolean_power_oracle(P, p))
 
 
-def test_symbolic_power_rejects_bad_input():
+def test_sparsified_power_structural_rejects_bad_input():
     P = pattern_at((2, 3), [0], [1])
     with pytest.raises(ValueError):
-        symbolic_power(P, 2)
+        sparsified_power(P, 2)
     Q = offset_pattern(3, [0])
     with pytest.raises(ValueError):
-        symbolic_power(Q, 0)
+        sparsified_power(Q, 0)
     with pytest.raises(ValueError):
-        symbolic_power(Q, 6)
-    # above tau = 0, sparsified_power does not call symbolic_power and checks the same input itself
+        sparsified_power(Q, 6)
     with pytest.raises(ValueError, match="^sparsified_power needs a square matrix$"):
         sparsified_power(as_csc(np.ones((2, 3))), 2, 0.1)
     for p in (0, 6):
@@ -223,21 +269,14 @@ def test_symbolic_power_rejects_bad_input():
     for p in (True, 2.0):
         message = f"^p must be an integer, not {re.escape(repr(p))}$"
         with pytest.raises(ValueError, match=message):
-            symbolic_power(Q, p)
+            sparsified_power(Q, p)
         for tau in (0.0, 0.1):
             with pytest.raises(ValueError, match=message):
                 sparsified_power(as_csc(np.eye(3)), p, tau)
     # numpy integers are integers
     T = offset_pattern(4, [-1, 0, 1])
-    assert same_pattern(symbolic_power(T, np.int64(2)), symbolic_power(T, 2))
+    assert same_pattern(sparsified_power(T, np.int64(2)), sparsified_power(T, 2))
     assert same_pattern(sparsified_power(T, np.int32(2), 0.1), sparsified_power(T, 2, 0.1))
-
-
-def test_sparsified_power_no_threshold_is_symbolic():
-    rng = np.random.default_rng(2)
-    A = random_sparse(12, rng)
-    for p in (1, 2, 3):
-        assert same_pattern(sparsified_power(A, p, 0.0), symbolic_power(pattern_of(A), p))
 
 
 @pytest.mark.parametrize("tau", [-1e-3, np.nan, 1.5, np.inf])
@@ -261,12 +300,25 @@ def test_sparsified_power_against_dense_oracle():
     A = as_csc(sp.csc_matrix((vals, (rows, cols)), shape=(9, 9)))
     p, tau = 2, 1e-4
     P = sparsified_power(A, p, tau)
-    assert not (pattern_to_bool(P) & ~pattern_to_bool(symbolic_power(pattern_of(A), p))).any()
+    assert not (pattern_to_bool(P) & ~pattern_to_bool(sparsified_power(pattern_of(A), p))).any()
     Ad = np.linalg.matrix_power(A.toarray(), p)
     want = np.abs(Ad) >= tau * np.abs(Ad).max()
     assert np.array_equal(pattern_to_bool(P), want)
     # the threshold is relative to the largest magnitude
     assert sparsified_power(as_csc(np.diag([10.0, 1.0, 0.1])), 1, 0.5).nnz == 1
+
+
+@pytest.mark.parametrize("tau, nnz", [(0.01, 1104), (0.2, 460)])
+def test_sparsified_power_threshold_is_scale_free(tau, nnz):
+    # A^p was formed unscaled: at 1e200 * A every entry overflowed to inf and
+    # the whole structural pattern was kept, and at 1e-200 * A every entry
+    # underflowed to zero and no position was kept
+    A = SequenceSpec.helmholtz(10, 10, 0.01, 2).matrices[0]
+    P = sparsified_power(A, 2, tau)
+    assert P.nnz == nnz  # 1104 is the whole structural pattern of A^2
+    for s in (2.0**-700, 1e-200, 1e200, 2.0**700):
+        assert same_pattern(sparsified_power(s * A, 2, tau), P)
+        assert same_pattern(sparsified_power((s * A).astype(complex) * 1j, 2, tau), P)
 
 
 def test_sparsified_power_threshold_monotone():
@@ -276,5 +328,5 @@ def test_sparsified_power_threshold_monotone():
     P2 = sparsified_power(A, 2, 1e-1)
     D1, D2 = pattern_to_bool(P1), pattern_to_bool(P2)
     assert not (D2 & ~D1).any()
-    assert not (D1 & ~pattern_to_bool(symbolic_power(pattern_of(A), 2))).any()
+    assert not (D1 & ~pattern_to_bool(sparsified_power(pattern_of(A), 2))).any()
 

@@ -614,3 +614,53 @@ def test_shifted_pair_members_share_one_read_only_pattern():
     family[0].data[:] = 7.0
     for X, data in zip(family[1:], before[1:]):
         assert np.array_equal(X.data, data)
+
+
+def _by_combine(alphas, E, A):
+    return [shifted_family([alpha], E, A)[0] for alpha in alphas]
+
+
+@pytest.mark.parametrize("build", [shifted_family, _by_combine])
+def test_shifted_pair_members_are_valid_matrices_on_a_read_only_pattern(build):
+    rng = np.random.default_rng(12)
+    E = random_sparse(8, rng)
+    A = random_sparse(8, rng, complex_values=True)
+    alphas = [0.5, -2.0, 1j]
+    family = build(alphas, E, A)
+    before = [(X.data.copy(), X.indices.copy(), X.indptr.copy()) for X in family]
+    x = rng.standard_normal(8)
+    for alpha, X in zip(alphas, family):
+        X.check_format(full_check=True)
+        assert X.has_canonical_format and X.has_sorted_indices
+        for name in ("data", "indices", "indptr"):
+            for operand in (E, A):
+                assert not np.shares_memory(getattr(X, name), getattr(operand, name))
+        # an in-place write of the shared pattern fails and changes nothing
+        with pytest.raises(ValueError):
+            X.indices[:] = 0
+        with pytest.raises(ValueError):
+            X.indptr[1:] = 0
+        dense = alpha * E.toarray() + A.toarray()
+        assert np.allclose(X @ x, dense @ x, rtol=1e-14, atol=1e-14)
+        assert np.array_equal(X.T.toarray(), dense.T)
+        assert np.array_equal(X.tocsr().toarray(), dense)
+        assert np.array_equal((-X).toarray(), -dense)
+        assert np.array_equal((X - X).toarray(), np.zeros((8, 8)))
+        C = X.copy()
+        assert C.indices.flags.writeable and C.indptr.flags.writeable
+        assert not np.shares_memory(C.indices, X.indices)
+        C.indices[:] = 0
+    for X, (data, indices, indptr) in zip(family, before):
+        assert np.array_equal(X.data, data)
+        assert np.array_equal(X.indices, indices)
+        assert np.array_equal(X.indptr, indptr)
+
+
+@pytest.mark.parametrize("alphas", [
+    1.0, np.float64(2.0), [[1.0, 2.0]], np.ones((2, 1)),
+    [1.0, np.nan], [np.inf], [1j, complex(0.0, np.nan)],
+])
+def test_shifted_pair_rejects_shifts_not_finite_1d(alphas):
+    # the message named shifted_family's alphas, not the caller's shifts
+    with pytest.raises(ValueError, match="^shifts must be a 1-D sequence of finite values$"):
+        SequenceSpec.shifted_pair(sp.identity(3, format="csc"), sp.identity(3, format="csc"), alphas)
