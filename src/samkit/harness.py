@@ -1,9 +1,10 @@
 """Strategy runner: solve a sequence of systems under a preconditioner policy.
 
-A strategy decides, per system, whether to factor a fresh preconditioner,
-compute a map back to the current reference matrix, or reuse whatever
-operator is already in hand.  Every fresh factorization resets the reference
-pair, so maps always target the most recently factored matrix.
+A strategy's schedule, ``Strategy.actions(n)``, lists before system 0 whether
+each system factors a fresh preconditioner, computes a map back to the
+current reference matrix, or reuses whatever operator is already in hand.
+Every fresh factorization resets the reference pair, so maps always target
+the most recently factored matrix.
 """
 
 import configparser
@@ -50,8 +51,6 @@ class Strategy:
         idx = [i for i, _ in self.events]
         if any(b <= a for a, b in zip([-1] + idx, idx)):
             raise ValueError("event indices must be nonnegative and strictly increasing")
-        # built once, since action() runs for every system
-        object.__setattr__(self, "_event_actions", {**dict(self.events), 0: RECOMPUTE})
 
     @classmethod
     def recompute_every(cls):
@@ -70,14 +69,13 @@ class Strategy:
         """The ``reuse`` kind with the given events."""
         return cls(REUSE, tuple((i, str(a)) for i, a in events))
 
-    def action(self, k: int) -> str:
-        return self._event_actions.get(k, self.kind)
-
-    def check_length(self, n: int):
-        """Raise ``ValueError`` when an event names system ``n`` or later, for a sequence of ``n`` systems."""
+    def actions(self, n: int) -> list:
+        """The action of each of ``n`` systems in order; an event at system ``n`` or later raises ``ValueError``."""
         last = self.events[-1][0] if self.events else -1  # indices increase
         if last >= n:
             raise ValueError(f"event at index {last} lies past the sequence of {n} systems")
+        events = dict(self.events)
+        return [RECOMPUTE if k == 0 else events.get(k, self.kind) for k in range(n)]
 
 
 @dataclass
@@ -112,19 +110,20 @@ class SequenceReport:
 
 def run_sequence(spec: SequenceSpec, strategy: Strategy, ilutp_params: ilutp.IlutpParams,
                  pattern_choice, gmres_config: GmresConfig, sam_workers: int = 1) -> SequenceReport:
-    """Solve every system of the sequence in order under the given strategy.
+    """Solve every system of the sequence in order, each taking its action from ``strategy.actions``.
 
     A failed factorization of the first system raises.  Any later one is
-    recorded as ``prec_failed`` and the previous operator is kept, so the run
-    continues.  An event past the last system, a ``sam_workers`` below 1, a
-    pattern choice that :func:`resolve_pattern` refuses for system 0 (always
-    the first reference) or a matrix with malformed index arrays raises
-    before any work.  The first map uses that pattern; the first map after a
-    later recompute resolves it again for the new reference.  Each record's
-    ``prec_seconds`` and ``gmres_seconds`` are two consecutive intervals of
-    one clock: the system's action, then its ``gmres`` call.
+    recorded as ``prec_failed`` and keeps the operator in hand, as ``reuse``
+    does, so the run continues.  An event past the last system, a
+    ``sam_workers`` below 1, a pattern choice that :func:`resolve_pattern`
+    refuses for system 0 (always the first reference) or a matrix with
+    malformed index arrays raises before any work, in that order.  The first
+    map uses that pattern; the first map after a later recompute resolves it
+    again for the new reference.  Each record's ``prec_seconds`` and
+    ``gmres_seconds`` are two consecutive intervals of one clock: the
+    system's action, then its ``gmres`` call.
     """
-    strategy.check_length(len(spec))
+    actions = strategy.actions(len(spec))
     check_integers(minimum=1, sam_workers=sam_workers)
     S = resolve_pattern(pattern_choice, spec.matrices[0])  # system 0 is the first reference
     b = spec.rhs
@@ -132,8 +131,7 @@ def run_sequence(spec: SequenceSpec, strategy: Strategy, ilutp_params: ilutp.Ilu
 
     A_ref = P_ref = current = current_plan = None
 
-    for k, A_k in enumerate(checked_csc(*spec.matrices)):
-        act = strategy.action(k)
+    for k, (A_k, act) in enumerate(zip(checked_csc(*spec.matrices), actions)):
         event = act
         sam_rel = None
         t0 = time.perf_counter()
@@ -295,7 +293,7 @@ def _parse_sequence(seq):
 
 def _parse_strategy(st, n_systems):
     strategy = Strategy(st.pop("kind", COMPUTE_SAM), _parse_events(st.pop("events", "[]")))
-    strategy.check_length(n_systems)
+    strategy.actions(n_systems)  # refuses an event past the sequence
     return strategy
 
 

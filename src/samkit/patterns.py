@@ -44,7 +44,8 @@ def sparsified_power(A, p: int, tau: float = 0.0) -> sp.csc_matrix:
 
     tau = 0 keeps the structural pattern of A^p, from repeated products of
     the pattern of A.  Above 0 a position is kept where its magnitude in A^p
-    is at least tau times the largest, so tau = 1 keeps the largest entries.
+    is nonzero and at least tau times the largest, so tau = 1 keeps the
+    largest entries, and a stored zero or a cancelled entry is never kept.
     A is first put on its power-of-two scale, so the largest entries of A^p
     stay in range and the threshold is scale-free: multiplying A by a power
     of two keeps the same positions.  Malformed index arrays raise ``ValueError``.
@@ -65,7 +66,7 @@ def sparsified_power(A, p: int, tau: float = 0.0) -> sp.csc_matrix:
         Ap = Ap @ A
     Ap = Ap.tocoo()
     mags = np.abs(Ap.data)
-    keep = mags >= tau * mags.max(initial=0.0)
+    keep = (mags > 0) & (mags >= tau * mags.max(initial=0.0))
     return pattern_of(sp.csc_matrix((np.ones(keep.sum()), (Ap.row[keep], Ap.col[keep])), shape=A.shape))
 
 

@@ -13,8 +13,8 @@ import scipy.sparse as sp
 import samkit.cli
 import samkit.harness
 from samkit import (
-    FactorizationError, GmresConfig, IlutpParams, SequenceReport, SequenceSpec,
-    Strategy, SystemRecord, as_csc, compute_map, fem_pair_2d,
+    FactorizationError, GmresConfig, IlutpParams, PreconditionerChain, SequenceReport, SequenceSpec,
+    Strategy, SystemRecord, as_csc, compute_map, factor, fem_pair_2d, gmres,
     matrix_market_write, offset_pattern, parse_config, pattern_of, plan, render_report,
     resolve_pattern, run_sequence, sparsified_power, talbot_shifts,
 )
@@ -54,7 +54,7 @@ def test_strategy_validation():
         with pytest.raises(ValueError, match="unknown action"):
             Strategy(kind, ((0, "prec"), (3, "explode")))
         # no event, or a first event past system 0, is a schedule too
-        assert Strategy(kind).action(0) == Strategy(kind, ((1, "prec"),)).action(0) == "prec"
+        assert Strategy(kind).actions(1) == Strategy(kind, ((1, "prec"),)).actions(2)[:1] == ["prec"]
     assert Strategy.at_events([]) == Strategy.reuse_first()
     # an index that is not an integer is refused, not truncated
     for bad in (1.5, 2.0, "1"):
@@ -70,21 +70,21 @@ def test_strategy_validation():
     ev.append((2, "bogus"))
     assert strategy.events == ((0, "prec"), (2, "sam"))
     assert hash(strategy) == hash(Strategy("reuse", ((0, "prec"), (2, "sam"))))
-    assert strategy.action(2) == "sam"
-    assert Strategy.at_events([(np.int64(0), "prec"), (np.int32(2), "sam")]).action(2) == "sam"
+    assert strategy.actions(3)[2] == "sam"
+    assert Strategy.at_events([(np.int64(0), "prec"), (np.int32(2), "sam")]).actions(3)[2] == "sam"
 
 
 def test_strategy_actions():
-    assert [Strategy.recompute_every().action(k) for k in range(3)] == ["prec"] * 3
-    assert [Strategy.reuse_first().action(k) for k in range(3)] == ["prec", "reuse", "reuse"]
-    assert [Strategy.sam_every().action(k) for k in range(3)] == ["prec", "sam", "sam"]
+    assert Strategy.recompute_every().actions(3) == ["prec"] * 3
+    assert Strategy.reuse_first().actions(3) == ["prec", "reuse", "reuse"]
+    assert Strategy.sam_every().actions(3) == ["prec", "sam", "sam"]
     ev = Strategy.at_events([(0, "prec"), (2, "sam")])
     assert ev == Strategy("reuse", ((0, "prec"), (2, "sam")))
-    assert [ev.action(k) for k in range(4)] == ["prec", "reuse", "sam", "reuse"]
+    assert ev.actions(4) == ["prec", "reuse", "sam", "reuse"]
     # an event's action wins under every kind
     events = ((2, "reuse"), (3, "prec"))
-    assert [Strategy("sam", events).action(k) for k in range(5)] == ["prec", "sam", "reuse", "prec", "sam"]
-    assert [Strategy("prec", events).action(k) for k in range(4)] == ["prec", "prec", "reuse", "prec"]
+    assert Strategy("sam", events).actions(5) == ["prec", "sam", "reuse", "prec", "sam"]
+    assert Strategy("prec", events).actions(4) == ["prec", "prec", "reuse", "prec"]
 
 
 def test_run_sequence_resolves_the_pattern_once_per_new_reference(monkeypatch):
@@ -278,7 +278,7 @@ def test_sam_every_with_prec_events_is_the_refresh_schedule():
     for a, b in zip(*rows):
         assert (a.prec_event, a.iterations, a.sam_rel_residual, a.final_rel_residual) == \
                (b.prec_event, b.iterations, b.sam_rel_residual, b.final_rel_residual)
-    assert [r.prec_event for r in rows[1]] == ["prec", "sam", "sam", "sam"] * 3
+    assert [r.prec_event for r in rows[1]] == ["prec", "sam", "sam", "sam"] * 3 == sparse.actions(12)
 
 
 def test_pattern_that_changes_with_the_reference_plans_again(monkeypatch):
@@ -320,6 +320,39 @@ def test_factor_failure_fallback_records_and_continues():
     assert rep.rows[1].prec_event == "prec_failed"
     assert rep.rows[2].prec_event == "prec"
     assert rep.rows[0].converged and rep.rows[2].converged
+
+
+def _map_chain(A_k, A_ref, P_ref):
+    """The operator a map of A_k back to A_ref on pattern ref puts in hand."""
+    return PreconditionerChain(compute_map(A_k, A_ref, plan(pattern_of(A_ref), A_k, A_ref=A_ref)).N, P_ref)
+
+
+def test_reuse_after_a_map_keeps_that_maps_chain():
+    # the paper's reused updated preconditioner: system 3 reuses N_2 P_0, not P_0
+    spec = small_sweep(count=4)
+    rep = run_sequence(spec, Strategy("sam", ((3, "reuse"),)), MILD_ILUTP, "ref", FAST_GMRES)
+    assert [r.prec_event for r in rep.rows] == ["prec", "sam", "sam", "reuse", "sam"]
+    A, b = spec.matrices, spec.rhs
+    P0 = factor(A[0], MILD_ILUTP)
+    _, want = gmres(A[3], b, M=_map_chain(A[2], A[0], P0), config=FAST_GMRES)
+    _, bare = gmres(A[3], b, M=P0, config=FAST_GMRES)
+    row = rep.rows[3]
+    assert (row.iterations, row.final_rel_residual) == (want.iterations, want.final_rel_residual)
+    assert row.final_rel_residual != bare.final_rel_residual
+
+
+def test_failed_factorization_after_a_map_keeps_that_maps_chain():
+    # system 1 maps 1.1 * good back to good; system 2 is good with row 3 zeroed
+    base = _spec_with_bad_system(2)
+    good, bad, b = base.matrices[0], base.matrices[2], base.rhs
+    spec = SequenceSpec("matrix_files", [good, 1.1 * good, bad], np.zeros(3, dtype=complex), b)
+    rep = run_sequence(spec, Strategy("sam", ((2, "prec"),)), MILD_ILUTP, "ref", FAST_GMRES)
+    assert [r.prec_event for r in rep.rows] == ["prec", "sam", "prec_failed"]
+    P0 = factor(good, MILD_ILUTP)
+    _, want = gmres(bad, b, M=_map_chain(spec.matrices[1], good, P0), config=FAST_GMRES)
+    _, bare = gmres(bad, b, M=P0, config=FAST_GMRES)
+    assert rep.rows[2].final_rel_residual == want.final_rel_residual
+    assert rep.rows[2].final_rel_residual != bare.final_rel_residual
 
 
 def _spec_with_nan_system():

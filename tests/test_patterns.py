@@ -321,6 +321,24 @@ def test_sparsified_power_threshold_is_scale_free(tau, nnz):
         assert same_pattern(sparsified_power((s * A).astype(complex) * 1j, 2, tau), P)
 
 
+def test_sparsified_power_never_keeps_a_stored_zero_above_tau_zero():
+    # an all-zero A^p met its own threshold of 0: a diagonal of stored zeros
+    # kept 3 positions at p = 1, tau = 0.5, and 0 at p = 2, where scipy's
+    # product drops them
+    zeros = sp.csc_matrix((np.zeros(3), [0, 1, 2], [0, 1, 2, 3]), shape=(3, 3))
+    # stored zeros at (0, 0) and (0, 2), 2 at (1, 1) and 1 at (2, 2)
+    mixed = sp.csc_matrix(([0.0, 2.0, 0.0, 1.0], [0, 1, 0, 2], [0, 1, 2, 4]), shape=(3, 3))
+    assert (zeros.nnz, mixed.nnz) == (3, 4)  # the zeros are stored
+    for A, counts in ((zeros, {(1, 0.0): 3, (1, 0.5): 0, (2, 0.0): 3, (2, 0.5): 0}),
+                      (mixed, {(1, 0.0): 4, (1, 0.5): 2, (2, 0.0): 4, (2, 0.5): 1})):
+        for (p, tau), nnz in counts.items():
+            assert sparsified_power(A, p, tau).nnz == nnz, (A.toarray(), p, tau)
+    for p in (1, 2):
+        choice = f"sparsified:{p}:0.5"
+        with pytest.raises(ValueError, match=f"^pattern choice {re.escape(repr(choice))} has no positions for a 3x3 reference$"):
+            resolve_pattern(choice, zeros)
+
+
 def test_sparsified_power_threshold_monotone():
     rng = np.random.default_rng(4)
     A = random_sparse(15, rng)
