@@ -82,10 +82,11 @@ class IlutpFactors:
         return self.shape[0]
 
     def apply_solve(self, v):
-        """Approximate A^{-1} v: forward solve, back solve, undo the column permutation."""
+        """Approximate A^{-1} v: forward solve, back solve, undo the column permutation.
+
+        ``v`` is raveled; a length other than ``n`` is SuperLU's ``ValueError``.
+        """
         v = np.asarray(v).ravel()
-        if v.shape[0] != self.n:
-            raise ValueError(f"apply_solve: expected length {self.n}, got {v.shape[0]}")
         if np.iscomplexobj(v) and not np.iscomplexobj(self.L.data):
             # real factors: solve the real and imaginary parts as two right-hand sides
             z = self._U_lu.solve(self._L_lu.solve(np.column_stack([v.real, v.imag])))
@@ -185,13 +186,11 @@ def factor(A, params: IlutpParams = IlutpParams()) -> IlutpFactors:
                 perm[diag_col], perm[swap_col] = pos_swap, ii
                 iperm[ii] = swap_col
                 iperm[pos_swap] = diag_col
-                new_upper = np.delete(upper, best)
-                new_vals = np.delete(upper_vals, best)
-                if abs(diag_val) >= tnorm:  # old candidate joins the upper part
-                    new_upper = np.append(new_upper, diag_col)
-                    new_vals = np.append(new_vals, diag_val)
-                diag_val = upper_vals[best]
-                upper, upper_vals = new_upper, new_vals
+                # the old candidate takes the pivot's slot in the upper part, and is dropped there below tnorm
+                diag_val, upper_vals[best] = upper_vals[best], diag_val
+                upper[best] = diag_col
+                if abs(upper_vals[best]) < tnorm:
+                    upper, upper_vals = np.delete(upper, best), np.delete(upper_vals, best)
 
         # NaN fails both comparisons, so a non-finite pivot is refused too
         if not PIVOT_FLOOR <= abs(diag_val) < np.inf:

@@ -143,8 +143,8 @@ def matrix_market_read(path):
         if scipy.io.mminfo(path)[4] == "pattern":
             raise ValueError("unsupported field 'pattern', a file must hold values")
         return as_csc(scipy.io.mmread(path))
-    except ValueError as exc:
-        # scipy's messages name the line but not the file
+    except (ValueError, OverflowError) as exc:
+        # scipy's messages name the line but not the file; an integer too large for int64 is its OverflowError
         raise ValueError(f"{path}: {exc}") from None
 
 

@@ -100,7 +100,7 @@ def _canonical(A) -> sp.csc_matrix:
 
 
 def matvec(A, x: np.ndarray) -> np.ndarray:
-    """y = A x, computed by scipy's ``A.dot`` after a length check.
+    """y = A x, which is ``A @ x``; a length that does not fit ``A`` is scipy's ``ValueError``.
 
     Internal and unchecked: ``A``'s index arrays are read as they are, and
     malformed ones can crash the process.  Its one caller is the map apply
@@ -108,7 +108,4 @@ def matvec(A, x: np.ndarray) -> np.ndarray:
     the chain was built; the named entry point lets a tracer patch it to
     time the map apart from the reference operator.
     """
-    x = np.asarray(x).ravel()
-    if A.shape[1] != x.shape[0]:
-        raise ValueError(f"matvec: matrix has {A.shape[1]} columns, vector has length {x.shape[0]}")
-    return A.dot(x)
+    return A @ x

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from samkit import GmresConfig, IlutpParams, PreconditionerChain, SequenceSpec, as_csc, factor, gmres
+from samkit.cli import main as cli_main
 from samkit.gmres import HAPPY_BREAKDOWN, REORTH_RATIO, as_operator
 from samkit.sparse import scalar_dtype
 from helpers import random_sparse
@@ -54,12 +57,18 @@ def test_identity_converges_in_one_iteration():
     assert np.allclose(x, b, atol=1e-14)
 
 
-def test_one_long_cycle_allocates_nothing_quadratic():
+def test_one_long_cycle_allocates_nothing_quadratic(tmp_path, capsys):
     # the (m + 1) x m Hessenberg array of one 100000-step cycle asked for 74.5 GiB
     x, rep = gmres(sp.identity(4, format="csc"), np.ones(4), config=GmresConfig(max_total_iters=100000))
     assert rep.iterations == 1
     assert rep.converged
     assert np.allclose(x, 1.0, atol=1e-14)
+    # and a configured run with that budget exits 0 with every system converged
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text("[sequence]\nkind = helmholtz_sweep\ncount = 3\n[gmres]\nmax_total_iters = 100000\n")
+    assert cli_main(["run", "--config", str(cfg)]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [row["converged"] for row in rows] == ["true"] * 4 + [""]  # four systems, totals
 
 
 def test_restart_past_the_budget_is_a_restart_of_the_budget():

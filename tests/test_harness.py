@@ -478,7 +478,7 @@ def test_parse_config_events_schedule(tmp_path):
         assert strategy == Strategy(kind, ((4, "prec"), (9, "reuse")))
 
 
-def test_parse_config_rejections(tmp_path):
+def test_parse_config_rejections(tmp_path, capsys):
     bad = {
         "event_zero_not_prec": ("[sequence]\nkind = helmholtz_sweep\n"
                                 "[strategy]\nkind = reuse\nevents = [0:sam]\n"),
@@ -551,6 +551,9 @@ def test_parse_config_rejections(tmp_path):
         path.write_text(content)
         with pytest.raises(ConfigError):
             parse_config(path)
+    # on the command line a refusal is status 2 and one samkit: line; this one names the file's size
+    assert cli_main(["run", "--config", str(tmp_path / "pattern_file_wrong_size.cfg")]) == 2
+    assert capsys.readouterr() == ("", "samkit: pattern: pattern is 4x4, systems have size 9\n")
     pair = "[sequence]\nkind = shifted_pair\nnx = 2\nny = 2\n"
     with_message = {
         "sequence.shifts: expected pairs of 're im' values$": pair + "shifts = 1 0 2\n",
@@ -606,6 +609,7 @@ def test_parse_config_refuses_what_its_kinds_do_not_read(tmp_path):
         r"^\[sequence\] kind helmholtz_sweep does not read k_file, shifts$":
             "[sequence]\nkind = helmholtz_sweep\nshifts = 5 0\nk_file = nowhere.mtx\n",
         r"^\[sequence\] kind helmholtz_sweep does not read rhs_file$": small + "rhs_file = nowhere.mtx\n",
+        r"^\[sequence\] kind helmholtz_sweep does not read n_z$": small + "n_z = 8\n",
         r"^\[sequence\] kind matrix_files does not read n_z$":
             f"[sequence]\nkind = matrix_files\nfiles = {tmp_path / 'k.mtx'}\nn_z = 8\n",
         r"^\[pattern\] kind offsets:0 does not read path$": small + "[pattern]\nkind = offsets:0\npath = nowhere.mtx\n",
@@ -841,6 +845,9 @@ def test_cli_run_reports_config_error_on_one_line(tmp_path, capsys):
     cfg.write_text("[sequence]\nkind = helmholtz_sweep\n[gmres]\nrel_tol = inf\n")
     assert cli_main(["run", "--config", str(cfg)]) == 2
     assert capsys.readouterr() == ("", "samkit: gmres: rel_tol must be 0 < rel_tol < inf, not inf\n")
+    cfg.write_text("[sequence]\nkind = helmholtz_sweep\nn_z = 8\n")
+    assert cli_main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", "samkit: [sequence] kind helmholtz_sweep does not read n_z\n")
     cfg.write_text("kind = helmholtz_sweep\n")  # configparser's own message spans three lines
     assert cli_main(["run", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
@@ -851,19 +858,25 @@ def test_cli_run_reports_config_error_on_one_line(tmp_path, capsys):
 def test_cli_run_reads_the_config_as_utf8_text(tmp_path, capsys):
     # a byte-order mark was refused as "File contains no section headers",
     # and a byte that is not UTF-8 exited 1 with a UnicodeDecodeError traceback
-    plain, bom, latin = (tmp_path / f"{name}.cfg" for name in ("plain", "bom", "latin"))
+    plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
     plain.write_text(SMALL_SWEEP, encoding="utf-8")
     bom.write_bytes(b"\xef\xbb\xbf" + SMALL_SWEEP.encode())
-    latin.write_bytes(b"# caf\xe9\n" + SMALL_SWEEP.encode())
     (spec, *rest), (bom_spec, *bom_rest) = parse_config(plain), parse_config(bom)
     assert bom_rest == rest and _bits(bom_spec.rhs) == _bits(spec.rhs) and _bits(bom_spec.shifts) == _bits(spec.shifts)
     assert [_bits(A) for A in bom_spec.matrices] == [_bits(A) for A in spec.matrices]
-    assert cli_main(["run", "--config", str(bom)]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 5  # header, three systems, totals
-    assert cli_main(["run", "--config", str(latin)]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.count("\n") == 1
-    assert err.startswith(f"samkit: cannot read config file {latin}: not UTF-8 text ")
+    reports = []
+    for cfg in (plain, bom):
+        assert cli_main(["run", "--config", str(cfg)]) == 0
+        rows = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        reports.append([{k: v for k, v in row.items() if not k.endswith("_seconds")} for row in rows])
+    assert len(reports[0]) == 4 and reports[1] == reports[0]  # three systems and totals, seconds aside
+    for i, text in enumerate((b"# caf\xe9\n" + SMALL_SWEEP.encode(), SMALL_SWEEP.encode() + b"# \xff\xfe\n")):
+        latin = tmp_path / f"latin{i}.cfg"
+        latin.write_bytes(text)
+        assert cli_main(["run", "--config", str(latin)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"samkit: cannot read config file {latin}: not UTF-8 text ")
 
 
 @pytest.mark.parametrize("text, message", [
@@ -888,6 +901,17 @@ def test_cli_run_refuses_retired_spellings(tmp_path, capsys, text, message):
     cfg.write_text(text.format(tmp=tmp_path))
     assert cli_main(["run", "--config", str(cfg)]) == 2
     assert capsys.readouterr() == ("", f"samkit: {message.format(tmp=tmp_path)}\n")
+
+
+def test_cli_run_refuses_an_out_of_range_integer_in_a_file(tmp_path, capsys):
+    # scipy's OverflowError exited 1 with a traceback
+    big = tmp_path / "big.mtx"
+    big.write_text("%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 1 99999999999999999999\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[sequence]\nkind = shifted_pair\nk_file = {big}\nm_file = {big}\nshifts = 1 0\n")
+    assert cli_main(["run", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith(f"samkit: sequence: {big}: ")
 
 
 def test_cli_run_writes_file(tmp_path):

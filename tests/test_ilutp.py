@@ -212,6 +212,9 @@ def test_apply_solve_length_check():
     F = factor(sp.identity(3, format="csc"), IlutpParams())
     with pytest.raises(ValueError):
         F.apply_solve(np.ones(4))
+    # a complex vector on real factors is solved as two real columns
+    with pytest.raises(ValueError):
+        F.apply_solve(np.ones(4, dtype=complex))
 
 
 def test_droptol_produces_incomplete_factors():

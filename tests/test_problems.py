@@ -341,6 +341,22 @@ def test_matrix_market_errors(tmp_path):
         assert np.array_equal(A.toarray(), dense)
 
 
+BIG = "99999999999999999999"  # larger than any int64
+
+
+@pytest.mark.parametrize("content", [
+    f"%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 1 {BIG}\n",
+    f"%%MatrixMarket matrix coordinate real general\n2 2 1\n{BIG} 1 1.0\n",
+    f"%%MatrixMarket matrix coordinate real general\n{BIG} 2 1\n1 1 1.0\n",
+], ids=["value", "index", "dimension"])
+def test_matrix_market_read_refuses_out_of_range_integers(tmp_path, content):
+    # scipy's reader raised OverflowError, which the command line showed as a traceback
+    path = tmp_path / "big.mtx"
+    path.write_text(content)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+        matrix_market_read(path)
+
+
 def test_matrix_market_write_precision(tmp_path):
     A = as_csc(np.array([[1.0 / 3.0]]))
     path = tmp_path / "p.mtx"
