@@ -72,20 +72,31 @@ def as_operator(op):
     raise TypeError(f"cannot treat {type(op).__name__} as a linear operator")
 
 
-def _in_field(w, dtype):
-    if not np.can_cast(w.dtype, dtype, "same_kind"):
-        raise TypeError(f"gmres: an operand returned {w.dtype} values on a {dtype} run; give it a dtype")
-    return w
+def _checked(name, op, n, dtype):
+    """``as_operator(op)`` that refuses an answer that is not a length-``n`` vector in the run's field."""
+    apply = as_operator(op)
+
+    def checked(v):
+        w = apply(v)
+        if w.shape != (n,):
+            raise ValueError(f"gmres: {name} returned shape {w.shape}, expected {(n,)}")
+        if not np.can_cast(w.dtype, dtype, "same_kind"):
+            raise TypeError(f"gmres: {name} returned {w.dtype} values on a {dtype} run; give it a dtype")
+        return w
+
+    return checked
 
 
 def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
     """Solve A x = b with right preconditioner M.
 
     The working field is complex when any of ``A``, ``b``, ``x0`` and ``M``
-    declares a complex ``dtype``; an operand that declares none and returns
-    complex values on a real run raises ``TypeError`` rather than being cast,
-    and malformed index arrays of a compressed ``A`` or ``M`` ``ValueError``.
-    ``b`` and ``x0`` are raveled, and lengths that differ (``x0``'s from ``b``'s,
+    declares a complex ``dtype``.  Every answer of ``A`` and ``M`` must be a
+    vector of ``b``'s length in that field: another shape raises ``ValueError``
+    and complex values on a real run ``TypeError`` rather than being cast,
+    each naming the operand.  Malformed index arrays of a compressed ``A`` or
+    ``M`` raise ``ValueError``.  An omitted ``x0`` is a zero start.  ``b`` and
+    ``x0`` are raveled, and lengths that differ (``x0``'s from ``b``'s,
     ``b``'s from the rows of an ``A`` with a ``shape``) raise ``ValueError``,
     as a NaN or infinite entry of either does.
     Returns (x, SolveReport).  Convergence means the explicit residual
@@ -103,18 +114,18 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
     n = b.shape[0]
     if hasattr(A, "shape") and A.shape[0] != n:
         raise ValueError(f"gmres: A has {A.shape[0]} rows, b has length {n}")
-    x0 = None if x0 is None else np.asarray(x0).ravel()
-    if x0 is not None and x0.shape[0] != n:
+    x0 = np.asarray(np.zeros(n) if x0 is None else x0).ravel()
+    if x0.shape[0] != n:
         raise ValueError(f"gmres: x0 has length {x0.shape[0]}, b has length {n}")
     for name, v in (("b", b), ("x0", x0)):
-        if v is not None and not np.isfinite(v).all():
+        if not np.isfinite(v).all():
             raise ValueError(f"gmres: {name} has a non-finite entry")
-    apply_A, apply_M = as_operator(A), as_operator(M)
-    dtype = scalar_dtype(b, *(op for op in (A, M, x0) if getattr(op, "dtype", None) is not None))
+    dtype = scalar_dtype(b, x0, *(op for op in (A, M) if getattr(op, "dtype", None) is not None))
+    apply_A, apply_M = _checked("A", A, n, dtype), _checked("M", M, n, dtype)
 
     e = scale_exponent(b)
     b = ldexp(b, -e)
-    x = np.zeros(n, dtype=dtype) if x0 is None else ldexp(x0.astype(dtype), -e)
+    x = ldexp(x0.astype(dtype), -e)
 
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
@@ -131,7 +142,7 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
     total_iters = 0
     singular = False
     nonfinite = False
-    r = _in_field(b - apply_A(x), dtype)
+    r = b - apply_A(x)
     beta = nrm2(r)
 
     # the one convergence test; a NaN residual runs a cycle, which records it
@@ -149,7 +160,7 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
         j = 0
         breakdown = False
         while j < m and total_iters < cfg.max_total_iters:
-            w = _in_field(apply_A(apply_M(V[:, j])), dtype)
+            w = apply_A(apply_M(V[:, j]))
             wnorm = nrm2(w)
             Vj = V[:, :j + 1]
             # (w^H Vj)^H rather than Vj^H w, which would copy the block
@@ -201,7 +212,7 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
             else:
                 nonfinite = True
         # the explicit residual checks this cycle and starts the next one
-        r = _in_field(b - apply_A(x), dtype)
+        r = b - apply_A(x)
         beta = nrm2(r)
         if breakdown or nonfinite:
             # after a breakdown or a non-finite operator value the recurrence

@@ -7,7 +7,9 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from samkit import GmresConfig, IlutpParams, PreconditionerChain, SequenceSpec, as_csc, factor, gmres
+from samkit import (
+    GmresConfig, IlutpParams, PreconditionerChain, SequenceSpec, as_csc, factor, fem_pair_2d, gmres, talbot_shifts,
+)
 from samkit.cli import main as cli_main
 from samkit.gmres import HAPPY_BREAKDOWN, REORTH_RATIO, as_operator
 from samkit.sparse import scalar_dtype
@@ -162,9 +164,53 @@ def test_gmres_checks_vector_lengths():
         gmres(A, np.ones(9), x0=np.ones(3))
     with pytest.raises(ValueError, match="^gmres: A has 9 rows, b has length 18$"):
         gmres(A, np.ones((9, 2)))
-    # x0 is raveled as b is, and an operand without a shape is not checked
+    # x0 is raveled as b is; an operand without a shape has no row count to
+    # check against b, and only its answers are checked
     x, rep = gmres(A.dot, np.ones((9, 1)), x0=np.zeros((9, 1)))
     assert rep.converged and x.shape == (9,)
+
+
+def _column(v):
+    return v.reshape(-1, 1)
+
+
+@pytest.mark.parametrize("A, M, message", [
+    (2 * sp.identity(4, format="csc"), _column, r"M returned shape \(4, 1\), expected \(4,\)"),
+    (2 * sp.identity(4, format="csc"), PreconditionerChain(sp.identity(4, format="csc"), _column),
+     r"M returned shape \(4, 1\), expected \(4,\)"),
+    (lambda v: 2 * v[:3], None, r"A returned shape \(3,\), expected \(4,\)"),
+], ids=["column_M", "column_chain_P", "short_A"])
+def test_gmres_refuses_an_answer_that_is_not_a_length_n_vector(A, M, message):
+    # each failed inside numpy ("matmul: Input operand 1 has a mismatch in its
+    # core dimension", "operands could not be broadcast together"), naming
+    # neither the operand nor the shape
+    with pytest.raises(ValueError, match=f"^gmres: {message}$"):
+        gmres(A, np.ones(4), M=M)
+
+
+def _start_cases():
+    params = IlutpParams(lfil=10, droptol=1e-2, pivtol=1.0)
+    spec = SequenceSpec.helmholtz(6, 6, 0.01, 8)
+    fem = SequenceSpec.shifted_pair(*fem_pair_2d(4, 4), talbot_shifts(8, 1.0))
+    N = sp.identity(spec.n, format="csc") + 0.01 * random_sparse(spec.n, np.random.default_rng(13))
+    P = factor(spec.matrices[0], params)
+    return {
+        "real": (spec.matrices[8], spec.rhs, P),
+        "complex_shifted": (fem.matrices[3], fem.rhs, factor(fem.matrices[0], params)),
+        "chain": (spec.matrices[8], spec.rhs, PreconditionerChain(N, P)),
+    }
+
+
+@pytest.mark.parametrize("case", ["real", "complex_shifted", "chain"])
+def test_omitted_x0_is_a_zero_start(case):
+    A, b, M = _start_cases()[case]
+    cfg = GmresConfig(restart=5, rel_tol=1e-10, max_total_iters=40)
+    x, rep = gmres(A, b, M=M, config=cfg)
+    x_z, rep_z = gmres(A, b, M=M, x0=np.zeros(b.shape[0]), config=cfg)
+    assert x.dtype == x_z.dtype and x.tobytes() == x_z.tobytes()
+    assert rep.residual_history.tobytes() == rep_z.residual_history.tobytes()
+    assert (rep.restart_checks, rep.iterations, rep.final_rel_residual) == \
+        (rep_z.restart_checks, rep_z.iterations, rep_z.final_rel_residual)
 
 
 
