@@ -98,10 +98,12 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
     ``M`` raise ``ValueError``.  An omitted ``x0`` is a zero start.  ``b`` and
     ``x0`` are raveled, and lengths that differ (``x0``'s from ``b``'s,
     ``b``'s from the rows of an ``A`` with a ``shape``) raise ``ValueError``,
-    as a NaN or infinite entry of either does.
-    Returns (x, SolveReport).  Convergence means the explicit residual
-    satisfies ||b - A x|| <= rel_tol * ||b||.  The recurrence residual ends
-    each cycle; the explicit one at its end re-verifies it and starts the next.
+    as a NaN or infinite entry of either does.  GMRES never writes into an
+    operand's answer, so one may return its input, as ``None`` (identity) does.
+    Returns (x, SolveReport).  A cycle runs at most ``min(restart, iterations
+    left)`` steps.  Convergence means the explicit residual satisfies
+    ||b - A x|| <= rel_tol * ||b||.  The recurrence residual ends each cycle;
+    the explicit one at its end re-verifies it and starts the next.
     The solve runs on ``b``'s power-of-two scale, which is exact: ``2**k b``
     gives ``2**k x`` bit for bit.  Every other norm is BLAS ``nrm2``, which
     scales internally, so the Arnoldi and residual norms of an operator as far
@@ -157,19 +159,19 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
         g = [beta]
         history.append(beta / bnorm)
 
-        j = 0
         breakdown = False
-        while j < m and total_iters < cfg.max_total_iters:
+        for j in range(min(m, cfg.max_total_iters - total_iters)):
             w = apply_A(apply_M(V[:, j]))
             wnorm = nrm2(w)
             Vj = V[:, :j + 1]
-            # (w^H Vj)^H rather than Vj^H w, which would copy the block
+            # (w^H Vj)^H rather than Vj^H w, which would copy the block; out of
+            # place, since an operand's answer may be its input, V[:, j] itself
             h = (w.conj() @ Vj).conj()
-            w -= Vj @ h
+            w = w - Vj @ h
             hnext = nrm2(w)
             if hnext < REORTH_RATIO * wnorm:
                 h2 = (w.conj() @ Vj).conj()
-                w -= Vj @ h2
+                w = w - Vj @ h2
                 h += h2
                 hnext = nrm2(w)
             if not np.isfinite(hnext):
@@ -190,17 +192,16 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
             g.append(-s.conjugate() * g[j])
             g[j] = c * g[j]
 
-            total_iters += 1
             rel = abs(g[j + 1]) / bnorm
             history.append(rel)
-            j += 1
             if breakdown or rel <= cfg.rel_tol:
                 break
+        total_iters += len(columns)
 
         # an exactly zero pivot (breakdown on a singular operator) leaves only
         # the leading block solvable; the update stops there and x stays finite
-        p = next((i for i, col in enumerate(columns) if col[i] == 0), j)
-        singular = p < j
+        p = next((i for i, col in enumerate(columns) if col[i] == 0), len(columns))
+        singular = p < len(columns)
         if p > 0:
             # the Givens rotations left the Hessenberg matrix upper triangular
             R = np.zeros((p, p), dtype=dtype)

@@ -231,11 +231,11 @@ class PreconditionerChain:
     ``P`` is any operand :func:`samkit.gmres.as_operator` accepts: a sparse
     or dense matrix, an object exposing ``apply_solve`` or ``apply``, a
     callable, or None for identity; the chain holds the callable that
-    function makes of it.  A chain exposes ``apply``, so a chain is itself a
-    valid ``P`` and compositions nest.  Its ``dtype`` covers ``N`` and ``P``,
-    and is None when ``P`` declares none.  The map is applied through
-    :func:`samkit.sparse.matvec`, looked up at every call.  Malformed index
-    arrays of ``N`` or of a compressed ``P`` raise ``ValueError``.
+    function makes of it.  ``apply`` is a chain's one spelling, so a chain
+    is itself a valid ``P`` and compositions nest.  Its ``dtype`` covers
+    ``N`` and ``P``, and is None when ``P`` declares none.  The map is
+    applied through :func:`samkit.sparse.matvec`, looked up at every call.
+    Malformed index arrays of ``N`` or a compressed ``P`` raise ``ValueError``.
     """
 
     def __init__(self, N, P):
@@ -250,8 +250,6 @@ class PreconditionerChain:
 
     def apply(self, v):
         return matvec(self.N, self.P(v))
-
-    __call__ = apply
 
 
 __all__ = [

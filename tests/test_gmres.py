@@ -59,6 +59,17 @@ def test_identity_converges_in_one_iteration():
     assert np.allclose(x, b, atol=1e-14)
 
 
+# None, the identity, answers with its input, which is a Krylov basis column;
+# Gram-Schmidt must not write into that answer, or the basis is lost
+@pytest.mark.parametrize("A", [None, lambda v: v, lambda v: v.reshape(-1)], ids=["none", "lambda", "view"])
+@pytest.mark.parametrize("b", [np.arange(1.0, 5.0), np.arange(1.0, 5.0) * (1 - 2j)], ids=["real", "complex"])
+def test_operand_answering_its_own_input_converges_in_one_iteration(A, b):
+    x, rep = gmres(A, b)
+    assert rep.iterations == 1
+    assert rep.converged
+    assert np.linalg.norm(x - b) <= 1e-14 * np.linalg.norm(b)
+
+
 def test_one_long_cycle_allocates_nothing_quadratic(tmp_path, capsys):
     # the (m + 1) x m Hessenberg array of one 100000-step cycle asked for 74.5 GiB
     x, rep = gmres(sp.identity(4, format="csc"), np.ones(4), config=GmresConfig(max_total_iters=100000))

@@ -38,6 +38,7 @@ import numpy as np  # noqa: E402
 import samkit.harness  # noqa: E402
 import samkit.ilutp  # noqa: E402
 import samkit.sam  # noqa: E402
+from tracing import patched  # noqa: E402
 from workloads import ARMS, ILUTP, PATTERN, WORKLOADS, arm_strategy  # noqa: E402
 
 
@@ -91,12 +92,9 @@ def digest_lines(workload, seed, toy=False):
             solves.update(solve_bytes(x, rep))
             return x, rep
 
-        samkit.sam.compute_map, samkit.ilutp.factor, samkit.harness.gmres = (
-            recording_map, recording_factor, recording_solve)
-        try:
+        with patched([(samkit.sam, "compute_map", recording_map), (samkit.ilutp, "factor", recording_factor),
+                      (samkit.harness, "gmres", recording_solve)]):
             report = samkit.harness.run_sequence(spec, strategy, ILUTP, PATTERN, wl.gmres, sam_workers=workers)
-        finally:
-            samkit.sam.compute_map, samkit.ilutp.factor, samkit.harness.gmres = compute_map, factor, gmres
         lines += [f"{arm} map {i} {d}" for i, d in enumerate(digests)]
         lines.append(f"{arm} factors {factors.hexdigest()}")
         lines.append(f"{arm} solves {solves.hexdigest()}")
