@@ -74,7 +74,6 @@ def sparsified_power(A, p: int, tau: float = 0.0) -> sp.csc_matrix:
 # arguments, and its builder from the reference matrix and those arguments
 _PATTERN_FORMS = {
     "ref": ("ref", (), pattern_of),
-    "power": ("power:P", (int,), sparsified_power),
     "sparsified": ("sparsified:P:TAU", (int, float), sparsified_power),
     "offsets": ("offsets:o1,o2,...", (lambda text: [int(tok) for tok in text.split(",")],),
                 lambda A, offsets: offset_pattern(A.shape[0], offsets)),
@@ -85,11 +84,12 @@ def resolve_pattern(choice, A_ref) -> sp.csc_matrix:
     """Turn a pattern choice into a concrete pattern for the reference matrix.
 
     Accepts a sparse matrix, whose stored positions are the pattern, or one
-    of the string forms ``ref``, ``power:P``, ``sparsified:P:TAU``,
-    ``offsets:o1,o2,...`` (``offsets:0`` is the diagonal).  A pattern file
-    is any Matrix Market matrix, passed as the matrix
-    :func:`samkit.problems.matrix_market_read` returns, as
-    ``[pattern] kind = file`` does; ``[pattern] kind`` takes the string forms,
+    of the string forms, one per builder: ``ref`` (:func:`pattern_of`),
+    ``sparsified:P:TAU`` (:func:`sparsified_power`; ``TAU = 0`` is the
+    structural power) and ``offsets:o1,o2,...`` (:func:`offset_pattern`;
+    ``offsets:0`` is the diagonal).  A pattern file is any Matrix Market
+    matrix, passed as the matrix :func:`samkit.problems.matrix_market_read`
+    returns, as ``[pattern] kind = file`` does; ``[pattern] kind`` takes the string forms,
     and one whose argument does not fit raises ``ValueError`` naming the form,
     as a builder's range check does.  A sparse choice whose shape is not
     ``A_ref``'s raises ``ValueError``, and anything else ``TypeError``.  A

@@ -12,6 +12,7 @@ N) recycles it for the new matrix.
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from operator import matmul as matvec  # the map apply, by a module name a tracer can patch
 from typing import NamedTuple
 
 import numpy as np
@@ -20,8 +21,7 @@ import scipy.sparse.linalg as spla
 
 from .gmres import as_operator
 from .patterns import pattern_of
-from .sparse import (check_indices, check_integers, checked_csc, ldexp, matvec, norm_ratio, scalar_dtype,
-                     scale_exponent)
+from .sparse import check_indices, check_integers, checked_csc, ldexp, norm_ratio, scalar_dtype, scale_exponent
 
 # Singular-value cutoff of the block pseudoinverse, relative to each block's
 # largest singular value; smaller ones count as zero, so rank-deficient blocks
@@ -234,8 +234,9 @@ class PreconditionerChain:
     function makes of it.  ``apply`` is a chain's one spelling, so a chain
     is itself a valid ``P`` and compositions nest.  Its ``dtype`` covers
     ``N`` and ``P``, and is None when ``P`` declares none.  The map is
-    applied through :func:`samkit.sparse.matvec`, looked up at every call.
-    Malformed index arrays of ``N`` or a compressed ``P`` raise ``ValueError``.
+    applied as ``samkit.sam.matvec``, scipy's ``@`` bound by name and looked
+    up at every call, so a tracer can time it apart.  Malformed index arrays
+    of ``N`` or a compressed ``P`` raise ``ValueError``.
     """
 
     def __init__(self, N, P):

@@ -98,14 +98,3 @@ def _canonical(A) -> sp.csc_matrix:
         M.sum_duplicates()
     return M
 
-
-def matvec(A, x: np.ndarray) -> np.ndarray:
-    """y = A x, which is ``A @ x``; a length that does not fit ``A`` is scipy's ``ValueError``.
-
-    Internal and unchecked: ``A``'s index arrays are read as they are, and
-    malformed ones can crash the process.  Its one caller is the map apply
-    of :class:`samkit.sam.PreconditionerChain`, whose ``N`` was checked when
-    the chain was built; the named entry point lets a tracer patch it to
-    time the map apart from the reference operator.
-    """
-    return A @ x

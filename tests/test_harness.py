@@ -183,7 +183,7 @@ def test_bad_pattern_choice_raises_before_any_factorization(monkeypatch):
         raise AssertionError("factored before the pattern choice was checked")
     monkeypatch.setattr(samkit.harness.ilutp, "factor", no_factor)
     refusals = (
-        ("power:9", ValueError, "^power must be between 1 and 5$"),
+        ("sparsified:9:0", ValueError, "^power must be between 1 and 5$"),
         ("offsets:x", ValueError, r"^pattern choice 'offsets:x': expected the form offsets:o1,o2,\.\.\.$"),
         ("nope", ValueError, "^unknown pattern choice 'nope'$"),
         (offset_pattern(4, [0]), ValueError, "^pattern is 4x4, systems have size 16$"),
@@ -528,12 +528,12 @@ def test_parse_config_rejections(tmp_path, capsys):
         "bad_droptol": small + "[ilutp]\ndroptol = abc\n",
         "zero_restart": small + "[gmres]\nrestart = 0\n",
         "removed_gmres_key": small + "[gmres]\nreorthogonalize = true\n",
-        "power_out_of_range": small + "[pattern]\nkind = power:9\n",
+        "power_out_of_range": small + "[pattern]\nkind = sparsified:9:0\n",
         "bad_tau": small + "[pattern]\nkind = sparsified:2:x\n",
         "nan_tau": small + "[pattern]\nkind = sparsified:2:nan\n",
         "tau_above_one": small + "[pattern]\nkind = sparsified:2:2\n",
         "sparsified_without_tau": small + "[pattern]\nkind = sparsified:2\n",
-        "power_without_p": small + "[pattern]\nkind = power\n",
+        "sparsified_without_p": small + "[pattern]\nkind = sparsified\n",
         "nan_droptol": small + "[ilutp]\ndroptol = nan\n",
         "fractional_lfil": small + "[ilutp]\nlfil = 2.5\n",
         "nan_rel_tol": small + "[gmres]\nrel_tol = nan\n",
@@ -590,11 +590,11 @@ def test_parse_config_rejections(tmp_path, capsys):
         path.write_text(small + f"[strategy]\nevents = {events}\n")
         with pytest.raises(ConfigError, match="^strategy.events: bad item ''$"):
             parse_config(path)
-    # the retired pattern keys are keys no kind reads: kind = power:2 spells them now
+    # the retired pattern keys are keys no kind reads: kind = sparsified:2:0 spells them now
     for key in ("p = 2", "tau = 0.1", "offsets = 0,1"):
         path = tmp_path / "retired.cfg"
-        path.write_text(small + f"[pattern]\nkind = power:2\n{key}\n")
-        with pytest.raises(ConfigError, match=rf"^\[pattern\] kind power:2 does not read {key.split()[0]}$"):
+        path.write_text(small + f"[pattern]\nkind = sparsified:2:0\n{key}\n")
+        with pytest.raises(ConfigError, match=rf"^\[pattern\] kind sparsified:2:0 does not read {key.split()[0]}$"):
             parse_config(path)
 
 
@@ -747,7 +747,7 @@ def test_parse_config_reports_a_section_after_its_values_and_the_sections_before
      lambda: offset_pattern(9, [0])),
     (SMALL_SWEEP + "[pattern]\nkind = offsets:-1,0,1\n", lambda c: resolve_pattern(c[3], A_SMALL),
      lambda: offset_pattern(9, [-1, 0, 1])),
-    (SMALL_SWEEP + "[pattern]\nkind = power:3\n", lambda c: resolve_pattern(c[3], A_SMALL),
+    (SMALL_SWEEP + "[pattern]\nkind = sparsified:3:0\n", lambda c: resolve_pattern(c[3], A_SMALL),
      lambda: sparsified_power(A_SMALL, 3)),
     (SMALL_SWEEP + "[pattern]\nkind = sparsified:2:0.1\n",
      lambda c: resolve_pattern(c[3], A_SMALL), lambda: sparsified_power(A_SMALL, 2, 0.1)),
@@ -764,7 +764,7 @@ def test_parse_config_values_build_their_objects(tmp_path, text, built, direct):
 @pytest.mark.parametrize("extra, events", [
     # restart = 2: every system crosses restart boundaries
     ("[gmres]\nrestart = 2\n", ["prec", "sam", "sam", "sam"]),
-    ("[pattern]\nkind = power:2\n", ["prec", "sam", "sam", "sam"]),
+    ("[pattern]\nkind = sparsified:2:0\n", ["prec", "sam", "sam", "sam"]),
     # a prec event wins under sam
     ("[strategy]\nkind = sam\nevents = [2:prec]\n", ["prec", "sam", "prec", "sam"]),
 ], ids=["restart_2", "power_2", "prec_event"])
@@ -882,6 +882,7 @@ def test_cli_run_reads_the_config_as_utf8_text(tmp_path, capsys):
 @pytest.mark.parametrize("text, message", [
     (SMALL_SWEEP + "[pattern]\nkind = diag\n", "pattern: unknown pattern choice 'diag'"),
     (SMALL_SWEEP + "[pattern]\nkind = tridiag\n", "pattern: unknown pattern choice 'tridiag'"),
+    (SMALL_SWEEP + "[pattern]\nkind = power:2\n", "pattern: unknown pattern choice 'power:2'"),
     (SMALL_PAIR + "shifts = 1 0\nrhs = ones\n", "[sequence] kind shifted_pair does not read rhs"),
     (SMALL_PAIR + "shifts = 1 0\nrhs = file:{tmp}/rhs.mtx\n", "[sequence] kind shifted_pair does not read rhs"),
     (SMALL_PAIR + "shift_file = {tmp}/shifts.txt\n",
@@ -890,9 +891,9 @@ def test_cli_run_reads_the_config_as_utf8_text(tmp_path, capsys):
     *((SMALL_SWEEP + f"[strategy]\nkind = {kind}\n",
        f"strategy: unknown strategy kind '{kind}', expected one of prec, sam, reuse")
       for kind in ("recompute_every", "sam_every", "reuse_first")),
-], ids=["diag", "tridiag", "rhs_ones", "rhs_file_prefix", "shift_text", "talbot_constants", "recompute_every", "sam_every", "reuse_first"])
+], ids=["diag", "tridiag", "power", "rhs_ones", "rhs_file_prefix", "shift_text", "talbot_constants", "recompute_every", "sam_every", "reuse_first"])
 def test_cli_run_refuses_retired_spellings(tmp_path, capsys, text, message):
-    # each input has one spelling: offsets:0, offsets:-1,0,1, rhs_file = PATH
+    # each input has one spelling: offsets:0, offsets:-1,0,1, sparsified:P:0, rhs_file = PATH
     # (no rhs_file is the point source), shift_file = a Matrix Market vector,
     # a contour with other constants given as its shifts, and a strategy
     # kind as the action of every system that no event names
@@ -923,6 +924,18 @@ def test_cli_run_writes_file(tmp_path):
     assert cli_main(["run", "--config", str(cfg), "--out", str(out_path)]) == 0
     assert out_path.exists()
     assert out_path.read_text().startswith("index,")
+
+
+def test_cli_run_markdown_is_the_csv_in_pipe_syntax(tmp_path, capsys):
+    # the header is the CSV header in pipe syntax, and the table has one line more: its --- row
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_SWEEP)
+    assert cli_main(["run", "--config", str(cfg)]) == 0
+    csv_lines = capsys.readouterr().out.splitlines()
+    assert cli_main(["run", "--config", str(cfg), "--format", "markdown"]) == 0
+    md_lines = capsys.readouterr().out.splitlines()
+    assert md_lines[0] == "| " + csv_lines[0].replace(",", " | ") + " |"
+    assert len(md_lines) == len(csv_lines) + 1 == 6  # the CSV: header, three systems, totals
 
 
 def _tree(root):

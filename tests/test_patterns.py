@@ -104,7 +104,7 @@ def test_resolve_pattern_forms(tmp_path):
     A = random_sparse(6, rng)
     assert same_pattern(resolve_pattern("ref", A), pattern_of(A))
     assert same_pattern(resolve_pattern("offsets:-2,0,2", A), offset_pattern(6, [-2, 0, 2]))
-    assert same_pattern(resolve_pattern("power:2", A), sparsified_power(pattern_of(A), 2))
+    assert same_pattern(resolve_pattern("sparsified:2:0", A), sparsified_power(pattern_of(A), 2))
     P = offset_pattern(6, [0, 1])
     path = tmp_path / "p.mtx"
     matrix_market_write(P, path)
@@ -128,15 +128,14 @@ def test_resolve_pattern_forms(tmp_path):
     # a malformed argument names the choice and its form; most raised int()'s
     # "invalid literal" and sparsified:2 "not enough values to unpack"
     malformed = {"ref": ["ref:junk", "ref:"],
-                 "power:P": ["power", "power:", "power:2.5", "power:2:3"],
                  "sparsified:P:TAU": ["sparsified:2", "sparsified:2.5:0.1", "sparsified:2:x", "sparsified:2:0.1:3"],
                  "offsets:o1,o2,...": ["offsets", "offsets:", "offsets:1,,2", "offsets:0.9", "offsets:1:2"]}
     for form, choices in malformed.items():
         for bad in choices:
             with pytest.raises(ValueError, match=f"^{re.escape(f'pattern choice {bad!r}: expected the form {form}')}$"):
                 resolve_pattern(bad, A)
-    # the retired names: offsets:0 and offsets:-1,0,1 spell the same patterns
-    for bad in ("nope", "diag", "tridiag", "diag:3", "tridiag:1"):
+    # the retired names: offsets:0, offsets:-1,0,1 and sparsified:P:0 spell the same patterns
+    for bad in ("nope", "diag", "tridiag", "diag:3", "tridiag:1", "power:2"):
         with pytest.raises(ValueError, match=f"^unknown pattern choice '{bad}'$"):
             resolve_pattern(bad, A)
     with pytest.raises(TypeError):

@@ -11,7 +11,6 @@ from samkit import (
     map_residual_norm, offset_pattern, pattern_of, plan, resolve_pattern,
 )
 from samkit.sam import RANK_TOL
-from samkit.sparse import matvec
 from helpers import (
     grid_laplacian_triplets, pattern_at, pattern_to_bool, random_pattern, random_sparse, refusal_in_child,
     same_pattern,
@@ -554,7 +553,7 @@ def test_compose_identity_map_behaves_like_p():
     P = random_sparse(10, rng)
     chain = PreconditionerChain(sp.identity(10, format="csc"), P)
     v = rng.standard_normal(10)
-    assert np.array_equal(chain.apply(v), matvec(P, v))
+    assert np.array_equal(chain.apply(v), P @ v)
 
 
 def test_compose_identity_operator():
@@ -562,7 +561,7 @@ def test_compose_identity_operator():
     N = random_sparse(10, rng)
     chain = PreconditionerChain(N, None)
     v = rng.standard_normal(10)
-    assert np.array_equal(chain.apply(v), matvec(N, v))
+    assert np.array_equal(chain.apply(v), N @ v)
 
 
 def test_compose_matches_dense_product():

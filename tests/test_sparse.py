@@ -3,49 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from samkit import as_csc
-from samkit.sparse import check_indices, checked_csc, ldexp, matvec, norm_ratio, scale_exponent
-from helpers import random_sparse, refusal_in_child, shifted_family
-
-
-def test_matvec_identity_and_diagonal():
-    x = np.array([3.0, -4.0])
-    assert np.array_equal(matvec(sp.identity(2, format="csc"), x), x)
-    D = as_csc(np.diag([2.0, 3.0]))
-    assert np.array_equal(matvec(D, np.ones(2)), np.array([2.0, 3.0]))
-
-
-def test_matvec_against_dense():
-    rng = np.random.default_rng(1)
-    A = random_sparse(10, rng)
-    x = rng.standard_normal(10)
-    y = matvec(A, x)
-    yd = A.toarray() @ x
-    assert np.linalg.norm(y - yd) <= 1e-14 * max(np.linalg.norm(yd), 1.0)
-
-
-def test_matvec_dimension_mismatch():
-    with pytest.raises(ValueError):
-        matvec(sp.identity(3, format="csc"), np.ones(4))
-
-
-def test_matvec_distributes():
-    rng = np.random.default_rng(2)
-    A = random_sparse(15, rng)
-    x = rng.standard_normal(15)
-    y = rng.standard_normal(15)
-    lhs = matvec(A, x + y)
-    rhs = matvec(A, x) + matvec(A, y)
-    assert np.linalg.norm(lhs - rhs) <= 1e-13 * max(np.linalg.norm(lhs), 1.0)
-
-
-def test_matvec_associativity():
-    rng = np.random.default_rng(5)
-    A = random_sparse(20, rng)
-    B = random_sparse(20, rng)
-    x = rng.standard_normal(20)
-    lhs = matvec(A @ B, x)
-    rhs = matvec(A, matvec(B, x))
-    assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(np.linalg.norm(rhs), 1.0)
+from samkit.sparse import check_indices, checked_csc, ldexp, norm_ratio, scale_exponent
+from helpers import refusal_in_child, shifted_family
 
 
 @pytest.mark.parametrize("x, e", [
