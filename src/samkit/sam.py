@@ -21,7 +21,7 @@ import scipy.sparse.linalg as spla
 
 from .gmres import as_operator
 from .patterns import pattern_of
-from .sparse import check_indices, check_integers, checked_csc, ldexp, norm_ratio, scalar_dtype, scale_exponent
+from .sparse import check_indices, check_integers, checked_csc, ldexp, norm_ratio, scale_exponent
 
 # Singular-value cutoff of the block pseudoinverse, relative to each block's
 # largest singular value; smaller ones count as zero, so rank-deficient blocks
@@ -33,8 +33,7 @@ class ShapeGroup(NamedTuple):
     """The ``g`` columns whose least-squares blocks share one (rows, cols) shape."""
 
     columns: np.ndarray
-    blocks: np.ndarray
-    refs: np.ndarray
+    entries: np.ndarray
     unknowns: np.ndarray
 
 
@@ -48,16 +47,16 @@ class SamPlan:
     pattern of the row sets: its column l holds the union of the stored-entry
     rows of the matrix's columns that column l of ``S`` selects and of the
     reference's column l.  ``groups`` holds one :class:`ShapeGroup` per block
-    shape: the position in the matrix's ``data`` (``nnz`` where none is
-    stored) of every block entry, ``blocks`` ``(g, rows, cols)``; that in the
-    reference's ``data`` of every row-set entry, ``refs`` ``(g, rows)``; and
-    that in the map's ``data`` of every unknown, ``unknowns`` ``(g, cols)``.
-    So a map touches values only, and one plan serves every pattern, matrix
-    and reference that it :meth:`fits`.
+    shape: ``entries`` ``(g, rows, cols + 1)``, the position of every entry
+    of each column's ``[B | f]``, its block and, last, its reference column,
+    in the one value vector ``[0, A.data, A_ref.data]``, whose first slot
+    stands for every entry not stored; and ``unknowns`` ``(g, cols)``, the
+    position in the map's ``data`` of every unknown.  So a map touches values
+    only, and one plan serves every pattern, matrix and reference that it
+    :meth:`fits`.
     """
 
     n: int
-    degenerate_columns: np.ndarray
     rows: sp.csc_matrix = field(repr=False)
     groups: list = field(repr=False)
     structures: tuple = field(repr=False)
@@ -87,15 +86,12 @@ def _first_change(M, P):
     return int(np.flatnonzero(np.diff((pattern_of(M) - P).indptr))[0])
 
 
-def _positions(M, rows, cols):
-    """Position in square CSC matrix M's ``data`` of each (rows, cols) entry; nnz where none is stored."""
+def _lookup(M, rows, cols):
+    """The value of CSC matrix M at each (rows, cols) entry, as a 1-D array; 0 where none is stored."""
     if len(rows) == 0:  # scipy answers an empty lookup with a sparse matrix
-        return np.empty(0, dtype=np.int64)
-    # scipy's lookup reads the stored 1-based positions, and a miss reads 0;
-    # ravel makes its (1, k) np.matrix and a 1-D answer alike
-    at = sp.csc_matrix((np.arange(1, M.nnz + 1, dtype=np.int64), M.indices, M.indptr), shape=M.shape)
-    got = np.asarray(at[rows, cols]).ravel()
-    return np.where(got > 0, got - 1, M.nnz)
+        return np.zeros(0, dtype=M.dtype)
+    # ravel makes scipy's (1, k) np.matrix and a 1-D answer alike
+    return np.asarray(M[rows, cols]).ravel()
 
 
 def plan(S, A, A_ref=None) -> SamPlan:
@@ -106,10 +102,10 @@ def plan(S, A, A_ref=None) -> SamPlan:
     of the matrices and references the map will be computed for.  Each
     column's row set is the union of the stored-entry rows of the A-columns
     its pattern selects and of the reference's own column, so every block
-    sees the whole reference column.  Columns with an empty pattern are
-    flagged degenerate; their blocks have no columns.  The columns are
-    grouped by block shape, and the position in ``A.data`` of every block
-    entry and in ``A_ref.data`` of every row-set entry is found here, once.
+    sees the whole reference column.  Columns with an empty pattern get a
+    warning and blocks with no columns.  The columns are grouped by block
+    shape, and the positions of every ``[B | f]`` in ``[0, A.data,
+    A_ref.data]`` are found here, once, by one lookup in ``[A | A_ref]``.
     """
     S, A = pattern_of(S), pattern_of(A)
     n = A.shape[0]
@@ -120,10 +116,10 @@ def plan(S, A, A_ref=None) -> SamPlan:
         raise ValueError(f"plan: reference shape {ref.shape} does not match matrix {A.shape}")
 
     counts = np.diff(S.indptr)
-    degenerate = np.flatnonzero(counts == 0)
-    if degenerate.size:
+    empty = np.count_nonzero(counts == 0)
+    if empty:
         warnings.warn(
-            f"{degenerate.size} pattern column(s) are empty; the map will have zero columns there",
+            f"{empty} pattern column(s) are empty; the map will have zero columns there",
             stacklevel=2,
         )
 
@@ -131,41 +127,45 @@ def plan(S, A, A_ref=None) -> SamPlan:
     # A * S unites the stored rows of the A-columns S selects; ref adds its own.
     rows = pattern_of(A @ S + ref)
 
-    # entry (i, t) of column l's block is A[rows[i], S[t]]
+    # entry (i, t) of column l's [B | f] is A[rows[i], S[t]], and ref[rows[i], l] at t = cols.
+    # [A | ref] side by side stores A.data then ref.data, so the 1-based positions stored in a
+    # copy of it are those in [0, A.data, ref.data], and scipy's lookup reads 0 for no entry
+    both = sp.hstack([A, ref], format="csc")
+    at = sp.csc_matrix((np.arange(1, both.nnz + 1, dtype=np.int64), both.indices, both.indptr), shape=both.shape)
     shape_key = np.diff(rows.indptr).astype(np.int64) * (n + 1) + counts
     groups = []
     for key in np.unique(shape_key):
         r, c = divmod(int(key), n + 1)
         columns = np.flatnonzero(shape_key == key)
-        g = columns.size
         row_ids = rows.indices[rows.indptr[columns, None] + np.arange(r)]
         unknowns = S.indptr[columns, None] + np.arange(c)
-        blocks = _positions(A, np.repeat(row_ids, c), np.tile(S.indices[unknowns], r).ravel())
-        refs = _positions(ref, row_ids.ravel(), np.repeat(columns, r))
-        groups.append(ShapeGroup(columns, blocks.reshape(g, r, c), refs.reshape(g, r), unknowns))
+        cols = np.hstack([S.indices[unknowns], n + columns[:, None]])
+        entries = _lookup(at, np.repeat(row_ids, c + 1), np.tile(cols, r).ravel())
+        groups.append(ShapeGroup(columns, entries.reshape(columns.size, r, c + 1), unknowns))
 
     S.indices.flags.writeable = S.indptr.flags.writeable = False
-    return SamPlan(n=n, degenerate_columns=degenerate, rows=rows, groups=groups, structures=(S, A, ref))
+    return SamPlan(n=n, rows=rows, groups=groups, structures=(S, A, ref))
 
 
 def compute_map(A, A_ref, pl: SamPlan, workers: int = 1) -> SamMap:
     """Minimize ||A N - A_ref||_F over the plan's pattern, column by column.
 
-    Each column is an independent dense least-squares problem on the plan's
-    index sets.  The stacked blocks of one shape group are solved at once
-    through their pseudoinverse, which gives the minimum-norm solution on
-    full-rank, rank-deficient and underdetermined blocks alike.  Each block and
-    its reference are solved on their exact power-of-two scale, so blocks near
-    either end of the float range keep finite unknowns.  A column with an empty
-    pattern stays zero, with its reference column's norm as residual; one whose
-    block or reference values are not all finite gets NaN unknowns and a NaN
-    residual.  Malformed index arrays raise ``ValueError``, and so does a
-    structure other than the plan's, naming whether ``A`` or ``A_ref`` differs
-    and its first offending column.  Up to ``workers >= 1`` threads take whole
-    groups, each filling its own preassigned positions of ``N.data``, so the
-    result is bit-identical for any ``workers`` count.  ``N`` stores its values
-    on the plan's read-only pattern arrays, so writing its pattern in place
-    raises ``ValueError``; ``N.copy()`` gives it a writeable pattern.
+    Each column is an independent dense least-squares problem.  One gather from
+    ``[0, A.data, A_ref.data]`` gives a shape group's stacked ``[B | f]``, and
+    its blocks are solved at once through their pseudoinverse, which gives the
+    minimum-norm solution on full-rank, rank-deficient and underdetermined
+    blocks alike.  Each block and its reference are solved on their exact
+    power-of-two scale, so blocks near either end of the float range keep
+    finite unknowns.  A column with an empty pattern stays zero, with its
+    reference column's norm as residual; one whose block or reference values
+    are not all finite gets NaN unknowns and a NaN residual.  Malformed index
+    arrays raise ``ValueError``, and so does a structure other than the plan's,
+    naming whether ``A`` or ``A_ref`` differs and its first offending column.
+    Up to ``workers >= 1`` threads take whole groups, each filling its own
+    preassigned positions of ``N.data``, so the result is bit-identical for any
+    ``workers`` count.  ``N`` stores its values on the plan's read-only pattern
+    arrays, so writing its pattern in place raises ``ValueError``; ``N.copy()``
+    gives it a writeable pattern.
     """
     check_integers(minimum=1, workers=workers)
     A, A_ref = checked_csc(A, A_ref)
@@ -176,20 +176,19 @@ def compute_map(A, A_ref, pl: SamPlan, workers: int = 1) -> SamMap:
         if col is not None:
             raise ValueError(f"{name} structure differs from the plan, first offending column: {col}")
 
-    zero = np.zeros(1, dtype=scalar_dtype(A, A_ref))
-    a, ref = np.append(A.data, zero), np.append(A_ref.data, zero)
+    values = np.concatenate([np.zeros(1), A.data, A_ref.data])
     S = pl.structures[0]
-    valN = np.zeros(S.nnz, dtype=a.dtype)
+    valN = np.zeros(S.nnz, dtype=values.dtype)
     col_res = np.zeros(pl.n)
 
     def solve(g: ShapeGroup):
-        B, f = a[g.blocks], ref[g.refs]
-        # [B | f]: the SVD fails on non-finite values, so those columns stay NaN,
+        # the SVD fails on non-finite values, so those columns stay NaN,
         # and the rest go to their power-of-two scale, where nothing overflows
-        Bf = np.concatenate([B, f[..., None]], axis=2)
+        Bf = values[g.entries]
         finite, e = np.isfinite(Bf).all(axis=(1, 2)), scale_exponent(Bf, axis=(1, 2))
-        B, f = ldexp(B, -e), ldexp(f, -e)
-        z = np.full(g.unknowns.shape, np.nan, dtype=a.dtype)
+        Bf = ldexp(Bf, -e)
+        B, f = Bf[..., :-1], Bf[..., -1]
+        z = np.full(g.unknowns.shape, np.nan, dtype=values.dtype)
         z[finite] = (np.linalg.pinv(B[finite], rcond=RANK_TOL) @ f[finite, :, None])[..., 0]
         valN[g.unknowns] = z
         col_res[g.columns] = ldexp(np.linalg.norm((B @ z[..., None])[..., 0] - f, axis=1), e)

@@ -133,14 +133,14 @@ def test_compute_map_matches_dense_least_squares(data):
         pl = plan(S, A, A_ref=ref)
     m = compute_map(A, ref, pl)
     Ad, refd, Nd = A.toarray(), ref.toarray(), m.N.toarray()
-    a, r = np.append(A.data, 0), np.append(ref.data, 0)
+    values = np.concatenate([[0], A.data, ref.data])
     # the plan's group arrays against dense indexing; each column in one group
     assert np.array_equal(np.sort(np.concatenate([g.columns for g in pl.groups])), np.arange(n))
     for g in pl.groups:
-        for l, blk, refs, unknowns in zip(*g):
+        for l, entries, unknowns in zip(*g):
             s, rows = S.indices[S.indptr[l]:S.indptr[l + 1]], pl.rows.indices[pl.rows.indptr[l]:pl.rows.indptr[l + 1]]
-            assert np.array_equal(a[blk], Ad[np.ix_(rows, s)])
-            assert np.array_equal(r[refs], refd[rows, l])
+            assert np.array_equal(values[entries[:, :-1]], Ad[np.ix_(rows, s)])
+            assert np.array_equal(values[entries[:, -1]], refd[rows, l])
             assert np.array_equal(unknowns, np.arange(*pl.structures[0].indptr[l:l + 2]))
     for l in range(n):
         s = S.indices[S.indptr[l]:S.indptr[l + 1]]

@@ -40,7 +40,7 @@ def test_plan_diagonal_case():
     for l in range(3):
         assert np.array_equal(column(pl.structures[0], l), [l])
         assert np.array_equal(column(pl.rows, l), [l])
-        assert pl.groups[0].blocks.shape == (3, 1, 1)
+        assert pl.groups[0].entries.shape == (3, 1, 2)
 
 
 def test_plan_grid_corner_column_row_union():
@@ -55,7 +55,7 @@ def test_plan_grid_corner_column_row_union():
     got = column(pl.rows, 0)
     assert np.array_equal(got, want)
     group = next(g for g in pl.groups if 0 in g.columns)
-    assert group.blocks.shape[1:] == (want.size, 3)
+    assert group.entries.shape[1:] == (want.size, 4)
 
 
 def test_plan_empty_column_degenerate():
@@ -63,16 +63,14 @@ def test_plan_empty_column_degenerate():
     S = pattern_at((2, 2), [0], [0])  # column 1 empty
     with pytest.warns(UserWarning):
         pl = plan(S, A)
-    assert np.array_equal(pl.degenerate_columns, [1])
     # the empty column keeps its reference rows and gets a block with no columns
     assert np.array_equal(column(pl.rows, 1), [1])
-    assert [g.blocks.shape for g in pl.groups] == [(1, 1, 0), (1, 1, 1)]
+    assert [g.entries.shape for g in pl.groups] == [(1, 1, 1), (1, 1, 2)]
 
 
 def same_plan(p, q):
     """Whether plans p and q hold the same index sets and group arrays, dtypes included."""
-    arrays = [(p.degenerate_columns, q.degenerate_columns)]
-    arrays += [(a, b) for g, h in zip(p.groups, q.groups) for a, b in zip(g, h)]
+    arrays = [(a, b) for g, h in zip(p.groups, q.groups) for a, b in zip(g, h)]
     arrays += [(getattr(M, k), getattr(P, k)) for M, P in zip((p.rows, *p.structures), (q.rows, *q.structures))
                for k in ("indptr", "indices")]
     return (p.n == q.n and len(p.groups) == len(q.groups)
@@ -236,7 +234,6 @@ def test_compute_map_empty_pattern_column():
     with pytest.warns(UserWarning):
         pl = plan(S, A)
     m = compute_map(A, A, pl)
-    assert np.array_equal(pl.degenerate_columns, [1])
     assert m.N[:, 1].nnz == 0
     # the unmatched reference column contributes its whole norm
     assert abs(m.column_residuals[1] - 2.0) <= 1e-15
@@ -245,8 +242,7 @@ def test_compute_map_empty_pattern_column():
     with pytest.warns(UserWarning):
         pl = plan(offset_pattern(2, []), A)
     m = compute_map(A, A, pl)
-    assert [g.blocks.shape for g in pl.groups] == [(2, 1, 0)] and m.N.nnz == 0
-    assert np.array_equal(pl.degenerate_columns, [0, 1])
+    assert [g.entries.shape for g in pl.groups] == [(2, 1, 1)] and m.N.nnz == 0
     assert m.rel_residual == 1.0
     # a reference with no stored entries: no reference entry to place
     empty = as_csc(sp.csc_matrix((2, 2)))
@@ -280,6 +276,21 @@ def test_compute_map_complex():
     oracle = dense_minnorm_oracle(A.toarray(), ref.toarray(), S)
     assert np.abs(m.N.toarray() - oracle).max() <= 1e-10 * max(1.0, np.abs(oracle).max())
     assert abs(m.rel_residual - map_residual_norm(A, m.N, ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("complex_matrix", [False, True])
+def test_compute_map_mixed_fields_is_the_complex_map(complex_matrix):
+    # a real A with a complex A_ref, or the other way round, is the map of both cast to complex
+    rng = np.random.default_rng(21)
+    A = random_sparse(15, rng, diag_boost=15.0, complex_values=complex_matrix)
+    ref = random_sparse(15, rng, diag_boost=15.0, complex_values=not complex_matrix)
+    pl = plan(pattern_of(ref), A, A_ref=ref)
+    m = compute_map(A, ref, pl)
+    want = compute_map(A.astype(np.complex128), ref.astype(np.complex128), pl)
+    assert m.N.dtype == np.complex128
+    assert m.N.data.tobytes() == want.N.data.tobytes()
+    assert m.column_residuals.tobytes() == want.column_residuals.tobytes()
+    assert m.rel_residual == want.rel_residual
 
 
 def test_compute_map_orthogonality_invariant():
@@ -381,7 +392,7 @@ def test_compute_map_matches_gelsy_reference(complex_values):
         want, want_res = gelsy_map(A, ref, pl)
         assert np.abs(m.N.toarray() - want).max() <= 1e-12 * np.abs(want).max()
         assert np.abs(m.column_residuals - want_res).max() <= 1e-12 * want_res.max()
-        shapes.update(g.blocks.shape[1:] for g in pl.groups)
+        shapes.update(g.entries[..., :-1].shape[1:] for g in pl.groups)
     # overdetermined, underdetermined and both kinds of empty block occurred
     assert any(r > c > 0 for r, c in shapes) and any(0 < r < c for r, c in shapes)
     assert (0, 1) in shapes and any(r > 0 and c == 0 for r, c in shapes)
