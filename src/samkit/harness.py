@@ -344,7 +344,8 @@ def parse_config(path):
     for a bad value or a file that cannot be read or does not fit, and then
     for the keys that it or its kind did not read.  All come before any factoring.
     """
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # no header is empty, so no section is configparser's defaults: [DEFAULT] is unknown like any other
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), default_section="")
     try:
         with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is allowed
             cp.read_file(fh)

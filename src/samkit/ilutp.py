@@ -88,9 +88,11 @@ class IlutpFactors:
         """
         v = np.asarray(v).ravel()
         if np.iscomplexobj(v) and not np.iscomplexobj(self.L.data):
-            # real factors: solve the real and imaginary parts as two right-hand sides
+            # real factors: solve the real and imaginary parts as two right-hand
+            # sides and rejoin them without arithmetic, so an infinite part
+            # cannot turn the other into NaN
             z = self._U_lu.solve(self._L_lu.solve(np.column_stack([v.real, v.imag])))
-            z = z[:, 0] + 1j * z[:, 1]
+            z = np.ascontiguousarray(z).view(np.complex128)[:, 0]
         else:
             z = self._U_lu.solve(self._L_lu.solve(v))
         x = np.empty_like(z)

@@ -31,12 +31,12 @@ def scale_exponent(x, axis=None):
     e is 0 where that part is zero, NaN or Inf, or x is empty.  ``axis``
     reduces as ``np.max`` does, all of x by default.
     """
-    return np.frexp(np.abs(x.view(REAL)).max(axis=axis, initial=0))[1]
+    return np.frexp(np.abs(np.ascontiguousarray(x).view(REAL)).max(axis=axis, initial=0))[1]
 
 
 def ldexp(x, e):
     """Float array x times 2**e exactly, both parts of a complex x alike; an array e scales x per leading index."""
-    parts = x.view(REAL).reshape(x.shape + (x.itemsize // REAL.itemsize,))
+    parts = np.ascontiguousarray(x).view(REAL).reshape(x.shape + (x.itemsize // REAL.itemsize,))
     e = np.reshape(e, np.shape(e) + (1,) * (parts.ndim - np.ndim(e)))
     return np.ldexp(parts, e).view(x.dtype).reshape(x.shape)
 

@@ -11,7 +11,7 @@ from samkit import (
     GmresConfig, IlutpParams, PreconditionerChain, SequenceSpec, as_csc, factor, fem_pair_2d, gmres, talbot_shifts,
 )
 from samkit.cli import main as cli_main
-from samkit.gmres import HAPPY_BREAKDOWN, REORTH_RATIO, as_operator
+from samkit.gmres import HAPPY_BREAKDOWN, as_operator
 from samkit.sparse import scalar_dtype
 from helpers import random_sparse
 
@@ -357,6 +357,28 @@ def test_graded_diagonal_converges_through_invariant_subspace():
     assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
 
 
+@pytest.mark.parametrize("case", ["graded-diagonal", "complex-random"])
+def test_arnoldi_basis_is_orthonormal(case):
+    # M's inputs are the basis vectors, in order; the Arnoldi steps of one
+    # cycle come before the update's call
+    rng = np.random.default_rng(8)
+    if case == "graded-diagonal":
+        A, b = as_csc(np.diag(np.logspace(0, 12, 100))), np.ones(100)
+    else:
+        A = random_sparse(60, rng, diag_boost=0.5, complex_values=True)
+        b = rng.standard_normal(60) + 1j * rng.standard_normal(60)
+    inputs = []
+
+    def M(v):
+        inputs.append(v.copy())
+        return v
+
+    _, rep = gmres(A, b, M=M, config=GmresConfig(restart=40, rel_tol=1e-300, max_total_iters=40))
+    assert rep.iterations == 40
+    Q = np.column_stack(inputs[:40])
+    assert np.abs(Q.conj().T @ Q - np.eye(40)).max() <= 1e-14
+
+
 def test_breakdown_test_does_not_depend_on_scale():
     # the Arnoldi remainder is measured against the vector's own norm; measured
     # against the residual, a large b or a small A read every step as a
@@ -467,12 +489,10 @@ def _array_gmres(A, b, M, cfg):
             Vj = V[:, :j + 1]
             h = (w.conj() @ Vj).conj()
             w -= Vj @ h
+            h2 = (w.conj() @ Vj).conj()
+            w -= Vj @ h2
+            h += h2
             hnext = nrm2(w)
-            if hnext < REORTH_RATIO * wnorm:
-                h2 = (w.conj() @ Vj).conj()
-                w -= Vj @ h2
-                h += h2
-                hnext = nrm2(w)
             H[:j + 1, j] = h
             H[j + 1, j] = hnext
             breakdown = hnext <= HAPPY_BREAKDOWN * wnorm

@@ -722,6 +722,18 @@ def test_parse_config_refuses_a_key_its_section_does_not_read(tmp_path, capsys, 
     assert capsys.readouterr() == ("", f"samkit: {where} does not read wibble, zebra\n")
 
 
+@pytest.mark.parametrize("default", ["[DEFAULT]\n", "[DEFAULT]\nnx = 6\n"], ids=["empty", "with_key"])
+def test_parse_config_refuses_a_default_section(tmp_path, capsys, default):
+    # configparser's defaults section: an empty one passed, and a key in it was
+    # refused as one that [strategy], a section the file never wrote, did not read
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_SWEEP + default)
+    with pytest.raises(ConfigError, match=r"^unknown config section \[DEFAULT\]$"):
+        parse_config(cfg)
+    assert cli_main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", "samkit: unknown config section [DEFAULT]\n")
+
+
 def test_parse_config_reports_a_section_after_its_values_and_the_sections_before_it(tmp_path):
     cfg = tmp_path / "run.cfg"
     # a bad value of the same section comes first

@@ -1,11 +1,12 @@
 import heapq
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from samkit import FactorizationError, IlutpParams, as_csc, factor, fem_pair_2d
+from samkit import FactorizationError, IlutpFactors, IlutpParams, as_csc, factor, fem_pair_2d
 from samkit.ilutp import PIVOT_FLOOR, _keep_largest, _rows_to_csc
 from helpers import random_sparse
 
@@ -215,6 +216,19 @@ def test_apply_solve_length_check():
     # a complex vector on real factors is solved as two real columns
     with pytest.raises(ValueError):
         F.apply_solve(np.ones(4, dtype=complex))
+
+
+def test_complex_vector_on_real_factors_rejoins_parts_exactly():
+    # the imaginary part overflows to inf; rejoined as z.real + 1j * z.imag,
+    # 1j * inf made the real part NaN and warned
+    F = IlutpFactors(sp.identity(2, format="csc"), as_csc(np.diag([1.0, 1e-300])), [0, 1])
+    v = np.array([1.0, 1.0 + 1e10j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, real = F.apply_solve(v), F.apply_solve(v.real)
+    assert got.dtype == np.complex128
+    assert got.real.tobytes() == real.tobytes()
+    assert np.array_equal(got.imag, [0.0, np.inf])
 
 
 def test_droptol_produces_incomplete_factors():

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from samkit import as_csc
+from samkit import as_csc, compute_map, map_residual_norm, pattern_of, plan, sparsified_power
 from samkit.sparse import check_indices, checked_csc, ldexp, norm_ratio, scale_exponent
-from helpers import refusal_in_child, shifted_family
+from helpers import random_sparse, refusal_in_child, shifted_family
 
 
 @pytest.mark.parametrize("x, e", [
@@ -28,6 +28,28 @@ def test_scale_exponent_per_axis():
     x = np.array([[1.0, 0.0], [0.0, 0.0], [3.0, np.nan], [2.0**-600, 0.0]])
     assert scale_exponent(x, axis=1).tolist() == [1, 0, 0, -599]
     assert ldexp(x, -scale_exponent(x, axis=1))[3, 0] == 0.5
+
+
+def test_complex_matrix_with_strided_data_is_its_contiguous_copy():
+    # a real view of strided complex values is numpy's ValueError; the scale
+    # helpers read a contiguous copy instead
+    rng = np.random.default_rng(10)
+
+    def strided(M):
+        d = np.repeat(M.data, 2)
+        return sp.csc_matrix((d[::2], M.indices, M.indptr), shape=M.shape)
+
+    A, R = (random_sparse(20, rng, diag_boost=2.0, complex_values=True) for _ in range(2))
+    As, Rs = strided(A), strided(R)
+    assert not (As.data.flags.c_contiguous or Rs.data.flags.c_contiguous)
+    S = pattern_of(A)
+    m, ms = compute_map(A, R, plan(S, A, R)), compute_map(As, Rs, plan(S, As, Rs))
+    for got, want in ((ms.N.data, m.N.data), (ms.column_residuals, m.column_residuals),
+                      (np.float64(ms.rel_residual), np.float64(m.rel_residual))):
+        assert got.tobytes() == want.tobytes()
+    assert map_residual_norm(As, m.N, Rs) == map_residual_norm(A, m.N, R)
+    P, Ps = sparsified_power(A, 2, 0.1), sparsified_power(As, 2, 0.1)
+    assert all(np.array_equal(a, b) for a, b in ((Ps.indices, P.indices), (Ps.indptr, P.indptr), (Ps.data, P.data)))
 
 
 def test_norm_ratio():
