@@ -126,14 +126,12 @@ def run_sequence(spec: SequenceSpec, strategy: Strategy, ilutp_params: ilutp.Ilu
     actions = strategy.actions(len(spec))
     check_integers(minimum=1, sam_workers=sam_workers)
     S = resolve_pattern(pattern_choice, spec.matrices[0])  # system 0 is the first reference
-    b = spec.rhs
     report = SequenceReport()
 
     A_ref = P_ref = current = current_plan = None
 
     for k, (A_k, act) in enumerate(zip(checked_csc(*spec.matrices), actions)):
-        event = act
-        sam_rel = None
+        event, sam_rel = act, None
         t0 = time.perf_counter()
         if act == RECOMPUTE:
             try:
@@ -156,7 +154,7 @@ def run_sequence(spec: SequenceSpec, strategy: Strategy, ilutp_params: ilutp.Ilu
             current = sam.PreconditionerChain(mapped.N, P_ref)
             sam_rel = mapped.rel_residual
         t1 = time.perf_counter()
-        x, solve = gmres(A_k, b, M=current, config=gmres_config)
+        x, solve = gmres(A_k, spec.rhs, M=current, config=gmres_config)
         t2 = time.perf_counter()
         report.rows.append(SystemRecord(
             index=k,
@@ -336,13 +334,14 @@ def _parse_section(cp, name, parse, *args):
 def parse_config(path):
     """Read a run description: (spec, strategy, ilutp params, pattern, gmres config).
 
-    Every file it names is Matrix Market: matrices, patterns, and the
-    right-hand side and shifts as one-column vectors.  The config is UTF-8
-    text, a byte-order mark allowed.  A config file the system cannot open
-    or that is not UTF-8, malformed INI and unknown sections raise
-    :class:`ConfigError`; then each section, in the order returned, raises it
-    for a bad value or a file that cannot be read or does not fit, and then
-    for the keys that it or its kind did not read.  All come before any factoring.
+    Every file it names is Matrix Market: matrices, patterns, and the right-hand
+    side and shifts as one-column vectors, each path relative to the working
+    directory, not to the config's.  The config is UTF-8 text, a byte-order mark
+    allowed.  A config file the system cannot open or that is not UTF-8,
+    malformed INI and unknown sections raise :class:`ConfigError`; then each
+    section, in the order returned, raises it for a bad value or a file that
+    cannot be read or does not fit, and then for the keys that it or its kind
+    did not read.  All come before any factoring.
     """
     # no header is empty, so no section is configparser's defaults: [DEFAULT] is unknown like any other
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",), default_section="")

@@ -178,6 +178,7 @@ class SequenceSpec:
     ``shifts[k]``, complex, is the scalar reported for system k (0 for
     file-based sequences without shift data); ``rhs``, left out, is the point
     source; ``pair`` is the ``(K, M)`` of a :meth:`shifted_pair` sequence.
+    ``dataclasses.replace(spec, rhs=b)`` checks ``b`` and keeps the rest as is.
     """
 
     kind: str

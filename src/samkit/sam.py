@@ -94,24 +94,22 @@ def _lookup(M, rows, cols):
     return np.asarray(M[rows, cols]).ravel()
 
 
-def plan(S, A, A_ref=None) -> SamPlan:
+def plan(S, A, A_ref) -> SamPlan:
     """Preprocess pattern S against the structures of A and of A_ref.
 
     ``S`` may be any sparse matrix: its stored positions are the pattern.
-    ``A`` and ``A_ref`` (default ``A`` itself) are the structural prototypes
-    of the matrices and references the map will be computed for.  Each
-    column's row set is the union of the stored-entry rows of the A-columns
-    its pattern selects and of the reference's own column, so every block
-    sees the whole reference column.  Columns with an empty pattern get a
-    warning and blocks with no columns.  The columns are grouped by block
-    shape, and the positions of every ``[B | f]`` in ``[0, A.data,
-    A_ref.data]`` are found here, once, by one lookup in ``[A | A_ref]``.
+    ``A`` and ``A_ref`` are the structural prototypes of the matrices and
+    references its maps are for.  Each column's row set is the union of the
+    stored-entry rows of the A-columns its pattern selects and of the
+    reference's own column, so every block sees the whole reference column.
+    Columns with an empty pattern get a warning and blocks with no columns.
+    Columns are grouped by block shape, and the positions of every ``[B | f]``
+    in ``[0, A.data, A_ref.data]`` come from one lookup in ``[A | A_ref]``.
     """
-    S, A = pattern_of(S), pattern_of(A)
+    S, A, ref = pattern_of(S), pattern_of(A), pattern_of(A_ref)
     n = A.shape[0]
     if A.shape[0] != A.shape[1] or S.shape != A.shape:
         raise ValueError(f"plan: pattern {S.shape[0]}x{S.shape[1]} does not match matrix {A.shape}")
-    ref = A if A_ref is None else pattern_of(A_ref)
     if ref.shape != A.shape:
         raise ValueError(f"plan: reference shape {ref.shape} does not match matrix {A.shape}")
 
@@ -227,15 +225,15 @@ def map_residual_norm(A, N, A_ref) -> float:
 class PreconditionerChain:
     """The recycled preconditioner: apply the reference operator P, then the map N.
 
-    ``P`` is any operand :func:`samkit.gmres.as_operator` accepts: a sparse
-    or dense matrix, an object exposing ``apply_solve`` or ``apply``, a
-    callable, or None for identity; the chain holds the callable that
-    function makes of it.  ``apply`` is a chain's one spelling, so a chain
-    is itself a valid ``P`` and compositions nest.  Its ``dtype`` covers
-    ``N`` and ``P``, and is None when ``P`` declares none.  The map is
-    applied as ``samkit.sam.matvec``, scipy's ``@`` bound by name and looked
-    up at every call, so a tracer can time it apart.  Malformed index arrays
-    of ``N`` or a compressed ``P`` raise ``ValueError``.
+    ``P`` is any operand :func:`samkit.gmres.as_operator` accepts: a sparse or
+    dense matrix, an object exposing ``apply_solve`` or ``apply``, a callable,
+    or None for identity; the chain holds the callable that function makes of
+    it.  ``apply`` is a chain's one spelling, so a chain is itself a valid
+    ``P`` and compositions nest.  Its ``dtype`` covers ``N`` and ``P``; a
+    ``P`` that declares none (or None) counts as ``N``'s.  The map is applied
+    as ``samkit.sam.matvec``, scipy's ``@`` bound by name and looked up at
+    every call, so a tracer can time it apart.  Malformed index arrays of
+    ``N`` or a compressed ``P`` raise ``ValueError``.
     """
 
     def __init__(self, N, P):
@@ -245,8 +243,8 @@ class PreconditionerChain:
         if pshape is not None and self.N.shape[1] != pshape[0]:
             raise ValueError(f"chain: map shape {self.N.shape} incompatible with operator shape {pshape}")
         self.P = as_operator(P)
-        p_dtype = self.N.dtype if P is None else getattr(P, "dtype", None)
-        self.dtype = None if p_dtype is None else np.result_type(self.N.dtype, p_dtype)
+        # numpy reads a dtype of None as float64, which N's field (float64 or complex128) absorbs
+        self.dtype = np.result_type(self.N.dtype, getattr(P, "dtype", None))
 
     def apply(self, v):
         return matvec(self.N, self.P(v))

@@ -30,7 +30,7 @@ def test_criterion_1_identity_map_exactness():
     worst_n = worst_r = 0.0
     for _ in range(20):
         A = random_sparse(50, rng, per_col=5, diag_boost=50.0)
-        pl = plan(pattern_of(A), A)
+        pl = plan(pattern_of(A), A, A)
         m = compute_map(A, A, pl)
         worst_n = max(worst_n, spla.norm(m.N - sp.identity(50, format="csc")))
         worst_r = max(worst_r, m.rel_residual)

@@ -734,6 +734,23 @@ def test_parse_config_refuses_a_default_section(tmp_path, capsys, default):
     assert capsys.readouterr() == ("", "samkit: unknown config section [DEFAULT]\n")
 
 
+def test_parse_config_opens_files_relative_to_the_working_directory(tmp_path, monkeypatch):
+    # not relative to the config's own directory: a file next to the config is
+    # not found by its bare name, and is by its path from the working directory
+    K, M = fem_pair_2d(2, 2)
+    (tmp_path / "sub").mkdir()
+    matrix_market_write(K, tmp_path / "sub" / "k.mtx")
+    matrix_market_write(M, tmp_path / "sub" / "m.mtx")
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "sub" / "run.cfg"
+    cfg.write_text("[sequence]\nkind = shifted_pair\nk_file = k.mtx\nm_file = m.mtx\nshifts = 1 0\n")
+    with pytest.raises(ConfigError, match=r"k\.mtx"):
+        parse_config("sub/run.cfg")
+    cfg.write_text("[sequence]\nkind = shifted_pair\nk_file = sub/k.mtx\nm_file = sub/m.mtx\nshifts = 1 0\n")
+    spec = parse_config("sub/run.cfg")[0]
+    assert all((P != Q).nnz == 0 for P, Q in zip(spec.pair, (K, M)))
+
+
 def test_parse_config_reports_a_section_after_its_values_and_the_sections_before_it(tmp_path):
     cfg = tmp_path / "run.cfg"
     # a bad value of the same section comes first

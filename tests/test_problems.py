@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -472,6 +473,20 @@ def test_sequence_spec_shifted_pair():
     z, b = np.zeros(1, dtype=complex), np.ones(9)
     spec = SequenceSpec("custom", [K], z, b)
     assert spec.shifts is z and spec.rhs is b
+
+
+def test_sequence_spec_replace_gives_a_new_rhs_and_keeps_the_rest():
+    # the way to a new right-hand side: the kind, shifts, pair and member
+    # matrices stay the very same objects, and the new rhs is checked again
+    K, M = fem_pair_2d(3, 3)
+    spec = SequenceSpec.shifted_pair(K, M, talbot_shifts(8, 1.0))
+    b = np.arange(9.0)
+    new = dataclasses.replace(spec, rhs=b)
+    assert new.rhs is b and new.kind == spec.kind
+    assert new.shifts is spec.shifts and new.pair is spec.pair
+    assert len(new) == len(spec) and all(P is Q for P, Q in zip(new.matrices, spec.matrices))
+    with pytest.raises(ValueError, match=r"^the right-hand side must be a vector of length 9, not shape \(8,\)$"):
+        dataclasses.replace(spec, rhs=np.ones(8))
 
 
 def test_sequence_spec_matrix_files(tmp_path):

@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 import samkit.sam
 from samkit import (
     IlutpFactors, IlutpParams, PreconditionerChain, SequenceSpec, as_csc,
-    compute_map, factor,
+    compute_map, factor, gmres,
     map_residual_norm, offset_pattern, pattern_of, plan, resolve_pattern,
 )
 from samkit.sam import RANK_TOL
@@ -36,7 +36,7 @@ def dense_minnorm_oracle(A_dense, ref_dense, S):
 def test_plan_diagonal_case():
     A = as_csc(np.diag([2.0, 3.0, 4.0]))
     S = offset_pattern(3, [0])
-    pl = plan(S, A)
+    pl = plan(S, A, A)
     for l in range(3):
         assert np.array_equal(column(pl.structures[0], l), [l])
         assert np.array_equal(column(pl.rows, l), [l])
@@ -47,7 +47,7 @@ def test_plan_grid_corner_column_row_union():
     rows, cols, vals = grid_laplacian_triplets(3, 3)
     A = as_csc(sp.csc_matrix((vals, (rows, cols)), shape=(9, 9)))
     S = pattern_of(A)
-    pl = plan(S, A)
+    pl = plan(S, A, A)
     # brute-force union of the stencil columns selected by the corner column
     s0 = column(S, 0)
     assert np.array_equal(s0, [0, 1, 3])
@@ -62,7 +62,7 @@ def test_plan_empty_column_degenerate():
     A = as_csc(np.diag([1.0, 2.0]))
     S = pattern_at((2, 2), [0], [0])  # column 1 empty
     with pytest.warns(UserWarning):
-        pl = plan(S, A)
+        pl = plan(S, A, A)
     # the empty column keeps its reference rows and gets a block with no columns
     assert np.array_equal(column(pl.rows, 1), [1])
     assert [g.entries.shape for g in pl.groups] == [(1, 1, 1), (1, 1, 2)]
@@ -106,11 +106,11 @@ def test_plan_takes_any_sparse_matrix_as_pattern():
 
 def test_plan_dimension_mismatch():
     with pytest.raises(ValueError):
-        plan(offset_pattern(3, [0]), sp.identity(4, format="csc"))
+        plan(offset_pattern(3, [0]), sp.identity(4, format="csc"), sp.identity(4, format="csc"))
     I3, I4 = sp.identity(3, format="csc"), sp.identity(4, format="csc")
     with pytest.raises(ValueError, match=r"^plan: reference shape \(4, 4\) does not match matrix \(3, 3\)$"):
         plan(offset_pattern(3, [0]), I3, A_ref=I4)
-    pl = plan(offset_pattern(3, [0]), I3)
+    pl = plan(offset_pattern(3, [0]), I3, I3)
     for A, A_ref in ((I4, I3), (I3, I4)):
         with pytest.raises(ValueError, match="^compute_map: matrices must be 3x3$"):
             compute_map(A, A_ref, pl)
@@ -137,7 +137,7 @@ def test_plan_rhs_rows_augmentation():
 def test_compute_map_identity_case():
     rng = np.random.default_rng(0)
     A = random_sparse(30, rng, diag_boost=30.0)
-    pl = plan(pattern_of(A), A)
+    pl = plan(pattern_of(A), A, A)
     m = compute_map(A, A, pl)
     assert spla.norm(m.N - sp.identity(30, format="csc")) <= 1e-12
     assert m.rel_residual <= 1e-13
@@ -174,7 +174,7 @@ def _first_differing_column(A, B):
 def test_compute_map_structural_mismatch_names_column():
     rng = np.random.default_rng(1)
     A = random_sparse(6, rng, diag_boost=6.0)
-    pl = plan(pattern_of(A), A)
+    pl = plan(pattern_of(A), A, A)
     dense = A.toarray()
     hole = np.argwhere(dense == 0)
     row, col = hole[-1]
@@ -207,7 +207,7 @@ def test_compute_map_structural_mismatch_names_column():
 
 def test_compute_map_unplanned_reference_names_it():
     A = as_csc(np.diag([1.0, 2.0, 3.0]))
-    pl = plan(offset_pattern(3, [0]), A)
+    pl = plan(offset_pattern(3, [0]), A, A)
     wider = as_csc(np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 5.0, 3.0]]))
     with pytest.raises(ValueError, match="^reference structure differs from the plan, first offending column: 1$"):
         compute_map(A, wider, pl)
@@ -232,7 +232,7 @@ def test_compute_map_empty_pattern_column():
     A = as_csc(np.diag([1.0, 2.0]))
     S = pattern_at((2, 2), [0], [0])
     with pytest.warns(UserWarning):
-        pl = plan(S, A)
+        pl = plan(S, A, A)
     m = compute_map(A, A, pl)
     assert m.N[:, 1].nnz == 0
     # the unmatched reference column contributes its whole norm
@@ -240,7 +240,7 @@ def test_compute_map_empty_pattern_column():
     assert abs(m.rel_residual - 2.0 / np.sqrt(5.0)) <= 1e-15
     # every column degenerate: no block entry to look up, N stores nothing
     with pytest.warns(UserWarning):
-        pl = plan(offset_pattern(2, []), A)
+        pl = plan(offset_pattern(2, []), A, A)
     m = compute_map(A, A, pl)
     assert [g.entries.shape for g in pl.groups] == [(2, 1, 1)] and m.N.nnz == 0
     assert m.rel_residual == 1.0
@@ -330,7 +330,7 @@ def test_compute_map_pattern_containment():
     rng = np.random.default_rng(6)
     A = random_sparse(15, rng, diag_boost=15.0)
     S = random_pattern(15, rng)
-    m = compute_map(A, A, plan(S, A))
+    m = compute_map(A, A, plan(S, A, A))
     assert not (pattern_to_bool(pattern_of(m.N)) & ~pattern_to_bool(S)).any()
 
 
@@ -501,7 +501,7 @@ def test_map_residual_norm_refuses_malformed_index_arrays():
 def test_compute_map_refuses_decreasing_column_pointers():
     # scipy's constructor accepts this indptr; compute_map canonicalized the
     # matrix unchecked, and the process died with SIGSEGV
-    status, refusal = refusal_in_child("samkit.compute_map(bad, good, samkit.plan(good, good))")
+    status, refusal = refusal_in_child("samkit.compute_map(bad, good, samkit.plan(good, good, good))")
     assert (status, refusal) == (0, "indptr must be a non-decreasing sequence")
 
 
@@ -594,6 +594,61 @@ def test_compose_nests():
     v = rng.standard_normal(9)
     want = N2.toarray() @ (N1.toarray() @ (P.toarray() @ v))
     assert np.allclose(chain.apply(v), want, atol=1e-12)
+
+
+class _DtypeNone:
+    """An operand that declares its dtype as None."""
+
+    dtype = None
+
+    def apply(self, v):
+        return 2 * v
+
+
+def _stage(kind, rng):
+    """A reference operator P of the given kind for 8x8 systems."""
+    if kind == "identity":
+        return None
+    if kind in ("real-sparse", "complex-sparse"):
+        return random_sparse(8, rng, complex_values=kind == "complex-sparse")
+    if kind == "ilutp":
+        return factor(random_sparse(8, rng, diag_boost=8.0), IlutpParams(lfil=8, droptol=0.0, pivtol=1.0))
+    if kind == "callable":
+        return lambda v: 2 * v
+    if kind == "dtype-none":
+        return _DtypeNone()
+    # a chain whose complex map sits over a callable that declares nothing
+    return PreconditionerChain(random_sparse(8, rng, complex_values=True), lambda v: 2 * v)
+
+
+@pytest.mark.parametrize("complex_map", [False, True], ids=["real-map", "complex-map"])
+@pytest.mark.parametrize("kind", ["identity", "real-sparse", "complex-sparse", "ilutp", "callable", "dtype-none", "nested"])
+def test_chain_always_states_its_field(kind, complex_map):
+    # N's field joined with P's, and a P that declares none (or None) counts as N's
+    rng = np.random.default_rng(15)
+    chain = PreconditionerChain(random_sparse(8, rng, complex_values=complex_map), _stage(kind, rng))
+    complex_field = complex_map or kind in ("complex-sparse", "nested")
+    assert isinstance(chain.dtype, np.dtype)
+    assert chain.dtype == (np.complex128 if complex_field else np.float64)
+    assert chain.apply(np.ones(8)).dtype == chain.dtype
+
+
+def test_complex_map_over_a_dtypeless_operator_solves_a_real_system():
+    # every answer of the chain is complex; while its dtype was None, gmres ran
+    # the real system in float64 and refused the first answer with TypeError
+    rng = np.random.default_rng(16)
+    A = random_sparse(12, rng, diag_boost=12.0)
+    b = rng.standard_normal(12)
+    inverse = np.linalg.inv(A.toarray())
+
+    def P(v):
+        return inverse @ v
+
+    chain = PreconditionerChain((1 + 1j) * sp.identity(12, format="csc"), P)
+    x, rep = gmres(A, b, M=chain)
+    assert rep.converged and rep.iterations == 1
+    assert x.dtype == np.complex128
+    assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
 
 
 def test_compose_shape_mismatch():
