@@ -96,14 +96,6 @@ class SequenceReport:
     rows: list = field(default_factory=list)
 
     @property
-    def total_prec_seconds(self):
-        return sum(r.prec_seconds for r in self.rows)
-
-    @property
-    def total_gmres_seconds(self):
-        return sum(r.gmres_seconds for r in self.rows)
-
-    @property
     def total_iterations(self):
         return sum(r.iterations for r in self.rows)
 
@@ -191,8 +183,8 @@ def render_report(report: SequenceReport, format: str = "csv") -> str:
         rows.append((str(r.index), num(r.shift.real), num(r.shift.imag), r.prec_event,
                      num(r.prec_seconds), sam_res, num(r.gmres_seconds), str(r.iterations),
                      str(r.converged).lower(), num(r.final_rel_residual)))
-    rows.append(("totals", "", "", "", num(report.total_prec_seconds), "",
-                 num(report.total_gmres_seconds), str(report.total_iterations), "", ""))
+    rows.append(("totals", "", "", "", num(sum(r.prec_seconds for r in report.rows)), "",
+                 num(sum(r.gmres_seconds for r in report.rows)), str(report.total_iterations), "", ""))
     if format == "csv":
         return "".join(",".join(row) + "\n" for row in rows)
     rows.insert(1, ("---",) * len(CSV_COLUMNS))

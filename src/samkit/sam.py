@@ -43,12 +43,10 @@ class SamPlan:
 
     ``structures`` holds the patterns of the map (``S``), the matrix and the
     reference the plan was made for; ``S``'s index arrays are read-only, and
-    every map of the plan stores its values on them.  ``rows`` is the
-    pattern of the row sets: its column l holds the union of the stored-entry
-    rows of the matrix's columns that column l of ``S`` selects and of the
-    reference's column l.  ``groups`` holds one :class:`ShapeGroup` per block
-    shape: ``entries`` ``(g, rows, cols + 1)``, the position of every entry
-    of each column's ``[B | f]``, its block and, last, its reference column,
+    every map of the plan stores its values on them.  ``groups`` holds one
+    :class:`ShapeGroup` per block shape: ``entries`` ``(g, rows, cols + 1)``,
+    the position of every entry of each column's ``[B | f]`` over its row set
+    (see :func:`plan`), its block and, last, its reference column,
     in the one value vector ``[0, A.data, A_ref.data]``, whose first slot
     stands for every entry not stored; and ``unknowns`` ``(g, cols)``, the
     position in the map's ``data`` of every unknown.  So a map touches values
@@ -56,8 +54,6 @@ class SamPlan:
     :meth:`fits`.
     """
 
-    n: int
-    rows: sp.csc_matrix = field(repr=False)
     groups: list = field(repr=False)
     structures: tuple = field(repr=False)
 
@@ -142,7 +138,7 @@ def plan(S, A, A_ref) -> SamPlan:
         groups.append(ShapeGroup(columns, entries.reshape(columns.size, r, c + 1), unknowns))
 
     S.indices.flags.writeable = S.indptr.flags.writeable = False
-    return SamPlan(n=n, rows=rows, groups=groups, structures=(S, A, ref))
+    return SamPlan(groups=groups, structures=(S, A, ref))
 
 
 def compute_map(A, A_ref, pl: SamPlan, workers: int = 1) -> SamMap:
@@ -167,17 +163,18 @@ def compute_map(A, A_ref, pl: SamPlan, workers: int = 1) -> SamMap:
     """
     check_integers(minimum=1, workers=workers)
     A, A_ref = checked_csc(A, A_ref)
-    if A.shape != (pl.n, pl.n) or A_ref.shape != (pl.n, pl.n):
-        raise ValueError(f"compute_map: matrices must be {pl.n}x{pl.n}")
+    S = pl.structures[0]
+    n = S.shape[0]
+    if A.shape != S.shape or A_ref.shape != S.shape:
+        raise ValueError(f"compute_map: matrices must be {n}x{n}")
     for name, M, P in zip(("matrix", "reference"), (A, A_ref), pl.structures[1:]):
         col = _first_change(M, P)
         if col is not None:
             raise ValueError(f"{name} structure differs from the plan, first offending column: {col}")
 
     values = np.concatenate([np.zeros(1), A.data, A_ref.data])
-    S = pl.structures[0]
     valN = np.zeros(S.nnz, dtype=values.dtype)
-    col_res = np.zeros(pl.n)
+    col_res = np.zeros(n)
 
     def solve(g: ShapeGroup):
         # the SVD fails on non-finite values, so those columns stay NaN,

@@ -59,6 +59,12 @@ def same_pattern(P, Q):
             and np.array_equal(P.indices, Q.indices))
 
 
+def row_sets(S, A, ref):
+    """The map's row sets as a pattern: column l holds every row that ref's column l,
+    or a column of A that S's column l selects, stores."""
+    return pattern_of(pattern_of(A) @ pattern_of(S) + pattern_of(ref))
+
+
 def grid_laplacian_triplets(nx, ny):
     """5-point stencil triplets on an nx-by-ny grid, assembled by enumeration."""
     rows, cols, vals = [], [], []

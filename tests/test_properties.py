@@ -13,7 +13,7 @@ from samkit import (
     SequenceSpec, compute_map, map_residual_norm, matrix_market_read,
     matrix_market_write, pattern_of, plan,
 )
-from helpers import pattern_to_bool, same_pattern
+from helpers import pattern_to_bool, row_sets, same_pattern
 
 EXAMPLES = settings(max_examples=100, deadline=None)
 
@@ -134,11 +134,12 @@ def test_compute_map_matches_dense_least_squares(data):
     m = compute_map(A, ref, pl)
     Ad, refd, Nd = A.toarray(), ref.toarray(), m.N.toarray()
     values = np.concatenate([[0], A.data, ref.data])
-    # the plan's group arrays against dense indexing; each column in one group
+    # the plan's group arrays against dense indexing over each column's row set; each column in one group
+    row_set = row_sets(S, A, ref)
     assert np.array_equal(np.sort(np.concatenate([g.columns for g in pl.groups])), np.arange(n))
     for g in pl.groups:
         for l, entries, unknowns in zip(*g):
-            s, rows = S.indices[S.indptr[l]:S.indptr[l + 1]], pl.rows.indices[pl.rows.indptr[l]:pl.rows.indptr[l + 1]]
+            s, rows = S.indices[S.indptr[l]:S.indptr[l + 1]], row_set.indices[row_set.indptr[l]:row_set.indptr[l + 1]]
             assert np.array_equal(values[entries[:, :-1]], Ad[np.ix_(rows, s)])
             assert np.array_equal(values[entries[:, -1]], refd[rows, l])
             assert np.array_equal(unknowns, np.arange(*pl.structures[0].indptr[l:l + 2]))

@@ -13,12 +13,25 @@ from samkit import (
 from samkit.sam import RANK_TOL
 from helpers import (
     grid_laplacian_triplets, pattern_at, pattern_to_bool, random_pattern, random_sparse, refusal_in_child,
-    same_pattern,
+    row_sets, same_pattern,
 )
 
 
 def column(S, j):
     return S.indices[S.indptr[j]:S.indptr[j + 1]]
+
+
+def gathered(pl, A, ref, l):
+    """Column l's [B | f] as the plan gathers it from [0, A.data, ref.data]."""
+    values = np.concatenate([[0], A.data, ref.data])
+    g = next(g for g in pl.groups if l in g.columns)
+    return values[g.entries[np.flatnonzero(g.columns == l)[0]]]
+
+
+def dense_block(A, ref, S, l):
+    """Column l's [B | f] by dense indexing over the column's own row set."""
+    rows = column(row_sets(S, A, ref), l)
+    return np.column_stack([A.toarray()[np.ix_(rows, column(S, l))], ref.toarray()[rows, l]])
 
 
 def dense_minnorm_oracle(A_dense, ref_dense, S):
@@ -39,7 +52,7 @@ def test_plan_diagonal_case():
     pl = plan(S, A, A)
     for l in range(3):
         assert np.array_equal(column(pl.structures[0], l), [l])
-        assert np.array_equal(column(pl.rows, l), [l])
+        assert np.array_equal(gathered(pl, A, A, l), dense_block(A, A, S, l))
         assert pl.groups[0].entries.shape == (3, 1, 2)
 
 
@@ -52,8 +65,8 @@ def test_plan_grid_corner_column_row_union():
     s0 = column(S, 0)
     assert np.array_equal(s0, [0, 1, 3])
     want = np.unique(np.concatenate([A.indices[A.indptr[j]:A.indptr[j + 1]] for j in s0]))
-    got = column(pl.rows, 0)
-    assert np.array_equal(got, want)
+    Ad = A.toarray()
+    assert np.array_equal(gathered(pl, A, A, 0), np.column_stack([Ad[np.ix_(want, s0)], Ad[want, 0]]))
     group = next(g for g in pl.groups if 0 in g.columns)
     assert group.entries.shape[1:] == (want.size, 4)
 
@@ -64,16 +77,16 @@ def test_plan_empty_column_degenerate():
     with pytest.warns(UserWarning):
         pl = plan(S, A, A)
     # the empty column keeps its reference rows and gets a block with no columns
-    assert np.array_equal(column(pl.rows, 1), [1])
+    assert np.array_equal(gathered(pl, A, A, 1), [[2.0]])
     assert [g.entries.shape for g in pl.groups] == [(1, 1, 1), (1, 1, 2)]
 
 
 def same_plan(p, q):
-    """Whether plans p and q hold the same index sets and group arrays, dtypes included."""
+    """Whether plans p and q hold the same structures and group arrays, dtypes included."""
     arrays = [(a, b) for g, h in zip(p.groups, q.groups) for a, b in zip(g, h)]
-    arrays += [(getattr(M, k), getattr(P, k)) for M, P in zip((p.rows, *p.structures), (q.rows, *q.structures))
+    arrays += [(getattr(M, k), getattr(P, k)) for M, P in zip(p.structures, q.structures)
                for k in ("indptr", "indices")]
-    return (p.n == q.n and len(p.groups) == len(q.groups)
+    return (all(M.shape == P.shape for M, P in zip(p.structures, q.structures)) and len(p.groups) == len(q.groups)
             and all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in arrays))
 
 
@@ -121,8 +134,8 @@ def test_plan_rhs_rows_augmentation():
     A = as_csc(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
     ref = as_csc(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [2.0, 0.0, 1.0]]))
     pl = plan(offset_pattern(3, [0]), A, A_ref=ref)
-    # the row set gains the reference column's row 2
-    assert np.array_equal(column(pl.rows, 0), [0, 2])
+    # the row set gains the reference column's row 2: [B | f] over rows 0 and 2
+    assert np.array_equal(gathered(pl, A, ref, 0), [[1.0, 1.0], [0.0, 2.0]])
     m = compute_map(A, ref, pl)
     exact = map_residual_norm(A, m.N, ref)
     assert abs(m.rel_residual - exact) <= 1e-14
@@ -303,10 +316,12 @@ def test_compute_map_orthogonality_invariant():
     Ad = A.toarray()
     refd = ref.toarray()
     Nd = m.N.toarray()
+    rows = row_sets(S, A, ref)
     for l in range(20):
         s = column(S, l)
-        r = column(pl.rows, l)
+        r = column(rows, l)
         B = Ad[np.ix_(r, s)]
+        assert np.array_equal(gathered(pl, A, ref, l), np.column_stack([B, refd[r, l]]))
         resid = B @ Nd[s, l] - refd[r, l]
         lhs = np.linalg.norm(B.conj().T @ resid)
         assert lhs <= max(1e-10 * np.linalg.norm(B) * np.linalg.norm(refd[r, l]), 1e-12)
@@ -337,12 +352,13 @@ def test_compute_map_pattern_containment():
 def gelsy_map(A, ref, pl):
     """Per-column reference solver: column-pivoted QR (LAPACK gelsy) with the
     rank cutoff RANK_TOL, one block at a time; returns (N dense, column residuals)."""
-    Ad, refd = A.toarray(), ref.toarray()
-    N = np.zeros((pl.n, pl.n), dtype=np.result_type(Ad, refd))
-    res = np.zeros(pl.n)
-    for l in range(pl.n):
-        s = column(pl.structures[0], l)
-        r = column(pl.rows, l)
+    Ad, refd, S = A.toarray(), ref.toarray(), pl.structures[0]
+    rows = row_sets(S, A, ref)
+    N = np.zeros(S.shape, dtype=np.result_type(Ad, refd))
+    res = np.zeros(S.shape[1])
+    for l in range(S.shape[1]):
+        s = column(S, l)
+        r = column(rows, l)
         B, f = Ad[np.ix_(r, s)], refd[r, l]
         if B.size:
             N[s, l] = sla.lstsq(B, f, cond=RANK_TOL, lapack_driver="gelsy")[0]
@@ -388,6 +404,7 @@ def test_compute_map_matches_gelsy_reference(complex_values):
         A, ref, S = gelsy_case(18, rng, complex_values, wide=trial % 2 == 1)
         with pytest.warns(UserWarning):
             pl = plan(S, A, A_ref=ref)
+        assert all(np.array_equal(gathered(pl, A, ref, l), dense_block(A, ref, S, l)) for l in range(18))
         m = compute_map(A, ref, pl)
         want, want_res = gelsy_map(A, ref, pl)
         assert np.abs(m.N.toarray() - want).max() <= 1e-12 * np.abs(want).max()
@@ -430,9 +447,9 @@ def test_compute_map_non_finite_values_give_nan_columns():
     ref.data[ref.indptr[9]] = np.inf
     m = compute_map(A, ref, pl)
     j = np.searchsorted(A.indptr, 5, side="right") - 1  # the column holding the NaN
-    spoiled = np.array([j in column(S, l) or l == 9 for l in range(pl.n)])
+    spoiled = np.array([j in column(S, l) or l == 9 for l in range(S.shape[1])])
     assert np.array_equal(np.isnan(m.column_residuals), spoiled) and np.isnan(m.rel_residual)
-    nan_cols = np.repeat(np.arange(pl.n), np.diff(m.N.indptr))[np.isnan(m.N.data)]
+    nan_cols = np.repeat(np.arange(S.shape[1]), np.diff(m.N.indptr))[np.isnan(m.N.data)]
     assert np.array_equal(np.unique(nan_cols), np.flatnonzero(spoiled))
     assert np.isnan(m.N.data).sum() == sum(column(S, l).size for l in np.flatnonzero(spoiled))
     # the other columns are the map of the finite matrices there
