@@ -29,8 +29,8 @@ from .sparse import check_indices, check_integers, checked_csc, ldexp, norm_rati
 RANK_TOL = 1e-12
 
 
-class ShapeGroup(NamedTuple):
-    """The ``g`` columns whose least-squares blocks share one (rows, cols) shape."""
+class Batch(NamedTuple):
+    """The ``g`` columns of one size class, whose blocks are padded to one shape ``(r, c)``."""
 
     columns: np.ndarray
     entries: np.ndarray
@@ -43,18 +43,18 @@ class SamPlan:
 
     ``structures`` holds the patterns of the map (``S``), the matrix and the
     reference the plan was made for; ``S``'s index arrays are read-only, and
-    every map of the plan stores its values on them.  ``groups`` holds one
-    :class:`ShapeGroup` per block shape: ``entries`` ``(g, rows, cols + 1)``,
-    the position of every entry of each column's ``[B | f]`` over its row set
-    (see :func:`plan`), its block and, last, its reference column,
-    in the one value vector ``[0, A.data, A_ref.data]``, whose first slot
-    stands for every entry not stored; and ``unknowns`` ``(g, cols)``, the
-    position in the map's ``data`` of every unknown.  So a map touches values
-    only, and one plan serves every pattern, matrix and reference that it
-    :meth:`fits`.
+    every map of the plan stores its values on them.  ``batches`` holds one
+    :class:`Batch` per size class (see :func:`plan`), padded to its largest
+    block ``r x c``: ``entries`` ``(g, r, c + 1)``, the position of every
+    entry of each column's ``[B | f]`` over its row set, its block and, last,
+    its reference column, in the one value vector ``[0, A.data, A_ref.data]``,
+    whose first slot stands for every entry not stored; and ``unknowns``
+    ``(g, c)``, the position in the map's ``data`` of every unknown, ``S.nnz``
+    for a padded one.  So a map touches values only, and one plan serves
+    every pattern, matrix and reference that it :meth:`fits`.
     """
 
-    groups: list = field(repr=False)
+    batches: list = field(repr=False)
     structures: tuple = field(repr=False)
 
     def fits(self, S, A, A_ref) -> bool:
@@ -90,6 +90,12 @@ def _lookup(M, rows, cols):
     return np.asarray(M[rows, cols]).ravel()
 
 
+def _slots(indptr, columns, past):
+    """Positions indptr[l]..indptr[l + 1] of each listed column l, padded with past to the longest."""
+    pos = indptr[columns, None] + np.arange(np.diff(indptr)[columns].max(initial=0))
+    return np.where(pos < indptr[columns + 1, None], pos, past)
+
+
 def plan(S, A, A_ref) -> SamPlan:
     """Preprocess pattern S against the structures of A and of A_ref.
 
@@ -99,8 +105,11 @@ def plan(S, A, A_ref) -> SamPlan:
     stored-entry rows of the A-columns its pattern selects and of the
     reference's own column, so every block sees the whole reference column.
     Columns with an empty pattern get a warning and blocks with no columns.
-    Columns are grouped by block shape, and the positions of every ``[B | f]``
-    in ``[0, A.data, A_ref.data]`` come from one lookup in ``[A | A_ref]``.
+    Columns are batched by size class, row-set size and pattern count each
+    rounded up to a power of two, and padding a block with zero rows and
+    columns to its batch's largest shape at most doubles each side.  Every
+    ``[B | f]``'s positions in ``[0, A.data, A_ref.data]`` come from one
+    lookup per batch in ``[A | A_ref]``.
     """
     S, A, ref = pattern_of(S), pattern_of(A), pattern_of(A_ref)
     n = A.shape[0]
@@ -121,45 +130,50 @@ def plan(S, A, A_ref) -> SamPlan:
     # A * S unites the stored rows of the A-columns S selects; ref adds its own.
     rows = pattern_of(A @ S + ref)
 
-    # entry (i, t) of column l's [B | f] is A[rows[i], S[t]], and ref[rows[i], l] at t = cols.
+    # entry (i, t) of column l's [B | f] is A[rows[i], S[t]], and ref[rows[i], l] at t = c.
     # [A | ref] side by side stores A.data then ref.data, so the 1-based positions stored in a
-    # copy of it are those in [0, A.data, ref.data], and scipy's lookup reads 0 for no entry
+    # copy of it are those in [0, A.data, ref.data], and scipy's lookup reads 0 for no entry,
+    # as for padded rows and unknowns, which look in the copy's extra empty row n and column 2n
     both = sp.hstack([A, ref], format="csc")
-    at = sp.csc_matrix((np.arange(1, both.nnz + 1, dtype=np.int64), both.indices, both.indptr), shape=both.shape)
-    shape_key = np.diff(rows.indptr).astype(np.int64) * (n + 1) + counts
-    groups = []
-    for key in np.unique(shape_key):
-        r, c = divmod(int(key), n + 1)
-        columns = np.flatnonzero(shape_key == key)
-        row_ids = rows.indices[rows.indptr[columns, None] + np.arange(r)]
-        unknowns = S.indptr[columns, None] + np.arange(c)
-        cols = np.hstack([S.indices[unknowns], n + columns[:, None]])
+    at = sp.csc_matrix((np.arange(1, both.nnz + 1), both.indices, np.append(both.indptr, both.nnz)),
+                       shape=(n + 1, 2 * n + 1))
+    row_at, col_at = np.append(rows.indices, n), np.append(S.indices, 2 * n)
+    # frexp's exponent is the bit length
+    size_class = np.frexp(np.diff(rows.indptr))[1] * 64 + np.frexp(counts)[1]
+    batches = []
+    for key in np.unique(size_class):
+        columns = np.flatnonzero(size_class == key)
+        row_ids, unknowns = row_at[_slots(rows.indptr, columns, rows.nnz)], _slots(S.indptr, columns, S.nnz)
+        (g, r), c = row_ids.shape, unknowns.shape[1]
+        cols = np.hstack([col_at[unknowns], n + columns[:, None]])
         entries = _lookup(at, np.repeat(row_ids, c + 1), np.tile(cols, r).ravel())
-        groups.append(ShapeGroup(columns, entries.reshape(columns.size, r, c + 1), unknowns))
+        batches.append(Batch(columns, entries.reshape(g, r, c + 1), unknowns))
 
     S.indices.flags.writeable = S.indptr.flags.writeable = False
-    return SamPlan(groups=groups, structures=(S, A, ref))
+    return SamPlan(batches=batches, structures=(S, A, ref))
 
 
 def compute_map(A, A_ref, pl: SamPlan, workers: int = 1) -> SamMap:
     """Minimize ||A N - A_ref||_F over the plan's pattern, column by column.
 
-    Each column is an independent dense least-squares problem.  One gather from
-    ``[0, A.data, A_ref.data]`` gives a shape group's stacked ``[B | f]``, and
-    its blocks are solved at once through their pseudoinverse, which gives the
-    minimum-norm solution on full-rank, rank-deficient and underdetermined
-    blocks alike.  Each block and its reference are solved on their exact
-    power-of-two scale, so blocks near either end of the float range keep
-    finite unknowns.  A column with an empty pattern stays zero, with its
-    reference column's norm as residual; one whose block or reference values
-    are not all finite gets NaN unknowns and a NaN residual.  Malformed index
-    arrays raise ``ValueError``, and so does a structure other than the plan's,
-    naming whether ``A`` or ``A_ref`` differs and its first offending column.
-    Up to ``workers >= 1`` threads take whole groups, each filling its own
-    preassigned positions of ``N.data``, so the result is bit-identical for any
-    ``workers`` count.  ``N`` stores its values on the plan's read-only pattern
-    arrays, so writing its pattern in place raises ``ValueError``; ``N.copy()``
-    gives it a writeable pattern.
+    Each column is an independent dense least-squares problem.  One gather
+    from ``[0, A.data, A_ref.data]`` gives a batch's padded ``[B | f]``, and
+    its blocks are solved at once through their pseudoinverse, which gives
+    the minimum-norm solution on full-rank, rank-deficient and underdetermined
+    blocks alike; padding, a zero row or column of ``B``, changes no block's
+    scale, finite test or solution.  Each block and its reference are solved
+    on their exact power-of-two scale, so blocks near either end of the float
+    range keep finite unknowns.  A column with an empty pattern stays zero,
+    with its reference column's norm as residual; one whose block or
+    reference values are not all finite gets NaN unknowns and a NaN residual.
+    Malformed index arrays raise ``ValueError``, and so does a structure other
+    than the plan's, naming whether ``A`` or ``A_ref`` differs and its first
+    offending column.  Up to ``workers >= 1`` threads take up to ``workers``
+    nonempty chunks of each batch, each filling its own preassigned positions
+    of ``N.data``, so the result is bit-identical for any ``workers`` count.
+    ``N`` stores its values on the plan's read-only pattern arrays, so writing
+    its pattern in place raises ``ValueError``; ``N.copy()`` gives it a
+    writeable pattern.
     """
     check_integers(minimum=1, workers=workers)
     A, A_ref = checked_csc(A, A_ref)
@@ -173,29 +187,30 @@ def compute_map(A, A_ref, pl: SamPlan, workers: int = 1) -> SamMap:
             raise ValueError(f"{name} structure differs from the plan, first offending column: {col}")
 
     values = np.concatenate([np.zeros(1), A.data, A_ref.data])
-    valN = np.zeros(S.nnz, dtype=values.dtype)
+    valN = np.zeros(S.nnz + 1, dtype=values.dtype)  # the last slot takes every padded unknown
     col_res = np.zeros(n)
 
-    def solve(g: ShapeGroup):
+    def solve(b: Batch):
         # the SVD fails on non-finite values, so those columns stay NaN,
         # and the rest go to their power-of-two scale, where nothing overflows
-        Bf = values[g.entries]
+        Bf = values[b.entries]
         finite, e = np.isfinite(Bf).all(axis=(1, 2)), scale_exponent(Bf, axis=(1, 2))
         Bf = ldexp(Bf, -e)
         B, f = Bf[..., :-1], Bf[..., -1]
-        z = np.full(g.unknowns.shape, np.nan, dtype=values.dtype)
+        z = np.full(b.unknowns.shape, np.nan, dtype=values.dtype)
         z[finite] = (np.linalg.pinv(B[finite], rcond=RANK_TOL) @ f[finite, :, None])[..., 0]
-        valN[g.unknowns] = z
-        col_res[g.columns] = ldexp(np.linalg.norm((B @ z[..., None])[..., 0] - f, axis=1), e)
+        valN[b.unknowns] = z
+        col_res[b.columns] = ldexp(np.linalg.norm((B @ z[..., None])[..., 0] - f, axis=1), e)
 
+    chunks = [Batch(*c) for b in pl.batches for c in zip(*(np.array_split(a, min(workers, b.columns.size)) for a in b))]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(solve, pl.groups))
+            list(pool.map(solve, chunks))
     else:
-        for g in pl.groups:
-            solve(g)
+        for b in chunks:
+            solve(b)
 
-    N = sp.csc_matrix((valN, S.indices, S.indptr), shape=S.shape)
+    N = sp.csc_matrix((valN[:-1], S.indices, S.indptr), shape=S.shape)
 
     # both norms on the reference's power-of-two scale: exact, and neither overflows nor underflows
     e = scale_exponent(A_ref.data)

@@ -65,6 +65,14 @@ def row_sets(S, A, ref):
     return pattern_of(pattern_of(A) @ pattern_of(S) + pattern_of(ref))
 
 
+def padded(block, shape):
+    """Map block [B | f] zero-padded to a plan's block shape (r, c + 1): B top left, f in the last column."""
+    block = np.asarray(block)
+    out = np.zeros(shape, dtype=np.result_type(block, float))
+    out[:block.shape[0], :block.shape[1] - 1], out[:block.shape[0], -1] = block[:, :-1], block[:, -1]
+    return out
+
+
 def grid_laplacian_triplets(nx, ny):
     """5-point stencil triplets on an nx-by-ny grid, assembled by enumeration."""
     rows, cols, vals = [], [], []

@@ -13,7 +13,7 @@ from samkit import (
     SequenceSpec, compute_map, map_residual_norm, matrix_market_read,
     matrix_market_write, pattern_of, plan,
 )
-from helpers import pattern_to_bool, row_sets, same_pattern
+from helpers import padded, pattern_to_bool, row_sets, same_pattern
 
 EXAMPLES = settings(max_examples=100, deadline=None)
 
@@ -134,15 +134,17 @@ def test_compute_map_matches_dense_least_squares(data):
     m = compute_map(A, ref, pl)
     Ad, refd, Nd = A.toarray(), ref.toarray(), m.N.toarray()
     values = np.concatenate([[0], A.data, ref.data])
-    # the plan's group arrays against dense indexing over each column's row set; each column in one group
+    # the plan's batch arrays against dense indexing over each column's row set, zero-padded to
+    # the batch's block shape; each column in one batch, and padded unknowns point past the map
     row_set = row_sets(S, A, ref)
-    assert np.array_equal(np.sort(np.concatenate([g.columns for g in pl.groups])), np.arange(n))
-    for g in pl.groups:
-        for l, entries, unknowns in zip(*g):
+    assert np.array_equal(np.sort(np.concatenate([b.columns for b in pl.batches])), np.arange(n))
+    for b in pl.batches:
+        for l, entries, unknowns in zip(*b):
             s, rows = S.indices[S.indptr[l]:S.indptr[l + 1]], row_set.indices[row_set.indptr[l]:row_set.indptr[l + 1]]
-            assert np.array_equal(values[entries[:, :-1]], Ad[np.ix_(rows, s)])
-            assert np.array_equal(values[entries[:, -1]], refd[rows, l])
-            assert np.array_equal(unknowns, np.arange(*pl.structures[0].indptr[l:l + 2]))
+            block = np.column_stack([Ad[np.ix_(rows, s)], refd[rows, l]])
+            assert np.array_equal(values[entries], padded(block, entries.shape))
+            nnz = pl.structures[0].nnz
+            assert np.array_equal(unknowns, np.append(np.arange(*pl.structures[0].indptr[l:l + 2]), [nnz] * (unknowns.size - s.size)))
     for l in range(n):
         s = S.indices[S.indptr[l]:S.indptr[l + 1]]
         if s.size and np.linalg.matrix_rank(Ad[:, s]) == s.size:

@@ -12,8 +12,8 @@ from samkit import (
 )
 from samkit.sam import RANK_TOL
 from helpers import (
-    grid_laplacian_triplets, pattern_at, pattern_to_bool, random_pattern, random_sparse, refusal_in_child,
-    row_sets, same_pattern,
+    grid_laplacian_triplets, padded, pattern_at, pattern_to_bool, random_pattern, random_sparse,
+    refusal_in_child, row_sets, same_pattern,
 )
 
 
@@ -21,11 +21,17 @@ def column(S, j):
     return S.indices[S.indptr[j]:S.indptr[j + 1]]
 
 
-def gathered(pl, A, ref, l):
-    """Column l's [B | f] as the plan gathers it from [0, A.data, ref.data]."""
-    values = np.concatenate([[0], A.data, ref.data])
-    g = next(g for g in pl.groups if l in g.columns)
-    return values[g.entries[np.flatnonzero(g.columns == l)[0]]]
+def batch_row(pl, l):
+    """Column l's padded entries and unknowns, from the batch that holds it."""
+    b = next(b for b in pl.batches if l in b.columns)
+    k = np.flatnonzero(b.columns == l)[0]
+    return b.entries[k], b.unknowns[k]
+
+
+def gathers(pl, A, ref, l, block):
+    """Whether the plan gathers column l's [B | f] from [0, A.data, ref.data] as block, zero-padded to its batch."""
+    got = np.concatenate([[0], A.data, ref.data])[batch_row(pl, l)[0]]
+    return np.array_equal(got, padded(block, got.shape))
 
 
 def dense_block(A, ref, S, l):
@@ -52,8 +58,8 @@ def test_plan_diagonal_case():
     pl = plan(S, A, A)
     for l in range(3):
         assert np.array_equal(column(pl.structures[0], l), [l])
-        assert np.array_equal(gathered(pl, A, A, l), dense_block(A, A, S, l))
-        assert pl.groups[0].entries.shape == (3, 1, 2)
+        assert gathers(pl, A, A, l, dense_block(A, A, S, l))
+    assert [b.entries.shape for b in pl.batches] == [(3, 1, 2)]
 
 
 def test_plan_grid_corner_column_row_union():
@@ -66,9 +72,9 @@ def test_plan_grid_corner_column_row_union():
     assert np.array_equal(s0, [0, 1, 3])
     want = np.unique(np.concatenate([A.indices[A.indptr[j]:A.indptr[j + 1]] for j in s0]))
     Ad = A.toarray()
-    assert np.array_equal(gathered(pl, A, A, 0), np.column_stack([Ad[np.ix_(want, s0)], Ad[want, 0]]))
-    group = next(g for g in pl.groups if 0 in g.columns)
-    assert group.entries.shape[1:] == (want.size, 4)
+    assert gathers(pl, A, A, 0, np.column_stack([Ad[np.ix_(want, s0)], Ad[want, 0]]))
+    # the four corners share a size class, unpadded
+    assert batch_row(pl, 0)[0].shape == (want.size, 4)
 
 
 def test_plan_empty_column_degenerate():
@@ -77,16 +83,56 @@ def test_plan_empty_column_degenerate():
     with pytest.warns(UserWarning):
         pl = plan(S, A, A)
     # the empty column keeps its reference rows and gets a block with no columns
-    assert np.array_equal(gathered(pl, A, A, 1), [[2.0]])
-    assert [g.entries.shape for g in pl.groups] == [(1, 1, 1), (1, 1, 2)]
+    assert gathers(pl, A, A, 1, [[2.0]])
+    assert [b.entries.shape for b in pl.batches] == [(1, 1, 1), (1, 1, 2)]
+
+
+def test_plan_pads_blocks_within_size_classes():
+    rng = np.random.default_rng(16)
+    A = random_sparse(15, rng, per_col=3, diag_boost=15.0)
+    ref = random_sparse(15, rng, per_col=2, diag_boost=15.0)
+    S = random_pattern(15, rng, lo=1, hi=5)
+    pl = plan(S, A, A_ref=ref)
+    nrows, counts = np.diff(row_sets(S, A, ref).indptr), np.diff(S.indptr)
+    # some batch pads: its columns' blocks differ in shape
+    assert any(np.unique(nrows[b.columns]).size > 1 or np.unique(counts[b.columns]).size > 1 for b in pl.batches)
+    for b in pl.batches:
+        (g, r, c1), c = b.entries.shape, b.unknowns.shape[1]
+        assert c1 == c + 1 and g == b.columns.size
+        # padding at most doubles each side of a block
+        assert (r < 2 * nrows[b.columns]).all() and (c + 1 < 2 * (counts[b.columns] + 1)).all()
+        # every slot of a padded row and of a padded unknown's column reads position 0
+        pad_row, pad_unknown = np.arange(r) >= nrows[b.columns, None], np.arange(c) >= counts[b.columns, None]
+        assert not b.entries[pad_row].any()
+        assert not b.entries[..., :-1].transpose(0, 2, 1)[pad_unknown].any()
+        # every padded unknown points one past the map's last entry, and the rest at the column's entries, in order
+        assert (b.unknowns[pad_unknown] == S.nnz).all()
+        assert np.array_equal(b.unknowns[~pad_unknown], np.concatenate([np.arange(*S.indptr[l:l + 2]) for l in b.columns]))
+    m = compute_map(A, ref, pl)
+    assert m.N.data.shape == (S.nnz,)
+
+
+def test_plan_dense_column_costs_only_itself():
+    # a tridiagonal matrix whose pattern has one dense column: its n x n block
+    # gets a batch of its own, so padding never spreads it over the other columns
+    n = 120
+    A = as_csc(sp.diags([-1.0, 2.5, -1.0], [-1, 0, 1], shape=(n, n), format="csc"))
+    S = pattern_of(abs(A) + sp.csc_matrix((np.ones(n), (np.arange(n), np.zeros(n, dtype=int))), shape=(n, n)))
+    pl = plan(S, A, A)
+    nrows, counts = np.diff(row_sets(S, A, A).indptr), np.diff(S.indptr)
+    assert counts[0] == n and nrows[0] == n
+    assert sum(b.entries.size for b in pl.batches) <= 4 * (nrows * (counts + 1)).sum()
+    assert batch_row(pl, 0)[0].shape == (n, n + 1)
+    m = compute_map(A, A, pl)
+    assert abs(m.rel_residual - map_residual_norm(A, m.N, A)) <= 1e-12
 
 
 def same_plan(p, q):
-    """Whether plans p and q hold the same structures and group arrays, dtypes included."""
-    arrays = [(a, b) for g, h in zip(p.groups, q.groups) for a, b in zip(g, h)]
+    """Whether plans p and q hold the same structures and batch arrays, dtypes included."""
+    arrays = [(a, b) for g, h in zip(p.batches, q.batches) for a, b in zip(g, h)]
     arrays += [(getattr(M, k), getattr(P, k)) for M, P in zip(p.structures, q.structures)
                for k in ("indptr", "indices")]
-    return (all(M.shape == P.shape for M, P in zip(p.structures, q.structures)) and len(p.groups) == len(q.groups)
+    return (all(M.shape == P.shape for M, P in zip(p.structures, q.structures)) and len(p.batches) == len(q.batches)
             and all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in arrays))
 
 
@@ -135,7 +181,7 @@ def test_plan_rhs_rows_augmentation():
     ref = as_csc(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [2.0, 0.0, 1.0]]))
     pl = plan(offset_pattern(3, [0]), A, A_ref=ref)
     # the row set gains the reference column's row 2: [B | f] over rows 0 and 2
-    assert np.array_equal(gathered(pl, A, ref, 0), [[1.0, 1.0], [0.0, 2.0]])
+    assert gathers(pl, A, ref, 0, [[1.0, 1.0], [0.0, 2.0]])
     m = compute_map(A, ref, pl)
     exact = map_residual_norm(A, m.N, ref)
     assert abs(m.rel_residual - exact) <= 1e-14
@@ -255,7 +301,7 @@ def test_compute_map_empty_pattern_column():
     with pytest.warns(UserWarning):
         pl = plan(offset_pattern(2, []), A, A)
     m = compute_map(A, A, pl)
-    assert [g.entries.shape for g in pl.groups] == [(2, 1, 1)] and m.N.nnz == 0
+    assert [b.entries.shape for b in pl.batches] == [(2, 1, 1)] and m.N.nnz == 0
     assert m.rel_residual == 1.0
     # a reference with no stored entries: no reference entry to place
     empty = as_csc(sp.csc_matrix((2, 2)))
@@ -321,7 +367,7 @@ def test_compute_map_orthogonality_invariant():
         s = column(S, l)
         r = column(rows, l)
         B = Ad[np.ix_(r, s)]
-        assert np.array_equal(gathered(pl, A, ref, l), np.column_stack([B, refd[r, l]]))
+        assert gathers(pl, A, ref, l, np.column_stack([B, refd[r, l]]))
         resid = B @ Nd[s, l] - refd[r, l]
         lhs = np.linalg.norm(B.conj().T @ resid)
         assert lhs <= max(1e-10 * np.linalg.norm(B) * np.linalg.norm(refd[r, l]), 1e-12)
@@ -404,12 +450,13 @@ def test_compute_map_matches_gelsy_reference(complex_values):
         A, ref, S = gelsy_case(18, rng, complex_values, wide=trial % 2 == 1)
         with pytest.warns(UserWarning):
             pl = plan(S, A, A_ref=ref)
-        assert all(np.array_equal(gathered(pl, A, ref, l), dense_block(A, ref, S, l)) for l in range(18))
+        blocks = [dense_block(A, ref, S, l) for l in range(18)]
+        assert all(gathers(pl, A, ref, l, b) for l, b in enumerate(blocks))
         m = compute_map(A, ref, pl)
         want, want_res = gelsy_map(A, ref, pl)
         assert np.abs(m.N.toarray() - want).max() <= 1e-12 * np.abs(want).max()
         assert np.abs(m.column_residuals - want_res).max() <= 1e-12 * want_res.max()
-        shapes.update(g.entries[..., :-1].shape[1:] for g in pl.groups)
+        shapes.update(b[:, :-1].shape for b in blocks)
     # overdetermined, underdetermined and both kinds of empty block occurred
     assert any(r > c > 0 for r, c in shapes) and any(0 < r < c for r, c in shapes)
     assert (0, 1) in shapes and any(r > 0 and c == 0 for r, c in shapes)
@@ -465,9 +512,13 @@ def test_worker_determinism():
     ref = random_sparse(40, rng, diag_boost=40.0)
     pl = plan(random_pattern(40, rng), A, A_ref=ref)
     m1 = compute_map(A, ref, pl, workers=1)
-    m5 = compute_map(A, ref, pl, workers=5)
-    assert m1.N.data.tobytes() == m5.N.data.tobytes()
-    assert np.array_equal(m1.N.indices, m5.N.indices)
+    # 5 divides n, 3 does not, and 41 exceeds it, and every batch's size
+    for workers in (5, 3, 41):
+        m = compute_map(A, ref, pl, workers=workers)
+        assert m.N.data.tobytes() == m1.N.data.tobytes()
+        assert np.array_equal(m.N.indices, m1.N.indices)
+        assert m.column_residuals.tobytes() == m1.column_residuals.tobytes()
+        assert m.rel_residual == m1.rel_residual
     # 0 and -1 ran serially, and 2.5 reached ThreadPoolExecutor
     for workers, message in ((0, "at least 1, not 0"), (-1, "at least 1, not -1"),
                              (2.5, "an integer, not 2.5"), (True, "an integer, not True")):
