@@ -213,4 +213,4 @@ def factor(A, params: IlutpParams = IlutpParams()) -> IlutpFactors:
 
     L = _rows_to_csc(lrow_cols, lrow_vals, np.ones(n, dtype=dtype), perm)
     U = _rows_to_csc(urow_cols, urow_vals, udiag, perm)
-    return IlutpFactors(L, U, iperm.copy())
+    return IlutpFactors(L, U, iperm)

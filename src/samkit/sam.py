@@ -45,10 +45,11 @@ class SamPlan:
     reference the plan was made for; ``S``'s index arrays are read-only, and
     every map of the plan stores its values on them.  ``batches`` holds one
     :class:`Batch` per size class (see :func:`plan`), padded to its largest
-    block ``r x c``: ``entries`` ``(g, r, c + 1)``, the position of every
-    entry of each column's ``[B | f]`` over its row set, its block and, last,
-    its reference column, in the one value vector ``[0, A.data, A_ref.data]``,
-    whose first slot stands for every entry not stored; and ``unknowns``
+    block ``r x c``, which has at least one row and one unknown: ``entries``
+    ``(g, r, c + 1)``, the position of every entry of each column's
+    ``[B | f]`` over its row set, its block and, last, its reference column,
+    in the one value vector ``[0, A.data, A_ref.data]``, whose first slot
+    stands for every entry not stored; and ``unknowns``
     ``(g, c)``, the position in the map's ``data`` of every unknown, ``S.nnz``
     for a padded one.  So a map touches values only, and one plan serves
     every pattern, matrix and reference that it :meth:`fits`.
@@ -82,17 +83,9 @@ def _first_change(M, P):
     return int(np.flatnonzero(np.diff((pattern_of(M) - P).indptr))[0])
 
 
-def _lookup(M, rows, cols):
-    """The value of CSC matrix M at each (rows, cols) entry, as a 1-D array; 0 where none is stored."""
-    if len(rows) == 0:  # scipy answers an empty lookup with a sparse matrix
-        return np.zeros(0, dtype=M.dtype)
-    # ravel makes scipy's (1, k) np.matrix and a 1-D answer alike
-    return np.asarray(M[rows, cols]).ravel()
-
-
 def _slots(indptr, columns, past):
-    """Positions indptr[l]..indptr[l + 1] of each listed column l, padded with past to the longest."""
-    pos = indptr[columns, None] + np.arange(np.diff(indptr)[columns].max(initial=0))
+    """Positions indptr[l]..indptr[l + 1] of each listed column l, padded with past to max(longest, 1) slots."""
+    pos = indptr[columns, None] + np.arange(np.diff(indptr)[columns].max(initial=1))
     return np.where(pos < indptr[columns + 1, None], pos, past)
 
 
@@ -104,12 +97,13 @@ def plan(S, A, A_ref) -> SamPlan:
     references its maps are for.  Each column's row set is the union of the
     stored-entry rows of the A-columns its pattern selects and of the
     reference's own column, so every block sees the whole reference column.
-    Columns with an empty pattern get a warning and blocks with no columns.
-    Columns are batched by size class, row-set size and pattern count each
-    rounded up to a power of two, and padding a block with zero rows and
-    columns to its batch's largest shape at most doubles each side.  Every
-    ``[B | f]``'s positions in ``[0, A.data, A_ref.data]`` come from one
-    lookup per batch in ``[A | A_ref]``.
+    Columns with an empty pattern get a warning.  Columns are batched by
+    size class, row-set size and pattern count each rounded up to a power of
+    two, and every block is padded with zero rows and columns to its batch's
+    largest shape, and to at least one row and one unknown; that at most
+    doubles a nonempty side.  Every ``[B | f]``'s positions in
+    ``[0, A.data, A_ref.data]`` come from one lookup per batch in
+    ``[A | A_ref]``.
     """
     S, A, ref = pattern_of(S), pattern_of(A), pattern_of(A_ref)
     n = A.shape[0]
@@ -146,7 +140,8 @@ def plan(S, A, A_ref) -> SamPlan:
         row_ids, unknowns = row_at[_slots(rows.indptr, columns, rows.nnz)], _slots(S.indptr, columns, S.nnz)
         (g, r), c = row_ids.shape, unknowns.shape[1]
         cols = np.hstack([col_at[unknowns], n + columns[:, None]])
-        entries = _lookup(at, np.repeat(row_ids, c + 1), np.tile(cols, r).ravel())
+        # ravel makes scipy's (1, k) np.matrix and a 1-D answer alike
+        entries = np.asarray(at[np.repeat(row_ids, c + 1), np.tile(cols, r).ravel()]).ravel()
         batches.append(Batch(columns, entries.reshape(g, r, c + 1), unknowns))
 
     S.indices.flags.writeable = S.indptr.flags.writeable = False
@@ -168,7 +163,8 @@ def compute_map(A, A_ref, pl: SamPlan, workers: int = 1) -> SamMap:
     reference values are not all finite gets NaN unknowns and a NaN residual.
     Malformed index arrays raise ``ValueError``, and so does a structure other
     than the plan's, naming whether ``A`` or ``A_ref`` differs and its first
-    offending column.  Up to ``workers >= 1`` threads take up to ``workers``
+    offending column.  A serial map solves the plan's batches as they are;
+    with ``workers > 1``, up to ``workers`` threads take up to ``workers``
     nonempty chunks of each batch, each filling its own preassigned positions
     of ``N.data``, so the result is bit-identical for any ``workers`` count.
     ``N`` stores its values on the plan's read-only pattern arrays, so writing
@@ -202,12 +198,12 @@ def compute_map(A, A_ref, pl: SamPlan, workers: int = 1) -> SamMap:
         valN[b.unknowns] = z
         col_res[b.columns] = ldexp(np.linalg.norm((B @ z[..., None])[..., 0] - f, axis=1), e)
 
-    chunks = [Batch(*c) for b in pl.batches for c in zip(*(np.array_split(a, min(workers, b.columns.size)) for a in b))]
     if workers > 1:
+        chunks = [Batch(*c) for b in pl.batches for c in zip(*(np.array_split(a, min(workers, b.columns.size)) for a in b))]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(solve, chunks))
     else:
-        for b in chunks:
+        for b in pl.batches:
             solve(b)
 
     N = sp.csc_matrix((valN[:-1], S.indices, S.indptr), shape=S.shape)

@@ -82,9 +82,9 @@ def test_plan_empty_column_degenerate():
     S = pattern_at((2, 2), [0], [0])  # column 1 empty
     with pytest.warns(UserWarning):
         pl = plan(S, A, A)
-    # the empty column keeps its reference rows and gets a block with no columns
+    # the empty column keeps its reference rows and gets one padded zero unknown
     assert gathers(pl, A, A, 1, [[2.0]])
-    assert [b.entries.shape for b in pl.batches] == [(1, 1, 1), (1, 1, 2)]
+    assert [b.entries.shape for b in pl.batches] == [(1, 1, 2), (1, 1, 2)]
 
 
 def test_plan_pads_blocks_within_size_classes():
@@ -297,12 +297,24 @@ def test_compute_map_empty_pattern_column():
     # the unmatched reference column contributes its whole norm
     assert abs(m.column_residuals[1] - 2.0) <= 1e-15
     assert abs(m.rel_residual - 2.0 / np.sqrt(5.0)) <= 1e-15
-    # every column degenerate: no block entry to look up, N stores nothing
+    # every column degenerate: each block has one padded zero unknown, N stores nothing
     with pytest.warns(UserWarning):
         pl = plan(offset_pattern(2, []), A, A)
     m = compute_map(A, A, pl)
-    assert [b.entries.shape for b in pl.batches] == [(2, 1, 1)] and m.N.nnz == 0
+    assert [b.entries.shape for b in pl.batches] == [(2, 1, 2)] and m.N.nnz == 0
     assert m.rel_residual == 1.0
+    # an empty row set: column 1 of A and of the reference stores nothing, so its block is one padded zero row
+    A1 = as_csc(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    pl = plan(offset_pattern(2, [0]), A1, A1)
+    m = compute_map(A1, A1, pl)
+    b = next(b for b in pl.batches if 1 in b.columns)
+    assert b.entries.shape == (1, 1, 2) and not b.entries.any()
+    assert m.N[:, 1].toarray().tolist() == [[0.0], [0.0]] and m.column_residuals[1] == 0.0
+    assert m.rel_residual == map_residual_norm(A1, m.N, A1)
+    threaded = compute_map(A1, A1, pl, workers=3)
+    assert threaded.N.data.tobytes() == m.N.data.tobytes()
+    assert threaded.column_residuals.tobytes() == m.column_residuals.tobytes()
+    assert threaded.rel_residual == m.rel_residual
     # a reference with no stored entries: no reference entry to place
     empty = as_csc(sp.csc_matrix((2, 2)))
     m = compute_map(A, empty, plan(pattern_of(A), A, A_ref=empty))
