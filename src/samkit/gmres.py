@@ -100,6 +100,9 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
     left)`` steps.  Convergence means the explicit residual satisfies
     ||b - A x|| <= rel_tol * ||b||.  The recurrence residual ends each cycle;
     the explicit one at its end re-verifies it and starts the next.
+    A solve ends on convergence, a spent iteration budget, a singular breakdown
+    (whose zero pivot can only be the last of its cycle) or a non-finite
+    operator value or update; the last two keep the last finite ``x``.
     The solve runs on ``b``'s power-of-two scale, which is exact: ``2**k b``
     gives ``2**k x`` bit for bit.  Every other norm is BLAS ``nrm2``, which
     scales internally, so the Arnoldi and residual norms of an operator as far
@@ -138,13 +141,12 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
     history = []
     restart_checks = []
     total_iters = 0
-    singular = False
-    nonfinite = False
+    stopped = False  # a singular breakdown or a non-finite value: no further cycle can help
     r = b - apply_A(x)
     beta = nrm2(r)
 
     # the one convergence test; a NaN residual runs a cycle, which records it
-    while not (beta / bnorm <= cfg.rel_tol or singular or nonfinite) and total_iters < cfg.max_total_iters:
+    while not (beta / bnorm <= cfg.rel_tol or stopped) and total_iters < cfg.max_total_iters:
         V[:, 0] = r / beta
         # the rotations (c, s), the rotated Hessenberg columns and the
         # least-squares right-hand side g are Python scalars: each step reads
@@ -173,7 +175,7 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
             if not np.isfinite(hnext):
                 # NaN or Inf from an operator: the cycle ends with the columns
                 # built so far, and no further cycle repeats the failure
-                nonfinite = True
+                stopped = True
                 break
             breakdown = hnext <= HAPPY_BREAKDOWN * wnorm
             if not breakdown:
@@ -194,10 +196,10 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
                 break
         total_iters += len(columns)
 
-        # an exactly zero pivot (breakdown on a singular operator) leaves only
-        # the leading block solvable; the update stops there and x stays finite
-        p = next((i for i, col in enumerate(columns) if col[i] == 0), len(columns))
-        singular = p < len(columns)
+        # lartg leaves a zero pivot only with hnext zero, a breakdown that ends the cycle: only a
+        # singular operator's last pivot can be zero, and the update keeps the leading block
+        p = len(columns) - (breakdown and columns[-1][-1] == 0)
+        stopped = stopped or p < len(columns)
         if p > 0:
             # the Givens rotations left the Hessenberg matrix upper triangular
             R = np.zeros((p, p), dtype=dtype)
@@ -207,15 +209,13 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
             if np.all(np.isfinite(dx)):
                 x = x + dx
             else:
-                nonfinite = True
+                stopped = True
         # the explicit residual checks this cycle and starts the next one
         r = b - apply_A(x)
         beta = nrm2(r)
-        if breakdown or nonfinite:
-            # after a breakdown or a non-finite operator value the recurrence
-            # no longer tracks x; record the explicit residual.  Only a
-            # singular breakdown ends the solve: one with a full-rank update
-            # restarts from the refined x
+        if breakdown or stopped:
+            # the recurrence no longer tracks x: record the explicit residual.  A
+            # breakdown with a full-rank update restarts from the refined x
             history[-1] = beta / bnorm
         restart_checks.append((float(history[-1]), beta / bnorm))
 

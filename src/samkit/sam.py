@@ -256,9 +256,3 @@ class PreconditionerChain:
 
     def apply(self, v):
         return matvec(self.N, self.P(v))
-
-
-__all__ = [
-    "SamPlan", "SamMap", "plan", "compute_map", "map_residual_norm",
-    "PreconditionerChain", "RANK_TOL",
-]

@@ -283,6 +283,9 @@ def test_max_iterations_exhausted_reports_failure():
 @pytest.mark.parametrize("rows, b", [
     ([[0.0, 1.0], [0.0, 0.0]], [1.0, 0.0]),
     ([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]], [1.0, 1.0, 0.0]),
+    # the nilpotent shift breaks down after four full-rank columns, so its zero pivot is the fifth
+    (np.eye(5, k=1), np.eye(5)[4]),
+    ((1 + 1j) * np.eye(5, k=1), (1 - 2j) * np.eye(5)[4]),
 ])
 def test_breakdown_with_singular_hessenberg_stays_finite(rows, b):
     A = as_csc(np.array(rows))
