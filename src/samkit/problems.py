@@ -67,8 +67,9 @@ def _stiffness(kap):
     """Stiffness of :func:`fem_pair_2d` for the ny-by-nx node conductivities ``kap``.
 
     The matrix is assembled straight into canonical CSC: column ``j`` holds
-    the slots of rows ``j - nx, j - 1, j, j + 1, j + nx`` in that order, and
-    the slots that fall off the grid are masked out.
+    the slots of rows ``j - nx, j - 1, j, j + 1, j + nx`` in that order.  The
+    off-diagonal slots are the negated neighbour couplings that the diagonal
+    sums, and the slots that fall off the grid are masked out.
     """
     ny, nx = kap.shape
 
@@ -86,12 +87,7 @@ def _stiffness(kap):
         diag = ((west + east) + south) + north  # one fixed summation order, reproducible bit for bit
     if not diag.max() < np.inf:  # NaN fails too
         raise ValueError(f"kappa must be small enough for a finite stiffness, not as large as {float(kap.max())!r}")
-    vals = np.empty((ny, nx, 5))
-    vals[1:, :, 0] = -cy
-    vals[:, 1:, 1] = -cx
-    vals[..., 2] = diag
-    vals[:, :-1, 3] = -cx
-    vals[:-1, :, 4] = -cy
+    vals = np.stack([-south, -west, diag, -east, -north], axis=-1)
     keep = np.ones((ny, nx, 5), dtype=bool)
     keep[0, :, 0] = keep[:, 0, 1] = keep[:, -1, 3] = keep[-1, :, 4] = False
     n = nx * ny

@@ -245,7 +245,7 @@ def test_sparsified_power_structural_matches_boolean_oracle():
     rng = np.random.default_rng(1)
     for n in (7, 19, 30):
         P = random_pattern(n, rng, lo=1, hi=5)
-        for p in (2, 3):
+        for p in (2, 3, 4, 5):
             got = pattern_to_bool(sparsified_power(P, p))
             assert np.array_equal(got, boolean_power_oracle(P, p))
 
@@ -297,12 +297,13 @@ def test_sparsified_power_tau_one_keeps_the_largest():
 def test_sparsified_power_against_dense_oracle():
     rows, cols, vals = grid_laplacian_triplets(3, 3)
     A = as_csc(sp.csc_matrix((vals, (rows, cols)), shape=(9, 9)))
-    p, tau = 2, 1e-4
-    P = sparsified_power(A, p, tau)
-    assert not (pattern_to_bool(P) & ~pattern_to_bool(sparsified_power(pattern_of(A), p))).any()
-    Ad = np.linalg.matrix_power(A.toarray(), p)
-    want = np.abs(Ad) >= tau * np.abs(Ad).max()
-    assert np.array_equal(pattern_to_bool(P), want)
+    for p in (2, 3, 4, 5):
+        for tau in (1e-4, 0.05, 0.3):
+            P = sparsified_power(A, p, tau)
+            assert not (pattern_to_bool(P) & ~pattern_to_bool(sparsified_power(pattern_of(A), p))).any()
+            Ad = np.linalg.matrix_power(A.toarray(), p)
+            want = np.abs(Ad) >= tau * np.abs(Ad).max()
+            assert np.array_equal(pattern_to_bool(P), want)
     # the threshold is relative to the largest magnitude
     assert sparsified_power(as_csc(np.diag([10.0, 1.0, 0.1])), 1, 0.5).nnz == 1
 
