@@ -54,7 +54,11 @@ class SolveReport:
 
 
 def as_operator(op):
-    """Normalize a matrix / factors / chain / callable / None into a callable."""
+    """Normalize a matrix / factors / chain / callable / None into a callable.
+
+    Malformed index arrays of a compressed ``op`` raise ``ValueError``.
+    """
+    check_indices(op)
     if op is None:
         return lambda v: v
     if sp.issparse(op) or isinstance(op, np.ndarray):
@@ -90,11 +94,11 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
     declares a complex ``dtype``.  Every answer of ``A`` and ``M`` must be a
     vector of ``b``'s length in that field: another shape raises ``ValueError``
     and complex values on a real run ``TypeError`` rather than being cast,
-    each naming the operand.  Malformed index arrays of a compressed ``A`` or
-    ``M`` raise ``ValueError``.  An omitted ``x0`` is a zero start.  ``b`` and
+    each naming the operand.  An omitted ``x0`` is a zero start.  ``b`` and
     ``x0`` are raveled, and lengths that differ (``x0``'s from ``b``'s,
     ``b``'s from the rows of an ``A`` with a ``shape``) raise ``ValueError``,
-    as a NaN or infinite entry of either does.  GMRES never writes into an
+    as a NaN or infinite entry of either does, and after those, malformed
+    index arrays of a compressed ``A`` or ``M`` do (:func:`as_operator`).  GMRES never writes into an
     operand's answer, so one may return its input, as ``None`` (identity) does.
     Returns (x, SolveReport).  A cycle runs at most ``min(restart, iterations
     left)`` steps.  Convergence means the explicit residual satisfies
@@ -108,7 +112,6 @@ def gmres(A, b, M=None, x0=None, config: GmresConfig = None):
     scales internally, so the Arnoldi and residual norms of an operator as far
     from 1 as ``2**±600 A`` neither overflow nor underflow.
     """
-    check_indices(A, M)
     cfg = config if config is not None else GmresConfig()
 
     b = np.asarray(b).ravel().astype(scalar_dtype(b), copy=False)

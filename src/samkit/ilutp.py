@@ -65,17 +65,23 @@ _TRIANGULAR_SPLU = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0,
 
 
 class IlutpFactors:
-    """Factors L, U and the column permutation such that A[:, colperm] ~ L U."""
+    """Factors L, U and the column permutation such that A[:, colperm] ~ L U.
+
+    ``L`` and ``U`` go through :func:`~samkit.sparse.checked_csc` before SuperLU
+    reads them; a ``colperm`` that is not a permutation of ``range(n)`` raises ``ValueError``.
+    """
 
     def __init__(self, L, U, colperm):
-        self.L = L
-        self.U = U
+        self.L, self.U = checked_csc(L, U)
         self.colperm = np.asarray(colperm, dtype=np.int64)
-        self.shape = L.shape
-        self.dtype = np.result_type(L.dtype, U.dtype)
+        self._undo = np.argsort(self.colperm)
+        if not np.array_equal(self.colperm[self._undo], np.arange(self.L.shape[0])):
+            raise ValueError("colperm must be a permutation of range(n)")
+        self.shape = self.L.shape
+        self.dtype = np.result_type(self.L.dtype, self.U.dtype)
         # checked and pre-factored once, so each apply is two C triangular solves
-        self._L_lu = splu(L, **_TRIANGULAR_SPLU)
-        self._U_lu = splu(U, **_TRIANGULAR_SPLU)
+        self._L_lu = splu(self.L, **_TRIANGULAR_SPLU)
+        self._U_lu = splu(self.U, **_TRIANGULAR_SPLU)
 
     @property
     def n(self):
@@ -95,9 +101,7 @@ class IlutpFactors:
             z = np.ascontiguousarray(z).view(np.complex128)[:, 0]
         else:
             z = self._U_lu.solve(self._L_lu.solve(v))
-        x = np.empty_like(z)
-        x[self.colperm] = z
-        return x
+        return z[self._undo]
 
 
 def _keep_largest(cols, vals, limit):

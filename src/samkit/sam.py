@@ -21,7 +21,7 @@ import scipy.sparse.linalg as spla
 
 from .gmres import as_operator
 from .patterns import pattern_of
-from .sparse import check_indices, check_integers, checked_csc, ldexp, norm_ratio, scale_exponent
+from .sparse import check_integers, checked_csc, ldexp, norm_ratio, scale_exponent
 
 # Singular-value cutoff of the block pseudoinverse, relative to each block's
 # largest singular value; smaller ones count as zero, so rank-deficient blocks
@@ -241,12 +241,11 @@ class PreconditionerChain:
     ``P`` that declares none (or None) counts as ``N``'s.  The map is applied
     as ``samkit.sam.matvec``, scipy's ``@`` bound by name and looked up at
     every call, so a tracer can time it apart.  Malformed index arrays of
-    ``N`` or a compressed ``P`` raise ``ValueError``.
+    ``N``, or of a compressed ``P`` after the shape check, raise ``ValueError``.
     """
 
     def __init__(self, N, P):
         [self.N] = checked_csc(N)
-        check_indices(P)
         pshape = getattr(P, "shape", None)
         if pshape is not None and self.N.shape[1] != pshape[0]:
             raise ValueError(f"chain: map shape {self.N.shape} incompatible with operator shape {pshape}")

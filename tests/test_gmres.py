@@ -167,6 +167,13 @@ def test_gmres_refuses_malformed_index_arrays():
             gmres(A, np.ones(3), M=M)
 
 
+def test_as_operator_refuses_malformed_index_arrays():
+    # every reader that applies an operand, gmres and the chain among them, checks it here
+    bad = sp.csc_matrix((np.ones(5), [0, 5, 1, 2, 2], [0, 2, 3, 5]), shape=(3, 3))
+    with pytest.raises(ValueError, match="indices must be < 3"):
+        as_operator(bad)
+
+
 def test_gmres_checks_vector_lengths():
     # each failed inside numpy with "matmul: dimension mismatch"; an (n, 2) b
     # was raveled to length 2n

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 
 from samkit import FactorizationError, IlutpFactors, IlutpParams, as_csc, factor, fem_pair_2d
 from samkit.ilutp import PIVOT_FLOOR, _keep_largest, _rows_to_csc
-from helpers import random_sparse
+from helpers import random_sparse, refusal_in_child
 
 
 def dense_lu_column_pivot(Ad, pivtol=1.0):
@@ -229,6 +229,24 @@ def test_complex_vector_on_real_factors_rejoins_parts_exactly():
     assert got.dtype == np.complex128
     assert got.real.tobytes() == real.tobytes()
     assert np.array_equal(got.imag, [0.0, np.inf])
+
+
+@pytest.mark.parametrize("colperm", [[0, 0, 1], [0, 1, 5], [0, 1]])
+def test_factors_refuse_a_colperm_that_is_not_a_permutation(colperm):
+    # a repeated entry left an answer entry unwritten, and an entry past n
+    # raised IndexError only at the first apply
+    I3 = sp.identity(3, format="csc")
+    with pytest.raises(ValueError, match=r"^colperm must be a permutation of range\(n\)$"):
+        IlutpFactors(I3, I3, colperm)
+
+
+def test_factors_keep_canonical_factors_and_refuse_malformed_ones():
+    F = factor(random_sparse(20, np.random.default_rng(9), diag_boost=20.0))
+    G = IlutpFactors(F.L, F.U, F.colperm)
+    assert G.L is F.L and G.U is F.U
+    # SuperLU read a decreasing indptr unchecked, and the process died with SIGSEGV
+    for call in ("samkit.IlutpFactors(bad, good, np.arange(50))", "samkit.IlutpFactors(good, bad, np.arange(50))"):
+        assert refusal_in_child(call) == (0, "indptr must be a non-decreasing sequence")
 
 
 def test_droptol_produces_incomplete_factors():

@@ -487,6 +487,50 @@ def test_compute_map_matches_gelsy_reference(complex_values):
         assert err <= 1e-12 * want_res.max() + np.ldexp(1.0, -1074 - s)
 
 
+def kahan(theta, k=5):
+    """The k x k Kahan matrix, whose smallest singular value lies far below its smallest diagonal entry."""
+    return np.diag(np.sin(theta) ** np.arange(k)) @ (np.eye(k) - np.cos(theta) * np.triu(np.ones((k, k)), 1))
+
+
+@pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
+def test_compute_map_is_the_pseudoinverse_solution_across_conditioning(complex_values):
+    # independent 13 x 5 blocks, block l in rows 13 l.. and columns 5 l.. of A, which map column l
+    # selects, against its own reference column: singular values spread over up to 10**7.5, and
+    # Kahan blocks.  Every block's unknowns are its minimum-norm solution, pinv(B) f
+    rng = np.random.default_rng(21)
+
+    def draw(*shape):
+        return rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_values else 0)
+
+    def orthonormal(m, k):
+        return np.linalg.qr(draw(m, k))[0]
+
+    blocks = [orthonormal(13, 5) @ np.diag(np.geomspace(1, 10 ** (-k / 2), 5)) @ orthonormal(5, 5).conj().T
+              for k in range(16) for _ in range(5)]
+    blocks += [orthonormal(13, 5) @ kahan(theta) for theta in np.linspace(0.05, 1.5, 30)]
+    refs = [draw(13) for _ in blocks]
+    g = len(blocks)
+    n = 13 * g
+    A = sp.hstack([sp.block_diag(blocks), sp.csc_matrix((n, n - 5 * g))], format="csc")
+
+    def columns_of(size, values):
+        # column l < g stores rows size * l .. size * (l + 1) - 1; the rest are empty
+        indptr = np.append(np.arange(0, size * g + 1, size), np.full(n - g, size * g))
+        return sp.csc_matrix((values, np.arange(size * g), indptr), shape=(n, n))
+
+    S, ref = columns_of(5, np.ones(5 * g)), columns_of(13, np.concatenate(refs))
+    with pytest.warns(UserWarning, match=f"^{n - g} pattern column"):
+        pl = plan(S, A, A_ref=ref)
+    assert any(np.array_equal(b.columns, np.arange(g)) and b.entries.shape == (g, 13, 6) for b in pl.batches)
+    m = compute_map(A, ref, pl)
+    for l, (B, f) in enumerate(zip(blocks, refs)):
+        want = np.linalg.pinv(B, rcond=RANK_TOL) @ f
+        assert np.linalg.norm(m.N.data[5 * l:5 * l + 5] - want) <= 1e-8 * np.linalg.norm(want)
+    m3 = compute_map(A, ref, pl, workers=3)
+    assert m3.N.data.tobytes() == m.N.data.tobytes()
+    assert m3.column_residuals.tobytes() == m.column_residuals.tobytes()
+
+
 def scaled(M, s):
     """M times 2**s, rounded as ldexp rounds it; real and imaginary parts alike."""
     M = M.copy()

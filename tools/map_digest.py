@@ -67,6 +67,15 @@ def solve_bytes(x, rep) -> bytes:
         np.float64(rep.final_rel_residual)))
 
 
+def recorded(fn, record):
+    """``fn``, passing each answer to ``record`` before returning it."""
+    def wrapper(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        record(out)
+        return out
+    return wrapper
+
+
 def digest_lines(workload, seed, toy=False):
     wl = WORKLOADS[workload]
     spec = wl.build(seed, toy=toy)
@@ -77,23 +86,9 @@ def digest_lines(workload, seed, toy=False):
         strategy, workers = arm_strategy(arm, len(spec), len(os.sched_getaffinity(0)))
         digests, factors, solves = [], hashlib.sha256(), hashlib.sha256()
 
-        def recording_map(*args, **kwargs):
-            m = compute_map(*args, **kwargs)
-            digests.append(map_digest(m))
-            return m
-
-        def recording_factor(*args, **kwargs):
-            F = factor(*args, **kwargs)
-            factors.update(factor_bytes(F))
-            return F
-
-        def recording_solve(*args, **kwargs):
-            x, rep = gmres(*args, **kwargs)
-            solves.update(solve_bytes(x, rep))
-            return x, rep
-
-        with patched([(samkit.sam, "compute_map", recording_map), (samkit.ilutp, "factor", recording_factor),
-                      (samkit.harness, "gmres", recording_solve)]):
+        with patched([(samkit.sam, "compute_map", recorded(compute_map, lambda m: digests.append(map_digest(m)))),
+                      (samkit.ilutp, "factor", recorded(factor, lambda F: factors.update(factor_bytes(F)))),
+                      (samkit.harness, "gmres", recorded(gmres, lambda out: solves.update(solve_bytes(*out))))]):
             report = samkit.harness.run_sequence(spec, strategy, ILUTP, PATTERN, wl.gmres, sam_workers=workers)
         lines += [f"{arm} map {i} {d}" for i, d in enumerate(digests)]
         lines.append(f"{arm} factors {factors.hexdigest()}")
